@@ -13,8 +13,11 @@ floating point never enters here.
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+
+import numpy as np
 
 from .domain import Domain, VectorFq
 from .errors import ContractError, ParameterError, ResourceCapError
@@ -119,29 +122,20 @@ class PreimageCensus:
 
 def _scaled_rows(domain: Domain):
     """scaled[j][y] = index tuple of weight y times domain vector j."""
-    params = domain.params
-    mul = params.mul_rows()
-    out = []
-    for v in domain.vectors:
-        idx = v.index_tuple()
-        out.append([tuple(mul[y][c] for c in idx) for y in range(params.q)])
-    return out
+    # mul[y, indices[j, c]] laid out as [j][y][c].
+    scaled = domain.params.mul_rows()[:, domain.indices].transpose(1, 0, 2)
+    return [[tuple(row) for row in per_weight] for per_weight in scaled.tolist()]
 
 
 def enumerate_census(domain: Domain, k: int, *,
-                     max_tuples: int = DEFAULT_MAX_TUPLES,
-                     partitions: int = 1) -> PreimageCensus:
+                     max_tuples: int = DEFAULT_MAX_TUPLES) -> PreimageCensus:
     """Walk all (|V|*q)^k input tuples and tally exact pre-image counts.
 
-    partitions splits the outermost loop into contiguous chunks whose
-    partial tallies are merged by summation; the result is identical for
-    every partition count.  Raises ResourceCapError (naming the tuple
-    count) before starting if the walk would exceed max_tuples.
+    Raises ResourceCapError (naming the tuple count) before starting if the
+    walk would exceed max_tuples.
     """
     if not isinstance(k, int) or k < 0:
         raise ParameterError(f"query count must be a non-negative integer, got {k!r}")
-    if partitions < 1:
-        raise ParameterError("partitions must be at least 1")
     params = domain.params
     q = params.q
     total = (domain.size * q) ** k
@@ -153,7 +147,7 @@ def enumerate_census(domain: Domain, k: int, *,
     if k == 0:
         return PreimageCensus(domain, 0, {zero_key: 1}, {zero_key: 1})
 
-    add = params.add_rows()
+    add = params.add_rows().tolist()
     scaled = _scaled_rows(domain)
     # One entry per (vector, weight) pair: its scaled row, a bit marking the
     # vector for distinctness tracking, and whether the weight is nonzero.
@@ -162,51 +156,53 @@ def enumerate_census(domain: Domain, k: int, *,
         for j in range(domain.size)
         for y in range(q)
     ]
-
-    def tally_chunk(first_pairs):
-        counts: dict = {}
-        good: dict = {}
-
-        def descend(level, acc, used, good_flag):
-            if level == k:
-                counts[acc] = counts.get(acc, 0) + 1
-                if good_flag:
-                    good[acc] = good.get(acc, 0) + 1
-                return
-            for row, bit, nonzero in pairs:
-                descend(
-                    level + 1,
-                    tuple(add[a][b] for a, b in zip(acc, row)),
-                    used | bit,
-                    good_flag and nonzero and not (used & bit),
-                )
-
-        for row, bit, nonzero in first_pairs:
-            descend(1, row, bit, nonzero)
-        return counts, good
-
-    chunk_size = math.ceil(len(pairs) / partitions)
     counts: dict = {}
     good: dict = {}
-    for start in range(0, len(pairs), chunk_size):
-        part_counts, part_good = tally_chunk(pairs[start:start + chunk_size])
-        for key, c in part_counts.items():
-            counts[key] = counts.get(key, 0) + c
-        for key, c in part_good.items():
-            good[key] = good.get(key, 0) + c
+
+    def descend(level, acc, used, good_flag):
+        if level == k:
+            counts[acc] = counts.get(acc, 0) + 1
+            if good_flag:
+                good[acc] = good.get(acc, 0) + 1
+            return
+        for row, bit, nonzero in pairs:
+            descend(
+                level + 1,
+                tuple(add[a][b] for a, b in zip(acc, row)),
+                used | bit,
+                good_flag and nonzero and not (used & bit),
+            )
+
+    for row, bit, nonzero in pairs:
+        descend(1, row, bit, nonzero)
 
     if sum(counts.values()) != total:
         raise ContractError("census total does not match the tuple count")
     return PreimageCensus(domain, k, counts, good)
 
 
+def _index_array(rows, width: int) -> np.ndarray:
+    """Read-only (len(rows), width) array of index rows."""
+    array = np.array(rows, dtype=np.intp).reshape(len(rows), width)
+    array.setflags(write=False)
+    return array
+
+
 @dataclass(frozen=True, eq=False)
 class ImageSet:
-    """All targets with at least one pre-image, in canonical order."""
+    """All targets with at least one pre-image, in canonical order; keys
+    holds their index rows as a read-only (size, n) array."""
 
     params: FieldParams
     n: int
     elements: tuple  # VectorFq, canonically sorted
+    keys: np.ndarray = field(init=False, repr=False)
+    _key_set: frozenset = field(init=False, repr=False)
+
+    def __post_init__(self):
+        key_tuples = [z.index_tuple() for z in self.elements]
+        object.__setattr__(self, "keys", _index_array(key_tuples, self.n))
+        object.__setattr__(self, "_key_set", frozenset(key_tuples))
 
     @property
     def size(self) -> int:
@@ -215,11 +211,7 @@ class ImageSet:
     def __contains__(self, z):
         if not isinstance(z, VectorFq):
             return False
-        return z.index_tuple() in self._keys()
-
-    def _keys(self):
-        # Small enough to rebuild on demand; avoids a mutable cache field.
-        return {z.index_tuple() for z in self.elements}
+        return z.index_tuple() in self._key_set
 
 
 def image_set(census: PreimageCensus) -> ImageSet:
@@ -233,15 +225,31 @@ def image_set(census: PreimageCensus) -> ImageSet:
 
 @dataclass(frozen=True, eq=False)
 class Transversal:
-    """One chosen pre-image per image point."""
+    """One chosen pre-image per image point, as read-only integer arrays:
+    image point keys[i] is the sum of the domain vectors at positions[i]
+    weighted by the elements with indices weights[i]."""
 
     domain: Domain
     k: int
-    pairs: dict  # z index-tuple -> Preimage
+    keys: np.ndarray  # (size, n)
+    positions: np.ndarray  # (size, k)
+    weights: np.ndarray  # (size, k)
 
     @property
     def size(self) -> int:
-        return len(self.pairs)
+        return len(self.keys)
+
+    @cached_property
+    def pairs(self) -> dict:
+        """z index-tuple -> Preimage, in canonical order of z."""
+        vectors = self.domain.vectors
+        elements = self.domain.params.elements()
+        return {
+            tuple(key): Preimage(tuple(vectors[j] for j in positions),
+                                 tuple(elements[y] for y in weights))
+            for key, positions, weights in zip(
+                self.keys.tolist(), self.positions.tolist(), self.weights.tolist())
+        }
 
     def preimage_of(self, z: VectorFq) -> Preimage:
         return self.pairs[z.index_tuple()]
@@ -263,31 +271,25 @@ def build_transversal(domain: Domain, k: int, *,
     if total > max_tuples:
         raise ResourceCapError(f"transversal needs {total} tuples, cap is {max_tuples}")
     zero_key = (0,) * domain.n
-    if k == 0:
-        return Transversal(domain, 0, {zero_key: Preimage((), ())})
-
-    add = params.add_rows()
+    add = params.add_rows().tolist()
     scaled = _scaled_rows(domain)
-    first: dict = {}
-    zero_acc = zero_key
+    first: dict = {}  # image point -> (vector positions, weight indices)
+    # At k = 0 both products yield one empty tuple: zero gets ((), ()).
     for v_positions in itertools.product(range(domain.size), repeat=k):
         rows = [scaled[j] for j in v_positions]
         for weights in itertools.product(range(q), repeat=k):
-            acc = zero_acc
+            acc = zero_key
             for row, y in zip(rows, weights):
                 acc = tuple(add[a][b] for a, b in zip(acc, row[y]))
             if acc not in first:
                 first[acc] = (v_positions, weights)
 
-    elements = params.elements()
-    pairs = {}
-    for key in sorted(first):
-        v_positions, weights = first[key]
-        pairs[key] = Preimage(
-            tuple(domain.vectors[j] for j in v_positions),
-            tuple(elements[y] for y in weights),
-        )
-    return Transversal(domain, k, pairs)
+    keys = sorted(first)
+    return Transversal(
+        domain, k, _index_array(keys, domain.n),
+        _index_array([first[key][0] for key in keys], k),
+        _index_array([first[key][1] for key in keys], k),
+    )
 
 
 def good_preimage_count(census: PreimageCensus, z: VectorFq) -> int:
@@ -358,9 +360,9 @@ def second_moment_identity_check(domain: Domain, k: int, *,
             f"identity right side needs {codomain * domain.size} dot products, "
             f"cap is {max_tuples}"
         )
-    add = params.add_rows()
-    mul = params.mul_rows()
-    vec_rows = [v.index_tuple() for v in domain.vectors]
+    add = params.add_rows().tolist()
+    mul = params.mul_rows().tolist()
+    vec_rows = domain.indices.tolist()
 
     ortho_power_sum = 0
     two_k = 2 * k

@@ -24,8 +24,8 @@ import numpy as np
 
 from . import __version__, census as census_mod
 from . import complexity, simulator, verify as verify_mod
-from .domain import (VectorFq, build_monomial_domain,
-                     build_vandermonde_domain, parse_vector, read_domain_file)
+from .domain import (build_monomial_domain, build_vandermonde_domain,
+                     parse_vector, read_domain_file, vector_from_flat)
 from .errors import ContractError, ParameterError, ResourceCapError
 from .field import parse_field_spec
 
@@ -45,10 +45,16 @@ def _jsonable(value):
     return value
 
 
-def _emit(report: dict, out, fmt: str):
+def _emit(report: dict, out, fmt: str, started):
+    """Write a JSON report; a perf_counter start time adds the timings block."""
     if fmt != "json":
         raise ParameterError("csv output only applies to the enumerate census table")
-    text = json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n"
+    if started is not None:
+        report["timings"] = {"total_seconds": time.perf_counter() - started}
+    _write(json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n", out)
+
+
+def _write(text: str, out):
     if out:
         with open(out, "w", encoding="ascii") as fh:
             fh.write(text)
@@ -76,7 +82,7 @@ def domain_options(cmd):
         "--monomial", default=None, metavar="M,D",
         help="All degree-<=D monomial rows in M variables.")(cmd)
     cmd = click.option(
-        "--domain-file", type=click.Path(), default=None,
+        "--domain-file", type=click.Path(exists=True, dir_okay=False), default=None,
         help="Explicit domain file (carries its own field).")(cmd)
     return cmd
 
@@ -149,10 +155,6 @@ def _plan_block(plan):
     return {"k": plan.k, "rule": plan.rule, "note": plan.note}
 
 
-def _config_echo(**kwargs):
-    return {key: value for key, value in kwargs.items()}
-
-
 @click.group()
 @click.version_option(version=__version__, prog_name="qvint")
 def main():
@@ -194,7 +196,7 @@ def analyze(field_spec, vandermonde, monomial, domain_file, k, out, fmt, timings
 
         report = {
             "command": "analyze",
-            "config": _config_echo(
+            "config": dict(
                 field=field_spec, vandermonde=vandermonde, monomial=monomial,
                 domain_file=domain_file, k=k,
             ),
@@ -229,9 +231,7 @@ def analyze(field_spec, vandermonde, monomial, domain_file, k, out, fmt, timings
                 "meets_bounded_error": cls.meets_bounded_error,
                 "meets_high_probability": cls.meets_high_probability,
             }
-        if timings:
-            report["timings"] = {"total_seconds": time.perf_counter() - started}
-        _emit(report, out, fmt)
+        _emit(report, out, fmt, started if timings else None)
 
     _guarded(body)
 
@@ -252,13 +252,7 @@ def cmd_enumerate(field_spec, vandermonde, monomial, domain_file, k, max_tuples,
         k_value, k_rule = _resolve_k(domain, k)
         census = census_mod.enumerate_census(domain, k_value, max_tuples=max_tuples)
         if fmt == "csv":
-            text = _census_csv(census)
-            if out:
-                with open(out, "w", encoding="ascii") as fh:
-                    fh.write(text)
-                click.echo(f"wrote {out}")
-            else:
-                click.echo(text, nl=False)
+            _write(_census_csv(census), out)
             return
 
         identity = census_mod.second_moment_identity_check(
@@ -275,7 +269,7 @@ def cmd_enumerate(field_spec, vandermonde, monomial, domain_file, k, max_tuples,
 
         report = {
             "command": "enumerate",
-            "config": _config_echo(
+            "config": dict(
                 field=field_spec, vandermonde=vandermonde, monomial=monomial,
                 domain_file=domain_file, k=k_value, k_rule=k_rule,
                 max_tuples=max_tuples,
@@ -306,9 +300,7 @@ def cmd_enumerate(field_spec, vandermonde, monomial, domain_file, k, max_tuples,
                 "equal": identity.equal,
             },
         }
-        if timings:
-            report["timings"] = {"total_seconds": time.perf_counter() - started}
-        _emit(report, out, fmt)
+        _emit(report, out, fmt, started if timings else None)
         if not identity.equal or observed > cheb:
             sys.exit(1)
 
@@ -345,7 +337,7 @@ def simulate(field_spec, vandermonde, monomial, domain_file, k, secret, trials,
 
         report = {
             "command": "simulate",
-            "config": _config_echo(
+            "config": dict(
                 field=field_spec, vandermonde=vandermonde, monomial=monomial,
                 domain_file=domain_file, k=k_value, k_rule=k_rule,
                 secret=secret, trials=trials, seed=seed, max_tuples=max_tuples,
@@ -367,7 +359,7 @@ def simulate(field_spec, vandermonde, monomial, domain_file, k, secret, trials,
                 )
             errors = []
             for flat in range(codomain):
-                s = _unflatten(params, domain.n, flat)
+                s = vector_from_flat(params, domain.n, flat)
                 state = simulator.run_algorithm(domain, k_value, transversal, s)
                 errors.append(abs(simulator.success_probability(state, s) - float(analytic)))
             report["sweep"] = {
@@ -375,9 +367,7 @@ def simulate(field_spec, vandermonde, monomial, domain_file, k, secret, trials,
                 "max_abs_error": max(errors),
                 "secret_independent": max(errors) < 1e-9,
             }
-            if timings:
-                report["timings"] = {"total_seconds": time.perf_counter() - started}
-            _emit(report, out, fmt)
+            _emit(report, out, fmt, started if timings else None)
             if max(errors) >= 1e-9:
                 sys.exit(1)
             return
@@ -385,7 +375,7 @@ def simulate(field_spec, vandermonde, monomial, domain_file, k, secret, trials,
         if secret == "random":
             rng = np.random.default_rng(seed)
             flat = int(rng.integers(codomain))
-            secret_vector = _unflatten(params, domain.n, flat)
+            secret_vector = vector_from_flat(params, domain.n, flat)
         else:
             secret_vector = parse_vector(params, secret)
             if secret_vector.n != domain.n:
@@ -422,9 +412,7 @@ def simulate(field_spec, vandermonde, monomial, domain_file, k, secret, trials,
                     for key, count in top
                 ],
             }
-        if timings:
-            report["timings"] = {"total_seconds": time.perf_counter() - started}
-        _emit(report, out, fmt)
+        _emit(report, out, fmt, started if timings else None)
         if not report["analytic"]["matches_image_ratio"]:
             sys.exit(1)
 
@@ -454,14 +442,6 @@ def verify(quick, max_tuples, inject_corrupt_modulus):
             sys.exit(1)
 
     _guarded(body)
-
-
-def _unflatten(params, n, flat):
-    digits = []
-    for _ in range(n):
-        flat, c = divmod(flat, params.q)
-        digits.append(c)
-    return VectorFq.from_index_tuple(params, tuple(reversed(digits)))
 
 
 def _guarded(body):

@@ -4,6 +4,11 @@ A Domain is a deduplicated, canonically ordered set of vectors.  Canonical
 order sorts by the tuple of element indices, so results that enumerate or
 pick representatives are reproducible across runs and machines.
 
+It also owns the internal form of GF(q)^n that the other layers compute
+on: (m, n) arrays of element indices, the flat-index codec (first
+coordinate most significant, the order of state vectors) and dot_rows.
+VectorFq and dot are the public API and the reference for those arrays.
+
 Besides construction this module owns the two structural measurements the
 counting layer needs: the number of vectors touching a zero coordinate, and
 exhaustive verification that every small-enough subset of the domain is
@@ -13,6 +18,8 @@ linearly independent (the hypothesis behind the pre-image dichotomy).
 import itertools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import ParameterError, ResourceCapError
 from .field import FieldElement, FieldParams
@@ -79,9 +86,6 @@ class VectorFq:
     def scale(self, w: FieldElement) -> "VectorFq":
         return VectorFq(tuple(w * e for e in self.entries))
 
-    def has_zero_entry(self) -> bool:
-        return any(e.is_zero() for e in self.entries)
-
 
 def dot(a: VectorFq, b: VectorFq) -> FieldElement:
     """Standard bilinear form sum_i a_i * b_i (no conjugation)."""
@@ -90,6 +94,43 @@ def dot(a: VectorFq, b: VectorFq) -> FieldElement:
     acc = a.params.zero()
     for x, y in zip(a.entries, b.entries):
         acc = acc + x * y
+    return acc
+
+
+def _place_values(q: int, n: int) -> np.ndarray:
+    """q^(n-1), ..., q, 1 as int64, refusing spaces whose flat indices would wrap."""
+    if q ** n >= 1 << 63:
+        raise ResourceCapError(
+            f"GF({q})^{n} has {q ** n} points, flat indices need fewer than 2^63"
+        )
+    return q ** np.arange(n - 1, -1, -1, dtype=np.int64)
+
+
+def rows_to_flat(rows, q: int) -> np.ndarray:
+    """Flat index of every index row, (m, n) -> (m,); one row (n,) gives a scalar."""
+    rows = np.asarray(rows, dtype=np.int64)
+    return rows @ _place_values(q, rows.shape[-1])
+
+
+def flat_to_rows(flat, q: int, n: int) -> np.ndarray:
+    """Inverse of rows_to_flat: (m,) flat indices -> (m, n) index rows."""
+    flat = np.asarray(flat, dtype=np.int64)[..., None]
+    return (flat // _place_values(q, n) % q).astype(np.intp)
+
+
+def vector_from_flat(params: FieldParams, n: int, flat: int) -> VectorFq:
+    """The vector of GF(q)^n at one flat index."""
+    return VectorFq.from_index_tuple(params, flat_to_rows(flat, params.q, n).tolist())
+
+
+def dot_rows(params: FieldParams, s, rows) -> np.ndarray:
+    """Index of s . z for every row z of an (m, n) index array, s one index
+    row: one add/mul table step per coordinate, equal to dot(s, z).index()."""
+    add = params.add_rows()
+    mul = params.mul_rows()
+    acc = np.zeros(len(rows), dtype=np.intp)
+    for i, s_i in enumerate(s):
+        acc = add[acc, mul[s_i, rows[:, i]]]
     return acc
 
 
@@ -117,9 +158,10 @@ class IndependenceReport:
 
 
 class Domain:
-    """Canonically ordered set of distinct vectors in GF(q)^n."""
+    """Canonically ordered set of distinct vectors in GF(q)^n; indices holds
+    their index rows as a read-only (size, n) array, in the same order."""
 
-    __slots__ = ("params", "n", "vectors", "label", "_zero_touching", "_independence")
+    __slots__ = ("params", "n", "vectors", "indices", "label", "_zero_touching", "_independence")
 
     def __init__(self, vectors, label: str = "explicit"):
         vectors = list(vectors)
@@ -135,9 +177,12 @@ class Domain:
                 f"domain size {len(vectors)} exceeds cap {MAX_DOMAIN_VECTORS}"
             )
         unique = {v.index_tuple(): v for v in vectors}
+        keys = sorted(unique)
         self.params = params
         self.n = n
-        self.vectors = tuple(unique[key] for key in sorted(unique))
+        self.vectors = tuple(unique[key] for key in keys)
+        self.indices = np.array(keys, dtype=np.intp)
+        self.indices.setflags(write=False)
         self.label = label
         self._zero_touching = None
         self._independence = None
@@ -149,7 +194,7 @@ class Domain:
     def zero_touching_count(self) -> int:
         """Number of domain vectors with at least one zero coordinate."""
         if self._zero_touching is None:
-            self._zero_touching = sum(1 for v in self.vectors if v.has_zero_entry())
+            self._zero_touching = int(np.count_nonzero((self.indices == 0).any(axis=1)))
         return self._zero_touching
 
     def stats(self) -> DomainStats:
@@ -354,14 +399,17 @@ def read_domain_file(path, max_vectors: int = MAX_DOMAIN_VECTORS) -> Domain:
     modulus = None
     for token in lines[0].split():
         key, _, value = token.partition("=")
-        if key == "q":
-            q = int(value)
-        elif key == "n":
-            n = int(value)
-        elif key == "modulus":
-            modulus = tuple(int(c) for c in value.split(","))
-        else:
+        if key not in ("q", "n", "modulus"):
             raise ParameterError(f"unknown header token {token!r} in {path}")
+        try:
+            if key == "q":
+                q = int(value)
+            elif key == "n":
+                n = int(value)
+            else:
+                modulus = tuple(int(c) for c in value.split(","))
+        except ValueError:
+            raise ParameterError(f"bad header token {token!r} in {path}") from None
     if q is None or n is None:
         raise ParameterError(f"domain file {path} must declare q= and n= in its header")
     from .field import parse_field_spec  # local import to reuse the p^r factoring

@@ -96,11 +96,18 @@ def smallest_irreducible(p: int, r: int) -> tuple:
     raise ContractError(f"no irreducible of degree {r} over GF({p})")  # pragma: no cover
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
 class FieldParams:
     """Immutable description of GF(p^r), shared by every element of the field.
 
-    Heavy derived data (q x q add/mul tables, trace and character tables,
-    the Fourier kernel) is built lazily on first use and cached.
+    p, r, q and modulus cannot be reassigned after construction, because the
+    hash and every cached table depend on them.  Heavy derived data (q x q
+    add/mul tables, trace and character tables, the Fourier kernel) is built
+    lazily on first use and cached; the numpy tables are read-only.
     """
 
     __slots__ = (
@@ -151,6 +158,11 @@ class FieldParams:
         self._chars = None
         self._elements = None
         self._fourier = None
+
+    def __setattr__(self, name, value):
+        if name in ("p", "r", "q", "modulus") and hasattr(self, name):
+            raise AttributeError(f"FieldParams.{name} is read-only")
+        object.__setattr__(self, name, value)
 
     # -- identity ----------------------------------------------------------
 
@@ -217,24 +229,24 @@ class FieldParams:
                 f"dense q x q tables capped at q <= {TABLE_MAX_Q}, got q = {self.q}"
             )
 
-    def add_rows(self) -> list:
-        """add_rows()[i][j] is the index of element i plus element j."""
+    def add_rows(self) -> np.ndarray:
+        """add_rows()[i, j] is the index of element i plus element j."""
         if self._add_rows is None:
             self._check_table_cap()
             elems = self.elements()
-            self._add_rows = [
-                [(a + b).index() for b in elems] for a in elems
-            ]
+            self._add_rows = _read_only(np.array(
+                [[(a + b).index() for b in elems] for a in elems], dtype=np.intp
+            ))
         return self._add_rows
 
-    def mul_rows(self) -> list:
-        """mul_rows()[i][j] is the index of element i times element j."""
+    def mul_rows(self) -> np.ndarray:
+        """mul_rows()[i, j] is the index of element i times element j."""
         if self._mul_rows is None:
             self._check_table_cap()
             elems = self.elements()
-            self._mul_rows = [
-                [(a * b).index() for b in elems] for a in elems
-            ]
+            self._mul_rows = _read_only(np.array(
+                [[(a * b).index() for b in elems] for a in elems], dtype=np.intp
+            ))
         return self._mul_rows
 
     def trace_values(self) -> list:
@@ -243,20 +255,20 @@ class FieldParams:
             self._traces = [z.trace() for z in self.elements()]
         return self._traces
 
-    def character_values(self) -> list:
+    def character_values(self) -> np.ndarray:
         """Additive character of every element, by canonical index."""
         if self._chars is None:
             root = cmath.exp(2j * cmath.pi / self.p)
-            self._chars = [root ** t for t in self.trace_values()]
+            self._chars = _read_only(np.array(
+                [root ** t for t in self.trace_values()], dtype=np.complex128
+            ))
         return self._chars
 
     def character_table(self) -> np.ndarray:
         """q x q complex matrix with entry [a, b] = e(a * b), unnormalized."""
         if self._fourier is None:
             self._check_table_cap()
-            chars = np.asarray(self.character_values(), dtype=np.complex128)
-            mul = np.asarray(self.mul_rows(), dtype=np.intp)
-            self._fourier = chars[mul]
+            self._fourier = _read_only(self.character_values()[self.mul_rows()])
         return self._fourier
 
     def fourier_matrix(self) -> np.ndarray:
@@ -413,8 +425,8 @@ def character_orthogonality_check(params: FieldParams, tol: float = 1e-9) -> boo
     """
     elems = params.elements()
     q = params.q
-    chars = params.character_values()
-    mul = params.mul_rows()
+    chars = params.character_values().tolist()
+    mul = params.mul_rows().tolist()
     for xi in range(q):
         for yi in range(q):
             diff = (elems[xi] - elems[yi]).index()

@@ -10,6 +10,11 @@ the (|V|*q)^k-dimensional query register is never materialized.
 
 Measurement in the Fourier basis, sampling, and the rank of the reachable
 state family are computed from the same vectors.
+
+The computation runs on the integer index arrays of the domain, image and
+transversal, the flat-index codec and the field's numpy tables; VectorFq
+appears only at the API boundary.  fourier_state takes Kronecker products
+instead, so it stays an independent reference for that array path.
 """
 
 import math
@@ -18,18 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .census import ImageSet, Transversal
-from .domain import Domain, VectorFq, dot
+from .domain import (Domain, VectorFq, dot_rows, flat_to_rows, rows_to_flat,
+                     vector_from_flat)
 from .errors import ContractError, ParameterError, ResourceCapError
 from .field import FieldParams
 
 DEFAULT_MAX_AMPLITUDES = 1 << 20
-
-
-def _flat_index(key: tuple, q: int) -> int:
-    acc = 0
-    for c in key:
-        acc = acc * q + c
-    return acc
 
 
 def _check_state_size(params: FieldParams, n: int, max_amplitudes: int):
@@ -68,7 +67,7 @@ class StateVector:
         return float(np.linalg.norm(self.amplitudes))
 
     def amplitude_of(self, z: VectorFq) -> complex:
-        return complex(self.amplitudes[_flat_index(z.index_tuple(), self.params.q)])
+        return complex(self.amplitudes[rows_to_flat(z.index_tuple(), self.params.q)])
 
     def inner(self, other: "StateVector") -> complex:
         if other.params != self.params or other.n != self.n:
@@ -89,14 +88,6 @@ def fourier_state(params: FieldParams, n: int, secret: VectorFq,
     return StateVector(params=params, n=n, amplitudes=amps)
 
 
-def _dot_index(add, mul, a_key: tuple, b_key: tuple) -> int:
-    """Index of the dot product of two vectors given as index tuples."""
-    acc = 0
-    for a, b in zip(a_key, b_key):
-        acc = add[acc][mul[a][b]]
-    return acc
-
-
 def restricted_fourier_state(image: ImageSet, secret: VectorFq,
                              max_amplitudes: int = DEFAULT_MAX_AMPLITUDES) -> StateVector:
     """Fourier phases e(s.z)/sqrt(|image|) on the image, zero elsewhere."""
@@ -105,17 +96,9 @@ def restricted_fourier_state(image: ImageSet, secret: VectorFq,
     params = image.params
     _check_secret(params, image.n, secret)
     size = _check_state_size(params, image.n, max_amplitudes)
-    chars = params.character_values()
-    add = params.add_rows()
-    mul = params.mul_rows()
-    s_key = secret.index_tuple()
     amps = np.zeros(size, dtype=np.complex128)
-    scale = 1.0 / math.sqrt(image.size)
-    for z in image.elements:
-        z_key = z.index_tuple()
-        amps[_flat_index(z_key, params.q)] = (
-            chars[_dot_index(add, mul, s_key, z_key)] * scale
-        )
+    phases = params.character_values()[dot_rows(params, secret.index_tuple(), image.keys)]
+    amps[rows_to_flat(image.keys, params.q)] = phases * (1.0 / math.sqrt(image.size))
     return StateVector(params=params, n=image.n, amplitudes=amps)
 
 
@@ -138,26 +121,23 @@ def run_algorithm(domain: Domain, k: int, transversal: Transversal,
     n = domain.n
     _check_secret(params, n, secret)
     size = _check_state_size(params, n, max_amplitudes)
-    chars = params.character_values()
     add = params.add_rows()
     mul = params.mul_rows()
-    s_key = secret.index_tuple()
+    keys, positions, weights = transversal.keys, transversal.positions, transversal.weights
+    # Combination map on every pre-image at once: z = sum_i y_i * v_i.
+    z = np.zeros_like(keys)
+    for i in range(k):
+        z = add[z, mul[weights[:, i, None], domain.indices[positions[:, i]]]]
+    bad = np.flatnonzero((z != keys).any(axis=1))
+    if bad.size:
+        key, got = keys[bad[0]].tolist(), z[bad[0]].tolist()
+        raise ContractError(f"transversal entry for {tuple(key)} maps to {tuple(got)}")
+    flat = rows_to_flat(keys, params.q)
+    if np.unique(flat).size != flat.size:
+        raise ContractError("in-place relabeling hit the same target twice")
     amps = np.zeros(size, dtype=np.complex128)
-    scale = 1.0 / math.sqrt(transversal.size)
-    zero_key = (0,) * n
-    for key, pre in transversal.pairs.items():
-        z_key = zero_key
-        for v, w in zip(pre.vectors, pre.weights):
-            y = w.index()
-            z_key = tuple(
-                add[a][mul[y][b]] for a, b in zip(z_key, v.index_tuple())
-            )
-        if z_key != key:
-            raise ContractError(f"transversal entry for {key} maps to {z_key}")
-        flat = _flat_index(key, params.q)
-        if amps[flat] != 0:
-            raise ContractError("in-place relabeling hit the same target twice")
-        amps[flat] = chars[_dot_index(add, mul, s_key, z_key)] * scale
+    phases = params.character_values()[dot_rows(params, secret.index_tuple(), z)]
+    amps[flat] = phases * (1.0 / math.sqrt(transversal.size))
     return StateVector(params=params, n=n, amplitudes=amps)
 
 
@@ -177,24 +157,17 @@ class OutcomeDistribution:
     probs: np.ndarray  # flat, canonical order
 
     def prob_of(self, t: VectorFq) -> float:
-        return float(self.probs[_flat_index(t.index_tuple(), self.params.q)])
+        return float(self.probs[rows_to_flat(t.index_tuple(), self.params.q)])
 
     def argmax(self) -> VectorFq:
-        flat = int(np.argmax(self.probs))
-        return self._unflatten(flat)
+        return vector_from_flat(self.params, self.n, int(np.argmax(self.probs)))
 
     def top(self, count: int = 5) -> list:
         """Heaviest outcomes as (vector, probability), ties broken by
         canonical order so the listing is deterministic."""
         order = np.lexsort((np.arange(len(self.probs)), -self.probs))
-        return [(self._unflatten(int(i)), float(self.probs[i])) for i in order[:count]]
-
-    def _unflatten(self, flat: int) -> VectorFq:
-        digits = []
-        for _ in range(self.n):
-            flat, c = divmod(flat, self.params.q)
-            digits.append(c)
-        return VectorFq.from_index_tuple(self.params, tuple(reversed(digits)))
+        return [(vector_from_flat(self.params, self.n, int(i)), float(self.probs[i]))
+                for i in order[:count]]
 
 
 def outcome_distribution(state: StateVector, tol: float = 1e-9) -> OutcomeDistribution:
@@ -247,11 +220,9 @@ def sample_outcomes(dist: OutcomeDistribution, trials: int, seed: int) -> Sample
     draws = rng.random(trials)
     positions = np.searchsorted(cdf, draws, side="right")
     positions = np.minimum(positions, len(dist.probs) - 1)
-    counts = {}
     flats, tallies = np.unique(positions, return_counts=True)
-    for flat, tally in zip(flats, tallies):
-        key = dist._unflatten(int(flat)).index_tuple()
-        counts[key] = int(tally)
+    keys = flat_to_rows(flats, dist.params.q, dist.n).tolist()
+    counts = {tuple(key): tally for key, tally in zip(keys, tallies.tolist())}
     return SampleReport(params=dist.params, n=dist.n, counts=counts,
                         trials=trials, seed=seed)
 
@@ -269,12 +240,10 @@ def state_family_rank(image: ImageSet, rel_tol: float = 1e-8,
     if image.size == 0:
         raise ParameterError("rank of an empty state family is undefined")
     table = params.character_table()
-    columns = np.empty((size, image.size), dtype=np.complex128)
-    for col, z in enumerate(image.elements):
-        column = np.ones(1, dtype=np.complex128)
-        for coord in z.index_tuple():
-            column = np.kron(column, table[:, coord])
-        columns[:, col] = column
+    # Column z is the Kronecker product of table[:, z_i] over coordinates.
+    columns = np.ones((1, image.size), dtype=np.complex128)
+    for coord in image.keys.T:
+        columns = (columns[:, None, :] * table[:, coord][None, :, :]).reshape(-1, image.size)
     singular = np.linalg.svd(columns, compute_uv=False)
     return int(np.sum(singular > rel_tol * singular[0]))
 
@@ -296,16 +265,14 @@ def phase_query_check(domain: Domain, secret: VectorFq, tol: float = 1e-12,
             f"cap is {max_amplitudes}"
         )
     fourier = params.fourier_matrix()
-    chars = np.asarray(params.character_values(), dtype=np.complex128)
+    chars = params.character_values()
     add = params.add_rows()
     mul = params.mul_rows()
-    for v in domain.vectors:
-        shift = dot(secret, v).index()
+    for shift in dot_rows(params, secret.index_tuple(), domain.indices).tolist():
         permutation = np.zeros((q, q), dtype=np.complex128)
-        for y in range(q):
-            permutation[add[y][shift], y] = 1.0
+        permutation[add[:, shift], np.arange(q)] = 1.0
         conjugated = fourier @ permutation @ fourier.conj().T
-        diagonal = np.diag(chars[[mul[shift][y] for y in range(q)]])
+        diagonal = np.diag(chars[mul[shift]])
         if np.max(np.abs(conjugated - diagonal)) > tol:
             return False
     return True

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from qvint.census import (Preimage, build_transversal, chebyshev_zero_bound,
+from qvint.census import (ImageSet, Preimage, build_transversal, chebyshev_zero_bound,
                           enumerate_census, good_preimage_count,
                           good_set_sizes, image_set, image_size_lower_bound,
                           linear_combination, second_moment_identity_check)
@@ -165,14 +165,6 @@ class TestCensusInvariants:
             assert previous <= current
             previous = current
 
-    def test_partitioning_never_changes_results(self):
-        dom = vandermonde(3, 1)
-        base = enumerate_census(dom, 2, partitions=1)
-        for parts in (2, 3, 5, 100):
-            other = enumerate_census(dom, 2, partitions=parts)
-            assert other.counts == base.counts
-            assert other.good_counts == base.good_counts
-
     def test_variance_definition(self):
         census = enumerate_census(vandermonde(3, 1), 1)
         mu = census.mean()
@@ -185,8 +177,6 @@ class TestCensusInvariants:
     def test_bad_k(self):
         with pytest.raises(ParameterError):
             enumerate_census(vandermonde(3, 1), -1)
-        with pytest.raises(ParameterError):
-            enumerate_census(vandermonde(3, 1), 1, partitions=0)
 
 
 class TestGoodSets:
@@ -272,6 +262,20 @@ class TestTransversal:
                     tuple(w.index() for w in p.weights))
                 for k, p in b.pairs.items()}
 
+    def test_arrays_match_pairs(self):
+        dom = vandermonde(4, 1)
+        trans = build_transversal(dom, 2)
+        assert trans.keys.shape == (trans.size, 2)
+        assert trans.positions.shape == trans.weights.shape == (trans.size, 2)
+        for key, positions, weights in zip(trans.keys.tolist(), trans.positions.tolist(),
+                                           trans.weights.tolist()):
+            pre = trans.pairs[tuple(key)]
+            assert [dom.vectors.index(v) for v in pre.vectors] == positions
+            assert [w.index() for w in pre.weights] == weights
+        for array in (trans.keys, trans.positions, trans.weights):
+            with pytest.raises(ValueError):
+                array[0, 0] = 1
+
     def test_k0(self):
         trans = build_transversal(vandermonde(3, 1), 0)
         assert set(trans.pairs) == {(0, 0)}
@@ -297,6 +301,15 @@ class TestImageSet:
         assert VectorFq.from_index_tuple(F3, (1, 2)) in image
         assert VectorFq.from_index_tuple(F3, (0, 1)) not in image
         assert "not a vector" not in image
+
+    def test_keys_array(self):
+        image = image_set(enumerate_census(vandermonde(3, 1), 1))
+        assert image.keys.tolist() == [list(z.index_tuple()) for z in image.elements]
+        with pytest.raises(ValueError):
+            image.keys[0, 0] = 1
+        empty = ImageSet(params=F3, n=2, elements=())
+        assert empty.keys.shape == (0, 2)
+        assert VectorFq.from_index_tuple(F3, (0, 0)) not in empty
 
 
 class TestSecondMoment:

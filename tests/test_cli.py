@@ -201,6 +201,20 @@ class TestDomainFiles:
         report = run_json(runner, ["enumerate", "--domain-file", str(path), "--k", "1"])
         assert report["census"]["image_size"] == 7
 
+    @pytest.mark.parametrize("text", (
+        "q=abc n=2\n1,1\n",
+        "q=3 n=two\n1,1\n",
+        "q=9 n=2 modulus=1,x,1\n1,1\n",
+        None,  # no file at all
+    ), ids=("bad-q", "bad-n", "bad-modulus", "missing"))
+    def test_malformed_file_is_a_usage_error(self, runner, tmp_path, text):
+        path = tmp_path / "domain.txt"
+        if text is not None:
+            path.write_text(text, encoding="ascii")
+        result = runner.invoke(main, ["analyze", "--domain-file", str(path)])
+        assert result.exit_code == 2, result.output
+        assert "Traceback" not in result.output
+
     def test_field_flag_conflicts_with_file(self, runner, tmp_path):
         path = tmp_path / "domain.txt"
         write_domain_file(build_vandermonde_domain(FieldParams(3), 1), str(path))

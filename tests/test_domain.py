@@ -118,6 +118,9 @@ class TestBuilders:
         b = VectorFq.from_index_tuple(F3, (0, 1))
         dom = build_explicit_domain([a, b, a])
         assert [v.index_tuple() for v in dom.vectors] == [(0, 1), (2, 1)]
+        assert dom.indices.tolist() == [[0, 1], [2, 1]]
+        with pytest.raises(ValueError):
+            dom.indices[0, 0] = 1
 
     def test_mixed_length_rejected(self):
         a = VectorFq.from_index_tuple(F3, (2, 1))

@@ -79,6 +79,25 @@ class TestConstruction:
         with pytest.raises(ResourceCapError):
             f.add_rows()
 
+    @pytest.mark.parametrize("attr", ("p", "r", "q", "modulus"))
+    def test_defining_attributes_are_read_only(self, attr):
+        f = FieldParams(2, 2)
+        before = (getattr(f, attr), hash(f))
+        with pytest.raises(AttributeError):
+            setattr(f, attr, (0, 0, 1) if attr == "modulus" else 3)
+        assert (getattr(f, attr), hash(f)) == before
+        assert f.mul_rows()[2, 2] == 3  # lazy caches still fill: w * w = w + 1
+
+    def test_tables_are_read_only_arrays(self):
+        f = FieldParams(3, 2)
+        tables = (f.add_rows(), f.mul_rows(), f.character_values(), f.character_table())
+        for table in tables:
+            assert isinstance(table, np.ndarray)
+            with pytest.raises(ValueError):
+                table[0] = 0
+        assert f.add_rows().dtype == f.mul_rows().dtype == np.intp
+        assert f.character_values().dtype == np.complex128
+
 
 class TestArithmetic:
     @pytest.mark.parametrize("q", SMALL_FIELDS)

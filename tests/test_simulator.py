@@ -4,8 +4,10 @@ Success probabilities are pinned to |image| / q^n values that were frozen
 from the independent census enumeration.
 """
 
+import dataclasses
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -149,6 +151,25 @@ class TestRunAlgorithm:
         dom, _, trans = instance(3, 1, 1)
         with pytest.raises(ParameterError):
             run_algorithm(dom, 2, trans, VectorFq.from_index_tuple(F3, (0, 0)))
+
+    def test_preimage_mapping_elsewhere_is_a_contract_error(self):
+        dom, _, trans = instance(3, 1, 1)
+        keys = trans.keys.copy()
+        keys[[2, 4]] = keys[[4, 2]]  # two rows now claim each other's target
+        broken = dataclasses.replace(trans, keys=keys)
+        message = (f"transversal entry for {tuple(keys[2].tolist())} "
+                   f"maps to {tuple(trans.keys[2].tolist())}")
+        with pytest.raises(ContractError, match=re.escape(message)):
+            run_algorithm(dom, 1, broken, VectorFq.from_index_tuple(F3, (1, 2)))
+
+    def test_target_hit_twice_is_a_contract_error(self):
+        dom, _, trans = instance(3, 1, 1)
+        rows = [0, 1, 1, 2]
+        broken = dataclasses.replace(
+            trans, keys=trans.keys[rows], positions=trans.positions[rows],
+            weights=trans.weights[rows])
+        with pytest.raises(ContractError, match="same target twice"):
+            run_algorithm(dom, 1, broken, VectorFq.from_index_tuple(F3, (1, 2)))
 
     def test_empty_image_rejected(self):
         empty = ImageSet(params=F3, n=2, elements=())

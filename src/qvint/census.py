@@ -5,7 +5,9 @@ domain vectors with k field weights to the weighted sum of the vectors.
 Everything downstream (success probabilities, transversals, the
 second-moment identity, the zero-count tail bound) is read off the exact
 per-target pre-image counts, so this module enumerates all (|V|*q)^k input
-tuples and never samples.
+tuples and never samples.  That one walk also picks the transversal: each
+target's first pre-image in walk order, i.e. the lexicographically smallest
+sequence of (vector position, weight index) pairs ((v0, y0), (v1, y1), ...).
 
 All counts are big integers and all derived statistics are Fractions;
 floating point never enters here.
@@ -73,13 +75,16 @@ class PreimageCensus:
 
     counts maps the target's element-index tuple to its total pre-image
     count; good_counts holds the sub-count with pairwise-distinct vectors
-    and all weights nonzero.  Targets with count zero are omitted.
+    and all weights nonzero; first holds the walk-order ordinal of its first
+    pre-image, whose k base-(|V|*q) digits, most significant first, are the
+    pairs position * q + weight.  Targets with count zero are omitted.
     """
 
     domain: Domain
     k: int
     counts: dict
     good_counts: dict
+    first: dict
 
     @property
     def total(self) -> int:
@@ -119,23 +124,35 @@ class PreimageCensus:
         """|image| / q^n, the algorithm's exact success probability."""
         return Fraction(self.image_size, self.codomain_size)
 
+    @cached_property
+    def transversal(self) -> "Transversal":
+        """One pre-image per image point, each its first in walk order; keys in
+        canonical order, decoded from first on first access."""
+        q = self.domain.params.q
+        width = self.domain.size * q
+        keys = sorted(self.first)
+        places = [width ** i for i in reversed(range(self.k))]  # Python ints: no wrap
+        digits = _index_array([[self.first[key] // place % width for place in places]
+                               for key in keys], self.k)
+        return Transversal(self.domain, self.k, _index_array(keys, self.domain.n),
+                           _index_array(digits // q, self.k),
+                           _index_array(digits % q, self.k))
 
-def _scaled_rows(domain: Domain):
-    """scaled[j][y] = index tuple of weight y times domain vector j."""
-    # mul[y, indices[j, c]] laid out as [j][y][c].
-    scaled = domain.params.mul_rows()[:, domain.indices].transpose(1, 0, 2)
-    return [[tuple(row) for row in per_weight] for per_weight in scaled.tolist()]
+
+def _check_k(k) -> None:
+    if not isinstance(k, int) or k < 0:
+        raise ParameterError(f"query count must be a non-negative integer, got {k!r}")
 
 
 def enumerate_census(domain: Domain, k: int, *,
                      max_tuples: int = DEFAULT_MAX_TUPLES) -> PreimageCensus:
-    """Walk all (|V|*q)^k input tuples and tally exact pre-image counts.
+    """Walk all (|V|*q)^k input tuples, tally exact pre-image counts and
+    record each target's first pre-image.
 
     Raises ResourceCapError (naming the tuple count) before starting if the
     walk would exceed max_tuples.
     """
-    if not isinstance(k, int) or k < 0:
-        raise ParameterError(f"query count must be a non-negative integer, got {k!r}")
+    _check_k(k)
     params = domain.params
     q = params.q
     total = (domain.size * q) ** k
@@ -145,40 +162,50 @@ def enumerate_census(domain: Domain, k: int, *,
         )
     zero_key = (0,) * domain.n
     if k == 0:
-        return PreimageCensus(domain, 0, {zero_key: 1}, {zero_key: 1})
+        return PreimageCensus(domain, 0, {zero_key: 1}, {zero_key: 1}, {zero_key: 0})
 
     add = params.add_rows().tolist()
-    scaled = _scaled_rows(domain)
-    # One entry per (vector, weight) pair: its scaled row, a bit marking the
-    # vector for distinctness tracking, and whether the weight is nonzero.
+    # scaled[j][y] = weight y times domain vector j: mul[y, indices[j, c]] as [j][y][c].
+    scaled = params.mul_rows()[:, domain.indices].transpose(1, 0, 2).tolist()
+    # One entry per (vector, weight) pair, in walk order: its ordinal digit,
+    # its scaled row, a bit marking the vector for distinctness tracking, and
+    # whether the weight is nonzero.
     pairs = [
-        (scaled[j][y], 1 << j, y != 0)
+        (j * q + y, tuple(scaled[j][y]), 1 << j, y != 0)
         for j in range(domain.size)
         for y in range(q)
     ]
+    width = len(pairs)
     counts: dict = {}
     good: dict = {}
+    first: dict = {}
 
-    def descend(level, acc, used, good_flag):
-        if level == k:
-            counts[acc] = counts.get(acc, 0) + 1
-            if good_flag:
-                good[acc] = good.get(acc, 0) + 1
+    def descend(level, acc, used, good_flag, ordinal):
+        ordinal *= width
+        if level < k - 1:
+            for digit, row, bit, nonzero in pairs:
+                descend(
+                    level + 1,
+                    tuple([add[a][b] for a, b in zip(acc, row)]),
+                    used | bit,
+                    good_flag and nonzero and not (used & bit),
+                    ordinal + digit,
+                )
             return
-        for row, bit, nonzero in pairs:
-            descend(
-                level + 1,
-                tuple(add[a][b] for a, b in zip(acc, row)),
-                used | bit,
-                good_flag and nonzero and not (used & bit),
-            )
+        for digit, row, bit, nonzero in pairs:
+            key = tuple([add[a][b] for a, b in zip(acc, row)])
+            seen = counts.get(key, 0)
+            if not seen:
+                first[key] = ordinal + digit
+            counts[key] = seen + 1
+            if good_flag and nonzero and not (used & bit):
+                good[key] = good.get(key, 0) + 1
 
-    for row, bit, nonzero in pairs:
-        descend(1, row, bit, nonzero)
+    descend(0, zero_key, 0, True, 0)
 
     if sum(counts.values()) != total:
         raise ContractError("census total does not match the tuple count")
-    return PreimageCensus(domain, k, counts, good)
+    return PreimageCensus(domain, k, counts, good, first)
 
 
 def _index_array(rows, width: int) -> np.ndarray:
@@ -257,39 +284,10 @@ class Transversal:
 
 def build_transversal(domain: Domain, k: int, *,
                       max_tuples: int = DEFAULT_MAX_TUPLES) -> Transversal:
-    """Pick, for every image point, its lexicographically smallest pre-image.
-
-    Order on pre-images compares the vector tuple first (by canonical domain
-    position), then the weight tuple (by element index), so the choice is
-    deterministic and machine-independent.
-    """
-    if not isinstance(k, int) or k < 0:
-        raise ParameterError(f"query count must be a non-negative integer, got {k!r}")
-    params = domain.params
-    q = params.q
-    total = (domain.size * q) ** k
-    if total > max_tuples:
-        raise ResourceCapError(f"transversal needs {total} tuples, cap is {max_tuples}")
-    zero_key = (0,) * domain.n
-    add = params.add_rows().tolist()
-    scaled = _scaled_rows(domain)
-    first: dict = {}  # image point -> (vector positions, weight indices)
-    # At k = 0 both products yield one empty tuple: zero gets ((), ()).
-    for v_positions in itertools.product(range(domain.size), repeat=k):
-        rows = [scaled[j] for j in v_positions]
-        for weights in itertools.product(range(q), repeat=k):
-            acc = zero_key
-            for row, y in zip(rows, weights):
-                acc = tuple(add[a][b] for a, b in zip(acc, row[y]))
-            if acc not in first:
-                first[acc] = (v_positions, weights)
-
-    keys = sorted(first)
-    return Transversal(
-        domain, k, _index_array(keys, domain.n),
-        _index_array([first[key][0] for key in keys], k),
-        _index_array([first[key][1] for key in keys], k),
-    )
+    """enumerate_census(domain, k).transversal: for every image point, its
+    first pre-image in walk order, the lexicographically smallest sequence of
+    (vector position, weight index) pairs ((v0, y0), (v1, y1), ...)."""
+    return enumerate_census(domain, k, max_tuples=max_tuples).transversal
 
 
 def good_preimage_count(census: PreimageCensus, z: VectorFq) -> int:
@@ -299,8 +297,7 @@ def good_preimage_count(census: PreimageCensus, z: VectorFq) -> int:
 
 def good_set_sizes(domain: Domain, k: int) -> tuple:
     """Exact sizes (k!*C(|V|,k), (q-1)^k) of the good input components."""
-    if not isinstance(k, int) or k < 0:
-        raise ParameterError(f"query count must be a non-negative integer, got {k!r}")
+    _check_k(k)
     v_good = math.factorial(k) * math.comb(domain.size, k)
     y_good = (domain.params.q - 1) ** k
     return v_good, y_good
@@ -313,8 +310,7 @@ def image_size_lower_bound(domain: Domain, k: int) -> int:
     2k <= n; both hypotheses are enforced here because the bound is simply
     wrong without them.
     """
-    if not isinstance(k, int) or k < 0:
-        raise ParameterError(f"query count must be a non-negative integer, got {k!r}")
+    _check_k(k)
     if 2 * k > domain.n:
         raise ContractError(
             f"lower bound needs 2k <= n, got k={k} with n={domain.n}"
@@ -389,8 +385,7 @@ def chebyshev_zero_bound(domain: Domain, k: int) -> Fraction:
 
     May exceed 1, in which case it is vacuous but still valid.
     """
-    if not isinstance(k, int) or k < 0:
-        raise ParameterError(f"query count must be a non-negative integer, got {k!r}")
+    _check_k(k)
     q = domain.params.q
     return Fraction(q ** domain.n) * Fraction(
         domain.zero_touching_count(), domain.size

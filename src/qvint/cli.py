@@ -331,8 +331,6 @@ def simulate(field_spec, vandermonde, monomial, domain_file, k, secret, trials,
         params = domain.params
         k_value, k_rule = _resolve_k(domain, k)
         census = census_mod.enumerate_census(domain, k_value, max_tuples=max_tuples)
-        image = census_mod.image_set(census)
-        transversal = census_mod.build_transversal(domain, k_value, max_tuples=max_tuples)
         analytic = census.success_probability()
 
         report = {
@@ -343,7 +341,7 @@ def simulate(field_spec, vandermonde, monomial, domain_file, k, secret, trials,
                 secret=secret, trials=trials, seed=seed, max_tuples=max_tuples,
             ),
             "domain": _domain_block(domain),
-            "image_size": image.size,
+            "image_size": census.image_size,
             "codomain_size": census.codomain_size,
             "analytic": {
                 "success_probability": analytic,
@@ -360,7 +358,7 @@ def simulate(field_spec, vandermonde, monomial, domain_file, k, secret, trials,
             errors = []
             for flat in range(codomain):
                 s = vector_from_flat(params, domain.n, flat)
-                state = simulator.run_algorithm(domain, k_value, transversal, s)
+                state = simulator.run_algorithm(domain, k_value, census.transversal, s)
                 errors.append(abs(simulator.success_probability(state, s) - float(analytic)))
             report["sweep"] = {
                 "secrets": codomain,
@@ -384,7 +382,7 @@ def simulate(field_spec, vandermonde, monomial, domain_file, k, secret, trials,
                 )
         report["secret"] = list(secret_vector.index_tuple())
 
-        state = simulator.run_algorithm(domain, k_value, transversal, secret_vector)
+        state = simulator.run_algorithm(domain, k_value, census.transversal, secret_vector)
         dist = simulator.outcome_distribution(state)
         measured = simulator.success_probability(state, secret_vector)
         report["analytic"]["measured_success_probability"] = measured

@@ -367,6 +367,10 @@ def _parse_element(params: FieldParams, token: str) -> FieldElement:
         raise ParameterError(
             f"element token {token!r} has {len(coeffs)} coefficients, field needs {params.r}"
         )
+    if params.r > 1 and len(coeffs) == 1 and not 0 <= coeffs[0] < params.p:
+        example = "0:1" + ":0" * (params.r - 2)
+        raise ParameterError(f"element token {token!r} is ambiguous on GF({params.q}): "
+                             f"write it colon-joined, low degree first, e.g. {example}")
     return params.element(coeffs)
 
 
@@ -390,8 +394,11 @@ def write_domain_file(domain: Domain, path) -> None:
 
 
 def read_domain_file(path, max_vectors: int = MAX_DOMAIN_VECTORS) -> Domain:
-    with open(path, "r", encoding="ascii") as fh:
-        raw = [line.strip() for line in fh]
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            raw = [line.strip() for line in fh]
+    except UnicodeDecodeError:
+        raise ParameterError(f"domain file {path} is not ASCII text") from None
     lines = [line for line in raw if line and not line.startswith("#")]
     if not lines:
         raise ParameterError(f"domain file {path} is empty")

@@ -140,14 +140,13 @@ def _check_modulus(q, params, modulus):
 
 
 def _census_bundle(domain, ks, max_tuples):
-    """Census, image, transversal per k, shared by all per-instance checks."""
+    """Census and image per k, shared by all per-instance checks."""
     bundle = {}
     for k in ks:
         census = census_mod.enumerate_census(domain, k, max_tuples=max_tuples)
         bundle[k] = {
             "census": census,
             "image": census_mod.image_set(census),
-            "transversal": census_mod.build_transversal(domain, k, max_tuples=max_tuples),
         }
     return bundle
 
@@ -251,7 +250,6 @@ def _check_simulator(label, domain, k, entry):
     def body():
         census = entry["census"]
         image = entry["image"]
-        transversal = entry["transversal"]
         params = domain.params
         codomain = census.codomain_size
         expected = census.success_probability()
@@ -262,7 +260,7 @@ def _check_simulator(label, domain, k, entry):
         check_argmax = 2 * image.size > codomain
         for flat in _secret_indices(codomain):
             secret = vector_from_flat(params, domain.n, flat)
-            state = simulator.run_algorithm(domain, k, transversal, secret)
+            state = simulator.run_algorithm(domain, k, census.transversal, secret)
             direct = simulator.restricted_fourier_state(image, secret)
             worst_amp = max(worst_amp, float(np.max(np.abs(
                 state.amplitudes - direct.amplitudes
@@ -331,9 +329,8 @@ def _check_sampling():
         params = parse_field_spec("3")
         domain = build_vandermonde_domain(params, 1)
         census = census_mod.enumerate_census(domain, 1)
-        transversal = census_mod.build_transversal(domain, 1)
         secret = VectorFq.from_index_tuple(params, (1, 1))
-        state = simulator.run_algorithm(domain, 1, transversal, secret)
+        state = simulator.run_algorithm(domain, 1, census.transversal, secret)
         dist = simulator.outcome_distribution(state)
         first = simulator.sample_outcomes(dist, SAMPLING_TRIALS, seed=SAMPLING_SEED)
         second = simulator.sample_outcomes(dist, SAMPLING_TRIALS, seed=SAMPLING_SEED)

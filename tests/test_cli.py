@@ -206,10 +206,13 @@ class TestDomainFiles:
         "q=3 n=two\n1,1\n",
         "q=9 n=2 modulus=1,x,1\n1,1\n",
         None,  # no file at all
-    ), ids=("bad-q", "bad-n", "bad-modulus", "missing"))
+        b"q=3 n=2\n1,\xc3\xa9\n",  # UTF-8 for "1,\u00e9"
+    ), ids=("bad-q", "bad-n", "bad-modulus", "missing", "non-ascii"))
     def test_malformed_file_is_a_usage_error(self, runner, tmp_path, text):
         path = tmp_path / "domain.txt"
-        if text is not None:
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        elif text is not None:
             path.write_text(text, encoding="ascii")
         result = runner.invoke(main, ["analyze", "--domain-file", str(path)])
         assert result.exit_code == 2, result.output
@@ -233,6 +236,7 @@ class TestUsageErrors:
         ["analyze", "--field", "3", "--monomial", "2"],
         ["enumerate", "--field", "3", "--vandermonde", "1", "--k", "-1"],
         ["simulate", "--field", "3", "--vandermonde", "1", "--trials", "-5"],
+        ["simulate", "--field", "4", "--vandermonde", "2", "--k", "1", "--secret", "1,2,3"],
     ))
     def test_exit_code_two(self, runner, args):
         result = runner.invoke(main, args)

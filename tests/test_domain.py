@@ -226,6 +226,14 @@ class TestDomainFiles:
         with pytest.raises(ParameterError):
             parse_vector(F3, "x,1")
 
+    def test_integer_token_beyond_the_prime_subfield_is_refused(self):
+        # On GF(4) a bare "2" could mean the element with index 2 (x) or the
+        # constant 2 = 0; it is refused, naming the token and the colon form.
+        with pytest.raises(ParameterError, match=r"'2'.*0:1"):
+            parse_vector(F4, "2")
+        assert parse_vector(F4, "0,1").index_tuple() == (0, 1)
+        assert parse_vector(F3, "4,5").index_tuple() == (1, 2)
+
 
 class TestStats:
     def test_stats_snapshot(self):

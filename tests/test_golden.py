@@ -31,7 +31,7 @@ CASES = {
          "--secret", "1,2,3") + SAMPLED,
     "simulate_gf4_vandermonde2_k2_secret.json":
         ("simulate", "--field", "4", "--vandermonde", "2", "--k", "2",
-         "--secret", "1,2,3") + SAMPLED,
+         "--secret", "1,0:1,1:1") + SAMPLED,
     "simulate_gf3_vandermonde1_sweep.json":
         ("simulate", "--field", "3", "--vandermonde", "1", "--secret", "sweep"),
     "analyze_gf3_monomial2_2.json":

@@ -1,10 +1,12 @@
 """Property tests: the integer-array core against the object-level oracle.
 
-The flat-index codec, the vectorised dot product and the simulator's array
-path are checked on random inputs against VectorFq, domain.dot and the
+The flat-index codec, the vectorised dot product, the census walk and the
+simulator's array path are checked on random inputs against VectorFq,
+domain.dot, a brute-force scan over linear_combination and the
 Kronecker-product fourier_state, which share none of their code.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qvint.census import build_transversal, enumerate_census, image_set
+from qvint.census import build_transversal, enumerate_census, image_set, linear_combination
 from qvint.domain import (VectorFq, build_explicit_domain, dot, dot_rows,
                           flat_to_rows, rows_to_flat, vector_from_flat)
 from qvint.errors import ResourceCapError
@@ -59,6 +61,47 @@ def test_vectorised_dot_matches_object_dot(case, data):
     expected = [dot(secret, VectorFq.from_index_tuple(params, row)).index()
                 for row in rows.tolist()]
     assert dot_rows(params, s, rows).tolist() == expected
+
+
+@st.composite
+def census_instances(draw):
+    """A random explicit domain of at most 4 vectors and k <= 3, so at most
+    (4 * 9)^3 = 46,656 input tuples."""
+    params = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
+    n = draw(st.integers(1, 3))
+    codomain = params.q ** n
+    flats = draw(st.sets(st.integers(0, codomain - 1), min_size=1, max_size=min(codomain, 4)))
+    domain = build_explicit_domain(vector_from_flat(params, n, f) for f in flats)
+    return domain, draw(st.integers(0, 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(census_instances())
+def test_census_matches_a_brute_force_scan(case):
+    domain, k = case
+    params, n = domain.params, domain.n
+    # Every sequence of (vector position, weight index) pairs, lexicographically.
+    pairs = [(j, y) for j in range(domain.size) for y in range(params.q)]
+    elements = params.elements()
+    counts, good, first = {}, {}, {}
+    for sequence in itertools.product(pairs, repeat=k):
+        positions = [j for j, _ in sequence]
+        weights = [y for _, y in sequence]
+        key = linear_combination([domain.vectors[j] for j in positions],
+                                 [elements[y] for y in weights], params=params, n=n).index_tuple()
+        counts[key] = counts.get(key, 0) + 1
+        if len(set(positions)) == k and all(weights):
+            good[key] = good.get(key, 0) + 1
+        first.setdefault(key, (positions, weights))
+
+    census = enumerate_census(domain, k)
+    assert census.counts == counts
+    assert census.good_counts == good
+    transversal = census.transversal
+    keys = sorted(first)
+    assert transversal.keys.tolist() == [list(key) for key in keys]
+    assert transversal.positions.tolist() == [first[key][0] for key in keys]
+    assert transversal.weights.tolist() == [first[key][1] for key in keys]
 
 
 @st.composite

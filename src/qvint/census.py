@@ -13,7 +13,6 @@ All counts are big integers and all derived statistics are Fractions;
 floating point never enters here.
 """
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -21,11 +20,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .domain import Domain, VectorFq
-from .errors import ContractError, ParameterError, ResourceCapError
+from .domain import Domain, VectorFq, dot_rows, flat_to_rows
+from .errors import ContractError, ParameterError, check_cap
 from .field import FieldElement, FieldParams
 
 DEFAULT_MAX_TUPLES = 10 ** 8
+# Points t of GF(q)^n per vectorised pass of the second-moment right side.
+_RHS_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -155,11 +156,11 @@ def enumerate_census(domain: Domain, k: int, *,
     _check_k(k)
     params = domain.params
     q = params.q
-    total = (domain.size * q) ** k
-    if total > max_tuples:
-        raise ResourceCapError(
-            f"census needs {total} tuples, cap is {max_tuples}"
-        )
+    # The power stops at max(64, cap bits) factors: past that it is over the
+    # cap, as |V|*q >= 2, and prints as a lower bound, so a huge k costs
+    # nothing.  If check_cap returns, total is the exact tuple count.
+    total = (domain.size * q) ** min(k, max(64, max_tuples.bit_length()))
+    check_cap("census", total, "tuples", max_tuples)
     zero_key = (0,) * domain.n
     if k == 0:
         return PreimageCensus(domain, 0, {zero_key: 1}, {zero_key: 1}, {zero_key: 0})
@@ -282,12 +283,11 @@ class Transversal:
         return self.pairs[z.index_tuple()]
 
 
-def build_transversal(domain: Domain, k: int, *,
-                      max_tuples: int = DEFAULT_MAX_TUPLES) -> Transversal:
+def build_transversal(domain: Domain, k: int) -> Transversal:
     """enumerate_census(domain, k).transversal: for every image point, its
     first pre-image in walk order, the lexicographically smallest sequence of
     (vector position, weight index) pairs ((v0, y0), (v1, y1), ...)."""
-    return enumerate_census(domain, k, max_tuples=max_tuples).transversal
+    return enumerate_census(domain, k).transversal
 
 
 def good_preimage_count(census: PreimageCensus, z: VectorFq) -> int:
@@ -351,28 +351,19 @@ def second_moment_identity_check(domain: Domain, k: int, *,
     q = params.q
     n = domain.n
     codomain = q ** n
-    if codomain * domain.size > max_tuples:
-        raise ResourceCapError(
-            f"identity right side needs {codomain * domain.size} dot products, "
-            f"cap is {max_tuples}"
-        )
-    add = params.add_rows().tolist()
-    mul = params.mul_rows().tolist()
-    vec_rows = domain.indices.tolist()
-
-    ortho_power_sum = 0
+    check_cap("identity right side", codomain * domain.size, "dot products", max_tuples)
+    # hit_tally[h] counts the nonzero t orthogonal to exactly h domain vectors.
+    hit_tally = np.zeros(domain.size + 1, dtype=np.int64)
+    for start in range(1, codomain, _RHS_BLOCK):
+        block = flat_to_rows(np.arange(start, min(start + _RHS_BLOCK, codomain)), q, n)
+        hits = np.zeros(len(block), dtype=np.intp)
+        for v in domain.indices:
+            hits += dot_rows(params, v, block) == 0
+        hit_tally += np.bincount(hits, minlength=domain.size + 1)
     two_k = 2 * k
-    for t in itertools.product(range(q), repeat=n):
-        if not any(t):
-            continue
-        hits = 0
-        for row in vec_rows:
-            acc = 0
-            for a, b in zip(t, row):
-                acc = add[acc][mul[a][b]]
-            if acc == 0:
-                hits += 1
-        ortho_power_sum += hits ** two_k
+    # Python ints: hits ** (2k) overflows int64.
+    ortho_power_sum = sum(tally * hits ** two_k
+                          for hits, tally in enumerate(hit_tally.tolist()))
     rhs = Fraction(
         (domain.size * q) ** two_k + q ** two_k * ortho_power_sum, codomain
     )

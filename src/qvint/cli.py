@@ -26,8 +26,11 @@ from . import __version__, census as census_mod
 from . import complexity, simulator, verify as verify_mod
 from .domain import (build_monomial_domain, build_vandermonde_domain,
                      parse_vector, read_domain_file, vector_from_flat)
-from .errors import ContractError, ParameterError, ResourceCapError
+from .errors import ContractError, ParameterError, ResourceCapError, check_cap
 from .field import parse_field_spec
+
+# --secret sweep runs one full simulation per point of GF(q)^n.
+SWEEP_MAX_SECRETS = 4096
 
 
 def _jsonable(value):
@@ -351,10 +354,7 @@ def simulate(field_spec, vandermonde, monomial, domain_file, k, secret, trials,
 
         codomain = census.codomain_size
         if secret == "sweep":
-            if codomain > 4096:
-                raise ResourceCapError(
-                    f"sweep over {codomain} secrets exceeds the built-in limit 4096"
-                )
+            check_cap("secret sweep", codomain, "secrets", SWEEP_MAX_SECRETS)
             errors = []
             for flat in range(codomain):
                 s = vector_from_flat(params, domain.n, flat)
@@ -370,6 +370,7 @@ def simulate(field_spec, vandermonde, monomial, domain_file, k, secret, trials,
                 sys.exit(1)
             return
 
+        simulator._check_state_size(params, domain.n)
         if secret == "random":
             rng = np.random.default_rng(seed)
             flat = int(rng.integers(codomain))

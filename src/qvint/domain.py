@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ResourceCapError
+from .errors import ParameterError, check_cap
 from .field import FieldElement, FieldParams
 
 MAX_DOMAIN_VECTORS = 1 << 20
@@ -99,10 +99,7 @@ def dot(a: VectorFq, b: VectorFq) -> FieldElement:
 
 def _place_values(q: int, n: int) -> np.ndarray:
     """q^(n-1), ..., q, 1 as int64, refusing spaces whose flat indices would wrap."""
-    if q ** n >= 1 << 63:
-        raise ResourceCapError(
-            f"GF({q})^{n} has {q ** n} points, flat indices need fewer than 2^63"
-        )
+    check_cap(f"flat index of GF({q})^{n}", q ** n, "points", (1 << 63) - 1)
     return q ** np.arange(n - 1, -1, -1, dtype=np.int64)
 
 
@@ -172,10 +169,7 @@ class Domain:
         for v in vectors:
             if v.params != params or v.n != n:
                 raise ParameterError("all domain vectors must share field and length")
-        if len(vectors) > MAX_DOMAIN_VECTORS:
-            raise ResourceCapError(
-                f"domain size {len(vectors)} exceeds cap {MAX_DOMAIN_VECTORS}"
-            )
+        check_cap("domain", len(vectors), "vectors", MAX_DOMAIN_VECTORS)
         unique = {v.index_tuple(): v for v in vectors}
         keys = sorted(unique)
         self.params = params
@@ -209,14 +203,14 @@ class Domain:
             label=self.label,
         )
 
-    def independence(self, max_subsets: int = DEFAULT_MAX_SUBSETS) -> IndependenceReport:
+    def independence(self) -> IndependenceReport:
         """Exhaustively check every subset of size min(n, |V|) for full rank.
 
         The result is cached; the check either finishes exhaustively or
         raises ResourceCapError, it never samples.
         """
         if self._independence is None:
-            self._independence = validate_independence(self, max_subsets=max_subsets)
+            self._independence = validate_independence(self)
         return self._independence
 
     def __repr__(self):
@@ -251,19 +245,16 @@ def _rank(vectors) -> int:
     return rank
 
 
-def validate_independence(domain: Domain, max_subsets: int = DEFAULT_MAX_SUBSETS) -> IndependenceReport:
+def validate_independence(domain: Domain) -> IndependenceReport:
     """Check that every subset of size min(n, |V|) is linearly independent.
 
     Subsets are visited in canonical order, so a refutation always reports
     the same witness.  Raises ResourceCapError when the subset count exceeds
-    max_subsets rather than degrading to a sample.
+    DEFAULT_MAX_SUBSETS rather than degrading to a sample.
     """
     size = min(domain.n, domain.size)
     total = math.comb(domain.size, size)
-    if total > max_subsets:
-        raise ResourceCapError(
-            f"independence check needs {total} subsets, cap is {max_subsets}"
-        )
+    check_cap("independence check", total, "subsets", DEFAULT_MAX_SUBSETS)
     checked = 0
     for subset in itertools.combinations(domain.vectors, size):
         checked += 1
@@ -284,13 +275,10 @@ def build_explicit_domain(vectors, label: str = "explicit") -> Domain:
     return Domain(vectors, label=label)
 
 
-def build_vandermonde_domain(params: FieldParams, degree: int,
-                             max_vectors: int = MAX_DOMAIN_VECTORS) -> Domain:
+def build_vandermonde_domain(params: FieldParams, degree: int) -> Domain:
     """All rows (1, x, x^2, ..., x^degree) for x in GF(q); n = degree + 1."""
     if not isinstance(degree, int) or degree < 1:
         raise ParameterError(f"Vandermonde degree must be a positive integer, got {degree!r}")
-    if params.q > max_vectors:
-        raise ResourceCapError(f"domain would hold {params.q} vectors, cap is {max_vectors}")
     vectors = []
     for x in params.elements():
         entries = [params.one()]
@@ -315,19 +303,17 @@ def monomial_exponents(variables: int, degree: int) -> tuple:
     return tuple(exps)
 
 
-def build_monomial_domain(params: FieldParams, variables: int, degree: int,
-                          max_vectors: int = MAX_DOMAIN_VECTORS) -> Domain:
+def build_monomial_domain(params: FieldParams, variables: int, degree: int) -> Domain:
     """Rows (a^e over all exponent tuples e) for every point a in GF(q)^m.
 
     Coordinates follow monomial_exponents order; the constant monomial maps
     every point to 1 (0^0 = 1 by convention), so the first coordinate is
     never zero and rows for distinct points are distinct.
     """
+    # Refuse before monomial_exponents scans (degree+1)^variables tuples; past
+    # 64 variables q^64 is already over the cap and prints as a lower bound.
+    check_cap("domain", params.q ** min(variables, 64), "vectors", MAX_DOMAIN_VECTORS)
     exps = monomial_exponents(variables, degree)
-    if params.q ** variables > max_vectors:
-        raise ResourceCapError(
-            f"domain would hold {params.q ** variables} vectors, cap is {max_vectors}"
-        )
     vectors = []
     for point in itertools.product(params.elements(), repeat=variables):
         entries = []
@@ -393,7 +379,7 @@ def write_domain_file(domain: Domain, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def read_domain_file(path, max_vectors: int = MAX_DOMAIN_VECTORS) -> Domain:
+def read_domain_file(path) -> Domain:
     try:
         with open(path, "r", encoding="ascii") as fh:
             raw = [line.strip() for line in fh]
@@ -424,10 +410,7 @@ def read_domain_file(path, max_vectors: int = MAX_DOMAIN_VECTORS) -> Domain:
     params = parse_field_spec(str(q))
     if modulus is not None:
         params = FieldParams(params.p, params.r, modulus=modulus)
-    if len(lines) - 1 > max_vectors:
-        raise ResourceCapError(
-            f"domain file holds {len(lines) - 1} vectors, cap is {max_vectors}"
-        )
+    check_cap("domain file", len(lines) - 1, "vectors", MAX_DOMAIN_VECTORS)
     vectors = []
     for line in lines[1:]:
         vector = parse_vector(params, line)

@@ -6,7 +6,8 @@ layer) can map them to distinct exit codes:
 * ``ParameterError``: the request itself is malformed (bad field order,
   non-irreducible modulus, degree out of range, ...).
 * ``ResourceCapError``: the request is well formed but would exceed an
-  explicit enumeration cap.  Raised before any heavy work starts.
+  explicit enumeration cap.  Raised by ``check_cap`` before any heavy work
+  starts.
 * ``ContractError``: an internal consistency guarantee failed, or a caller
   asked for a quantity whose hypotheses are not established.  Seeing one of
   these means either a bug or a misuse that would silently produce wrong
@@ -24,6 +25,19 @@ class ParameterError(QvintError, ValueError):
 
 class ResourceCapError(QvintError, RuntimeError):
     """An enumeration or allocation would exceed its configured cap."""
+
+
+def check_cap(stage: str, need: int, unit: str, cap: int) -> None:
+    """Raise ResourceCapError("<stage> needs <need> <unit>, cap is <cap>")
+    when need exceeds cap.
+
+    A need wider than 64 bits prints as "at least 2^b", so the message
+    never trips Python's limit on converting huge integers to text.
+    """
+    if need > cap:
+        bits = need.bit_length()
+        shown = need if bits <= 64 else f"at least 2^{bits - 1}"
+        raise ResourceCapError(f"{stage} needs {shown} {unit}, cap is {cap}")
 
 
 class ContractError(QvintError, RuntimeError):

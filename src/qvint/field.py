@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .errors import ContractError, ParameterError, ResourceCapError
+from .errors import ContractError, ParameterError, check_cap
 
 # Hard ceilings.  DEFAULT_MAX_Q bounds field construction outright;
 # TABLE_MAX_Q additionally bounds the dense q x q operation tables that the
@@ -116,14 +116,13 @@ class FieldParams:
         "_elements", "_fourier",
     )
 
-    def __init__(self, p: int, r: int = 1, modulus=None, max_q: int = DEFAULT_MAX_Q):
+    def __init__(self, p: int, r: int = 1, modulus=None):
         if not isinstance(p, int) or not _is_prime(p):
             raise ParameterError(f"characteristic must be a prime integer, got {p!r}")
         if not isinstance(r, int) or r < 1:
             raise ParameterError(f"extension degree must be a positive integer, got {r!r}")
         q = p ** r
-        if q > max_q:
-            raise ResourceCapError(f"field order {q} exceeds cap {max_q}")
+        check_cap("field", q, "elements", DEFAULT_MAX_Q)
         if modulus is None:
             modulus = smallest_irreducible(p, r)
         else:
@@ -223,16 +222,10 @@ class FieldParams:
 
     # -- dense operation tables ---------------------------------------------
 
-    def _check_table_cap(self):
-        if self.q > TABLE_MAX_Q:
-            raise ResourceCapError(
-                f"dense q x q tables capped at q <= {TABLE_MAX_Q}, got q = {self.q}"
-            )
-
     def add_rows(self) -> np.ndarray:
         """add_rows()[i, j] is the index of element i plus element j."""
         if self._add_rows is None:
-            self._check_table_cap()
+            check_cap("field table", self.q, "rows", TABLE_MAX_Q)
             elems = self.elements()
             self._add_rows = _read_only(np.array(
                 [[(a + b).index() for b in elems] for a in elems], dtype=np.intp
@@ -242,7 +235,7 @@ class FieldParams:
     def mul_rows(self) -> np.ndarray:
         """mul_rows()[i, j] is the index of element i times element j."""
         if self._mul_rows is None:
-            self._check_table_cap()
+            check_cap("field table", self.q, "rows", TABLE_MAX_Q)
             elems = self.elements()
             self._mul_rows = _read_only(np.array(
                 [[(a * b).index() for b in elems] for a in elems], dtype=np.intp
@@ -267,7 +260,6 @@ class FieldParams:
     def character_table(self) -> np.ndarray:
         """q x q complex matrix with entry [a, b] = e(a * b), unnormalized."""
         if self._fourier is None:
-            self._check_table_cap()
             self._fourier = _read_only(self.character_values()[self.mul_rows()])
         return self._fourier
 
@@ -458,6 +450,8 @@ def parse_field_spec(text: str) -> FieldParams:
         raise ParameterError(f"field order must be an integer, got {text!r}") from None
     if q < 2:
         raise ParameterError(f"field order must be at least 2, got {q}")
+    # Refuse before trial division, which takes sqrt(q) steps.
+    check_cap("field", q, "elements", DEFAULT_MAX_Q)
     # Factor q as p^r with p the smallest prime factor.
     p = q
     for cand in range(2, int(math.isqrt(q)) + 1):

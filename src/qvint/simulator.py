@@ -25,19 +25,17 @@ import numpy as np
 from .census import ImageSet, Transversal
 from .domain import (Domain, VectorFq, dot_rows, flat_to_rows, rows_to_flat,
                      vector_from_flat)
-from .errors import ContractError, ParameterError, ResourceCapError
+from .errors import ContractError, ParameterError, check_cap
 from .field import FieldParams
 
 DEFAULT_MAX_AMPLITUDES = 1 << 20
+# sample_outcomes holds about 26 bytes per trial, so this is about 260 MB.
+MAX_TRIALS = 10 ** 7
 
 
-def _check_state_size(params: FieldParams, n: int, max_amplitudes: int):
+def _check_state_size(params: FieldParams, n: int) -> int:
     size = params.q ** n
-    if size > max_amplitudes:
-        raise ResourceCapError(
-            f"state over GF({params.q})^{n} needs {size} amplitudes, "
-            f"cap is {max_amplitudes}"
-        )
+    check_cap(f"state over GF({params.q})^{n}", size, "amplitudes", DEFAULT_MAX_AMPLITUDES)
     return size
 
 
@@ -75,11 +73,10 @@ class StateVector:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
-def fourier_state(params: FieldParams, n: int, secret: VectorFq,
-                  max_amplitudes: int = DEFAULT_MAX_AMPLITUDES) -> StateVector:
+def fourier_state(params: FieldParams, n: int, secret: VectorFq) -> StateVector:
     """The exact Fourier vector: amplitude e(s.z)/sqrt(q^n) for every z."""
     _check_secret(params, n, secret)
-    _check_state_size(params, n, max_amplitudes)
+    _check_state_size(params, n)
     table = params.character_table()
     amps = np.ones(1, dtype=np.complex128)
     for coord in secret.entries:
@@ -88,14 +85,13 @@ def fourier_state(params: FieldParams, n: int, secret: VectorFq,
     return StateVector(params=params, n=n, amplitudes=amps)
 
 
-def restricted_fourier_state(image: ImageSet, secret: VectorFq,
-                             max_amplitudes: int = DEFAULT_MAX_AMPLITUDES) -> StateVector:
+def restricted_fourier_state(image: ImageSet, secret: VectorFq) -> StateVector:
     """Fourier phases e(s.z)/sqrt(|image|) on the image, zero elsewhere."""
     if image.size == 0:
         raise ParameterError("cannot build a state over an empty image")
     params = image.params
     _check_secret(params, image.n, secret)
-    size = _check_state_size(params, image.n, max_amplitudes)
+    size = _check_state_size(params, image.n)
     amps = np.zeros(size, dtype=np.complex128)
     phases = params.character_values()[dot_rows(params, secret.index_tuple(), image.keys)]
     amps[rows_to_flat(image.keys, params.q)] = phases * (1.0 / math.sqrt(image.size))
@@ -103,8 +99,7 @@ def restricted_fourier_state(image: ImageSet, secret: VectorFq,
 
 
 def run_algorithm(domain: Domain, k: int, transversal: Transversal,
-                  secret: VectorFq,
-                  max_amplitudes: int = DEFAULT_MAX_AMPLITUDES) -> StateVector:
+                  secret: VectorFq) -> StateVector:
     """Simulate the three steps on the transversal support.
 
     Starts from the uniform superposition over the transversal's pre-images,
@@ -120,7 +115,7 @@ def run_algorithm(domain: Domain, k: int, transversal: Transversal,
     params = domain.params
     n = domain.n
     _check_secret(params, n, secret)
-    size = _check_state_size(params, n, max_amplitudes)
+    size = _check_state_size(params, n)
     add = params.add_rows()
     mul = params.mul_rows()
     keys, positions, weights = transversal.keys, transversal.positions, transversal.weights
@@ -143,8 +138,7 @@ def run_algorithm(domain: Domain, k: int, transversal: Transversal,
 
 def success_probability(state: StateVector, secret: VectorFq) -> float:
     """|<fourier_state(secret) | state>|^2."""
-    sigma = fourier_state(state.params, state.n, secret,
-                          max_amplitudes=state.dimension)
+    sigma = fourier_state(state.params, state.n, secret)
     return abs(sigma.inner(state)) ** 2
 
 
@@ -215,6 +209,7 @@ def sample_outcomes(dist: OutcomeDistribution, trials: int, seed: int) -> Sample
     """
     if not isinstance(trials, int) or trials < 1:
         raise ParameterError(f"trials must be a positive integer, got {trials!r}")
+    check_cap("sampling", trials, "trials", MAX_TRIALS)
     rng = np.random.default_rng(seed)
     cdf = np.cumsum(dist.probs)
     draws = rng.random(trials)
@@ -227,8 +222,7 @@ def sample_outcomes(dist: OutcomeDistribution, trials: int, seed: int) -> Sample
                         trials=trials, seed=seed)
 
 
-def state_family_rank(image: ImageSet, rel_tol: float = 1e-8,
-                      max_amplitudes: int = DEFAULT_MAX_AMPLITUDES) -> int:
+def state_family_rank(image: ImageSet, rel_tol: float = 1e-8) -> int:
     """Rank of the q^n x |image| matrix of phases e(s.z) over all secrets s.
 
     The row space spans every final state any algorithm supported on the
@@ -236,7 +230,7 @@ def state_family_rank(image: ImageSet, rel_tol: float = 1e-8,
     secrets.  Singular values below rel_tol times the largest count as zero.
     """
     params = image.params
-    size = _check_state_size(params, image.n, max_amplitudes)
+    _check_state_size(params, image.n)
     if image.size == 0:
         raise ParameterError("rank of an empty state family is undefined")
     table = params.character_table()
@@ -248,8 +242,7 @@ def state_family_rank(image: ImageSet, rel_tol: float = 1e-8,
     return int(np.sum(singular > rel_tol * singular[0]))
 
 
-def phase_query_check(domain: Domain, secret: VectorFq, tol: float = 1e-12,
-                      max_amplitudes: int = DEFAULT_MAX_AMPLITUDES) -> bool:
+def phase_query_check(domain: Domain, secret: VectorFq, tol: float = 1e-12) -> bool:
     """Check the phase-query identity on every domain vector.
 
     For each v, conjugating the additive shift y -> y + s.v by the Fourier
@@ -259,11 +252,7 @@ def phase_query_check(domain: Domain, secret: VectorFq, tol: float = 1e-12,
     params = domain.params
     q = params.q
     _check_secret(params, domain.n, secret)
-    if q * domain.size > max_amplitudes:
-        raise ResourceCapError(
-            f"phase check touches {q * domain.size} register pairs, "
-            f"cap is {max_amplitudes}"
-        )
+    check_cap("phase check", q * domain.size, "register pairs", DEFAULT_MAX_AMPLITUDES)
     fourier = params.fourier_matrix()
     chars = params.character_values()
     add = params.add_rows()

@@ -284,7 +284,7 @@ class TestTransversal:
 
     def test_cap(self):
         with pytest.raises(ResourceCapError):
-            build_transversal(vandermonde(5, 3), 9, max_tuples=10 ** 6)
+            build_transversal(vandermonde(5, 3), 9)  # 25^9 tuples
 
 
 class TestImageSet:
@@ -316,6 +316,7 @@ class TestSecondMoment:
     INSTANCES = (
         (3, 1, 1), (3, 1, 2), (4, 1, 1), (4, 1, 2),
         (5, 1, 2), (5, 3, 2), (5, 3, 3), (7, 3, 1),
+        (9, 3, 1),  # 9^4 points t: more than one right-side block
     )
 
     @pytest.mark.parametrize("q,d,k", INSTANCES)

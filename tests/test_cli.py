@@ -248,6 +248,29 @@ class TestUsageErrors:
         assert result.output == f"qvint, version {qvint.__version__}\n"
 
 
+class TestResourceCaps:
+    @pytest.mark.parametrize("args,ones,stage", (
+        (["enumerate", "--field", "11", "--vandermonde", "3", "--k", "3000"],
+         None, "census"),
+        (["enumerate", "--field", "11", "--vandermonde", "3", "--k", "2000000"],
+         None, "census"),
+        (["enumerate", "--k", "1"], 20000, "identity right side"),
+        (["simulate", "--k", "1"], 70, "state over GF(2)^70"),
+        (["simulate", "--field", "3", "--vandermonde", "1", "--k", "1",
+          "--secret", "1,1", "--trials", "10000001"], None, "sampling"),
+    ), ids=("census-digits", "census-power", "identity-digits", "state-secret", "trials"))
+    def test_oversized_request_exits_three(self, runner, tmp_path, args, ones, stage):
+        if ones is not None:  # one all-ones vector of GF(2)^ones
+            path = tmp_path / "domain.txt"
+            path.write_text(f"q=2 n={ones}\n" + ",".join(["1"] * ones) + "\n",
+                            encoding="ascii")
+            args = args + ["--domain-file", str(path)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 3, result.output
+        assert f"resource cap exceeded: {stage} needs" in result.output
+        assert "Traceback" not in result.output
+
+
 class TestReproducibility:
     def test_reports_are_byte_identical(self, runner):
         args = ["enumerate", "--field", "5", "--vandermonde", "3", "--k", "2"]

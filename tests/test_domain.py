@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from qvint import domain as domain_mod
 from qvint.domain import (Domain, VectorFq, build_explicit_domain,
                           build_monomial_domain, build_vandermonde_domain,
                           dot, monomial_exponents, parse_vector,
@@ -165,9 +166,9 @@ class TestIndependence:
         assert dom.independence() is dom.independence()
 
     def test_subset_cap(self):
-        dom = build_monomial_domain(FieldParams(5), 2, 2)  # C(25, 6) subsets
+        dom = build_monomial_domain(FieldParams(7), 2, 2)  # C(49, 6) subsets
         with pytest.raises(ResourceCapError):
-            validate_independence(dom, max_subsets=1000)
+            validate_independence(dom)
 
     def test_small_domain_uses_size_not_n(self):
         # fewer vectors than coordinates: subsets of size |V| are checked
@@ -212,11 +213,12 @@ class TestDomainFiles:
         with pytest.raises(ParameterError):
             read_domain_file(path)
 
-    def test_vector_cap(self, tmp_path):
+    def test_vector_cap(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(domain_mod, "MAX_DOMAIN_VECTORS", 5)
         path = tmp_path / "d.txt"
         path.write_text("q=3 n=1\n" + "\n".join(str(i % 3) for i in range(10)) + "\n")
         with pytest.raises(ResourceCapError):
-            read_domain_file(path, max_vectors=5)
+            read_domain_file(path)
 
     def test_parse_vector_tokens(self):
         v = parse_vector(F4, "1:0, 0:1")

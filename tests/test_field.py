@@ -65,7 +65,7 @@ class TestConstruction:
 
     def test_order_cap(self):
         with pytest.raises(ResourceCapError):
-            FieldParams(2, 20, max_q=1 << 16)
+            FieldParams(2, 20)  # 2^20 elements, over DEFAULT_MAX_Q
 
     def test_parse_field_spec(self):
         assert parse_field_spec("9").q == 9

@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from qvint import simulator
 from qvint.census import (ImageSet, build_transversal, enumerate_census,
                           image_set)
 from qvint.domain import VectorFq, build_vandermonde_domain
@@ -83,10 +84,11 @@ class TestFourierState:
         with pytest.raises(ParameterError):
             fourier_state(F3, 2, (1, 2))
 
-    def test_amplitude_cap(self):
+    def test_amplitude_cap(self, monkeypatch):
+        monkeypatch.setattr(simulator, "DEFAULT_MAX_AMPLITUDES", 8)
         secret = VectorFq.from_index_tuple(F3, (0,) * 2)
         with pytest.raises(ResourceCapError, match="cap is 8"):
-            fourier_state(F3, 2, secret, max_amplitudes=8)
+            fourier_state(F3, 2, secret)
 
     def test_inner_needs_matching_shape(self):
         a = fourier_state(F3, 2, VectorFq.from_index_tuple(F3, (0, 0)))
@@ -294,8 +296,8 @@ class TestPhaseQueryIdentity:
         dom = build_vandermonde_domain(F4, 1)
         assert phase_query_check(dom, VectorFq.from_index_tuple(F4, (0, 0)))
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setattr(simulator, "DEFAULT_MAX_AMPLITUDES", 10)
         dom = build_vandermonde_domain(F5, 3)
         with pytest.raises(ResourceCapError):
-            phase_query_check(dom, VectorFq.from_index_tuple(F5, (0,) * 4),
-                              max_amplitudes=10)
+            phase_query_check(dom, VectorFq.from_index_tuple(F5, (0,) * 4))

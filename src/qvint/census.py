@@ -14,13 +14,13 @@ floating point never enters here.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
-from .domain import Domain, VectorFq, dot_rows, flat_to_rows
+from .domain import Domain, VectorFq, _index_array, dot_rows, flat_to_rows
 from .errors import ContractError, ParameterError, check_cap
 from .field import FieldElement, FieldParams
 
@@ -209,32 +209,31 @@ def enumerate_census(domain: Domain, k: int, *,
     return PreimageCensus(domain, k, counts, good, first)
 
 
-def _index_array(rows, width: int) -> np.ndarray:
-    """Read-only (len(rows), width) array of index rows."""
-    array = np.array(rows, dtype=np.intp).reshape(len(rows), width)
-    array.setflags(write=False)
-    return array
-
-
 @dataclass(frozen=True, eq=False)
 class ImageSet:
     """All targets with at least one pre-image, in canonical order; keys
-    holds their index rows as a read-only (size, n) array."""
+    holds their index rows as a read-only (size, n) array, and elements
+    decodes them to VectorFq on first access."""
 
     params: FieldParams
     n: int
-    elements: tuple  # VectorFq, canonically sorted
-    keys: np.ndarray = field(init=False, repr=False)
-    _key_set: frozenset = field(init=False, repr=False)
+    keys: np.ndarray
 
     def __post_init__(self):
-        key_tuples = [z.index_tuple() for z in self.elements]
-        object.__setattr__(self, "keys", _index_array(key_tuples, self.n))
-        object.__setattr__(self, "_key_set", frozenset(key_tuples))
+        object.__setattr__(self, "keys", _index_array(self.keys, self.n))
+
+    @cached_property
+    def elements(self) -> tuple:
+        return tuple(VectorFq.from_index_tuple(self.params, key)
+                     for key in self.keys.tolist())
+
+    @cached_property
+    def _key_set(self) -> frozenset:
+        return frozenset(map(tuple, self.keys.tolist()))
 
     @property
     def size(self) -> int:
-        return len(self.elements)
+        return len(self.keys)
 
     def __contains__(self, z):
         if not isinstance(z, VectorFq):
@@ -244,11 +243,8 @@ class ImageSet:
 
 def image_set(census: PreimageCensus) -> ImageSet:
     """Extract the census's image in canonical order."""
-    params = census.domain.params
-    elements = tuple(
-        VectorFq.from_index_tuple(params, key) for key in sorted(census.counts)
-    )
-    return ImageSet(params=params, n=census.domain.n, elements=elements)
+    return ImageSet(params=census.domain.params, n=census.domain.n,
+                    keys=sorted(census.counts))
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,18 +277,6 @@ class Transversal:
 
     def preimage_of(self, z: VectorFq) -> Preimage:
         return self.pairs[z.index_tuple()]
-
-
-def build_transversal(domain: Domain, k: int) -> Transversal:
-    """enumerate_census(domain, k).transversal: for every image point, its
-    first pre-image in walk order, the lexicographically smallest sequence of
-    (vector position, weight index) pairs ((v0, y0), (v1, y1), ...)."""
-    return enumerate_census(domain, k).transversal
-
-
-def good_preimage_count(census: PreimageCensus, z: VectorFq) -> int:
-    """Pre-images of z with pairwise-distinct vectors and nonzero weights."""
-    return census.good_count_of(z)
 
 
 def good_set_sizes(domain: Domain, k: int) -> tuple:
@@ -344,8 +328,7 @@ def second_moment_identity_check(domain: Domain, k: int, *,
     """
     if census is None:
         census = enumerate_census(domain, k, max_tuples=max_tuples)
-    elif census.k != k or (census.domain is not domain
-                           and census.domain.vectors != domain.vectors):
+    elif census.k != k or not census.domain.same_as(domain):
         raise ParameterError("supplied census does not match (domain, k)")
     params = domain.params
     q = params.q

@@ -12,6 +12,7 @@ decision boundaries, where a floating-point log is one ulp away from the
 wrong answer.
 """
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -49,18 +50,21 @@ def _least_k(ratio_num: int, ratio_den: int, target_num: int, target_den: int) -
     """Least k >= 1 with (ratio_num/ratio_den)^k >= target_num/target_den.
 
     All arguments are positive integers and the ratio must exceed 1, which the
-    callers guarantee; comparison is exact cross-multiplication.
+    callers guarantee; comparison is exact cross-multiplication.  The powers
+    grow with k, so doubling and then bisecting needs O(log k) comparisons.
     """
     if ratio_num <= ratio_den:
         raise ContractError("power search needs a ratio strictly above 1")
-    k = 1
-    lhs_num, lhs_den = ratio_num, ratio_den
-    while lhs_num * target_den < target_num * lhs_den:
-        k += 1
-        lhs_num *= ratio_num
-        lhs_den *= ratio_den
-        if k > _MAX_PLANNED_K:
-            raise ContractError(f"query plan exceeded {_MAX_PLANNED_K} without converging")
+
+    def reached(k):
+        return ratio_num ** k * target_den >= target_num * ratio_den ** k
+
+    high = 1
+    while high <= _MAX_PLANNED_K and not reached(high):
+        high *= 2
+    k = 1 + bisect.bisect_left(range(1, high + 1), True, key=reached)
+    if k > _MAX_PLANNED_K:
+        raise ContractError(f"query plan exceeded {_MAX_PLANNED_K} without converging")
     return k
 
 

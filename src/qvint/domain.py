@@ -7,7 +7,8 @@ pick representatives are reproducible across runs and machines.
 It also owns the internal form of GF(q)^n that the other layers compute
 on: (m, n) arrays of element indices, the flat-index codec (first
 coordinate most significant, the order of state vectors) and dot_rows.
-VectorFq and dot are the public API and the reference for those arrays.
+Domains are built, read and rank-checked on those arrays and the field's
+tables; VectorFq and dot are the public API and the reference for them.
 
 Besides construction this module owns the two structural measurements the
 counting layer needs: the number of vectors touching a zero coordinate, and
@@ -22,9 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, check_cap
-from .field import FieldElement, FieldParams
+from .field import FieldElement, FieldParams, parse_field_spec
 
 MAX_DOMAIN_VECTORS = 1 << 20
+# Vectors times coordinates; wide domains pass the vector cap but not this.
+MAX_DOMAIN_ENTRIES = 1 << 22
 DEFAULT_MAX_SUBSETS = 250_000
 
 
@@ -120,6 +123,13 @@ def vector_from_flat(params: FieldParams, n: int, flat: int) -> VectorFq:
     return VectorFq.from_index_tuple(params, flat_to_rows(flat, params.q, n).tolist())
 
 
+def _index_array(rows, width: int) -> np.ndarray:
+    """Read-only (len(rows), width) array of index rows."""
+    array = np.array(rows, dtype=np.intp).reshape(len(rows), width)
+    array.setflags(write=False)
+    return array
+
+
 def dot_rows(params: FieldParams, s, rows) -> np.ndarray:
     """Index of s . z for every row z of an (m, n) index array, s one index
     row: one add/mul table step per coordinate, equal to dot(s, z).index()."""
@@ -155,48 +165,51 @@ class IndependenceReport:
 
 
 class Domain:
-    """Canonically ordered set of distinct vectors in GF(q)^n; indices holds
-    their index rows as a read-only (size, n) array, in the same order."""
+    """Canonically ordered set of distinct vectors in GF(q)^n, held as their
+    index rows: indices is a read-only (size, n) array, and vectors decodes
+    them to VectorFq on first access, in the same order."""
 
-    __slots__ = ("params", "n", "vectors", "indices", "label", "_zero_touching", "_independence")
+    __slots__ = ("params", "n", "indices", "label", "_vectors", "_independence")
 
-    def __init__(self, vectors, label: str = "explicit"):
-        vectors = list(vectors)
-        if not vectors:
+    def __init__(self, params: FieldParams, indices, label: str = "explicit"):
+        rows = np.asarray(indices, dtype=np.intp)
+        if rows.ndim != 2 or rows.size == 0:
             raise ParameterError("a domain needs at least one vector")
-        params = vectors[0].params
-        n = vectors[0].n
-        for v in vectors:
-            if v.params != params or v.n != n:
-                raise ParameterError("all domain vectors must share field and length")
-        check_cap("domain", len(vectors), "vectors", MAX_DOMAIN_VECTORS)
-        unique = {v.index_tuple(): v for v in vectors}
-        keys = sorted(unique)
+        if rows.min() < 0 or rows.max() >= params.q:
+            raise ParameterError(f"element indices must lie in [0, {params.q})")
         self.params = params
-        self.n = n
-        self.vectors = tuple(unique[key] for key in keys)
-        self.indices = np.array(keys, dtype=np.intp)
-        self.indices.setflags(write=False)
+        self.n = rows.shape[1]
+        self.indices = _index_array(sorted(set(map(tuple, rows.tolist()))), self.n)
         self.label = label
-        self._zero_touching = None
+        self._vectors = None
         self._independence = None
 
     @property
+    def vectors(self) -> tuple:
+        """The domain as VectorFq, decoded from indices on first access."""
+        if self._vectors is None:
+            self._vectors = tuple(VectorFq.from_index_tuple(self.params, row)
+                                  for row in self.indices.tolist())
+        return self._vectors
+
+    @property
     def size(self) -> int:
-        return len(self.vectors)
+        return len(self.indices)
+
+    def same_as(self, other: "Domain") -> bool:
+        """Whether other holds the same vectors over the same field (labels aside)."""
+        return self is other or (self.params == other.params
+                                 and np.array_equal(self.indices, other.indices))
 
     def zero_touching_count(self) -> int:
         """Number of domain vectors with at least one zero coordinate."""
-        if self._zero_touching is None:
-            self._zero_touching = int(np.count_nonzero((self.indices == 0).any(axis=1)))
-        return self._zero_touching
+        return int(np.count_nonzero((self.indices == 0).any(axis=1)))
 
     def stats(self) -> DomainStats:
-        params = self.params
         return DomainStats(
-            field_order=params.q,
-            characteristic=params.p,
-            extension_degree=params.r,
+            field_order=self.params.q,
+            characteristic=self.params.p,
+            extension_degree=self.params.r,
             length=self.n,
             size=self.size,
             zero_touching=self.zero_touching_count(),
@@ -217,28 +230,31 @@ class Domain:
         return f"Domain({self.label}, q={self.params.q}, n={self.n}, size={self.size})"
 
 
-def _rank(vectors) -> int:
-    """Rank over GF(q) by Gaussian elimination on copies of the rows."""
-    rows = [list(v.entries) for v in vectors]
-    if not rows:
-        return 0
-    n = len(rows[0])
+def _elimination_tables(params: FieldParams) -> tuple:
+    """(add, mul, negate, inverse) as lists, with negate[a] = -a and
+    inverse[a] = 1/a by index; zero keeps the placeholder inverse 0."""
+    add, mul = params.add_rows(), params.mul_rows()
+    # Every table row is a permutation, so each has exactly one hit.
+    negate = np.nonzero(add == 0)[1].tolist()
+    inverse = [0] + np.nonzero(mul[1:] == 1)[1].tolist()
+    return add.tolist(), mul.tolist(), negate, inverse
+
+
+def _rank(rows, add, mul, negate, inverse) -> int:
+    """Rank over GF(q) of a list of index rows by Gaussian elimination, given
+    _elimination_tables of their field; reorders and replaces the list's rows."""
     rank = 0
-    for col in range(n):
-        pivot = None
-        for i in range(rank, len(rows)):
-            if not rows[i][col].is_zero():
-                pivot = i
-                break
+    for col in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][col].inverse()
+        inv = inverse[rows[rank][col]]
         for i in range(rank + 1, len(rows)):
-            if rows[i][col].is_zero():
+            if not rows[i][col]:
                 continue
-            factor = rows[i][col] * inv
-            rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
+            neg_factor = mul[negate[mul[rows[i][col]][inv]]]
+            rows[i] = [add[a][neg_factor[b]] for a, b in zip(rows[i], rows[rank])]
         rank += 1
         if rank == len(rows):
             break
@@ -255,37 +271,59 @@ def validate_independence(domain: Domain) -> IndependenceReport:
     size = min(domain.n, domain.size)
     total = math.comb(domain.size, size)
     check_cap("independence check", total, "subsets", DEFAULT_MAX_SUBSETS)
+    tables = _elimination_tables(domain.params)
+    rows = domain.indices.tolist()
     checked = 0
-    for subset in itertools.combinations(domain.vectors, size):
+    for subset in itertools.combinations(range(domain.size), size):
         checked += 1
-        if _rank(subset) < size:
+        if _rank([rows[i] for i in subset], *tables) < size:
             return IndependenceReport(
                 status="refuted",
                 subset_size=size,
                 subsets_checked=checked,
-                witness=subset,
+                witness=tuple(VectorFq.from_index_tuple(domain.params, rows[i])
+                              for i in subset),
             )
     return IndependenceReport(
         status="verified", subset_size=size, subsets_checked=checked, witness=None
     )
 
 
+def _check_size(stage: str, size: int, n: int) -> None:
+    """Refuse a domain of size vectors of length n before building it."""
+    check_cap(stage, size, "vectors", MAX_DOMAIN_VECTORS)
+    check_cap("domain", size * n, "entries", MAX_DOMAIN_ENTRIES)
+
+
 def build_explicit_domain(vectors, label: str = "explicit") -> Domain:
     """Domain from an iterable of VectorFq (deduplicated, canonically sorted)."""
-    return Domain(vectors, label=label)
+    vectors = list(vectors)
+    if not vectors:
+        raise ParameterError("a domain needs at least one vector")
+    params, n = vectors[0].params, vectors[0].n
+    for v in vectors:
+        if v.params != params or v.n != n:
+            raise ParameterError("all domain vectors must share field and length")
+    _check_size("domain", len(vectors), n)
+    return Domain(params, [v.index_tuple() for v in vectors], label=label)
 
 
 def build_vandermonde_domain(params: FieldParams, degree: int) -> Domain:
     """All rows (1, x, x^2, ..., x^degree) for x in GF(q); n = degree + 1."""
     if not isinstance(degree, int) or degree < 1:
         raise ParameterError(f"Vandermonde degree must be a positive integer, got {degree!r}")
-    vectors = []
-    for x in params.elements():
-        entries = [params.one()]
-        for _ in range(degree):
-            entries.append(entries[-1] * x)
-        vectors.append(VectorFq(tuple(entries)))
-    return Domain(vectors, label=f"vandermonde(q={params.q}, d={degree})")
+    _check_size("domain", params.q, degree + 1)
+    return Domain(params, _power_table(params, degree).T,
+                  label=f"vandermonde(q={params.q}, d={degree})")
+
+
+def _power_table(params: FieldParams, degree: int) -> np.ndarray:
+    """(degree + 1, q) array whose [e, a] entry is the index of a^e, 0^0 = 1."""
+    mul = params.mul_rows()
+    powers = [np.ones(params.q, dtype=np.intp)]  # index 1 is the element 1
+    for _ in range(degree):
+        powers.append(mul[powers[-1], np.arange(params.q)])
+    return np.stack(powers)
 
 
 def monomial_exponents(variables: int, degree: int) -> tuple:
@@ -310,21 +348,28 @@ def build_monomial_domain(params: FieldParams, variables: int, degree: int) -> D
     every point to 1 (0^0 = 1 by convention), so the first coordinate is
     never zero and rows for distinct points are distinct.
     """
+    if variables < 1 or degree < 1:
+        raise ParameterError("monomial domains need variables >= 1 and degree >= 1")
     # Refuse before monomial_exponents scans (degree+1)^variables tuples; past
     # 64 variables q^64 is already over the cap and prints as a lower bound.
-    check_cap("domain", params.q ** min(variables, 64), "vectors", MAX_DOMAIN_VECTORS)
+    # The vector cap goes first: it leaves variables <= 20, so the binomial
+    # for n stays cheap however large degree is.
+    q = params.q
+    size = q ** min(variables, 64)
+    check_cap("domain", size, "vectors", MAX_DOMAIN_VECTORS)
+    n = math.comb(variables + degree, degree)
+    check_cap("domain", size * n, "entries", MAX_DOMAIN_ENTRIES)
     exps = monomial_exponents(variables, degree)
-    vectors = []
-    for point in itertools.product(params.elements(), repeat=variables):
-        entries = []
-        for e in exps:
-            acc = params.one()
-            for a, power in zip(point, e):
-                if power:
-                    acc = acc * a ** power
-            entries.append(acc)
-        vectors.append(VectorFq(tuple(entries)))
-    return Domain(vectors, label=f"monomial(q={params.q}, m={variables}, d={degree})")
+    mul, powers = params.mul_rows(), _power_table(params, degree)
+    points = flat_to_rows(np.arange(q ** variables), q, variables)
+    columns = []
+    for e in exps:
+        acc = np.ones(len(points), dtype=np.intp)
+        for i, power in enumerate(e):
+            acc = mul[acc, powers[power, points[:, i]]]
+        columns.append(acc)
+    return Domain(params, np.stack(columns, axis=1),
+                  label=f"monomial(q={params.q}, m={variables}, d={degree})")
 
 
 # -- domain files ------------------------------------------------------------
@@ -338,13 +383,15 @@ def build_monomial_domain(params: FieldParams, variables: int, degree: int) -> D
 # are colon-joined, low degree first.  Prime fields just write the residue.
 
 
-def _format_element(e: FieldElement) -> str:
-    if e.params.r == 1:
-        return str(e.coeffs[0])
-    return ":".join(str(c) for c in e.coeffs)
+def _format_index(params: FieldParams, index: int) -> str:
+    if params.r == 1:
+        return str(index)
+    return ":".join(str(index // params.p ** i % params.p) for i in range(params.r))
 
 
-def _parse_element(params: FieldParams, token: str) -> FieldElement:
+def _parse_index(params: FieldParams, token: str) -> int:
+    """Element index of one token: a residue, or r colon-joined coefficients."""
+    token = token.strip()
     try:
         coeffs = [int(c) for c in token.split(":")]
     except ValueError:
@@ -357,13 +404,13 @@ def _parse_element(params: FieldParams, token: str) -> FieldElement:
         example = "0:1" + ":0" * (params.r - 2)
         raise ParameterError(f"element token {token!r} is ambiguous on GF({params.q}): "
                              f"write it colon-joined, low degree first, e.g. {example}")
-    return params.element(coeffs)
+    return sum(c % params.p * params.p ** i for i, c in enumerate(coeffs))
 
 
 def parse_vector(params: FieldParams, text: str) -> VectorFq:
     """Parse a comma-separated vector in the domain-file element syntax."""
-    tokens = [tok.strip() for tok in text.split(",")]
-    return VectorFq(tuple(_parse_element(params, tok) for tok in tokens))
+    return VectorFq.from_index_tuple(params, [_parse_index(params, tok)
+                                             for tok in text.split(",")])
 
 
 def write_domain_file(domain: Domain, path) -> None:
@@ -372,9 +419,8 @@ def write_domain_file(domain: Domain, path) -> None:
     if params.r > 1:
         header += " modulus=" + ",".join(str(c) for c in params.modulus)
     lines = [header]
-    lines.extend(
-        ",".join(_format_element(e) for e in v.entries) for v in domain.vectors
-    )
+    lines.extend(",".join(_format_index(params, i) for i in row)
+                 for row in domain.indices.tolist())
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -405,18 +451,16 @@ def read_domain_file(path) -> Domain:
             raise ParameterError(f"bad header token {token!r} in {path}") from None
     if q is None or n is None:
         raise ParameterError(f"domain file {path} must declare q= and n= in its header")
-    from .field import parse_field_spec  # local import to reuse the p^r factoring
-
     params = parse_field_spec(str(q))
     if modulus is not None:
         params = FieldParams(params.p, params.r, modulus=modulus)
-    check_cap("domain file", len(lines) - 1, "vectors", MAX_DOMAIN_VECTORS)
-    vectors = []
+    _check_size("domain file", len(lines) - 1, n)
+    rows = []
     for line in lines[1:]:
-        vector = parse_vector(params, line)
-        if vector.n != n:
+        row = [_parse_index(params, tok) for tok in line.split(",")]
+        if len(row) != n:
             raise ParameterError(
-                f"vector {line!r} has {vector.n} coordinates, header says n={n}"
+                f"vector {line!r} has {len(row)} coordinates, header says n={n}"
             )
-        vectors.append(vector)
-    return Domain(vectors, label="file")
+        rows.append(row)
+    return Domain(params, rows, label="file")

@@ -9,6 +9,10 @@ The additive character is e(z) = exp(2*pi*i * Tr(z) / p) with the absolute
 trace Tr(z) = z + z^p + ... + z^(p^(r-1)).  Dividing by p is what makes the
 character non-trivial and gives the exact orthogonality relation
 sum_z e(z*(x - y)) = q * delta(x, y), which the Fourier layer depends on.
+
+The other layers compute on the q x q index tables of FieldParams, built
+from the base-p digits of all q indices at once; FieldElement is the public
+element type and the reference those tables are tested against.
 """
 
 import cmath
@@ -112,7 +116,7 @@ class FieldParams:
 
     __slots__ = (
         "p", "r", "q", "modulus",
-        "_xpow", "_add_rows", "_mul_rows", "_traces", "_chars",
+        "_add_rows", "_mul_rows", "_traces", "_chars",
         "_elements", "_fourier",
     )
 
@@ -139,18 +143,6 @@ class FieldParams:
         self.r = r
         self.q = q
         self.modulus = modulus
-        # Reductions of x^r .. x^(2r-2); enough to fold any degree < 2r-1
-        # product back into the basis.
-        xpow = []
-        if r > 1:
-            cur = tuple((-modulus[i]) % p for i in range(r))
-            xpow.append(cur)
-            for _ in range(r - 2):
-                shifted = (0,) + cur[: r - 1]
-                carry = cur[r - 1]
-                cur = tuple((shifted[i] + carry * xpow[0][i]) % p for i in range(r))
-                xpow.append(cur)
-        self._xpow = tuple(xpow)
         self._add_rows = None
         self._mul_rows = None
         self._traces = None
@@ -183,21 +175,9 @@ class FieldParams:
 
     # -- element construction ----------------------------------------------
 
-    def element(self, value) -> "FieldElement":
-        """Build an element from an integer (prime-subfield constant) or a
-        coefficient sequence of length at most r."""
-        if isinstance(value, FieldElement):
-            if value.params != self:
-                raise ParameterError("element belongs to a different field")
-            return value
-        if isinstance(value, int):
-            coeffs = (value % self.p,) + (0,) * (self.r - 1)
-            return FieldElement(self, coeffs)
-        coeffs = tuple(int(c) % self.p for c in value)
-        if len(coeffs) > self.r:
-            raise ParameterError(f"too many coefficients for GF({self.q}): {value!r}")
-        coeffs = coeffs + (0,) * (self.r - len(coeffs))
-        return FieldElement(self, coeffs)
+    def element(self, value: int) -> "FieldElement":
+        """The prime-subfield constant value mod p."""
+        return FieldElement(self, (value % self.p,) + (0,) * (self.r - 1))
 
     def zero(self) -> "FieldElement":
         return FieldElement(self, (0,) * self.r)
@@ -222,30 +202,44 @@ class FieldParams:
 
     # -- dense operation tables ---------------------------------------------
 
+    def _digits(self) -> np.ndarray:
+        """(q, r) base-p coefficient digits of every element, by canonical index."""
+        return np.arange(self.q)[:, None] // self.p ** np.arange(self.r) % self.p
+
     def add_rows(self) -> np.ndarray:
         """add_rows()[i, j] is the index of element i plus element j."""
         if self._add_rows is None:
             check_cap("field table", self.q, "rows", TABLE_MAX_Q)
-            elems = self.elements()
-            self._add_rows = _read_only(np.array(
-                [[(a + b).index() for b in elems] for a in elems], dtype=np.intp
-            ))
+            p, digits = self.p, self._digits()
+            # Digit-wise addition mod p.
+            self._add_rows = _read_only(sum(
+                (digits[:, None, j] + digits[None, :, j]) % p * p ** j for j in range(self.r)))
         return self._add_rows
 
     def mul_rows(self) -> np.ndarray:
         """mul_rows()[i, j] is the index of element i times element j."""
         if self._mul_rows is None:
             check_cap("field table", self.q, "rows", TABLE_MAX_Q)
-            elems = self.elements()
-            self._mul_rows = _read_only(np.array(
-                [[(a * b).index() for b in elems] for a in elems], dtype=np.intp
-            ))
+            p, r, digits = self.p, self.r, self._digits()
+            # shifted[j, b] holds the digits of x^j * b: x^(j-1) * b moved up one
+            # place, its top digit folded back in by x^r = -modulus[:r].
+            fold = np.array([-c % p for c in self.modulus[:r]])
+            shifted = [digits]
+            for _ in range(r - 1):
+                prev = shifted[-1]
+                shifted.append((np.pad(prev[:, :-1], ((0, 0), (1, 0))) + prev[:, -1:] * fold) % p)
+            shifted = np.stack(shifted)
+            # a * b = sum_j a_j * (x^j * b), one product digit i at a time.
+            self._mul_rows = _read_only(sum(
+                digits @ shifted[:, :, i] % p * p ** i for i in range(r)))
         return self._mul_rows
 
     def trace_values(self) -> list:
-        """Absolute trace of every element, by canonical index."""
+        """Absolute trace of every element, by canonical index; the trace is
+        GF(p)-linear, so it is the digits against Tr(x^j)."""
         if self._traces is None:
-            self._traces = [z.trace() for z in self.elements()]
+            basis = [self.from_index(self.p ** j).trace() for j in range(self.r)]
+            self._traces = (self._digits() @ np.array(basis) % self.p).tolist()
         return self._traces
 
     def character_values(self) -> np.ndarray:
@@ -344,19 +338,8 @@ class FieldElement:
         if other is NotImplemented:
             return NotImplemented
         params = self.params
-        p, r = params.p, params.r
-        if r == 1:
-            return FieldElement(params, ((self.coeffs[0] * other.coeffs[0]) % p,))
-        prod = _poly_mul(self.coeffs, other.coeffs, p)
-        out = list(prod[:r]) + [0] * (r - min(r, len(prod)))
-        for i in range(r, len(prod)):
-            c = prod[i]
-            if c == 0:
-                continue
-            red = params._xpow[i - r]
-            for j in range(r):
-                out[j] = (out[j] + c * red[j]) % p
-        return FieldElement(params, tuple(out))
+        prod = _poly_mul(self.coeffs, other.coeffs, params.p)
+        return FieldElement(params, _poly_rem(prod, params.modulus, params.p))
 
     __rmul__ = __mul__
 
@@ -404,29 +387,19 @@ class FieldElement:
         return cmath.exp(2j * cmath.pi * self.trace() / self.params.p)
 
 
-def enumerate_field(params: FieldParams) -> tuple:
-    """All elements of the field in canonical index order."""
-    return params.elements()
-
-
 def character_orthogonality_check(params: FieldParams, tol: float = 1e-9) -> bool:
     """Verify sum_z e(z * (x - y)) = q * delta(x, y) for every pair (x, y).
 
     Exhaustive over all q^2 pairs; the return value is True only if every
     pair lands within tol of its exact target.
     """
-    elems = params.elements()
     q = params.q
-    chars = params.character_values().tolist()
-    mul = params.mul_rows().tolist()
-    for xi in range(q):
-        for yi in range(q):
-            diff = (elems[xi] - elems[yi]).index()
-            total = sum(chars[mul[diff][zi]] for zi in range(q))
-            target = q if xi == yi else 0
-            if abs(total - target) > tol:
-                return False
-    return True
+    add = params.add_rows()
+    # sums[d] = sum_z e(z * d); negate[y] = -y, the y with add[y, -y] = 0.
+    sums = params.character_values()[params.mul_rows()].sum(axis=1)
+    negate = np.nonzero(add == 0)[1]
+    totals = sums[add[:, negate]]
+    return bool(np.all(np.abs(totals - q * np.eye(q)) <= tol))
 
 
 def parse_field_spec(text: str) -> FieldParams:

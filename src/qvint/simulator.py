@@ -108,7 +108,7 @@ def run_algorithm(domain: Domain, k: int, transversal: Transversal,
     the image; any violation is a ContractError because it would make the
     step non-unitary.
     """
-    if transversal.domain is not domain and transversal.domain.vectors != domain.vectors:
+    if not transversal.domain.same_as(domain):
         raise ParameterError("transversal was built for a different domain")
     if transversal.k != k:
         raise ParameterError(f"transversal is for k={transversal.k}, asked for k={k}")

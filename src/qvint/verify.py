@@ -438,8 +438,8 @@ def _check_domain_roundtrip():
             path = os.path.join(tmp, "domain.txt")
             write_domain_file(domain, path)
             back = read_domain_file(path)
-        same = back.params == domain.params and np.array_equal(back.indices, domain.indices)
-        return [_result(name, same, "write/read preserves field, length, and vectors")]
+        return [_result(name, back.same_as(domain),
+                        "write/read preserves field, length, and vectors")]
 
     return _guard(name, body)
 

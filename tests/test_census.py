@@ -8,11 +8,12 @@ tables), not from the package under test.
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from qvint.census import (ImageSet, Preimage, build_transversal, chebyshev_zero_bound,
-                          enumerate_census, good_preimage_count,
-                          good_set_sizes, image_set, image_size_lower_bound,
+from qvint.census import (ImageSet, Preimage, chebyshev_zero_bound,
+                          enumerate_census, good_set_sizes, image_set,
+                          image_size_lower_bound,
                           linear_combination, second_moment_identity_check)
 from qvint.domain import (VectorFq, build_explicit_domain,
                           build_monomial_domain, build_vandermonde_domain)
@@ -109,9 +110,7 @@ class TestSmallCensus:
         census = enumerate_census(vandermonde(3, 1), 1)
         assert census.good_count_of(VectorFq.from_index_tuple(F3, (1, 2))) == 1
         assert census.good_count_of(VectorFq.from_index_tuple(F3, (0, 0))) == 0
-        assert good_preimage_count(
-            census, VectorFq.from_index_tuple(F3, (2, 1))
-        ) == 1
+        assert census.good_count_of(VectorFq.from_index_tuple(F3, (2, 1))) == 1
         assert sum(census.good_counts.values()) == 6
 
     def test_k0_census(self):
@@ -222,7 +221,7 @@ class TestGoodSets:
 
 class TestTransversal:
     def test_q3_frozen_choices(self):
-        trans = build_transversal(vandermonde(3, 1), 1)
+        trans = enumerate_census(vandermonde(3, 1), 1).transversal
         picks = {
             key: ([v.index_tuple() for v in pre.vectors],
                   [w.index() for w in pre.weights])
@@ -242,19 +241,19 @@ class TestTransversal:
         for q, d, k in ((3, 1, 1), (5, 3, 2), (4, 1, 2)):
             dom = vandermonde(q, d)
             census = enumerate_census(dom, k)
-            trans = build_transversal(dom, k)
+            trans = enumerate_census(dom, k).transversal
             assert set(trans.pairs) == set(census.counts)
 
     def test_every_pair_maps_back(self):
         dom = vandermonde(5, 3)
-        trans = build_transversal(dom, 2)
+        trans = enumerate_census(dom, 2).transversal
         for key, pre in trans.pairs.items():
             z = linear_combination(pre.vectors, pre.weights)
             assert z.index_tuple() == key
 
     def test_deterministic(self):
-        a = build_transversal(vandermonde(5, 3), 2)
-        b = build_transversal(vandermonde(5, 3), 2)
+        a = enumerate_census(vandermonde(5, 3), 2).transversal
+        b = enumerate_census(vandermonde(5, 3), 2).transversal
         assert {k: (tuple(v.index_tuple() for v in p.vectors),
                     tuple(w.index() for w in p.weights))
                 for k, p in a.pairs.items()} == \
@@ -264,7 +263,7 @@ class TestTransversal:
 
     def test_arrays_match_pairs(self):
         dom = vandermonde(4, 1)
-        trans = build_transversal(dom, 2)
+        trans = enumerate_census(dom, 2).transversal
         assert trans.keys.shape == (trans.size, 2)
         assert trans.positions.shape == trans.weights.shape == (trans.size, 2)
         for key, positions, weights in zip(trans.keys.tolist(), trans.positions.tolist(),
@@ -277,14 +276,14 @@ class TestTransversal:
                 array[0, 0] = 1
 
     def test_k0(self):
-        trans = build_transversal(vandermonde(3, 1), 0)
+        trans = enumerate_census(vandermonde(3, 1), 0).transversal
         assert set(trans.pairs) == {(0, 0)}
         pre = trans.pairs[(0, 0)]
         assert pre.vectors == () and pre.weights == ()
 
     def test_cap(self):
         with pytest.raises(ResourceCapError):
-            build_transversal(vandermonde(5, 3), 9)  # 25^9 tuples
+            enumerate_census(vandermonde(5, 3), 9).transversal  # 25^9 tuples
 
 
 class TestImageSet:
@@ -307,7 +306,7 @@ class TestImageSet:
         assert image.keys.tolist() == [list(z.index_tuple()) for z in image.elements]
         with pytest.raises(ValueError):
             image.keys[0, 0] = 1
-        empty = ImageSet(params=F3, n=2, elements=())
+        empty = ImageSet(params=F3, n=2, keys=np.empty((0, 2), np.intp))
         assert empty.keys.shape == (0, 2)
         assert VectorFq.from_index_tuple(F3, (0, 0)) not in empty
 
@@ -342,6 +341,14 @@ class TestSecondMoment:
         census = enumerate_census(dom, 1)
         with pytest.raises(ParameterError):
             second_moment_identity_check(dom, 2, census=census)
+        # Same index rows over two models of GF(9) are different domains.
+        dom_a = build_vandermonde_domain(FieldParams(3, 2, modulus=(1, 0, 1)), 1)
+        dom_b = build_vandermonde_domain(FieldParams(3, 2, modulus=(2, 1, 1)), 1)
+        assert np.array_equal(dom_a.indices, dom_b.indices)
+        with pytest.raises(ParameterError):
+            second_moment_identity_check(dom_a, 1, census=enumerate_census(dom_b, 1))
+        # An equal domain built separately is accepted.
+        assert second_moment_identity_check(vandermonde(3, 1), 1, census=census).equal
 
 
 class TestChebyshev:

@@ -258,7 +258,10 @@ class TestResourceCaps:
         (["simulate", "--k", "1"], 70, "state over GF(2)^70"),
         (["simulate", "--field", "3", "--vandermonde", "1", "--k", "1",
           "--secret", "1,1", "--trials", "10000001"], None, "sampling"),
-    ), ids=("census-digits", "census-power", "identity-digits", "state-secret", "trials"))
+        (["analyze", "--field", "2", "--monomial", "2,3000"], None, "domain"),
+        (["analyze", "--field", "2", "--vandermonde", "3000000"], None, "domain"),
+    ), ids=("census-digits", "census-power", "identity-digits", "state-secret", "trials",
+            "monomial-entries", "vandermonde-entries"))
     def test_oversized_request_exits_three(self, runner, tmp_path, args, ones, stage):
         if ones is not None:  # one all-ones vector of GF(2)^ones
             path = tmp_path / "domain.txt"

@@ -4,8 +4,11 @@ The closed-form expectations below were recomputed by hand with exact
 power comparisons before being frozen here.
 """
 
+import itertools
+
 import pytest
 
+from qvint import complexity
 from qvint.complexity import (InstanceClassification, QueryPlan,
                               ReductionPlan, classify_instance,
                               multivariate_query_bounds, plan_bounded_error,
@@ -107,6 +110,32 @@ class TestPlanSweep:
         for q, d in ((5, 2), (7, 4), (13, 6)):
             stats = build_vandermonde_domain(FieldParams(q), d).stats()
             assert stats.zero_touching == 1
+
+
+def linear_least_k(ratio_num, ratio_den, target_num, target_den):
+    """Reference: step k up one at a time until the exact power comparison holds."""
+    k, lhs_num, lhs_den = 1, ratio_num, ratio_den
+    while lhs_num * target_den < target_num * lhs_den:
+        k, lhs_num, lhs_den = k + 1, lhs_num * ratio_num, lhs_den * ratio_den
+    return k
+
+
+class TestPowerSearch:
+    def test_matches_linear_search(self):
+        for ratio_num, ratio_den in itertools.product(range(1, 12), repeat=2):
+            if ratio_num <= ratio_den:
+                continue
+            for target_num, target_den in itertools.product(
+                    list(range(1, 30)) + [10 ** 6, 3 ** 40], range(1, 9)):
+                args = (ratio_num, ratio_den, target_num, target_den)
+                assert complexity._least_k(*args) == linear_least_k(*args)
+
+    def test_cap_is_the_largest_plan(self, monkeypatch):
+        monkeypatch.setattr(complexity, "_MAX_PLANNED_K", 50)
+        assert complexity._least_k(2, 1, 2 ** 50, 1) == 50
+        for target in (2 ** 50 + 1, 2 ** 70):
+            with pytest.raises(ContractError, match="exceeded 50"):
+                complexity._least_k(2, 1, target, 1)
 
 
 class TestMultivariateBounds:

@@ -16,6 +16,7 @@ from qvint.field import FieldParams, parse_field_spec
 F3 = FieldParams(3)
 F4 = FieldParams(2, 2)
 F5 = FieldParams(5)
+F9 = FieldParams(3, 2)
 
 
 def mod_p_rank(rows, p):
@@ -36,6 +37,34 @@ def mod_p_rank(rows, p):
                 f = (rows[i][col] * inv) % p
                 rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[rank])]
         rank += 1
+    return rank
+
+
+def field_element_rank(vectors) -> int:
+    """Rank over GF(q) by Gaussian elimination on FieldElement copies of the rows."""
+    rows = [list(v.entries) for v in vectors]
+    if not rows:
+        return 0
+    n = len(rows[0])
+    rank = 0
+    for col in range(n):
+        pivot = None
+        for i in range(rank, len(rows)):
+            if not rows[i][col].is_zero():
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = rows[rank][col].inverse()
+        for i in range(rank + 1, len(rows)):
+            if rows[i][col].is_zero():
+                continue
+            factor = rows[i][col] * inv
+            rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+        if rank == len(rows):
+            break
     return rank
 
 
@@ -123,6 +152,37 @@ class TestBuilders:
         with pytest.raises(ValueError):
             dom.indices[0, 0] = 1
 
+    @pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9))
+    def test_rows_match_field_element_arithmetic(self, q):
+        params = parse_field_spec(str(q))
+        for d in (1, 2, 3):
+            rows = sorted(tuple((x ** e).index() for e in range(d + 1))
+                          for x in params.elements())
+            assert build_vandermonde_domain(params, d).indices.tolist() == [
+                list(row) for row in rows]
+        for m, d in ((1, 2), (2, 2), (2, 3)):
+            exps = monomial_exponents(m, d)
+            rows = set()
+            for point in itertools.product(params.elements(), repeat=m):
+                row = []
+                for e in exps:
+                    acc = params.one()
+                    for a, power in zip(point, e):
+                        acc = acc * a ** power  # a ** 0 is one, also for a = 0
+                    row.append(acc.index())
+                rows.add(tuple(row))
+            assert build_monomial_domain(params, m, d).indices.tolist() == [
+                list(row) for row in sorted(rows)]
+
+    def test_domain_from_index_rows(self):
+        dom = Domain(F4, [[3, 1], [0, 2], [3, 1]], label="rows")
+        assert dom.indices.tolist() == [[0, 2], [3, 1]]
+        assert dom.vectors == (VectorFq.from_index_tuple(F4, (0, 2)),
+                               VectorFq.from_index_tuple(F4, (3, 1)))
+        for bad in ([[0, 4]], [[-1, 0]], [], [[]]):
+            with pytest.raises(ParameterError):
+                Domain(F4, bad)
+
     def test_mixed_length_rejected(self):
         a = VectorFq.from_index_tuple(F3, (2, 1))
         c = VectorFq.from_index_tuple(F3, (2, 1, 0))
@@ -157,9 +217,27 @@ class TestIndependence:
 
     def test_rank_matches_independent_reduction(self):
         dom = build_vandermonde_domain(F5, 3)
+        tables = domain_mod._elimination_tables(F5)
         for subset in itertools.combinations(dom.vectors, 4):
             expected = mod_p_rank([v.index_tuple() for v in subset], 5)
             assert expected == 4  # Vandermonde minors are invertible
+            assert domain_mod._rank([v.index_tuple() for v in subset], *tables) == expected
+
+    @pytest.mark.parametrize("dom", (
+        build_monomial_domain(F4, 2, 1),
+        build_vandermonde_domain(F9, 2),
+        build_monomial_domain(F9, 2, 1),
+    ), ids=("gf4-monomial", "gf9-vandermonde", "gf9-monomial"))
+    def test_rank_matches_field_element_reduction(self, dom):
+        tables = domain_mod._elimination_tables(dom.params)
+        ranks = set()
+        for size in (2, 3, 4):
+            for subset in itertools.combinations(dom.vectors[:16], size):
+                rank = domain_mod._rank([v.index_tuple() for v in subset], *tables)
+                assert rank == field_element_rank(subset)
+                ranks.add((size, rank))
+        if dom.label.startswith("monomial"):
+            assert (3, 2) in ranks  # three collinear points give a deficient subset
 
     def test_report_is_cached(self):
         dom = build_vandermonde_domain(F3, 1)
@@ -219,6 +297,21 @@ class TestDomainFiles:
         path.write_text("q=3 n=1\n" + "\n".join(str(i % 3) for i in range(10)) + "\n")
         with pytest.raises(ResourceCapError):
             read_domain_file(path)
+
+    @pytest.mark.parametrize("build", (
+        lambda path: build_vandermonde_domain(F3, 2),  # 3 x 3 entries
+        lambda path: build_monomial_domain(F3, 1, 2),
+        lambda path: build_explicit_domain(build_vandermonde_domain(F3, 2).vectors),
+        lambda path: read_domain_file(path),
+    ), ids=("vandermonde", "monomial", "explicit", "file"))
+    def test_entries_cap(self, tmp_path, monkeypatch, build):
+        path = tmp_path / "d.txt"
+        path.write_text("q=3 n=3\n1,0,0\n1,1,1\n1,2,1\n")
+        monkeypatch.setattr(domain_mod, "MAX_DOMAIN_ENTRIES", 8)
+        with pytest.raises(ResourceCapError, match="domain needs 9 entries, cap is 8"):
+            build(path)
+        monkeypatch.setattr(domain_mod, "MAX_DOMAIN_ENTRIES", 9)
+        assert build(path).size == 3
 
     def test_parse_vector_tokens(self):
         v = parse_vector(F4, "1:0, 0:1")

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qvint.census import build_transversal, enumerate_census, image_set, linear_combination
+from qvint.census import enumerate_census, image_set, linear_combination
 from qvint.domain import (VectorFq, build_explicit_domain, dot, dot_rows,
                           flat_to_rows, rows_to_flat, vector_from_flat)
 from qvint.errors import ResourceCapError
@@ -125,7 +125,7 @@ def test_run_algorithm_is_the_fourier_state_restricted_to_the_image(case):
     domain, k, secret = case
     params, n = domain.params, domain.n
     image = image_set(enumerate_census(domain, k))
-    state = run_algorithm(domain, k, build_transversal(domain, k), secret)
+    state = run_algorithm(domain, k, enumerate_census(domain, k).transversal, secret)
 
     full = fourier_state(params, n, secret).amplitudes
     expected = np.zeros_like(full)

@@ -14,8 +14,7 @@ import numpy as np
 import pytest
 
 from qvint import simulator
-from qvint.census import (ImageSet, build_transversal, enumerate_census,
-                          image_set)
+from qvint.census import ImageSet, enumerate_census, image_set
 from qvint.domain import VectorFq, build_vandermonde_domain
 from qvint.errors import ContractError, ParameterError, ResourceCapError
 from qvint.field import FieldParams
@@ -43,7 +42,7 @@ def instance(q, d, k):
     params = F3 if q == 3 else F4 if q == 4 else F5
     dom = build_vandermonde_domain(params, d)
     census = enumerate_census(dom, k)
-    trans = build_transversal(dom, k)
+    trans = enumerate_census(dom, k).transversal
     return dom, census, trans
 
 
@@ -137,7 +136,7 @@ class TestRunAlgorithm:
 
     def test_k0_gives_uniform_success(self):
         dom = build_vandermonde_domain(F3, 1)
-        trans = build_transversal(dom, 0)
+        trans = enumerate_census(dom, 0).transversal
         secret = VectorFq.from_index_tuple(F3, (2, 1))
         state = run_algorithm(dom, 0, trans, secret)
         assert abs(success_probability(state, secret) - 1 / 9) < 1e-12
@@ -145,9 +144,20 @@ class TestRunAlgorithm:
     def test_transversal_must_match_domain(self):
         dom3 = build_vandermonde_domain(F3, 1)
         dom5 = build_vandermonde_domain(F5, 1)
-        trans5 = build_transversal(dom5, 1)
+        trans5 = enumerate_census(dom5, 1).transversal
         with pytest.raises(ParameterError):
             run_algorithm(dom3, 1, trans5, VectorFq.from_index_tuple(F3, (0, 0)))
+        # Same index rows over two models of GF(9) are different domains.
+        gf9 = FieldParams(3, 2, modulus=(1, 0, 1))
+        dom_a = build_vandermonde_domain(gf9, 1)
+        dom_b = build_vandermonde_domain(FieldParams(3, 2, modulus=(2, 1, 1)), 1)
+        assert np.array_equal(dom_a.indices, dom_b.indices)
+        secret = VectorFq.from_index_tuple(gf9, (0, 0))
+        with pytest.raises(ParameterError):
+            run_algorithm(dom_a, 1, enumerate_census(dom_b, 1).transversal, secret)
+        # An equal domain built separately is accepted.
+        run_algorithm(dom_a, 1, enumerate_census(build_vandermonde_domain(gf9, 1), 1)
+                      .transversal, secret)
 
     def test_transversal_must_match_k(self):
         dom, _, trans = instance(3, 1, 1)
@@ -174,7 +184,7 @@ class TestRunAlgorithm:
             run_algorithm(dom, 1, broken, VectorFq.from_index_tuple(F3, (1, 2)))
 
     def test_empty_image_rejected(self):
-        empty = ImageSet(params=F3, n=2, elements=())
+        empty = ImageSet(params=F3, n=2, keys=np.empty((0, 2), np.intp))
         with pytest.raises(ParameterError):
             restricted_fourier_state(empty, VectorFq.from_index_tuple(F3, (0, 0)))
 
@@ -282,7 +292,7 @@ class TestStateFamilyRank:
 
     def test_empty_image_rejected(self):
         with pytest.raises(ParameterError):
-            state_family_rank(ImageSet(params=F3, n=2, elements=()))
+            state_family_rank(ImageSet(params=F3, n=2, keys=np.empty((0, 2), np.intp)))
 
 
 class TestPhaseQueryIdentity:

@@ -135,9 +135,7 @@ class PreimageCensus:
         places = [width ** i for i in reversed(range(self.k))]  # Python ints: no wrap
         digits = _index_array([[self.first[key] // place % width for place in places]
                                for key in keys], self.k)
-        return Transversal(self.domain, self.k, _index_array(keys, self.domain.n),
-                           _index_array(digits // q, self.k),
-                           _index_array(digits % q, self.k))
+        return Transversal(self.domain, self.k, keys, digits // q, digits % q)
 
 
 def _check_k(k) -> None:
@@ -236,7 +234,7 @@ class ImageSet:
         return len(self.keys)
 
     def __contains__(self, z):
-        if not isinstance(z, VectorFq):
+        if not isinstance(z, VectorFq) or z.params != self.params or z.n != self.n:
             return False
         return z.index_tuple() in self._key_set
 
@@ -251,13 +249,31 @@ def image_set(census: PreimageCensus) -> ImageSet:
 class Transversal:
     """One chosen pre-image per image point, as read-only integer arrays:
     image point keys[i] is the sum of the domain vectors at positions[i]
-    weighted by the elements with indices weights[i]."""
+    weighted by the elements with indices weights[i].  Construction checks,
+    once, that every pre-image maps to its key and no key repeats: otherwise
+    the simulator's relabeling step is not unitary, a ContractError."""
 
     domain: Domain
     k: int
     keys: np.ndarray  # (size, n)
     positions: np.ndarray  # (size, k)
     weights: np.ndarray  # (size, k)
+
+    def __post_init__(self):
+        for name, width in (("keys", self.domain.n), ("positions", self.k), ("weights", self.k)):
+            object.__setattr__(self, name, _index_array(getattr(self, name), width))
+        keys, positions, weights = self.keys, self.positions, self.weights
+        add, mul = self.domain.params.add_rows(), self.domain.params.mul_rows()
+        # Combination map on every pre-image at once: z = sum_i y_i * v_i.
+        z = np.zeros_like(keys)
+        for i in range(self.k):
+            z = add[z, mul[weights[:, i, None], self.domain.indices[positions[:, i]]]]
+        bad = np.flatnonzero((z != keys).any(axis=1))
+        if bad.size:
+            key, got = keys[bad[0]].tolist(), z[bad[0]].tolist()
+            raise ContractError(f"transversal entry for {tuple(key)} maps to {tuple(got)}")
+        if len(np.unique(keys, axis=0)) != len(keys):
+            raise ContractError("in-place relabeling hit the same target twice")
 
     @property
     def size(self) -> int:
@@ -274,9 +290,6 @@ class Transversal:
             for key, positions, weights in zip(
                 self.keys.tolist(), self.positions.tolist(), self.weights.tolist())
         }
-
-    def preimage_of(self, z: VectorFq) -> Preimage:
-        return self.pairs[z.index_tuple()]
 
 
 def good_set_sizes(domain: Domain, k: int) -> tuple:

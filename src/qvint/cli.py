@@ -420,17 +420,12 @@ def simulate(field_spec, vandermonde, monomial, domain_file, k, secret, trials,
 
 @main.command()
 @click.option("--quick", is_flag=True, help="Small sub-10-second grid.")
-@click.option("--max-tuples", type=int, default=census_mod.DEFAULT_MAX_TUPLES,
-              show_default=True, help="Enumeration cap on (|V|*q)^k.")
 @click.option("--inject-corrupt-modulus", is_flag=True, hidden=True)
-def verify(quick, max_tuples, inject_corrupt_modulus):
+def verify(quick, inject_corrupt_modulus):
     """Run the named self-check suite; one line per check."""
 
     def body():
-        results = verify_mod.run_all(
-            quick=quick, corrupt_modulus=inject_corrupt_modulus,
-            max_tuples=max_tuples,
-        )
+        results = verify_mod.run_all(quick=quick, corrupt_modulus=inject_corrupt_modulus)
         failures = 0
         for result in results:
             tag = "PASS" if result.ok else "FAIL"

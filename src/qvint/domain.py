@@ -29,6 +29,8 @@ MAX_DOMAIN_VECTORS = 1 << 20
 # Vectors times coordinates; wide domains pass the vector cap but not this.
 MAX_DOMAIN_ENTRIES = 1 << 22
 DEFAULT_MAX_SUBSETS = 250_000
+# Subsets x size^2 x n bounds the elimination work of validate_independence.
+MAX_ELIMINATION_STEPS = 10 ** 8
 
 
 class VectorFq:
@@ -131,13 +133,16 @@ def _index_array(rows, width: int) -> np.ndarray:
 
 
 def dot_rows(params: FieldParams, s, rows) -> np.ndarray:
-    """Index of s . z for every row z of an (m, n) index array, s one index
-    row: one add/mul table step per coordinate, equal to dot(s, z).index()."""
+    """Index of s . z for every row z of an (m, n) index array: one add/mul
+    table step per coordinate, equal to dot(s, z).index().  s is one index
+    row, or an array broadcasting against rows: (S, 1, n) gives the (S, m)
+    table of S secrets, and (m, n) the m row-by-row dot products."""
     add = params.add_rows()
     mul = params.mul_rows()
-    acc = np.zeros(len(rows), dtype=np.intp)
-    for i, s_i in enumerate(s):
-        acc = add[acc, mul[s_i, rows[:, i]]]
+    s = np.asarray(s)
+    acc = np.zeros(np.broadcast_shapes(s.shape[:-1], rows.shape[:-1]), dtype=np.intp)
+    for i in range(s.shape[-1]):
+        acc = add[acc, mul[s[..., i], rows[..., i]]]
     return acc
 
 
@@ -179,7 +184,7 @@ class Domain:
             raise ParameterError(f"element indices must lie in [0, {params.q})")
         self.params = params
         self.n = rows.shape[1]
-        self.indices = _index_array(sorted(set(map(tuple, rows.tolist()))), self.n)
+        self.indices = _index_array(np.unique(rows, axis=0), self.n)
         self.label = label
         self._vectors = None
         self._independence = None
@@ -266,11 +271,14 @@ def validate_independence(domain: Domain) -> IndependenceReport:
 
     Subsets are visited in canonical order, so a refutation always reports
     the same witness.  Raises ResourceCapError when the subset count exceeds
-    DEFAULT_MAX_SUBSETS rather than degrading to a sample.
+    DEFAULT_MAX_SUBSETS, or their elimination work MAX_ELIMINATION_STEPS,
+    rather than degrading to a sample.
     """
     size = min(domain.n, domain.size)
     total = math.comb(domain.size, size)
     check_cap("independence check", total, "subsets", DEFAULT_MAX_SUBSETS)
+    check_cap("independence check", total * size * size * domain.n, "elimination steps",
+              MAX_ELIMINATION_STEPS)
     tables = _elimination_tables(domain.params)
     rows = domain.indices.tolist()
     checked = 0
@@ -456,8 +464,12 @@ def read_domain_file(path) -> Domain:
         params = FieldParams(params.p, params.r, modulus=modulus)
     _check_size("domain file", len(lines) - 1, n)
     rows = []
+    index_of = {}  # token -> element index; each distinct token is parsed once
     for line in lines[1:]:
-        row = [_parse_index(params, tok) for tok in line.split(",")]
+        tokens = line.split(",")
+        index_of.update((tok, _parse_index(params, tok)) for tok in dict.fromkeys(tokens)
+                        if tok not in index_of)
+        row = list(map(index_of.__getitem__, tokens))
         if len(row) != n:
             raise ParameterError(
                 f"vector {line!r} has {len(row)} coordinates, header says n={n}"

@@ -28,6 +28,7 @@ from .errors import ContractError, ParameterError, check_cap
 # enumeration layers rely on.
 DEFAULT_MAX_Q = 1 << 16
 TABLE_MAX_Q = 1024
+ORTHOGONALITY_TOL = 1e-9  # per character sum, in character_orthogonality_check
 
 
 def _is_prime(n: int) -> bool:
@@ -387,11 +388,11 @@ class FieldElement:
         return cmath.exp(2j * cmath.pi * self.trace() / self.params.p)
 
 
-def character_orthogonality_check(params: FieldParams, tol: float = 1e-9) -> bool:
+def character_orthogonality_check(params: FieldParams) -> bool:
     """Verify sum_z e(z * (x - y)) = q * delta(x, y) for every pair (x, y).
 
     Exhaustive over all q^2 pairs; the return value is True only if every
-    pair lands within tol of its exact target.
+    pair lands within ORTHOGONALITY_TOL of its exact target.
     """
     q = params.q
     add = params.add_rows()
@@ -399,7 +400,7 @@ def character_orthogonality_check(params: FieldParams, tol: float = 1e-9) -> boo
     sums = params.character_values()[params.mul_rows()].sum(axis=1)
     negate = np.nonzero(add == 0)[1]
     totals = sums[add[:, negate]]
-    return bool(np.all(np.abs(totals - q * np.eye(q)) <= tol))
+    return bool(np.all(np.abs(totals - q * np.eye(q)) <= ORTHOGONALITY_TOL))
 
 
 def parse_field_spec(text: str) -> FieldParams:

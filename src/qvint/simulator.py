@@ -13,8 +13,9 @@ state family are computed from the same vectors.
 
 The computation runs on the integer index arrays of the domain, image and
 transversal, the flat-index codec and the field's numpy tables; VectorFq
-appears only at the API boundary.  fourier_state takes Kronecker products
-instead, so it stays an independent reference for that array path.
+appears only at the API boundary.  Every phase e(s.z) is a lookup in
+character_values() by dot_rows, except in fourier_state: its Kronecker
+products keep it an independent reference for the tests.
 """
 
 import math
@@ -29,6 +30,10 @@ from .errors import ContractError, ParameterError, check_cap
 from .field import FieldParams
 
 DEFAULT_MAX_AMPLITUDES = 1 << 20
+# Float tolerances of outcome_distribution, state_family_rank, phase_query_check.
+OUTCOME_SUM_TOL = 1e-9
+RANK_REL_TOL = 1e-8
+PHASE_QUERY_TOL = 1e-12
 # sample_outcomes holds about 26 bytes per trial, so this is about 260 MB.
 MAX_TRIALS = 10 ** 7
 
@@ -57,10 +62,6 @@ class StateVector:
     n: int
     amplitudes: np.ndarray
 
-    @property
-    def dimension(self) -> int:
-        return self.amplitudes.shape[0]
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
@@ -85,17 +86,21 @@ def fourier_state(params: FieldParams, n: int, secret: VectorFq) -> StateVector:
     return StateVector(params=params, n=n, amplitudes=amps)
 
 
+def _support_state(params, n, keys, phases) -> StateVector:
+    """Amplitude phases[i] / sqrt(len(keys)) at point keys[i], zero elsewhere."""
+    amps = np.zeros(_check_state_size(params, n), dtype=np.complex128)
+    amps[rows_to_flat(keys, params.q)] = phases * (1.0 / math.sqrt(len(keys)))
+    return StateVector(params=params, n=n, amplitudes=amps)
+
+
 def restricted_fourier_state(image: ImageSet, secret: VectorFq) -> StateVector:
     """Fourier phases e(s.z)/sqrt(|image|) on the image, zero elsewhere."""
     if image.size == 0:
         raise ParameterError("cannot build a state over an empty image")
     params = image.params
     _check_secret(params, image.n, secret)
-    size = _check_state_size(params, image.n)
-    amps = np.zeros(size, dtype=np.complex128)
     phases = params.character_values()[dot_rows(params, secret.index_tuple(), image.keys)]
-    amps[rows_to_flat(image.keys, params.q)] = phases * (1.0 / math.sqrt(image.size))
-    return StateVector(params=params, n=image.n, amplitudes=amps)
+    return _support_state(params, image.n, image.keys, phases)
 
 
 def run_algorithm(domain: Domain, k: int, transversal: Transversal,
@@ -103,43 +108,31 @@ def run_algorithm(domain: Domain, k: int, transversal: Transversal,
     """Simulate the three steps on the transversal support.
 
     Starts from the uniform superposition over the transversal's pre-images,
-    applies the k query phases e(s . sum y_i v_i), then relabels each
-    pre-image by its image point.  The relabeling must be a bijection onto
-    the image; any violation is a ContractError because it would make the
-    step non-unitary.
+    applies the k query phases: query i answers s . v_i, and the pre-image
+    picks up e(sum_i y_i (s . v_i)) = e(s . z).  It then relabels each
+    pre-image by its image point z, a bijection onto the image because the
+    Transversal checked it when it was built.
     """
     if not transversal.domain.same_as(domain):
         raise ParameterError("transversal was built for a different domain")
     if transversal.k != k:
         raise ParameterError(f"transversal is for k={transversal.k}, asked for k={k}")
     params = domain.params
-    n = domain.n
-    _check_secret(params, n, secret)
-    size = _check_state_size(params, n)
-    add = params.add_rows()
-    mul = params.mul_rows()
-    keys, positions, weights = transversal.keys, transversal.positions, transversal.weights
-    # Combination map on every pre-image at once: z = sum_i y_i * v_i.
-    z = np.zeros_like(keys)
-    for i in range(k):
-        z = add[z, mul[weights[:, i, None], domain.indices[positions[:, i]]]]
-    bad = np.flatnonzero((z != keys).any(axis=1))
-    if bad.size:
-        key, got = keys[bad[0]].tolist(), z[bad[0]].tolist()
-        raise ContractError(f"transversal entry for {tuple(key)} maps to {tuple(got)}")
-    flat = rows_to_flat(keys, params.q)
-    if np.unique(flat).size != flat.size:
-        raise ContractError("in-place relabeling hit the same target twice")
-    amps = np.zeros(size, dtype=np.complex128)
-    phases = params.character_values()[dot_rows(params, secret.index_tuple(), z)]
-    amps[flat] = phases * (1.0 / math.sqrt(transversal.size))
-    return StateVector(params=params, n=n, amplitudes=amps)
+    _check_secret(params, domain.n, secret)
+    answers = dot_rows(params, secret.index_tuple(), domain.indices)
+    phase_index = dot_rows(params, transversal.weights, answers[transversal.positions])
+    return _support_state(params, domain.n, transversal.keys,
+                          params.character_values()[phase_index])
 
 
 def success_probability(state: StateVector, secret: VectorFq) -> float:
-    """|<fourier_state(secret) | state>|^2."""
-    sigma = fourier_state(state.params, state.n, secret)
-    return abs(sigma.inner(state)) ** 2
+    """|<fourier_state(secret) | state>|^2, summed over the state's support."""
+    params = state.params
+    _check_secret(params, state.n, secret)
+    support = np.flatnonzero(state.amplitudes)
+    phases = params.character_values()[dot_rows(
+        params, secret.index_tuple(), flat_to_rows(support, params.q, state.n))]
+    return float(abs(np.vdot(phases, state.amplitudes[support])) ** 2 / params.q ** state.n)
 
 
 @dataclass(eq=False)
@@ -164,7 +157,7 @@ class OutcomeDistribution:
                 for i in order[:count]]
 
 
-def outcome_distribution(state: StateVector, tol: float = 1e-9) -> OutcomeDistribution:
+def outcome_distribution(state: StateVector) -> OutcomeDistribution:
     """p(t) = |<fourier_state(t) | state>|^2 for every t, all at once.
 
     Computed by contracting each tensor axis with the conjugate Fourier
@@ -180,9 +173,9 @@ def outcome_distribution(state: StateVector, tol: float = 1e-9) -> OutcomeDistri
         arr = np.moveaxis(np.tensordot(kernel, arr, axes=(1, axis)), 0, axis)
     probs = np.abs(arr.reshape(-1)) ** 2
     total = float(probs.sum())
-    if abs(total - 1.0) > tol:
+    if abs(total - 1.0) > OUTCOME_SUM_TOL:
         raise ContractError(
-            f"outcome probabilities sum to {total}, expected 1 within {tol}"
+            f"outcome probabilities sum to {total}, expected 1 within {OUTCOME_SUM_TOL}"
         )
     return OutcomeDistribution(params=params, n=n, probs=probs)
 
@@ -222,32 +215,29 @@ def sample_outcomes(dist: OutcomeDistribution, trials: int, seed: int) -> Sample
                         trials=trials, seed=seed)
 
 
-def state_family_rank(image: ImageSet, rel_tol: float = 1e-8) -> int:
+def state_family_rank(image: ImageSet) -> int:
     """Rank of the q^n x |image| matrix of phases e(s.z) over all secrets s.
 
     The row space spans every final state any algorithm supported on the
     image can reach, so this rank caps the number of distinguishable
-    secrets.  Singular values below rel_tol times the largest count as zero.
+    secrets.  Singular values below RANK_REL_TOL times the top one are zero.
     """
     params = image.params
-    _check_state_size(params, image.n)
+    size = _check_state_size(params, image.n)
     if image.size == 0:
         raise ParameterError("rank of an empty state family is undefined")
-    table = params.character_table()
-    # Column z is the Kronecker product of table[:, z_i] over coordinates.
-    columns = np.ones((1, image.size), dtype=np.complex128)
-    for coord in image.keys.T:
-        columns = (columns[:, None, :] * table[:, coord][None, :, :]).reshape(-1, image.size)
-    singular = np.linalg.svd(columns, compute_uv=False)
-    return int(np.sum(singular > rel_tol * singular[0]))
+    secrets = flat_to_rows(np.arange(size), params.q, image.n)
+    phases = params.character_values()[dot_rows(params, secrets[:, None], image.keys)]
+    singular = np.linalg.svd(phases, compute_uv=False)
+    return int(np.sum(singular > RANK_REL_TOL * singular[0]))
 
 
-def phase_query_check(domain: Domain, secret: VectorFq, tol: float = 1e-12) -> bool:
+def phase_query_check(domain: Domain, secret: VectorFq) -> bool:
     """Check the phase-query identity on every domain vector.
 
     For each v, conjugating the additive shift y -> y + s.v by the Fourier
     kernel on the answer register must equal the diagonal phase e(y * s.v),
-    entry by entry within tol.
+    entry by entry within PHASE_QUERY_TOL.
     """
     params = domain.params
     q = params.q
@@ -262,6 +252,6 @@ def phase_query_check(domain: Domain, secret: VectorFq, tol: float = 1e-12) -> b
         permutation[add[:, shift], np.arange(q)] = 1.0
         conjugated = fourier @ permutation @ fourier.conj().T
         diagonal = np.diag(chars[mul[shift]])
-        if np.max(np.abs(conjugated - diagonal)) > tol:
+        if np.max(np.abs(conjugated - diagonal)) > PHASE_QUERY_TOL:
             return False
     return True

@@ -139,16 +139,11 @@ def _check_modulus(q, params, modulus):
     return _guard(name, body)
 
 
-def _census_bundle(domain, ks, max_tuples):
+def _census_bundle(domain, ks):
     """Census and image per k, shared by all per-instance checks."""
-    bundle = {}
-    for k in ks:
-        census = census_mod.enumerate_census(domain, k, max_tuples=max_tuples)
-        bundle[k] = {
-            "census": census,
-            "image": census_mod.image_set(census),
-        }
-    return bundle
+    censuses = {k: census_mod.enumerate_census(domain, k) for k in ks}
+    return {k: {"census": census, "image": census_mod.image_set(census)}
+            for k, census in censuses.items()}
 
 
 def _check_census_totals(label, domain, k, census):
@@ -197,13 +192,11 @@ def _check_dichotomy(label, domain, k, census):
     return _guard(name, body)
 
 
-def _check_second_moment(label, domain, k, census, max_tuples):
+def _check_second_moment(label, domain, k, census):
     name = f"second-moment-{label}-k{k}"
 
     def body():
-        check = census_mod.second_moment_identity_check(
-            domain, k, census=census, max_tuples=max_tuples
-        )
+        check = census_mod.second_moment_identity_check(domain, k, census=census)
         detail = f"lhs {check.lhs} vs rhs {check.rhs}"
         return [_result(name, check.equal, detail)]
 
@@ -253,7 +246,6 @@ def _check_simulator(label, domain, k, entry):
         params = domain.params
         codomain = census.codomain_size
         expected = census.success_probability()
-        results = []
         worst_amp = 0.0
         probs = []
         argmax_ok = True
@@ -262,29 +254,20 @@ def _check_simulator(label, domain, k, entry):
             secret = vector_from_flat(params, domain.n, flat)
             state = simulator.run_algorithm(domain, k, census.transversal, secret)
             direct = simulator.restricted_fourier_state(image, secret)
-            worst_amp = max(worst_amp, float(np.max(np.abs(
-                state.amplitudes - direct.amplitudes
-            ))))
+            worst_amp = max(worst_amp, float(np.max(np.abs(state.amplitudes - direct.amplitudes))))
             probs.append(simulator.success_probability(state, secret))
-            if check_argmax:
-                dist = simulator.outcome_distribution(state)
-                if dist.argmax() != secret:
-                    argmax_ok = False
-        results.append(_result(
-            pipeline_name, worst_amp < 1e-12,
-            f"max amplitude gap {worst_amp:.2e} over {len(probs)} secrets",
-        ))
+            if check_argmax and simulator.outcome_distribution(state).argmax() != secret:
+                argmax_ok = False
+        pipeline = _result(pipeline_name, worst_amp < 1e-12,
+                           f"max amplitude gap {worst_amp:.2e} over {len(probs)} secrets")
         spread = max(probs) - min(probs)
         off = max(abs(p - expected) for p in probs)
         ok = off < 1e-9 and spread < 1e-9 and argmax_ok
-        detail = (
-            f"p = {expected} ({float(expected):.6f}), max error {off:.2e}, "
-            f"spread {spread:.2e}"
-        )
+        detail = (f"p = {expected} ({float(expected):.6f}), max error {off:.2e}, "
+                  f"spread {spread:.2e}")
         if not argmax_ok:
             detail += ", argmax missed the secret"
-        results.append(_result(success_name, ok, detail))
-        return results
+        return [pipeline, _result(success_name, ok, detail)]
 
     return _guard(pipeline_name, body)
 
@@ -444,8 +427,7 @@ def _check_domain_roundtrip():
     return _guard(name, body)
 
 
-def run_all(quick: bool = False, corrupt_modulus: bool = False,
-            max_tuples: int = census_mod.DEFAULT_MAX_TUPLES) -> list:
+def run_all(quick: bool = False, corrupt_modulus: bool = False) -> list:
     """Run every check; returns CheckResults in a fixed, deterministic order.
 
     corrupt_modulus is a negative-control hook: the irreducibility check of
@@ -478,7 +460,7 @@ def run_all(quick: bool = False, corrupt_modulus: bool = False,
     gram_targets = {("vand-q3-d1", 1), ("vand-q5-d3", 2)}
     for label, domain, ks in instances:
         try:
-            bundle = _census_bundle(domain, ks, max_tuples)
+            bundle = _census_bundle(domain, ks)
         except QvintError as exc:
             results.append(_result(
                 f"census-totals-{label}", False, f"{type(exc).__name__}: {exc}"
@@ -488,7 +470,7 @@ def run_all(quick: bool = False, corrupt_modulus: bool = False,
             entry = bundle[k]
             results.extend(_check_census_totals(label, domain, k, entry["census"]))
             results.extend(_check_dichotomy(label, domain, k, entry["census"]))
-            results.extend(_check_second_moment(label, domain, k, entry["census"], max_tuples))
+            results.extend(_check_second_moment(label, domain, k, entry["census"]))
             results.extend(_check_chebyshev(label, domain, k, entry["census"]))
             results.extend(_check_simulator(label, domain, k, entry))
             if (label, k) in gram_targets:

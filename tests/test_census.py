@@ -300,6 +300,9 @@ class TestImageSet:
         assert VectorFq.from_index_tuple(F3, (1, 2)) in image
         assert VectorFq.from_index_tuple(F3, (0, 1)) not in image
         assert "not a vector" not in image
+        # Same index tuple over another field, and a member padded to length 3.
+        assert VectorFq.from_index_tuple(F5, (1, 2)) not in image
+        assert VectorFq.from_index_tuple(F3, (1, 2, 0)) not in image
 
     def test_keys_array(self):
         image = image_set(enumerate_census(vandermonde(3, 1), 1))

@@ -226,6 +226,17 @@ class TestDomainFiles:
         assert result.exit_code == 2
 
 
+class TestIndependenceCaps:
+    def test_elimination_cap_is_reported_not_fatal(self, runner):
+        # 32 vectors of 100001 coordinates: one subset, 32^2 * 100001 steps.
+        report = run_json(runner, ["analyze", "--field", "32", "--vandermonde", "100000"])
+        assert report["independence"] == {
+            "status": "skipped",
+            "reason": "independence check needs 102401024 elimination steps, "
+                      "cap is 100000000",
+        }
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize("args", (
         ["analyze"],
@@ -304,3 +315,9 @@ class TestVerifyCommand:
         assert result.exit_code == 1
         assert "FAIL" in result.output
         assert "modulus-irreducible-q4" in result.output
+
+    def test_max_tuples_is_not_a_verify_option(self, runner):
+        # The verify grid is fixed, so a tuple cap could only make it fail.
+        result = runner.invoke(main, ["verify", "--quick", "--max-tuples", "10"])
+        assert result.exit_code == 2
+        assert "--max-tuples" in result.output

@@ -245,8 +245,23 @@ class TestIndependence:
 
     def test_subset_cap(self):
         dom = build_monomial_domain(FieldParams(7), 2, 2)  # C(49, 6) subsets
-        with pytest.raises(ResourceCapError):
+        with pytest.raises(ResourceCapError, match="subsets"):
             validate_independence(dom)
+
+    def test_elimination_cap(self):
+        # One subset of all 32 vectors, but 32^2 * 100001 elimination steps.
+        dom = build_vandermonde_domain(parse_field_spec("32"), 100_000)
+        assert dom.size == 32
+        with pytest.raises(ResourceCapError,
+                           match="independence check needs 102401024 elimination steps"):
+            validate_independence(dom)
+        assert domain_mod.MAX_ELIMINATION_STEPS == 10 ** 8
+
+    def test_wide_domain_below_elimination_cap(self):
+        # 3 vectors of 100001 coordinates: 9 * 100001 steps, checked in full.
+        dom = build_vandermonde_domain(F3, 100_000)
+        report = validate_independence(dom)
+        assert report.status == "verified" and report.subsets_checked == 1
 
     def test_small_domain_uses_size_not_n(self):
         # fewer vectors than coordinates: subsets of size |V| are checked
@@ -289,6 +304,16 @@ class TestDomainFiles:
         path = tmp_path / "d.txt"
         path.write_text("q=3 n=2\n1,0,2\n")
         with pytest.raises(ParameterError):
+            read_domain_file(path)
+
+    def test_repeated_tokens_and_first_bad_token(self, tmp_path):
+        # Equal tokens decode alike however they are spelled out, and a bad
+        # token is reported before the line's length is checked.
+        path = tmp_path / "d.txt"
+        path.write_text("q=9 n=3 modulus=1,0,1\n1:2,1:2, 1:2\n0:1,1,2:0\n2:1,1,0\n")
+        assert read_domain_file(path).indices.tolist() == [[3, 1, 2], [5, 1, 0], [7, 7, 7]]
+        path.write_text("q=3 n=2\n1,0\n1,x,y,1\n")
+        with pytest.raises(ParameterError, match="bad element token 'x'"):
             read_domain_file(path)
 
     def test_vector_cap(self, tmp_path, monkeypatch):

@@ -1,9 +1,10 @@
 """Property tests: the integer-array core against the object-level oracle.
 
-The flat-index codec, the vectorised dot product, the census walk and the
-simulator's array path are checked on random inputs against VectorFq,
-domain.dot, a brute-force scan over linear_combination and the
-Kronecker-product fourier_state, which share none of their code.
+The flat-index codec, the vectorised dot product (one secret or a batch),
+the census walk and the simulator's array path, success probabilities
+included, are checked on random inputs against VectorFq, domain.dot, a
+brute-force scan over linear_combination and the Kronecker-product
+fourier_state, which share none of their code.
 """
 
 import itertools
@@ -19,7 +20,7 @@ from qvint.domain import (VectorFq, build_explicit_domain, dot, dot_rows,
                           flat_to_rows, rows_to_flat, vector_from_flat)
 from qvint.errors import ResourceCapError
 from qvint.field import parse_field_spec
-from qvint.simulator import fourier_state, run_algorithm
+from qvint.simulator import fourier_state, run_algorithm, success_probability
 
 FIELDS = {q: parse_field_spec(str(q)) for q in (2, 3, 4, 5, 7, 8, 9)}
 
@@ -61,6 +62,21 @@ def test_vectorised_dot_matches_object_dot(case, data):
     expected = [dot(secret, VectorFq.from_index_tuple(params, row)).index()
                 for row in rows.tolist()]
     assert dot_rows(params, s, rows).tolist() == expected
+
+
+@settings(deadline=None)
+@given(index_rows(), st.data())
+def test_batched_dot_is_one_row_per_secret(case, data):
+    params, rows = case
+    n = rows.shape[1]
+    count = data.draw(st.integers(1, 4))
+    cells = data.draw(st.lists(st.integers(0, params.q - 1),
+                               min_size=count * n, max_size=count * n))
+    secrets = np.array(cells, dtype=np.intp).reshape(count, n)
+    table = dot_rows(params, secrets[:, None], rows)
+    assert table.shape == (count, len(rows))
+    for s, row in zip(secrets, table):
+        assert row.tolist() == dot_rows(params, s.tolist(), rows).tolist()
 
 
 @st.composite
@@ -132,6 +148,15 @@ def test_run_algorithm_is_the_fourier_state_restricted_to_the_image(case):
     on_image = rows_to_flat(image.keys, params.q)
     expected[on_image] = full[on_image] * math.sqrt(params.q ** n / image.size)
     assert np.max(np.abs(state.amplitudes - expected)) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_instances())
+def test_success_probability_matches_the_fourier_reference(case):
+    domain, k, secret = case
+    state = run_algorithm(domain, k, enumerate_census(domain, k).transversal, secret)
+    reference = abs(fourier_state(domain.params, domain.n, secret).inner(state)) ** 2
+    assert abs(success_probability(state, secret) - reference) <= 1e-12
 
 
 @pytest.mark.parametrize("q, n", ((2, 64), (3, 40), (2 ** 10, 7)))

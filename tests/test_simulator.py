@@ -134,6 +134,16 @@ class TestRunAlgorithm:
             else:
                 assert amp == 0
 
+    def test_success_probability_is_a_python_float(self):
+        dom, _, trans = instance(5, 1, 1)
+        secret = VectorFq.from_index_tuple(F5, (3, 4))
+        state = run_algorithm(dom, 1, trans, secret)
+        probability = success_probability(state, secret)
+        assert type(probability) is float
+        assert abs(probability - 21 / 25) < 1e-12
+        reference = abs(fourier_state(F5, 2, secret).inner(state)) ** 2
+        assert abs(probability - reference) < 1e-12
+
     def test_k0_gives_uniform_success(self):
         dom = build_vandermonde_domain(F3, 1)
         trans = enumerate_census(dom, 0).transversal
@@ -164,24 +174,33 @@ class TestRunAlgorithm:
         with pytest.raises(ParameterError):
             run_algorithm(dom, 2, trans, VectorFq.from_index_tuple(F3, (0, 0)))
 
+    # The Transversal checks its relabeling once, when it is built, so a
+    # broken one never reaches run_algorithm.
     def test_preimage_mapping_elsewhere_is_a_contract_error(self):
-        dom, _, trans = instance(3, 1, 1)
+        _, _, trans = instance(3, 1, 1)
         keys = trans.keys.copy()
         keys[[2, 4]] = keys[[4, 2]]  # two rows now claim each other's target
-        broken = dataclasses.replace(trans, keys=keys)
         message = (f"transversal entry for {tuple(keys[2].tolist())} "
                    f"maps to {tuple(trans.keys[2].tolist())}")
         with pytest.raises(ContractError, match=re.escape(message)):
-            run_algorithm(dom, 1, broken, VectorFq.from_index_tuple(F3, (1, 2)))
+            dataclasses.replace(trans, keys=keys)
 
     def test_target_hit_twice_is_a_contract_error(self):
-        dom, _, trans = instance(3, 1, 1)
+        _, _, trans = instance(3, 1, 1)
         rows = [0, 1, 1, 2]
-        broken = dataclasses.replace(
-            trans, keys=trans.keys[rows], positions=trans.positions[rows],
-            weights=trans.weights[rows])
         with pytest.raises(ContractError, match="same target twice"):
-            run_algorithm(dom, 1, broken, VectorFq.from_index_tuple(F3, (1, 2)))
+            dataclasses.replace(
+                trans, keys=trans.keys[rows], positions=trans.positions[rows],
+                weights=trans.weights[rows])
+
+    def test_checked_copy_is_read_only_and_runs(self):
+        dom, _, trans = instance(3, 1, 1)
+        copy = dataclasses.replace(trans, keys=trans.keys.copy())
+        with pytest.raises(ValueError):
+            copy.keys[0, 0] = 1
+        secret = VectorFq.from_index_tuple(F3, (1, 2))
+        assert (run_algorithm(dom, 1, copy, secret).amplitudes.tobytes()
+                == run_algorithm(dom, 1, trans, secret).amplitudes.tobytes())
 
     def test_empty_image_rejected(self):
         empty = ImageSet(params=F3, n=2, keys=np.empty((0, 2), np.intp))
@@ -268,7 +287,29 @@ class TestSampling:
             sample_outcomes(dist, 1.5, seed=1)
 
 
+def kronecker_rank(image):
+    """Reference rank of the phase matrix: column z is the Kronecker product
+    of the character table's columns z_i, rows in canonical secret order."""
+    params = image.params
+    table = params.character_table()
+    columns = np.ones((1, image.size), dtype=np.complex128)
+    for coord in image.keys.T:
+        columns = (columns[:, None, :] * table[:, coord][None, :, :]).reshape(-1, image.size)
+    singular = np.linalg.svd(columns, compute_uv=False)
+    return int(np.sum(singular > simulator.RANK_REL_TOL * singular[0]))
+
+
 class TestStateFamilyRank:
+    @pytest.mark.parametrize("q,d,k", sorted(FROZEN))
+    def test_matches_kronecker_reference(self, q, d, k):
+        _, census, _ = instance(q, d, k)
+        image = image_set(census)
+        assert state_family_rank(image) == kronecker_rank(image) == FROZEN[(q, d, k)]
+
+    def test_matches_kronecker_reference_gf9(self):
+        image = image_set(enumerate_census(build_vandermonde_domain(FieldParams(3, 2), 1), 1))
+        assert state_family_rank(image) == kronecker_rank(image) == image.size
+
     def test_frozen_ranks(self):
         for (q, d, k), rank in (((3, 1, 1), 7), ((5, 3, 2), 181)):
             _, census, _ = instance(q, d, k)

@@ -1,32 +1,59 @@
-"""Exhaustive pre-image census of the weighted-combination map on a domain.
+"""Exact pre-image census of the weighted-combination map on a domain.
 
 For a domain V in GF(q)^n and a query count k, the map sends a tuple of k
 domain vectors with k field weights to the weighted sum of the vectors.
 Everything downstream (success probabilities, transversals, the
 second-moment identity, the zero-count tail bound) is read off the exact
-per-target pre-image counts, so this module enumerates all (|V|*q)^k input
-tuples and never samples.  That one walk also picks the transversal: each
-target's first pre-image in walk order, i.e. the lexicographically smallest
-sequence of (vector position, weight index) pairs ((v0, y0), (v1, y1), ...).
+per-target pre-image counts, never sampled.  Two engines fill the same
+PreimageCensus with the same integers:
 
-All counts are big integers and all derived statistics are Fractions;
+* transform_census, which the commands run.  The counts are the k-fold
+  convolution of the line measure (how many pairs (v, y) give each y*v)
+  over the digit group of GF(q)^n, so a length-p DFT along every digit axis
+  turns them into a pointwise k-th power.  The DFT runs modulo primes
+  l = 1 (mod p) (Pollard, "The fast Fourier transform in a finite field",
+  Math. Comp. 1971) and the residues are joined by CRT (Knuth, TAOCP vol. 2,
+  4.3.3).  k enters only through the number of primes, about
+  k*log2(|V|*q)/25, where the walk costs (|V|*q)^k.
+* enumerate_census, the reference: it walks all (|V|*q)^k input tuples.
+  verify and the tests hold the transform to it.
+
+The transversal of either is each target's first pre-image in walk order,
+i.e. the lexicographically smallest sequence of (vector position, weight
+index) pairs ((v0, y0), (v1, y1), ...), picked level by level against the
+exact sets of targets that the remaining levels can reach.
+
+All counts are exact integers and all derived statistics are Fractions;
 floating point never enters here.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
-from .domain import Domain, VectorFq, _index_array, dot_rows, flat_to_rows
+from .domain import (Domain, VectorFq, _index_array, dot_rows, flat_to_rows,
+                     rows_to_flat)
 from .errors import ContractError, ParameterError, check_cap
-from .field import FieldElement, FieldParams
+from .field import FieldElement, FieldParams, _is_prime
 
 DEFAULT_MAX_TUPLES = 10 ** 8
 # Points t of GF(q)^n per vectorised pass of the second-moment right side.
 _RHS_BLOCK = 4096
+# Transform primes lie in (2^25, 2^26): each exceeds every |V|*q a transform
+# census accepts, and a sum of p products of two residues fits in int64 for
+# every p <= 1021.
+_PRIME_FLOOR = 1 << 25
+_PRIME_CEILING = 1 << 26
+# Dense counts: q^n points per census, times one residue per prime.
+MAX_RESIDUES = 1 << 22
+# The tuple count then stays below 2^(25 * 128), so every number an
+# enumerate report prints stays within Python's 4300-digit limit on text.
+MAX_TRANSFORM_PRIMES = 128
+_INT64_LIMIT = 1 << 63
 
 
 @dataclass(frozen=True)
@@ -72,20 +99,37 @@ def linear_combination(vectors, weights, *, params: FieldParams = None,
 
 @dataclass(eq=False)
 class PreimageCensus:
-    """Exact pre-image counts of every target hit by at least one input.
+    """Exact pre-image count of every point of GF(q)^n.
 
-    counts maps the target's element-index tuple to its total pre-image
-    count; good_counts holds the sub-count with pairwise-distinct vectors
-    and all weights nonzero; first holds the walk-order ordinal of its first
-    pre-image, whose k base-(|V|*q) digits, most significant first, are the
-    pairs position * q + weight.  Targets with count zero are omitted.
+    dense holds them by flat index: int64 while the tuple count (|V|*q)^k is
+    below 2^63, Python ints (object dtype) from there on.  build_good returns
+    the dense good counts, the pre-images with pairwise-distinct vectors and
+    all weights nonzero; it runs on first use of dense_good.  counts and
+    good_counts are dict views of the nonzero entries keyed by element-index
+    tuple, built on first access.
     """
 
     domain: Domain
     k: int
-    counts: dict
-    good_counts: dict
-    first: dict
+    dense: np.ndarray
+    build_good: Callable[[], np.ndarray] = field(repr=False)
+
+    @cached_property
+    def dense_good(self) -> np.ndarray:
+        return self.build_good()
+
+    @cached_property
+    def counts(self) -> dict:
+        return self._nonzero_view(self.dense)
+
+    @cached_property
+    def good_counts(self) -> dict:
+        return self._nonzero_view(self.dense_good)
+
+    def _nonzero_view(self, dense: np.ndarray) -> dict:
+        flat = np.flatnonzero(dense)
+        keys = flat_to_rows(flat, self.domain.params.q, self.domain.n).tolist()
+        return dict(zip(map(tuple, keys), dense[flat].tolist()))
 
     @property
     def total(self) -> int:
@@ -93,7 +137,7 @@ class PreimageCensus:
 
     @property
     def image_size(self) -> int:
-        return len(self.counts)
+        return int(np.count_nonzero(self.dense))
 
     @property
     def codomain_size(self) -> int:
@@ -111,7 +155,12 @@ class PreimageCensus:
 
     def second_moment_sum(self) -> int:
         """Sum of squared pre-image counts, an exact integer."""
-        return sum(c * c for c in self.counts.values())
+        return self._square_sum
+
+    @cached_property
+    def _square_sum(self) -> int:
+        nonzero = self.dense[self.dense != 0].astype(object)  # Python ints: no wrap
+        return int(nonzero @ nonzero)
 
     def variance(self) -> Fraction:
         mu = self.mean()
@@ -127,15 +176,9 @@ class PreimageCensus:
 
     @cached_property
     def transversal(self) -> "Transversal":
-        """One pre-image per image point, each its first in walk order; keys in
-        canonical order, decoded from first on first access."""
-        q = self.domain.params.q
-        width = self.domain.size * q
-        keys = sorted(self.first)
-        places = [width ** i for i in reversed(range(self.k))]  # Python ints: no wrap
-        digits = _index_array([[self.first[key] // place % width for place in places]
-                               for key in keys], self.k)
-        return Transversal(self.domain, self.k, keys, digits // q, digits % q)
+        """Each image point's first pre-image in walk order; keys in canonical
+        order, picked on first access."""
+        return _pick_transversal(self.domain, self.k, np.flatnonzero(self.dense))
 
 
 def _check_k(k) -> None:
@@ -145,11 +188,12 @@ def _check_k(k) -> None:
 
 def enumerate_census(domain: Domain, k: int, *,
                      max_tuples: int = DEFAULT_MAX_TUPLES) -> PreimageCensus:
-    """Walk all (|V|*q)^k input tuples, tally exact pre-image counts and
-    record each target's first pre-image.
+    """Walk all (|V|*q)^k input tuples and tally exact pre-image counts: the
+    reference engine transform_census is checked against.
 
     Raises ResourceCapError (naming the tuple count) before starting if the
-    walk would exceed max_tuples.
+    walk would exceed max_tuples, or if GF(q)^n has more than MAX_RESIDUES
+    points to hold counts for.
     """
     _check_k(k)
     params = domain.params
@@ -159,52 +203,261 @@ def enumerate_census(domain: Domain, k: int, *,
     # nothing.  If check_cap returns, total is the exact tuple count.
     total = (domain.size * q) ** min(k, max(64, max_tuples.bit_length()))
     check_cap("census", total, "tuples", max_tuples)
+    check_cap("census", q ** domain.n, "points", MAX_RESIDUES)
     zero_key = (0,) * domain.n
+    counts: dict = {}
+    good: dict = {}
     if k == 0:
-        return PreimageCensus(domain, 0, {zero_key: 1}, {zero_key: 1}, {zero_key: 0})
+        counts[zero_key] = good[zero_key] = 1
 
     add = params.add_rows().tolist()
     # scaled[j][y] = weight y times domain vector j: mul[y, indices[j, c]] as [j][y][c].
     scaled = params.mul_rows()[:, domain.indices].transpose(1, 0, 2).tolist()
-    # One entry per (vector, weight) pair, in walk order: its ordinal digit,
-    # its scaled row, a bit marking the vector for distinctness tracking, and
-    # whether the weight is nonzero.
+    # One entry per (vector, weight) pair, in walk order: its scaled row, a
+    # bit marking the vector for distinctness tracking, and whether the
+    # weight is nonzero.
     pairs = [
-        (j * q + y, tuple(scaled[j][y]), 1 << j, y != 0)
+        (tuple(scaled[j][y]), 1 << j, y != 0)
         for j in range(domain.size)
         for y in range(q)
     ]
-    width = len(pairs)
-    counts: dict = {}
-    good: dict = {}
-    first: dict = {}
 
-    def descend(level, acc, used, good_flag, ordinal):
-        ordinal *= width
+    def descend(level, acc, used, good_flag):
         if level < k - 1:
-            for digit, row, bit, nonzero in pairs:
+            for row, bit, nonzero in pairs:
                 descend(
                     level + 1,
                     tuple([add[a][b] for a, b in zip(acc, row)]),
                     used | bit,
                     good_flag and nonzero and not (used & bit),
-                    ordinal + digit,
                 )
             return
-        for digit, row, bit, nonzero in pairs:
+        for row, bit, nonzero in pairs:
             key = tuple([add[a][b] for a, b in zip(acc, row)])
-            seen = counts.get(key, 0)
-            if not seen:
-                first[key] = ordinal + digit
-            counts[key] = seen + 1
+            counts[key] = counts.get(key, 0) + 1
             if good_flag and nonzero and not (used & bit):
                 good[key] = good.get(key, 0) + 1
 
-    descend(0, zero_key, 0, True, 0)
+    if k > 0:
+        descend(0, zero_key, 0, True)
 
     if sum(counts.values()) != total:
         raise ContractError("census total does not match the tuple count")
-    return PreimageCensus(domain, k, counts, good, first)
+    dense_good = _dense(domain, good)
+    return PreimageCensus(domain, k, _dense(domain, counts), lambda: dense_good)
+
+
+def _dense(domain: Domain, tally: dict) -> np.ndarray:
+    """A walk's tally (index tuple -> count) as an int64 array by flat index."""
+    q = domain.params.q
+    dense = np.zeros(q ** domain.n, dtype=np.int64)
+    if tally:
+        dense[rows_to_flat(list(tally), q)] = list(tally.values())
+    return dense
+
+
+def transform_census(domain: Domain, k: int) -> PreimageCensus:
+    """The census from the character transform of the line measure: exactly
+    the counts enumerate_census tallies, with k entering only through the
+    number of primes.
+
+    The line measure mu counts, for every point x of GF(q)^n, the pairs
+    (v, y) with y*v = x.  A flat index is a base-p number of r*n digits, and
+    addition in GF(q)^n is digit-wise mod p, so the counts are the k-fold
+    convolution of mu over (Z_p)^(rn): a length-p DFT along every digit
+    axis, a pointwise k-th power and the inverse DFT, each modulo primes
+    l = 1 (mod p) whose product exceeds (|V|*q)^k, joined by CRT.
+
+    Every prime exceeds q*|V|, so the forward transform of mu is exactly
+    q*N(t), N(t) the number of domain vectors whose line t's character is
+    trivial on.  Good counts are then k! times the inverse transform of
+    c(N(t)), c(h) the x^k coefficient of (1 + (q-1)x)^h (1 - x)^(|V|-h);
+    they are built on first use.
+
+    Raises ResourceCapError before any transform work when the counts need
+    more than MAX_TRANSFORM_PRIMES primes, GF(q)^n times the primes exceeds
+    MAX_RESIDUES, or |V|*q leaves no prime to work modulo.
+    """
+    _check_k(k)
+    primes = _transform_primes(domain, k)
+    params, n = domain.params, domain.n
+    q, p, axes = params.q, params.p, params.r * domain.n
+    total = (domain.size * q) ** k
+    scaled = params.mul_rows()[:, domain.indices].reshape(-1, n)
+    line_measure = np.bincount(rows_to_flat(scaled, q), minlength=q ** n)
+    hits = _dft(line_measure, p, axes, primes[0]) // q
+    levels = np.unique(hits).tolist()
+
+    def invert(coefficient) -> np.ndarray:
+        """The integers whose transform is coefficient(N(t)) at every t."""
+        values = [coefficient(h) for h in levels]
+        residues = []
+        for ell in primes:
+            table = np.zeros(domain.size + 1, dtype=np.int64)
+            table[levels] = [value % ell for value in values]
+            residues.append(_dft(table[hits], p, axes, ell, inverse=True))
+        return _crt(residues, primes, total)
+
+    dense = invert(lambda h: (q * h) ** k)
+    if dense.sum() != total:
+        raise ContractError("census total does not match the tuple count")
+
+    def build_good() -> np.ndarray:
+        size, factorial = domain.size, math.factorial(k)
+        return invert(lambda h: factorial * sum(
+            math.comb(h, i) * (q - 1) ** i * math.comb(size - h, k - i) * (-1) ** (k - i)
+            for i in range(min(h, k) + 1)))
+
+    return PreimageCensus(domain, k, dense, build_good)
+
+
+def _transform_primes(domain: Domain, k: int) -> list:
+    """Primes l = 1 (mod p) in (2^25, 2^26), largest first, whose product
+    exceeds (|V|*q)^k; the caps are checked before any big number is formed."""
+    params = domain.params
+    width = domain.size * params.q
+    check_cap("census", width, "input pairs", _PRIME_FLOOR)
+    # Each prime adds at least floor_bits bits and (|V|*q)^k < 2^(k * bits),
+    # so this many always suffice; k may be huge, so no power is formed here.
+    floor_bits = _PRIME_FLOOR.bit_length() - 1
+    needed = max(1, -(-k * width.bit_length() // floor_bits))
+    check_cap("census", needed, "transform primes", MAX_TRANSFORM_PRIMES)
+    check_cap("census", params.q ** domain.n * needed, "residues", MAX_RESIDUES)
+    total = width ** k
+    primes, product = [], 1
+    # The largest candidate below 2^26 that is 1 mod p, then every p-th below.
+    candidate = _PRIME_CEILING - 1 - (_PRIME_CEILING - 2) % params.p
+    while product <= total:
+        if candidate <= _PRIME_FLOOR:
+            raise ContractError(f"no transform prime left for p = {params.p}")
+        if _is_prime(candidate):
+            primes.append(candidate)
+            product *= candidate
+        candidate -= params.p
+    return primes
+
+
+def _dft(values: np.ndarray, p: int, axes: int, ell: int, *,
+         inverse: bool = False) -> np.ndarray:
+    """Length-p DFT modulo ell along every axis of a flat array of p^axes
+    residues, first axis most significant; the inverse includes the factor
+    p^(-axes).  Entries are below ell < 2^26, so a row of p products fits int64."""
+    # Any g^((ell-1)/p) other than 1 is a primitive p-th root of unity.
+    root = next(r for r in (pow(g, (ell - 1) // p, ell) for g in range(2, ell)) if r != 1)
+    if inverse:
+        root = pow(root, -1, ell)
+    powers = np.array([pow(root, e, ell) for e in range(p)], dtype=np.int64)
+    kernel = powers[np.outer(np.arange(p), np.arange(p)) % p]
+    arr = np.asarray(values, dtype=np.int64).reshape(p, -1)
+    for _ in range(axes):
+        # Transform the leading axis, then rotate it to the back.
+        arr = (kernel @ arr % ell).T.reshape(p, -1)
+    arr = arr.reshape(-1)
+    return arr * pow(p ** axes, -1, ell) % ell if inverse else arr
+
+
+def _crt(residues: list, primes: list, total: int) -> np.ndarray:
+    """The integers in [0, product of primes) with the given residues,
+    lifted one prime at a time (Garner); int64 when total < 2^63, else
+    Python ints."""
+    value, modulus = residues[0], primes[0]
+    for residue, ell in zip(residues[1:], primes[1:]):
+        if modulus * ell >= _INT64_LIMIT:
+            value = value.astype(object)
+        lift = (residue - (value % ell).astype(np.int64)) % ell * pow(modulus, -1, ell) % ell
+        value = value + lift.astype(value.dtype) * modulus
+        modulus *= ell
+    return value.astype(np.int64 if total < _INT64_LIMIT else object)
+
+
+def _reachable_sets(domain: Domain, k: int) -> list:
+    """R_0, ..., R_(k-1) as boolean arrays by flat index: R_j is the set of
+    targets of j-tuples, the support of their exact counts.
+
+    R_(j+1) = R_j + S, S the set of all y*v.  The indicator convolution
+    counts at most |S| <= |V|*q ways to reach a point, less than a transform
+    prime, so one prime gives its support exactly.  Once a set stops
+    growing it is final.
+    """
+    params, n = domain.params, domain.n
+    q, p, axes = params.q, params.p, params.r * n
+    origin = np.zeros(q ** n, dtype=bool)
+    origin[0] = True
+    if k <= 1:
+        return [origin][:k]
+    lines = np.zeros(q ** n, dtype=bool)
+    lines[rows_to_flat(params.mul_rows()[:, domain.indices].reshape(-1, n), q)] = True
+    ell = _transform_primes(domain, 1)[0]
+    lines_hat = _dft(lines, p, axes, ell)
+    reach = [origin, lines]
+    while len(reach) < k:
+        last = reach[-1]
+        if not np.array_equal(last, reach[-2]):
+            spread = _dft(_dft(last, p, axes, ell) * lines_hat % ell, p, axes, ell, inverse=True)
+            last = spread != 0
+        reach.append(last)
+    return reach
+
+
+def _pick_transversal(domain: Domain, k: int, image: np.ndarray) -> "Transversal":
+    """First pre-image in walk order of every image point (flat indices).
+
+    Level by level, every target takes the first (position, weight) pair
+    whose remainder z - y*v the remaining levels can still reach: that is
+    the lexicographically first pre-image, as the walk visits pairs in
+    that order at every level.
+    """
+    params, n = domain.params, domain.n
+    q = params.q
+    keys = flat_to_rows(image, q, n)
+    remainders = keys.copy()
+    positions = np.zeros((len(keys), k), dtype=np.intp)
+    weights = np.zeros((len(keys), k), dtype=np.intp)
+    add = params.add_rows()
+    negate = np.argmin(add, axis=1)  # add[x, negate[x]] is the zero index 0
+    # lines[j * q + y] = y * v_j, one row per pair in walk order; steps subtract it.
+    lines = params.mul_rows()[:, domain.indices].transpose(1, 0, 2).reshape(-1, n)
+    steps = negate[lines]
+    reach = _reachable_sets(domain, k)
+    for level in range(k):
+        reachable = reach[k - 1 - level]
+        size = int(np.count_nonzero(reachable))
+        # A scan tries pairs until the remainder lands in R, about once every
+        # q^n/|R| pairs; a table of R + y*v costs |R| per pair.  Take the cheaper.
+        if len(lines) * size <= len(keys) * min(len(lines), q ** n // size):
+            choice = _first_pairs_by_table(add, q, lines, reachable, remainders)
+        else:
+            choice = _first_pairs_by_scan(add, q, steps, reachable, remainders)
+        if (choice == len(lines)).any():
+            missing = keys[np.argmax(choice == len(lines))]
+            raise ContractError(f"no pre-image reaches {tuple(missing.tolist())}")
+        positions[:, level], weights[:, level] = np.divmod(choice, q)
+        remainders = add[remainders, steps[choice]]
+    return Transversal(domain, k, keys, positions, weights)
+
+
+def _first_pairs_by_table(add, q, lines, reachable, remainders) -> np.ndarray:
+    """For each remainder r, the first pair index i with r - lines[i] in the
+    reachable set (len(lines) if none), from a table over R + lines[i]."""
+    first = np.full(len(reachable), len(lines), dtype=np.intp)
+    members = flat_to_rows(np.flatnonzero(reachable), q, lines.shape[1])
+    for pair in reversed(range(len(lines))):
+        first[rows_to_flat(add[members, lines[pair]], q)] = pair
+    return first[rows_to_flat(remainders, q)]
+
+
+def _first_pairs_by_scan(add, q, steps, reachable, remainders) -> np.ndarray:
+    """The same choice as _first_pairs_by_table, by trying the pairs in order,
+    steps[i] = -lines[i], on the remainders not yet placed."""
+    first = np.full(len(remainders), len(steps), dtype=np.intp)
+    pending = np.arange(len(remainders))
+    for pair, step in enumerate(steps):
+        hit = reachable[rows_to_flat(add[remainders[pending], step], q)]
+        first[pending[hit]] = pair
+        pending = pending[~hit]
+        if not pending.size:
+            break
+    return first
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,8 +494,9 @@ class ImageSet:
 
 def image_set(census: PreimageCensus) -> ImageSet:
     """Extract the census's image in canonical order."""
-    return ImageSet(params=census.domain.params, n=census.domain.n,
-                    keys=sorted(census.counts))
+    domain = census.domain
+    return ImageSet(params=domain.params, n=domain.n,
+                    keys=flat_to_rows(np.flatnonzero(census.dense), domain.params.q, domain.n))
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,7 +3,7 @@
 Four subcommands share one option vocabulary:
 
 * analyze: domain statistics and query planning, no enumeration.
-* enumerate: the exhaustive pre-image census with bound comparisons.
+* enumerate: the exact pre-image census with bound comparisons.
 * simulate: end-to-end state simulation, analytic and sampled.
 * verify: the named self-check suite (one line per check).
 
@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__, census as census_mod
 from . import complexity, simulator, verify as verify_mod
-from .domain import (build_monomial_domain, build_vandermonde_domain,
+from .domain import (build_monomial_domain, build_vandermonde_domain, flat_to_rows,
                      parse_vector, read_domain_file, vector_from_flat)
 from .errors import ContractError, ParameterError, ResourceCapError, check_cap
 from .field import parse_field_spec
@@ -68,9 +68,11 @@ def _write(text: str, out):
 
 def _census_csv(census) -> str:
     lines = ["z,count,good_count"]
-    for key in sorted(census.counts):
-        digits = "-".join(str(c) for c in key)
-        lines.append(f"{digits},{census.counts[key]},{census.good_counts.get(key, 0)}")
+    flat = np.flatnonzero(census.dense)
+    keys = flat_to_rows(flat, census.domain.params.q, census.domain.n).tolist()
+    for key, count, good in zip(keys, census.dense[flat].tolist(),
+                                census.dense_good[flat].tolist()):
+        lines.append(f"{'-'.join(map(str, key))},{count},{good}")
     return "\n".join(lines) + "\n"
 
 
@@ -243,24 +245,19 @@ def analyze(field_spec, vandermonde, monomial, domain_file, k, out, fmt, timings
 @domain_options
 @output_options
 @click.option("--k", type=int, default=None, help="Query count (planned if omitted).")
-@click.option("--max-tuples", type=int, default=census_mod.DEFAULT_MAX_TUPLES,
-              show_default=True, help="Enumeration cap on (|V|*q)^k.")
-def cmd_enumerate(field_spec, vandermonde, monomial, domain_file, k, max_tuples,
-                  out, fmt, timings):
-    """Exhaustive pre-image census with bound comparisons."""
+def cmd_enumerate(field_spec, vandermonde, monomial, domain_file, k, out, fmt, timings):
+    """Exact pre-image census with bound comparisons."""
     started = time.perf_counter()
 
     def body():
         domain, _ = _build_domain(field_spec, vandermonde, monomial, domain_file)
         k_value, k_rule = _resolve_k(domain, k)
-        census = census_mod.enumerate_census(domain, k_value, max_tuples=max_tuples)
+        census = census_mod.transform_census(domain, k_value)
         if fmt == "csv":
             _write(_census_csv(census), out)
             return
 
-        identity = census_mod.second_moment_identity_check(
-            domain, k_value, census=census, max_tuples=max_tuples
-        )
+        identity = census_mod.second_moment_identity_check(domain, k_value, census=census)
         cheb = census_mod.chebyshev_zero_bound(domain, k_value)
         observed = census.zero_count_fraction()
         lower = None
@@ -275,7 +272,6 @@ def cmd_enumerate(field_spec, vandermonde, monomial, domain_file, k, max_tuples,
             "config": dict(
                 field=field_spec, vandermonde=vandermonde, monomial=monomial,
                 domain_file=domain_file, k=k_value, k_rule=k_rule,
-                max_tuples=max_tuples,
             ),
             "domain": _domain_block(domain),
             "census": {
@@ -320,10 +316,8 @@ def cmd_enumerate(field_spec, vandermonde, monomial, domain_file, k, max_tuples,
               help="Empirical samples on top of the analytic result.")
 @click.option("--seed", type=int, default=0, show_default=True,
               help="PRNG seed for sampling and random secrets.")
-@click.option("--max-tuples", type=int, default=census_mod.DEFAULT_MAX_TUPLES,
-              show_default=True, help="Enumeration cap on (|V|*q)^k.")
 def simulate(field_spec, vandermonde, monomial, domain_file, k, secret, trials,
-             seed, max_tuples, out, fmt, timings):
+             seed, out, fmt, timings):
     """Run the k-query procedure; report analytic and sampled outcomes."""
     started = time.perf_counter()
 
@@ -333,7 +327,8 @@ def simulate(field_spec, vandermonde, monomial, domain_file, k, secret, trials,
         domain, _ = _build_domain(field_spec, vandermonde, monomial, domain_file)
         params = domain.params
         k_value, k_rule = _resolve_k(domain, k)
-        census = census_mod.enumerate_census(domain, k_value, max_tuples=max_tuples)
+        simulator._check_state_size(params, domain.n)
+        census = census_mod.transform_census(domain, k_value)
         analytic = census.success_probability()
 
         report = {
@@ -341,7 +336,7 @@ def simulate(field_spec, vandermonde, monomial, domain_file, k, secret, trials,
             "config": dict(
                 field=field_spec, vandermonde=vandermonde, monomial=monomial,
                 domain_file=domain_file, k=k_value, k_rule=k_rule,
-                secret=secret, trials=trials, seed=seed, max_tuples=max_tuples,
+                secret=secret, trials=trials, seed=seed,
             ),
             "domain": _domain_block(domain),
             "image_size": census.image_size,
@@ -370,7 +365,6 @@ def simulate(field_spec, vandermonde, monomial, domain_file, k, secret, trials,
                 sys.exit(1)
             return
 
-        simulator._check_state_size(params, domain.n)
         if secret == "random":
             rng = np.random.default_rng(seed)
             flat = int(rng.integers(codomain))

@@ -52,9 +52,18 @@ def _least_k(ratio_num: int, ratio_den: int, target_num: int, target_den: int) -
     All arguments are positive integers and the ratio must exceed 1, which the
     callers guarantee; comparison is exact cross-multiplication.  The powers
     grow with k, so doubling and then bisecting needs O(log k) comparisons.
+    A plan a logarithm bound already puts past _MAX_PLANNED_K is refused
+    before any power is formed, as those powers run to millions of digits.
     """
     if ratio_num <= ratio_den:
         raise ContractError("power search needs a ratio strictly above 1")
+    # k >= log(target) / log(ratio).  Bit lengths understate log(target) by
+    # under two bits, and the margins dwarf float error, so this refuses only
+    # plans the exact search would refuse too.
+    target_bits = target_num.bit_length() - 1 - target_den.bit_length()
+    log_ratio = math.log1p((ratio_num - ratio_den) / ratio_den)
+    if target_bits * math.log(2) * (1 - 1e-9) > _MAX_PLANNED_K * log_ratio * (1 + 1e-9):
+        raise ContractError(f"query plan exceeded {_MAX_PLANNED_K}")
 
     def reached(k):
         return ratio_num ** k * target_den >= target_num * ratio_den ** k

@@ -162,6 +162,11 @@ def _check_census_totals(label, domain, k, census):
             return [_result(name, False, "mean identity broke")]
         if k >= 1 and census.counts.get((0,) * domain.n, 0) == 0:
             return [_result(name, False, "image misses the zero target")]
+        # The commands' engine must reproduce the walk exactly.
+        transform = census_mod.transform_census(domain, k)
+        if not (np.array_equal(transform.dense, census.dense)
+                and np.array_equal(transform.dense_good, census.dense_good)):
+            return [_result(name, False, "transform census differs from the walk")]
         return [_result(name, True, f"totals {total} and {good_total} exact")]
 
     return _guard(name, body)

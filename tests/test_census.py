@@ -5,18 +5,21 @@ enumeration (plain integer arithmetic modulo p and hand-built GF(4)
 tables), not from the package under test.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from qvint import census as census_mod
 from qvint.census import (ImageSet, Preimage, chebyshev_zero_bound,
                           enumerate_census, good_set_sizes, image_set,
-                          image_size_lower_bound,
-                          linear_combination, second_moment_identity_check)
+                          image_size_lower_bound, linear_combination,
+                          second_moment_identity_check, transform_census)
 from qvint.domain import (VectorFq, build_explicit_domain,
-                          build_monomial_domain, build_vandermonde_domain)
+                          build_monomial_domain, build_vandermonde_domain,
+                          flat_to_rows, rows_to_flat)
 from qvint.errors import ContractError, ParameterError, ResourceCapError
 from qvint.field import FieldParams, parse_field_spec
 
@@ -178,6 +181,85 @@ class TestCensusInvariants:
             enumerate_census(vandermonde(3, 1), -1)
 
 
+class TestTransformCensus:
+    INSTANCES = ((3, 1, 0), (3, 1, 1), (3, 1, 2), (4, 1, 2), (5, 3, 3), (7, 3, 2),
+                 (8, 3, 2), (9, 3, 2), (4, 2, 3))
+
+    @pytest.mark.parametrize("q,d,k", INSTANCES)
+    def test_matches_the_walk(self, q, d, k):
+        dom = vandermonde(q, d)
+        walk, transform = enumerate_census(dom, k), transform_census(dom, k)
+        assert transform.dense.dtype == np.int64
+        assert np.array_equal(transform.dense, walk.dense)
+        assert np.array_equal(transform.dense_good, walk.dense_good)
+        assert transform.counts == walk.counts
+        assert transform.good_counts == walk.good_counts
+        assert transform.second_moment_sum() == walk.second_moment_sum()
+
+    def test_monomial_domain(self):
+        dom = build_monomial_domain(F3, 2, 2)
+        for k in (1, 2):
+            walk, transform = enumerate_census(dom, k), transform_census(dom, k)
+            assert np.array_equal(transform.dense, walk.dense)
+            assert np.array_equal(transform.dense_good, walk.dense_good)
+
+    def test_several_primes_join_exactly(self, monkeypatch):
+        # Primes = 1 (mod 5) in (30, 64) are 61, 41 and 31, and 25^3 needs all three.
+        monkeypatch.setattr(census_mod, "_PRIME_FLOOR", 30)
+        monkeypatch.setattr(census_mod, "_PRIME_CEILING", 64)
+        dom = vandermonde(5, 3)
+        assert census_mod._transform_primes(dom, 3) == [61, 41, 31]
+        walk, transform = enumerate_census(dom, 3), transform_census(dom, 3)
+        assert np.array_equal(transform.dense, walk.dense)
+        assert np.array_equal(transform.dense_good, walk.dense_good)
+        assert transform.image_size == FROZEN_IMAGE_SIZES[(5, 3, 3)]
+
+    def test_python_ints_past_int64(self):
+        # 9^25 tuples over 9 points: every count is past 2^63.
+        dom = vandermonde(3, 1)
+        census = transform_census(dom, 25)
+        assert census.total >= 2 ** 63
+        assert census.dense.dtype == object
+        assert sum(census.dense.tolist()) == census.total
+        assert sum(census.counts.values()) == census.total
+        assert min(census.counts.values()) > 2 ** 63
+        v_good, y_good = good_set_sizes(dom, 25)
+        assert sum(census.good_counts.values()) == v_good * y_good == 0
+        assert second_moment_identity_check(dom, 25, census=census).equal
+
+    def test_counts_past_the_walk_cap(self):
+        # 25^7 = 6.1e9 tuples: the walk refuses, the transform is exact.
+        dom = vandermonde(5, 3)
+        census = transform_census(dom, 7)
+        assert census.image_size == 5 ** 4
+        assert sum(census.dense.tolist()) == 25 ** 7
+        assert second_moment_identity_check(dom, 7, census=census).equal
+        v_good, y_good = good_set_sizes(dom, 3)
+        assert sum(transform_census(dom, 3).good_counts.values()) == v_good * y_good
+
+    @pytest.mark.parametrize("q,k,unit", ((11, 3000, "transform primes"),
+                                          (11, 2_000_000, "transform primes"),
+                                          (31, 11, "residues")))
+    def test_caps(self, q, k, unit):
+        with pytest.raises(ResourceCapError, match=f"census needs \\d+ {unit}"):
+            transform_census(vandermonde(q, 3), k)
+
+    def test_no_prime_above_the_input_pairs(self, monkeypatch):
+        monkeypatch.setattr(census_mod, "_PRIME_FLOOR", 16)
+        with pytest.raises(ResourceCapError, match="census needs 25 input pairs, cap is 16"):
+            transform_census(vandermonde(5, 3), 1)
+
+    def test_walk_refuses_a_codomain_it_cannot_hold(self):
+        one = VectorFq.from_index_tuple(FieldParams(2), (1,) * 23)
+        with pytest.raises(ResourceCapError, match="census needs 8388608 points"):
+            enumerate_census(build_explicit_domain([one]), 1)
+
+    def test_good_counts_are_lazy(self, monkeypatch):
+        census = transform_census(vandermonde(5, 3), 2)
+        assert "dense_good" not in vars(census)
+        assert census.good_counts == enumerate_census(vandermonde(5, 3), 2).good_counts
+
+
 class TestGoodSets:
     def test_spec_values(self):
         dom = vandermonde(5, 3)
@@ -274,6 +356,44 @@ class TestTransversal:
         for array in (trans.keys, trans.positions, trans.weights):
             with pytest.raises(ValueError):
                 array[0, 0] = 1
+
+    @pytest.mark.parametrize("q,d,k", ((3, 1, 1), (3, 1, 2), (4, 1, 2), (5, 1, 2),
+                                       (5, 3, 2), (4, 2, 2), (3, 1, 3), (7, 1, 2)))
+    def test_lexicographically_first_preimage(self, q, d, k):
+        # Brute force: every sequence of (position, weight) pairs in
+        # lexicographic order; the first one to reach a target is its pick.
+        dom = vandermonde(q, d)
+        params = dom.params
+        pairs = [(j, y) for j in range(dom.size) for y in range(q)]
+        first = {}
+        for sequence in itertools.product(pairs, repeat=k):
+            positions = [j for j, _ in sequence]
+            weights = [y for _, y in sequence]
+            key = linear_combination([dom.vectors[j] for j in positions],
+                                     [params.elements()[y] for y in weights],
+                                     params=params, n=dom.n).index_tuple()
+            first.setdefault(key, (positions, weights))
+        keys = sorted(first)
+        for census in (enumerate_census(dom, k), transform_census(dom, k)):
+            trans = census.transversal
+            assert trans.keys.tolist() == [list(key) for key in keys]
+            assert trans.positions.tolist() == [first[key][0] for key in keys]
+            assert trans.weights.tolist() == [first[key][1] for key in keys]
+
+    @pytest.mark.parametrize("q,d,k", ((3, 1, 3), (5, 3, 3), (4, 2, 3), (7, 3, 2)))
+    def test_table_and_scan_pick_the_same_pairs(self, q, d, k):
+        # The picker chooses between two searches by cost; on every point of
+        # the codomain and every reachable set they must agree.
+        dom = vandermonde(q, d)
+        params = dom.params
+        add = params.add_rows()
+        lines = params.mul_rows()[:, dom.indices].transpose(1, 0, 2).reshape(-1, dom.n)
+        steps = np.argmin(add, axis=1)[lines]
+        every_point = flat_to_rows(np.arange(q ** dom.n), q, dom.n)
+        for reachable in census_mod._reachable_sets(dom, k):
+            table = census_mod._first_pairs_by_table(add, q, lines, reachable, every_point)
+            scan = census_mod._first_pairs_by_scan(add, q, steps, reachable, every_point)
+            assert np.array_equal(table, scan)
 
     def test_k0(self):
         trans = enumerate_census(vandermonde(3, 1), 0).transversal

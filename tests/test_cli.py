@@ -132,12 +132,14 @@ class TestEnumerate:
         assert f"wrote {target}" in result.output
         assert json.loads(target.read_text())["census"]["image_size"] == 7
 
-    def test_tuple_cap_exit_code(self, runner):
+    @pytest.mark.parametrize("command", ("enumerate", "simulate"))
+    def test_max_tuples_is_not_an_option(self, runner, command):
+        # The transform census does no tuple walk, so there is nothing to cap.
         result = runner.invoke(
-            main, ["enumerate", "--field", "5", "--vandermonde", "3",
+            main, [command, "--field", "5", "--vandermonde", "3",
                    "--k", "9", "--max-tuples", "1000"])
-        assert result.exit_code == 3
-        assert "resource cap exceeded" in result.output
+        assert result.exit_code == 2
+        assert "--max-tuples" in result.output
 
 
 class TestSimulate:
@@ -260,23 +262,26 @@ class TestUsageErrors:
 
 
 class TestResourceCaps:
-    @pytest.mark.parametrize("args,ones,stage", (
+    @pytest.mark.parametrize("args,vectors,stage", (
         (["enumerate", "--field", "11", "--vandermonde", "3", "--k", "3000"],
          None, "census"),
         (["enumerate", "--field", "11", "--vandermonde", "3", "--k", "2000000"],
          None, "census"),
-        (["enumerate", "--k", "1"], 20000, "identity right side"),
-        (["simulate", "--k", "1"], 70, "state over GF(2)^70"),
+        (["enumerate", "--k", "1"], (1, 20000), "census"),
+        (["enumerate", "--k", "1"], (128, 20), "identity right side"),
+        (["simulate", "--k", "1"], (1, 70), "state over GF(2)^70"),
         (["simulate", "--field", "3", "--vandermonde", "1", "--k", "1",
           "--secret", "1,1", "--trials", "10000001"], None, "sampling"),
         (["analyze", "--field", "2", "--monomial", "2,3000"], None, "domain"),
         (["analyze", "--field", "2", "--vandermonde", "3000000"], None, "domain"),
-    ), ids=("census-digits", "census-power", "identity-digits", "state-secret", "trials",
-            "monomial-entries", "vandermonde-entries"))
-    def test_oversized_request_exits_three(self, runner, tmp_path, args, ones, stage):
-        if ones is not None:  # one all-ones vector of GF(2)^ones
+    ), ids=("census-digits", "census-power", "census-space", "identity-dot-products",
+            "state-secret", "trials", "monomial-entries", "vandermonde-entries"))
+    def test_oversized_request_exits_three(self, runner, tmp_path, args, vectors, stage):
+        if vectors is not None:  # (m, n): the m largest vectors of GF(2)^n
+            m, n = vectors
+            rows = [format((1 << n) - 1 - i, f"0{n}b") for i in range(m)]
             path = tmp_path / "domain.txt"
-            path.write_text(f"q=2 n={ones}\n" + ",".join(["1"] * ones) + "\n",
+            path.write_text(f"q=2 n={n}\n" + "".join(",".join(row) + "\n" for row in rows),
                             encoding="ascii")
             args = args + ["--domain-file", str(path)]
         result = runner.invoke(main, args)

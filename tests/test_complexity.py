@@ -5,6 +5,7 @@ power comparisons before being frozen here.
 """
 
 import itertools
+import time
 
 import pytest
 
@@ -136,6 +137,14 @@ class TestPowerSearch:
         for target in (2 ** 50 + 1, 2 ** 70):
             with pytest.raises(ContractError, match="exceeded 50"):
                 complexity._least_k(2, 1, target, 1)
+
+    def test_hopeless_plan_is_refused_at_once(self):
+        # Needs k near 2.3e8; the exact search would raise the ratio to
+        # powers near 2^20 before giving up.
+        started = time.perf_counter()
+        with pytest.raises(ContractError, match=f"exceeded {complexity._MAX_PLANNED_K}"):
+            complexity._least_k(1000001, 1000000, 10 ** 100, 1)
+        assert time.perf_counter() - started < 1.0
 
 
 class TestMultivariateBounds:

@@ -4,7 +4,8 @@ The flat-index codec, the vectorised dot product (one secret or a batch),
 the census walk and the simulator's array path, success probabilities
 included, are checked on random inputs against VectorFq, domain.dot, a
 brute-force scan over linear_combination and the Kronecker-product
-fourier_state, which share none of their code.
+fourier_state, which share none of their code.  The transform census is
+checked against the walk.
 """
 
 import itertools
@@ -15,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qvint.census import enumerate_census, image_set, linear_combination
+from qvint.census import (enumerate_census, image_set, linear_combination,
+                          transform_census)
 from qvint.domain import (VectorFq, build_explicit_domain, dot, dot_rows,
                           flat_to_rows, rows_to_flat, vector_from_flat)
 from qvint.errors import ResourceCapError
@@ -118,6 +120,20 @@ def test_census_matches_a_brute_force_scan(case):
     assert transversal.keys.tolist() == [list(key) for key in keys]
     assert transversal.positions.tolist() == [first[key][0] for key in keys]
     assert transversal.weights.tolist() == [first[key][1] for key in keys]
+
+
+@settings(max_examples=60, deadline=None)
+@given(census_instances())
+def test_transform_census_equals_the_walk(case):
+    domain, k = case
+    walk, transform = enumerate_census(domain, k), transform_census(domain, k)
+    assert np.array_equal(transform.dense, walk.dense)
+    assert np.array_equal(transform.dense_good, walk.dense_good)
+    assert transform.counts == walk.counts
+    assert transform.good_counts == walk.good_counts
+    for name in ("keys", "positions", "weights"):
+        assert np.array_equal(getattr(transform.transversal, name),
+                              getattr(walk.transversal, name))
 
 
 @st.composite

@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -102,9 +102,10 @@ class PreimageCensus:
     """Exact pre-image count of every point of GF(q)^n.
 
     dense holds them by flat index: int64 while the tuple count (|V|*q)^k is
-    below 2^63, Python ints (object dtype) from there on.  build_good returns
-    the dense good counts, the pre-images with pairwise-distinct vectors and
-    all weights nonzero; it runs on first use of dense_good.  counts and
+    below 2^63, Python ints (object dtype) from there on.  dense_good holds
+    the good counts the same way, the pre-images with pairwise-distinct
+    vectors and all weights nonzero; the walk tallies them as it goes, and a
+    transform census leaves them out until first use.  counts and
     good_counts are dict views of the nonzero entries keyed by element-index
     tuple, built on first access.
     """
@@ -112,11 +113,24 @@ class PreimageCensus:
     domain: Domain
     k: int
     dense: np.ndarray
-    build_good: Callable[[], np.ndarray] = field(repr=False)
+    _good: Optional[np.ndarray] = field(default=None, repr=False)
+
+    @property
+    def dense_good(self) -> np.ndarray:
+        if self._good is None:
+            self._good = _transform_good_counts(self.domain, self.k)
+        return self._good
 
     @cached_property
-    def dense_good(self) -> np.ndarray:
-        return self.build_good()
+    def _image(self) -> np.ndarray:
+        return np.flatnonzero(self.dense)
+
+    @cached_property
+    def image_keys(self) -> np.ndarray:
+        """Index rows of the image points, in canonical (flat index) order."""
+        keys = flat_to_rows(self._image, self.domain.params.q, self.domain.n)
+        keys.setflags(write=False)
+        return keys
 
     @cached_property
     def counts(self) -> dict:
@@ -127,9 +141,11 @@ class PreimageCensus:
         return self._nonzero_view(self.dense_good)
 
     def _nonzero_view(self, dense: np.ndarray) -> dict:
-        flat = np.flatnonzero(dense)
-        keys = flat_to_rows(flat, self.domain.params.q, self.domain.n).tolist()
-        return dict(zip(map(tuple, keys), dense[flat].tolist()))
+        # Every nonzero count lies in the image, so only its points are read.
+        values = dense[self._image]
+        kept = values != 0
+        keys = self.image_keys[kept].tolist()
+        return dict(zip(map(tuple, keys), values[kept].tolist()))
 
     @property
     def total(self) -> int:
@@ -137,7 +153,7 @@ class PreimageCensus:
 
     @property
     def image_size(self) -> int:
-        return int(np.count_nonzero(self.dense))
+        return len(self._image)
 
     @property
     def codomain_size(self) -> int:
@@ -159,7 +175,7 @@ class PreimageCensus:
 
     @cached_property
     def _square_sum(self) -> int:
-        nonzero = self.dense[self.dense != 0].astype(object)  # Python ints: no wrap
+        nonzero = self.dense[self._image].astype(object)  # Python ints: no wrap
         return int(nonzero @ nonzero)
 
     def variance(self) -> Fraction:
@@ -178,7 +194,7 @@ class PreimageCensus:
     def transversal(self) -> "Transversal":
         """Each image point's first pre-image in walk order; keys in canonical
         order, picked on first access."""
-        return _pick_transversal(self.domain, self.k, np.flatnonzero(self.dense))
+        return _pick_transversal(self.domain, self.k, self.image_keys)
 
 
 def _check_k(k) -> None:
@@ -243,8 +259,7 @@ def enumerate_census(domain: Domain, k: int, *,
 
     if sum(counts.values()) != total:
         raise ContractError("census total does not match the tuple count")
-    dense_good = _dense(domain, good)
-    return PreimageCensus(domain, k, _dense(domain, counts), lambda: dense_good)
+    return PreimageCensus(domain, k, _dense(domain, counts), _dense(domain, good))
 
 
 def _dense(domain: Domain, tally: dict) -> np.ndarray:
@@ -279,36 +294,38 @@ def transform_census(domain: Domain, k: int) -> PreimageCensus:
     MAX_RESIDUES, or |V|*q leaves no prime to work modulo.
     """
     _check_k(k)
+    q = domain.params.q
+    dense = _hit_transform(domain, k, lambda h: (q * h) ** k)
+    if dense.sum() != (domain.size * q) ** k:
+        raise ContractError("census total does not match the tuple count")
+    return PreimageCensus(domain, k, dense)
+
+
+def _transform_good_counts(domain: Domain, k: int) -> np.ndarray:
+    """Dense good counts: k! times the inverse transform of c(N(t))."""
+    q, size, factorial = domain.params.q, domain.size, math.factorial(k)
+    return _hit_transform(domain, k, lambda h: factorial * sum(
+        math.comb(h, i) * (q - 1) ** i * math.comb(size - h, k - i) * (-1) ** (k - i)
+        for i in range(min(h, k) + 1)))
+
+
+def _hit_transform(domain: Domain, k: int, coefficient: Callable[[int], int]) -> np.ndarray:
+    """The dense integers, each in [0, (|V|*q)^k], whose transform is
+    coefficient(N(t)) at every t, by flat index."""
     primes = _transform_primes(domain, k)
     params, n = domain.params, domain.n
     q, p, axes = params.q, params.p, params.r * domain.n
-    total = (domain.size * q) ** k
     scaled = params.mul_rows()[:, domain.indices].reshape(-1, n)
     line_measure = np.bincount(rows_to_flat(scaled, q), minlength=q ** n)
     hits = _dft(line_measure, p, axes, primes[0]) // q
     levels = np.unique(hits).tolist()
-
-    def invert(coefficient) -> np.ndarray:
-        """The integers whose transform is coefficient(N(t)) at every t."""
-        values = [coefficient(h) for h in levels]
-        residues = []
-        for ell in primes:
-            table = np.zeros(domain.size + 1, dtype=np.int64)
-            table[levels] = [value % ell for value in values]
-            residues.append(_dft(table[hits], p, axes, ell, inverse=True))
-        return _crt(residues, primes, total)
-
-    dense = invert(lambda h: (q * h) ** k)
-    if dense.sum() != total:
-        raise ContractError("census total does not match the tuple count")
-
-    def build_good() -> np.ndarray:
-        size, factorial = domain.size, math.factorial(k)
-        return invert(lambda h: factorial * sum(
-            math.comb(h, i) * (q - 1) ** i * math.comb(size - h, k - i) * (-1) ** (k - i)
-            for i in range(min(h, k) + 1)))
-
-    return PreimageCensus(domain, k, dense, build_good)
+    values = [coefficient(h) for h in levels]
+    residues = []
+    for ell in primes:
+        table = np.zeros(domain.size + 1, dtype=np.int64)
+        table[levels] = [value % ell for value in values]
+        residues.append(_dft(table[hits], p, axes, ell, inverse=True))
+    return _crt(residues, primes, (domain.size * q) ** k)
 
 
 def _transform_primes(domain: Domain, k: int) -> list:
@@ -399,8 +416,8 @@ def _reachable_sets(domain: Domain, k: int) -> list:
     return reach
 
 
-def _pick_transversal(domain: Domain, k: int, image: np.ndarray) -> "Transversal":
-    """First pre-image in walk order of every image point (flat indices).
+def _pick_transversal(domain: Domain, k: int, keys: np.ndarray) -> "Transversal":
+    """First pre-image in walk order of every image point (index rows).
 
     Level by level, every target takes the first (position, weight) pair
     whose remainder z - y*v the remaining levels can still reach: that is
@@ -409,7 +426,6 @@ def _pick_transversal(domain: Domain, k: int, image: np.ndarray) -> "Transversal
     """
     params, n = domain.params, domain.n
     q = params.q
-    keys = flat_to_rows(image, q, n)
     remainders = keys.copy()
     positions = np.zeros((len(keys), k), dtype=np.intp)
     weights = np.zeros((len(keys), k), dtype=np.intp)
@@ -424,6 +440,9 @@ def _pick_transversal(domain: Domain, k: int, image: np.ndarray) -> "Transversal
         size = int(np.count_nonzero(reachable))
         # A scan tries pairs until the remainder lands in R, about once every
         # q^n/|R| pairs; a table of R + y*v costs |R| per pair.  Take the cheaper.
+        # Neither alone will do: on Vandermonde GF(31) d=3 the table takes about
+        # 20 s at level 0 of k=3 (|R| = 419431) and the scan about 10 s at
+        # level 0 of k=2 (|R| = 931), where the cheaper one takes under 0.3 s.
         if len(lines) * size <= len(keys) * min(len(lines), q ** n // size):
             choice = _first_pairs_by_table(add, q, lines, reachable, remainders)
         else:
@@ -494,9 +513,7 @@ class ImageSet:
 
 def image_set(census: PreimageCensus) -> ImageSet:
     """Extract the census's image in canonical order."""
-    domain = census.domain
-    return ImageSet(params=domain.params, n=domain.n,
-                    keys=flat_to_rows(np.flatnonzero(census.dense), domain.params.q, domain.n))
+    return ImageSet(params=census.domain.params, n=census.domain.n, keys=census.image_keys)
 
 
 @dataclass(frozen=True, eq=False)
@@ -597,11 +614,11 @@ def second_moment_identity_check(domain: Domain, k: int, *,
         census = enumerate_census(domain, k, max_tuples=max_tuples)
     elif census.k != k or not census.domain.same_as(domain):
         raise ParameterError("supplied census does not match (domain, k)")
+    _check_identity_size(domain, max_tuples)
     params = domain.params
     q = params.q
     n = domain.n
     codomain = q ** n
-    check_cap("identity right side", codomain * domain.size, "dot products", max_tuples)
     # hit_tally[h] counts the nonzero t orthogonal to exactly h domain vectors.
     hit_tally = np.zeros(domain.size + 1, dtype=np.int64)
     for start in range(1, codomain, _RHS_BLOCK):
@@ -619,6 +636,12 @@ def second_moment_identity_check(domain: Domain, k: int, *,
     )
     lhs = census.second_moment_sum()
     return SecondMomentCheck(lhs=lhs, rhs=rhs, equal=Fraction(lhs) == rhs)
+
+
+def _check_identity_size(domain: Domain, max_tuples: int = DEFAULT_MAX_TUPLES) -> None:
+    """The right side takes q^n * |V| dot products."""
+    check_cap("identity right side", domain.params.q ** domain.n * domain.size,
+              "dot products", max_tuples)
 
 
 def chebyshev_zero_bound(domain: Domain, k: int) -> Fraction:

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__, census as census_mod
 from . import complexity, simulator, verify as verify_mod
-from .domain import (build_monomial_domain, build_vandermonde_domain, flat_to_rows,
+from .domain import (build_monomial_domain, build_vandermonde_domain,
                      parse_vector, read_domain_file, vector_from_flat)
 from .errors import ContractError, ParameterError, ResourceCapError, check_cap
 from .field import parse_field_spec
@@ -68,10 +68,9 @@ def _write(text: str, out):
 
 def _census_csv(census) -> str:
     lines = ["z,count,good_count"]
-    flat = np.flatnonzero(census.dense)
-    keys = flat_to_rows(flat, census.domain.params.q, census.domain.n).tolist()
-    for key, count, good in zip(keys, census.dense[flat].tolist(),
-                                census.dense_good[flat].tolist()):
+    image = census.dense != 0
+    for key, count, good in zip(census.image_keys.tolist(), census.dense[image].tolist(),
+                                census.dense_good[image].tolist()):
         lines.append(f"{'-'.join(map(str, key))},{count},{good}")
     return "\n".join(lines) + "\n"
 
@@ -252,6 +251,8 @@ def cmd_enumerate(field_spec, vandermonde, monomial, domain_file, k, out, fmt, t
     def body():
         domain, _ = _build_domain(field_spec, vandermonde, monomial, domain_file)
         k_value, k_rule = _resolve_k(domain, k)
+        if fmt != "csv":
+            census_mod._check_identity_size(domain)  # refuse before the census work
         census = census_mod.transform_census(domain, k_value)
         if fmt == "csv":
             _write(_census_csv(census), out)

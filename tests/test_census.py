@@ -254,10 +254,28 @@ class TestTransformCensus:
         with pytest.raises(ResourceCapError, match="census needs 8388608 points"):
             enumerate_census(build_explicit_domain([one]), 1)
 
-    def test_good_counts_are_lazy(self, monkeypatch):
+    def test_residue_cap_boundary(self):
+        # One prime per point at k=1: GF(2)^22 is exactly at the cap, GF(2)^23 over it.
+        for n, fits in ((22, True), (23, False)):
+            dom = build_explicit_domain([VectorFq.from_index_tuple(FieldParams(2), (1,) * n)])
+            if fits:
+                assert len(census_mod._transform_primes(dom, 1)) == 1
+            else:
+                with pytest.raises(ResourceCapError,
+                                   match=f"census needs {2 ** n} residues, cap is {2 ** 22}"):
+                    census_mod._transform_primes(dom, 1)
+
+    def test_good_counts_are_lazy(self):
         census = transform_census(vandermonde(5, 3), 2)
-        assert "dense_good" not in vars(census)
+        assert census._good is None
         assert census.good_counts == enumerate_census(vandermonde(5, 3), 2).good_counts
+        assert census._good is not None
+
+    def test_image_keys_follow_flat_order(self):
+        census = transform_census(vandermonde(4, 2), 2)
+        assert rows_to_flat(census.image_keys, 4).tolist() == np.flatnonzero(census.dense).tolist()
+        assert list(census.counts) == list(map(tuple, census.image_keys.tolist()))
+        assert image_set(census).keys.tolist() == census.image_keys.tolist()
 
 
 class TestGoodSets:

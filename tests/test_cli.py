@@ -1,6 +1,7 @@
 """Command-line behavior: report contents, formats, and exit codes."""
 
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -267,14 +268,19 @@ class TestResourceCaps:
          None, "census"),
         (["enumerate", "--field", "11", "--vandermonde", "3", "--k", "2000000"],
          None, "census"),
-        (["enumerate", "--k", "1"], (1, 20000), "census"),
+        (["enumerate", "--k", "1"], (1, 20000), "identity right side"),
+        (["enumerate", "--k", "1", "--format", "csv"], (1, 20000), "census"),
+        (["enumerate", "--k", "1"], (10, 23), "census"),
         (["enumerate", "--k", "1"], (128, 20), "identity right side"),
+        (["enumerate", "--field", "1021", "--vandermonde", "1", "--k", "1"],
+         None, "identity right side"),
         (["simulate", "--k", "1"], (1, 70), "state over GF(2)^70"),
         (["simulate", "--field", "3", "--vandermonde", "1", "--k", "1",
           "--secret", "1,1", "--trials", "10000001"], None, "sampling"),
         (["analyze", "--field", "2", "--monomial", "2,3000"], None, "domain"),
         (["analyze", "--field", "2", "--vandermonde", "3000000"], None, "domain"),
-    ), ids=("census-digits", "census-power", "census-space", "identity-dot-products",
+    ), ids=("census-digits", "census-power", "identity-digits", "census-space",
+            "census-residues", "identity-dot-products", "identity-before-census",
             "state-secret", "trials", "monomial-entries", "vandermonde-entries"))
     def test_oversized_request_exits_three(self, runner, tmp_path, args, vectors, stage):
         if vectors is not None:  # (m, n): the m largest vectors of GF(2)^n
@@ -284,10 +290,13 @@ class TestResourceCaps:
             path.write_text(f"q=2 n={n}\n" + "".join(",".join(row) + "\n" for row in rows),
                             encoding="ascii")
             args = args + ["--domain-file", str(path)]
+        started = time.perf_counter()
         result = runner.invoke(main, args)
         assert result.exit_code == 3, result.output
         assert f"resource cap exceeded: {stage} needs" in result.output
         assert "Traceback" not in result.output
+        # Refused before any census or identity work.
+        assert time.perf_counter() - started < 2
 
 
 class TestReproducibility:

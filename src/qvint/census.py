@@ -20,8 +20,9 @@ PreimageCensus with the same integers:
 
 The transversal of either is each target's first pre-image in walk order,
 i.e. the lexicographically smallest sequence of (vector position, weight
-index) pairs ((v0, y0), (v1, y1), ...), picked level by level against the
-exact sets of targets that the remaining levels can reach.
+index) pairs ((v0, y0), (v1, y1), ...), picked level by level against R_j,
+the support of the j-tuple counts, for the j levels that remain.  One
+forward transform per census feeds its counts, good counts and R_j.
 
 All counts are exact integers and all derived statistics are Fractions;
 floating point never enters here.
@@ -38,7 +39,7 @@ import numpy as np
 from .domain import (Domain, VectorFq, _index_array, dot_rows, flat_to_rows,
                      rows_to_flat)
 from .errors import ContractError, ParameterError, check_cap
-from .field import FieldElement, FieldParams, _is_prime
+from .field import FieldElement, FieldParams, _is_prime, _read_only
 
 DEFAULT_MAX_TUPLES = 10 ** 8
 # Points t of GF(q)^n per vectorised pass of the second-moment right side.
@@ -105,21 +106,34 @@ class PreimageCensus:
     below 2^63, Python ints (object dtype) from there on.  dense_good holds
     the good counts the same way, the pre-images with pairwise-distinct
     vectors and all weights nonzero; the walk tallies them as it goes, and a
-    transform census leaves them out until first use.  counts and
-    good_counts are dict views of the nonzero entries keyed by element-index
-    tuple, built on first access.
+    transform census builds them on first use.  _hits holds N(t): a transform
+    census keeps it, a walk census builds it on first use.  All three arrays
+    are read-only.  counts and good_counts are dict views of the nonzero
+    entries keyed by element-index tuple, built on first access.
     """
 
     domain: Domain
     k: int
     dense: np.ndarray
     _good: Optional[np.ndarray] = field(default=None, repr=False)
+    _hits: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def dense_good(self) -> np.ndarray:
+        """Good counts: k! times the inverse transform of c(N(t)), c(h) the
+        x^k coefficient of (1 + (q-1)x)^h (1 - x)^(|V|-h)."""
         if self._good is None:
-            self._good = _transform_good_counts(self.domain, self.k)
+            q, size, k = self.domain.params.q, self.domain.size, self.k
+            primes = _transform_primes(self.domain, k)  # caps before a forward transform
+            self._good = _hit_transform(self.domain, self._line_hits(), primes, k, lambda h: sum(
+                math.comb(h, i) * (q - 1) ** i * math.comb(size - h, k - i) * (-1) ** (k - i)
+                for i in range(min(h, k) + 1)) * math.factorial(k))
         return self._good
+
+    def _line_hits(self) -> np.ndarray:
+        if self._hits is None:
+            self._hits = _line_transform(self.domain, _transform_primes(self.domain, 1)[0])
+        return self._hits
 
     @cached_property
     def _image(self) -> np.ndarray:
@@ -194,7 +208,7 @@ class PreimageCensus:
     def transversal(self) -> "Transversal":
         """Each image point's first pre-image in walk order; keys in canonical
         order, picked on first access."""
-        return _pick_transversal(self.domain, self.k, self.image_keys)
+        return _pick_transversal(self)
 
 
 def _check_k(k) -> None:
@@ -202,23 +216,22 @@ def _check_k(k) -> None:
         raise ParameterError(f"query count must be a non-negative integer, got {k!r}")
 
 
-def enumerate_census(domain: Domain, k: int, *,
-                     max_tuples: int = DEFAULT_MAX_TUPLES) -> PreimageCensus:
+def enumerate_census(domain: Domain, k: int) -> PreimageCensus:
     """Walk all (|V|*q)^k input tuples and tally exact pre-image counts: the
     reference engine transform_census is checked against.
 
     Raises ResourceCapError (naming the tuple count) before starting if the
-    walk would exceed max_tuples, or if GF(q)^n has more than MAX_RESIDUES
-    points to hold counts for.
+    walk would exceed DEFAULT_MAX_TUPLES, or if GF(q)^n has more than
+    MAX_RESIDUES points to hold counts for.
     """
     _check_k(k)
     params = domain.params
     q = params.q
-    # The power stops at max(64, cap bits) factors: past that it is over the
-    # cap, as |V|*q >= 2, and prints as a lower bound, so a huge k costs
-    # nothing.  If check_cap returns, total is the exact tuple count.
-    total = (domain.size * q) ** min(k, max(64, max_tuples.bit_length()))
-    check_cap("census", total, "tuples", max_tuples)
+    # The power stops at 64 factors: past that it is over the cap, as
+    # |V|*q >= 2, and prints as a lower bound, so a huge k costs nothing.
+    # If check_cap returns, total is the exact tuple count.
+    total = (domain.size * q) ** min(k, 64)
+    check_cap("census", total, "tuples", DEFAULT_MAX_TUPLES)
     check_cap("census", q ** domain.n, "points", MAX_RESIDUES)
     zero_key = (0,) * domain.n
     counts: dict = {}
@@ -263,12 +276,12 @@ def enumerate_census(domain: Domain, k: int, *,
 
 
 def _dense(domain: Domain, tally: dict) -> np.ndarray:
-    """A walk's tally (index tuple -> count) as an int64 array by flat index."""
+    """A walk's tally (index tuple -> count) as a read-only int64 array by flat index."""
     q = domain.params.q
     dense = np.zeros(q ** domain.n, dtype=np.int64)
     if tally:
         dense[rows_to_flat(list(tally), q)] = list(tally.values())
-    return dense
+    return _read_only(dense)
 
 
 def transform_census(domain: Domain, k: int) -> PreimageCensus:
@@ -285,9 +298,7 @@ def transform_census(domain: Domain, k: int) -> PreimageCensus:
 
     Every prime exceeds q*|V|, so the forward transform of mu is exactly
     q*N(t), N(t) the number of domain vectors whose line t's character is
-    trivial on.  Good counts are then k! times the inverse transform of
-    c(N(t)), c(h) the x^k coefficient of (1 + (q-1)x)^h (1 - x)^(|V|-h);
-    they are built on first use.
+    trivial on; the census keeps N(t) for its good counts and reachable sets.
 
     Raises ResourceCapError before any transform work when the counts need
     more than MAX_TRANSFORM_PRIMES primes, GF(q)^n times the primes exceeds
@@ -295,37 +306,40 @@ def transform_census(domain: Domain, k: int) -> PreimageCensus:
     """
     _check_k(k)
     q = domain.params.q
-    dense = _hit_transform(domain, k, lambda h: (q * h) ** k)
+    primes = _transform_primes(domain, k)
+    hits = _line_transform(domain, primes[0])
+    dense = _hit_transform(domain, hits, primes, k, lambda h: (q * h) ** k)
     if dense.sum() != (domain.size * q) ** k:
         raise ContractError("census total does not match the tuple count")
-    return PreimageCensus(domain, k, dense)
+    return PreimageCensus(domain, k, dense, _hits=hits)
 
 
-def _transform_good_counts(domain: Domain, k: int) -> np.ndarray:
-    """Dense good counts: k! times the inverse transform of c(N(t))."""
-    q, size, factorial = domain.params.q, domain.size, math.factorial(k)
-    return _hit_transform(domain, k, lambda h: factorial * sum(
-        math.comb(h, i) * (q - 1) ** i * math.comb(size - h, k - i) * (-1) ** (k - i)
-        for i in range(min(h, k) + 1)))
-
-
-def _hit_transform(domain: Domain, k: int, coefficient: Callable[[int], int]) -> np.ndarray:
-    """The dense integers, each in [0, (|V|*q)^k], whose transform is
-    coefficient(N(t)) at every t, by flat index."""
-    primes = _transform_primes(domain, k)
+def _line_transform(domain: Domain, ell: int) -> np.ndarray:
+    """N(t) by flat index t, read-only: the forward transform of the line
+    measure modulo the transform prime ell, over q."""
     params, n = domain.params, domain.n
-    q, p, axes = params.q, params.p, params.r * domain.n
     scaled = params.mul_rows()[:, domain.indices].reshape(-1, n)
-    line_measure = np.bincount(rows_to_flat(scaled, q), minlength=q ** n)
-    hits = _dft(line_measure, p, axes, primes[0]) // q
+    line_measure = np.bincount(rows_to_flat(scaled, params.q), minlength=params.q ** n)
+    return _read_only(_dft(line_measure, params.p, params.r * n, ell) // params.q)
+
+
+def _hit_transform(domain: Domain, hits: np.ndarray, primes: list, j: int,
+                   coefficient: Callable[[int], int]) -> np.ndarray:
+    """The dense integers, each in [0, (|V|*q)^j], whose transform is
+    coefficient(N(t)) at every t, read-only by flat index; of the
+    _transform_primes of level j or above, the fewest leading ones serve."""
+    params = domain.params
+    total = (domain.size * params.q) ** j
+    while len(primes) > 1 and math.prod(primes[:-1]) > total:
+        primes = primes[:-1]
     levels = np.unique(hits).tolist()
     values = [coefficient(h) for h in levels]
     residues = []
     for ell in primes:
         table = np.zeros(domain.size + 1, dtype=np.int64)
         table[levels] = [value % ell for value in values]
-        residues.append(_dft(table[hits], p, axes, ell, inverse=True))
-    return _crt(residues, primes, (domain.size * q) ** k)
+        residues.append(_dft(table[hits], params.p, params.r * domain.n, ell, inverse=True))
+    return _read_only(_crt(residues, primes, total))
 
 
 def _transform_primes(domain: Domain, k: int) -> list:
@@ -387,45 +401,24 @@ def _crt(residues: list, primes: list, total: int) -> np.ndarray:
     return value.astype(np.int64 if total < _INT64_LIMIT else object)
 
 
-def _reachable_sets(domain: Domain, k: int) -> list:
-    """R_0, ..., R_(k-1) as boolean arrays by flat index: R_j is the set of
-    targets of j-tuples, the support of their exact counts.
-
-    R_(j+1) = R_j + S, S the set of all y*v.  The indicator convolution
-    counts at most |S| <= |V|*q ways to reach a point, less than a transform
-    prime, so one prime gives its support exactly.  Once a set stops
-    growing it is final.
-    """
-    params, n = domain.params, domain.n
-    q, p, axes = params.q, params.p, params.r * n
-    origin = np.zeros(q ** n, dtype=bool)
-    origin[0] = True
-    if k <= 1:
-        return [origin][:k]
-    lines = np.zeros(q ** n, dtype=bool)
-    lines[rows_to_flat(params.mul_rows()[:, domain.indices].reshape(-1, n), q)] = True
-    ell = _transform_primes(domain, 1)[0]
-    lines_hat = _dft(lines, p, axes, ell)
-    reach = [origin, lines]
-    while len(reach) < k:
-        last = reach[-1]
-        if not np.array_equal(last, reach[-2]):
-            spread = _dft(_dft(last, p, axes, ell) * lines_hat % ell, p, axes, ell, inverse=True)
-            last = spread != 0
-        reach.append(last)
-    return reach
-
-
-def _pick_transversal(domain: Domain, k: int, keys: np.ndarray) -> "Transversal":
-    """First pre-image in walk order of every image point (index rows).
+def _pick_transversal(census: PreimageCensus) -> "Transversal":
+    """First pre-image in walk order of every image point of the census.
 
     Level by level, every target takes the first (position, weight) pair
     whose remainder z - y*v the remaining levels can still reach: that is
     the lexicographically first pre-image, as the walk visits pairs in
-    that order at every level.
+    that order at every level.  R_j, the targets of j levels, is the support
+    of the exact j-tuple counts, and final once it stops growing.
     """
+    domain, k, keys = census.domain, census.k, census.image_keys
     params, n = domain.params, domain.n
     q = params.q
+    reach = [np.arange(q ** n) == 0]
+    primes = _transform_primes(domain, k - 1) if k > 1 else None  # every cap, before N(t)
+    for j in range(1, k):
+        if j == 1 or not np.array_equal(reach[-1], reach[-2]):
+            counts = _hit_transform(domain, census._line_hits(), primes, j, lambda h: (q * h) ** j)
+        reach.append(counts != 0)
     remainders = keys.copy()
     positions = np.zeros((len(keys), k), dtype=np.intp)
     weights = np.zeros((len(keys), k), dtype=np.intp)
@@ -434,7 +427,6 @@ def _pick_transversal(domain: Domain, k: int, keys: np.ndarray) -> "Transversal"
     # lines[j * q + y] = y * v_j, one row per pair in walk order; steps subtract it.
     lines = params.mul_rows()[:, domain.indices].transpose(1, 0, 2).reshape(-1, n)
     steps = negate[lines]
-    reach = _reachable_sets(domain, k)
     for level in range(k):
         reachable = reach[k - 1 - level]
         size = int(np.count_nonzero(reachable))
@@ -602,8 +594,7 @@ class SecondMomentCheck:
 
 
 def second_moment_identity_check(domain: Domain, k: int, *,
-                                 census: PreimageCensus = None,
-                                 max_tuples: int = DEFAULT_MAX_TUPLES) -> SecondMomentCheck:
+                                 census: PreimageCensus = None) -> SecondMomentCheck:
     """Compare sum of squared counts against the closed-form character sum.
 
     The right side is (|V|q)^(2k)/q^n plus (q^(2k)/q^n) times the sum over
@@ -611,10 +602,10 @@ def second_moment_identity_check(domain: Domain, k: int, *,
     directly; equality is exact rational equality, not approximate.
     """
     if census is None:
-        census = enumerate_census(domain, k, max_tuples=max_tuples)
+        census = enumerate_census(domain, k)
     elif census.k != k or not census.domain.same_as(domain):
         raise ParameterError("supplied census does not match (domain, k)")
-    _check_identity_size(domain, max_tuples)
+    _check_identity_size(domain)
     params = domain.params
     q = params.q
     n = domain.n
@@ -638,10 +629,10 @@ def second_moment_identity_check(domain: Domain, k: int, *,
     return SecondMomentCheck(lhs=lhs, rhs=rhs, equal=Fraction(lhs) == rhs)
 
 
-def _check_identity_size(domain: Domain, max_tuples: int = DEFAULT_MAX_TUPLES) -> None:
+def _check_identity_size(domain: Domain) -> None:
     """The right side takes q^n * |V| dot products."""
     check_cap("identity right side", domain.params.q ** domain.n * domain.size,
-              "dot products", max_tuples)
+              "dot products", DEFAULT_MAX_TUPLES)
 
 
 def chebyshev_zero_bound(domain: Domain, k: int) -> Fraction:

@@ -132,13 +132,8 @@ def _resolve_k(domain, k):
         if k < 0:
             raise ParameterError("--k must be non-negative")
         return k, "explicit"
-    stats = domain.stats()
-    try:
-        plan = complexity.plan_high_probability(
-            stats.length, stats.field_order, stats.size, stats.zero_touching
-        )
-    except ParameterError:
-        plan = complexity.plan_bounded_error(stats.length, stats.field_order, stats.size)
+    low, high, _ = complexity.query_plans(domain.stats())
+    plan = high or low
     return plan.k, plan.rule
 
 
@@ -188,16 +183,7 @@ def analyze(field_spec, vandermonde, monomial, domain_file, k, out, fmt, timings
         except ResourceCapError as exc:
             independence = {"status": "skipped", "reason": str(exc)}
 
-        low = complexity.plan_bounded_error(stats.length, stats.field_order, stats.size)
-        high = None
-        high_error = None
-        try:
-            high = complexity.plan_high_probability(
-                stats.length, stats.field_order, stats.size, stats.zero_touching
-            )
-        except ParameterError as exc:
-            high_error = str(exc)
-
+        low, high, high_error = complexity.query_plans(stats)
         report = {
             "command": "analyze",
             "config": dict(

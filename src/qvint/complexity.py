@@ -131,6 +131,17 @@ def plan_high_probability(n: int, q: int, domain_size: int,
     return QueryPlan(k=k, rule=rule, note=HIGH_REGIME_NOTE)
 
 
+def query_plans(stats) -> tuple:
+    """(bounded-error plan, high-probability plan, why the latter is
+    undefined) for a DomainStats; exactly one of the last two is None."""
+    n, q, size = stats.length, stats.field_order, stats.size
+    low = plan_bounded_error(n, q, size)
+    try:
+        return low, plan_high_probability(n, q, size, stats.zero_touching), None
+    except ParameterError as exc:
+        return low, None, str(exc)
+
+
 def multivariate_query_bounds(n: int, q: int, variables: int) -> tuple:
     """Conservative bracket (ceil((n+1)/(2*m^m)), ceil((n+1)*q^m/2)) for the
     high-probability query count of an m-variable monomial domain."""
@@ -231,16 +242,7 @@ def classify_instance(stats, k: int) -> InstanceClassification:
     """
     if not isinstance(k, int) or k < 1:
         raise ParameterError(f"query count must be an integer >= 1, got {k!r}")
-    n = stats.length
-    q = stats.field_order
-    low = plan_bounded_error(n, q, stats.size)
-    high = None
-    high_error = None
-    try:
-        high = plan_high_probability(n, q, stats.size, stats.zero_touching)
-    except ParameterError as exc:
-        high_error = str(exc)
-
+    low, high, high_error = query_plans(stats)
     meets_high = None if high is None else k >= high.k
     if high is not None and k == high.k:
         summary = "high-regime exact match"

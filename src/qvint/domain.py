@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, check_cap
-from .field import FieldElement, FieldParams, parse_field_spec
+from .field import FieldElement, FieldParams, _refuse_write, parse_field_spec
 
 MAX_DOMAIN_VECTORS = 1 << 20
 # Vectors times coordinates; wide domains pass the vector cap but not this.
@@ -46,7 +46,12 @@ class VectorFq:
         for e in entries:
             if not isinstance(e, FieldElement) or e.params != params:
                 raise ParameterError("all coordinates must come from the same field")
-        self.entries = entries
+        object.__setattr__(self, "entries", entries)
+
+    __setattr__ = __delattr__ = _refuse_write
+
+    def __reduce__(self):
+        return VectorFq, (self.entries,)
 
     @property
     def params(self) -> FieldParams:

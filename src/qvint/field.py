@@ -106,6 +106,11 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _refuse_write(self, name, *value):
+    """__setattr__ and __delattr__ of a value type whose hash rests on its slots."""
+    raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+
 class FieldParams:
     """Immutable description of GF(p^r), shared by every element of the field.
 
@@ -155,6 +160,11 @@ class FieldParams:
         if name in ("p", "r", "q", "modulus") and hasattr(self, name):
             raise AttributeError(f"FieldParams.{name} is read-only")
         object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        if name in ("p", "r", "q", "modulus"):
+            raise AttributeError(f"FieldParams.{name} is read-only")
+        object.__delattr__(self, name)
 
     # -- identity ----------------------------------------------------------
 
@@ -264,13 +274,19 @@ class FieldParams:
 
 
 class FieldElement:
-    """One element of GF(p^r) in the polynomial basis of its FieldParams."""
+    """One element of GF(p^r) in the polynomial basis of its FieldParams;
+    params and coeffs cannot be reassigned, as the hash depends on them."""
 
     __slots__ = ("params", "coeffs")
 
     def __init__(self, params: FieldParams, coeffs: tuple):
-        self.params = params
-        self.coeffs = coeffs
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    __setattr__ = __delattr__ = _refuse_write
+
+    def __reduce__(self):
+        return FieldElement, (self.params, self.coeffs)
 
     def index(self) -> int:
         """Canonical integer index sum(c_i * p**i)."""

@@ -174,7 +174,7 @@ class TestCensusInvariants:
 
     def test_tuple_cap(self):
         with pytest.raises(ResourceCapError, match="3814697265625"):
-            enumerate_census(vandermonde(5, 3), 9, max_tuples=10 ** 6)
+            enumerate_census(vandermonde(5, 3), 9)
 
     def test_bad_k(self):
         with pytest.raises(ParameterError):
@@ -213,6 +213,9 @@ class TestTransformCensus:
         assert np.array_equal(transform.dense, walk.dense)
         assert np.array_equal(transform.dense_good, walk.dense_good)
         assert transform.image_size == FROZEN_IMAGE_SIZES[(5, 3, 3)]
+        # R_1 and R_2 take the leading one and two of the same three primes.
+        assert np.array_equal(transform.transversal.positions, walk.transversal.positions)
+        assert np.array_equal(transform.transversal.weights, walk.transversal.weights)
 
     def test_python_ints_past_int64(self):
         # 9^25 tuples over 9 points: every count is past 2^63.
@@ -270,6 +273,32 @@ class TestTransformCensus:
         assert census._good is None
         assert census.good_counts == enumerate_census(vandermonde(5, 3), 2).good_counts
         assert census._good is not None
+
+    def test_one_forward_transform_per_census(self, monkeypatch):
+        # Counts, good counts and the transversal's reachable sets all read
+        # the N(t) the census computed once.
+        forward = []
+        dft = census_mod._dft
+
+        def counting_dft(values, p, axes, ell, *, inverse=False):
+            forward.append(not inverse)
+            return dft(values, p, axes, ell, inverse=inverse)
+
+        monkeypatch.setattr(census_mod, "_dft", counting_dft)
+        census = transform_census(vandermonde(5, 3), 3)
+        census.good_counts
+        census.transversal
+        assert sum(forward) == 1
+        assert len(forward) > 1  # the inverse transforms did run
+
+    @pytest.mark.parametrize("engine", (enumerate_census, transform_census))
+    def test_count_arrays_are_read_only(self, engine):
+        census = engine(vandermonde(5, 3), 2)
+        census.transversal  # a walk census computes N(t) here
+        for array in (census.dense, census.dense_good, census._hits):
+            with pytest.raises(ValueError):
+                array[array != 0] = 0
+        assert census.image_size == FROZEN_IMAGE_SIZES[(5, 3, 2)]
 
     def test_image_keys_follow_flat_order(self):
         census = transform_census(vandermonde(4, 2), 2)
@@ -408,7 +437,7 @@ class TestTransversal:
         lines = params.mul_rows()[:, dom.indices].transpose(1, 0, 2).reshape(-1, dom.n)
         steps = np.argmin(add, axis=1)[lines]
         every_point = flat_to_rows(np.arange(q ** dom.n), q, dom.n)
-        for reachable in census_mod._reachable_sets(dom, k):
+        for reachable in (transform_census(dom, j).dense != 0 for j in range(k)):
             table = census_mod._first_pairs_by_table(add, q, lines, reachable, every_point)
             scan = census_mod._first_pairs_by_scan(add, q, steps, reachable, every_point)
             assert np.array_equal(table, scan)

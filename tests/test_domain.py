@@ -1,6 +1,8 @@
 """Domain layer: builders, canonical order, zero-touching, independence, files."""
 
+import copy
 import itertools
+import pickle
 
 import pytest
 
@@ -74,6 +76,16 @@ class TestVectors:
         assert v.n == 2
         assert v.index_tuple() == (1, 2)
         assert VectorFq.from_index_tuple(F3, (1, 2)) == v
+
+    def test_vectors_are_read_only(self):
+        v = VectorFq.from_index_tuple(F3, (1, 2))
+        members = {v}
+        with pytest.raises(AttributeError):
+            v.entries = (F3.one(), F3.one())
+        with pytest.raises(AttributeError):
+            del v.entries
+        assert v.index_tuple() == (1, 2) and v in members
+        assert pickle.loads(pickle.dumps(v)) == v == copy.copy(v)
 
     def test_mixed_fields_rejected(self):
         with pytest.raises(ParameterError):

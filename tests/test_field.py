@@ -1,8 +1,10 @@
 """Field layer: exact arithmetic, trace, character, Fourier kernels."""
 
 import cmath
+import copy
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -85,8 +87,22 @@ class TestConstruction:
         before = (getattr(f, attr), hash(f))
         with pytest.raises(AttributeError):
             setattr(f, attr, (0, 0, 1) if attr == "modulus" else 3)
+        with pytest.raises(AttributeError):
+            delattr(f, attr)
         assert (getattr(f, attr), hash(f)) == before
         assert f.mul_rows()[2, 2] == 3  # lazy caches still fill: w * w = w + 1
+
+    @pytest.mark.parametrize("attr", ("params", "coeffs"))
+    def test_element_attributes_are_read_only(self, attr):
+        f = FieldParams(2, 2)
+        w = f.from_index(2)
+        members = {w}
+        with pytest.raises(AttributeError):
+            setattr(w, attr, FieldParams(3) if attr == "params" else (1, 1))
+        with pytest.raises(AttributeError):
+            delattr(w, attr)
+        assert w.params is f and w.coeffs == (0, 1) and w in members
+        assert pickle.loads(pickle.dumps(w)) == w == copy.copy(w)
 
     def test_tables_are_read_only_arrays(self):
         f = FieldParams(3, 2)

@@ -535,7 +535,9 @@ class Transversal:
         if bad.size:
             key, got = keys[bad[0]].tolist(), z[bad[0]].tolist()
             raise ContractError(f"transversal entry for {tuple(key)} maps to {tuple(got)}")
-        if len(np.unique(keys, axis=0)) != len(keys):
+        # Sorted by every column, a repeated key sits next to its twin.
+        ordered = keys[np.lexsort(keys.T)]
+        if (ordered[1:] == ordered[:-1]).all(axis=1).any():
             raise ContractError("in-place relabeling hit the same target twice")
 
     @property

@@ -202,6 +202,8 @@ def sample_outcomes(dist: OutcomeDistribution, trials: int, seed: int) -> Sample
     """
     if not isinstance(trials, int) or trials < 1:
         raise ParameterError(f"trials must be a positive integer, got {trials!r}")
+    if seed < 0:
+        raise ParameterError(f"seed must be non-negative, got {seed!r}")
     check_cap("sampling", trials, "trials", MAX_TRIALS)
     rng = np.random.default_rng(seed)
     cdf = np.cumsum(dist.probs)

@@ -1,9 +1,9 @@
 """Self-check suite over a built-in instance grid.
 
-Every check is named, runs to a boolean verdict with a one-line detail, and
-never raises: errors raised by the modules under test become failing
-results.  The command line front-end prints one line per check and exits
-nonzero if any failed.
+Every check is named and runs to a boolean verdict with a one-line detail.
+run_all never raises: an error raised by the modules under test fails the
+check that hit it.  The command line front-end prints one line per check
+and exits nonzero if any failed.
 
 The default grid covers prime and extension fields, Vandermonde and
 monomial domains, and every query count the desk-scale identities are
@@ -68,387 +68,299 @@ def _result(name, ok, detail):
     return CheckResult(name=name, ok=bool(ok), detail=detail)
 
 
-def _guard(name, fn):
-    """Run one check body; any package error becomes a failing result."""
-    try:
-        return fn()
-    except QvintError as exc:
-        return [_result(name, False, f"{type(exc).__name__}: {exc}")]
-
-
 def _secret_indices(codomain_size):
     if codomain_size <= SWEEP_LIMIT:
         return range(codomain_size)
     return sorted({0, 1, codomain_size // 2, codomain_size - 2, codomain_size - 1})
 
 
-def _check_field_axioms(q, params):
-    name = f"field-axioms-q{q}"
-
-    def body():
-        elems = params.elements()
-        zero, one = params.zero(), params.one()
-        for a in elems:
-            if a + zero != a or a * one != a or a + (-a) != zero:
-                return [_result(name, False, f"unit/negation law broke at {a!r}")]
-            if not a.is_zero() and a * a.inverse() != one:
-                return [_result(name, False, f"inverse law broke at {a!r}")]
-        for a in elems:
-            for b in elems:
-                if a + b != b + a or a * b != b * a:
-                    return [_result(name, False, f"commutativity broke at {a!r}, {b!r}")]
-                for c in elems:
-                    if (a + b) + c != a + (b + c) or (a * b) * c != a * (b * c):
-                        return [_result(name, False, "associativity broke")]
-                    if a * (b + c) != a * b + a * c:
-                        return [_result(name, False, "distributivity broke")]
-        return [_result(name, True, f"ring laws exhaustive over {q}^3 triples")]
-
-    return _guard(name, body)
+def _check_field_axioms(name, q, params):
+    elems = params.elements()
+    zero, one = params.zero(), params.one()
+    for a in elems:
+        if a + zero != a or a * one != a or a + (-a) != zero:
+            return [_result(name, False, f"unit/negation law broke at {a!r}")]
+        if not a.is_zero() and a * a.inverse() != one:
+            return [_result(name, False, f"inverse law broke at {a!r}")]
+    for a in elems:
+        for b in elems:
+            if a + b != b + a or a * b != b * a:
+                return [_result(name, False, f"commutativity broke at {a!r}, {b!r}")]
+            for c in elems:
+                if (a + b) + c != a + (b + c) or (a * b) * c != a * (b * c):
+                    return [_result(name, False, "associativity broke")]
+                if a * (b + c) != a * b + a * c:
+                    return [_result(name, False, "distributivity broke")]
+    return [_result(name, True, f"ring laws exhaustive over {q}^3 triples")]
 
 
-def _check_trace_character(q, params):
-    name = f"trace-character-q{q}"
-
-    def body():
-        p = params.p
-        elems = params.elements()
-        for a in elems:
-            for b in elems:
-                if (a + b).trace() != (a.trace() + b.trace()) % p:
-                    return [_result(name, False, f"trace additivity broke at {a!r}, {b!r}")]
-                if abs((a + b).character() - a.character() * b.character()) > 1e-9:
-                    return [_result(name, False, "character multiplicativity broke")]
-        if not character_orthogonality_check(params):
-            return [_result(name, False, "orthogonality relation failed")]
-        return [_result(name, True, "trace linear, character multiplicative, orthogonality exact")]
-
-    return _guard(name, body)
+def _check_trace_character(name, params):
+    p = params.p
+    elems = params.elements()
+    for a in elems:
+        for b in elems:
+            if (a + b).trace() != (a.trace() + b.trace()) % p:
+                return [_result(name, False, f"trace additivity broke at {a!r}, {b!r}")]
+            if abs((a + b).character() - a.character() * b.character()) > 1e-9:
+                return [_result(name, False, "character multiplicativity broke")]
+    if not character_orthogonality_check(params):
+        return [_result(name, False, "orthogonality relation failed")]
+    return [_result(name, True, "trace linear, character multiplicative, orthogonality exact")]
 
 
-def _check_modulus(q, params, modulus):
-    name = f"modulus-irreducible-q{q}"
-
-    def body():
-        if params.r == 1:
-            return [_result(name, True, "prime field, nothing to factor")]
-        ok = _is_irreducible(modulus, params.p)
-        detail = f"modulus {modulus} over GF({params.p})"
-        return [_result(name, ok, detail if ok else detail + " is reducible")]
-
-    return _guard(name, body)
+def _check_modulus(name, params, modulus):
+    if params.r == 1:
+        return [_result(name, True, "prime field, nothing to factor")]
+    ok = _is_irreducible(modulus, params.p)
+    detail = f"modulus {modulus} over GF({params.p})"
+    return [_result(name, ok, detail if ok else detail + " is reducible")]
 
 
-def _census_bundle(domain, ks):
-    """Census and image per k, shared by all per-instance checks."""
-    censuses = {k: census_mod.enumerate_census(domain, k) for k in ks}
-    return {k: {"census": census, "image": census_mod.image_set(census)}
-            for k, census in censuses.items()}
+def _check_census_totals(name, domain, k, census):
+    expected = (domain.size * domain.params.q) ** k
+    total = sum(census.counts.values())
+    v_good, y_good = census_mod.good_set_sizes(domain, k)
+    good_total = sum(census.good_counts.values())
+    if total != expected:
+        return [_result(name, False, f"count total {total} != {expected}")]
+    if good_total != v_good * y_good:
+        return [_result(name, False, f"good total {good_total} != {v_good * y_good}")]
+    if census.mean() * census.codomain_size != expected:
+        return [_result(name, False, "mean identity broke")]
+    if k >= 1 and census.counts.get((0,) * domain.n, 0) == 0:
+        return [_result(name, False, "image misses the zero target")]
+    # The commands' engine must reproduce the walk exactly.
+    transform = census_mod.transform_census(domain, k)
+    if not (np.array_equal(transform.dense, census.dense)
+            and np.array_equal(transform.dense_good, census.dense_good)):
+        return [_result(name, False, "transform census differs from the walk")]
+    return [_result(name, True, f"totals {total} and {good_total} exact")]
 
 
-def _check_census_totals(label, domain, k, census):
-    name = f"census-totals-{label}-k{k}"
-
-    def body():
-        expected = (domain.size * domain.params.q) ** k
-        total = sum(census.counts.values())
-        v_good, y_good = census_mod.good_set_sizes(domain, k)
-        good_total = sum(census.good_counts.values())
-        if total != expected:
-            return [_result(name, False, f"count total {total} != {expected}")]
-        if good_total != v_good * y_good:
-            return [_result(name, False, f"good total {good_total} != {v_good * y_good}")]
-        if census.mean() * census.codomain_size != expected:
-            return [_result(name, False, "mean identity broke")]
-        if k >= 1 and census.counts.get((0,) * domain.n, 0) == 0:
-            return [_result(name, False, "image misses the zero target")]
-        # The commands' engine must reproduce the walk exactly.
-        transform = census_mod.transform_census(domain, k)
-        if not (np.array_equal(transform.dense, census.dense)
-                and np.array_equal(transform.dense_good, census.dense_good)):
-            return [_result(name, False, "transform census differs from the walk")]
-        return [_result(name, True, f"totals {total} and {good_total} exact")]
-
-    return _guard(name, body)
-
-
-def _check_dichotomy(label, domain, k, census):
-    name = f"good-dichotomy-{label}-k{k}"
-
-    def body():
-        report = domain.independence()
-        if report.status != "verified" or 2 * k > domain.n:
-            return [_result(
-                name, True,
-                f"skipped: hypothesis not met (independence {report.status}, 2k={2 * k}, n={domain.n})",
-            )]
-        allowed = {0, math.factorial(k)}
-        bad = [key for key, g in census.good_counts.items() if g not in allowed]
-        if bad:
-            return [_result(name, False, f"good count outside {allowed} at {bad[0]}")]
-        bound = census_mod.image_size_lower_bound(domain, k)
-        if census.image_size < bound:
-            return [_result(name, False, f"image {census.image_size} below bound {bound}")]
+def _check_dichotomy(name, domain, k, census):
+    report = domain.independence()
+    if report.status != "verified" or 2 * k > domain.n:
         return [_result(
             name, True,
-            f"good counts in {{0, {math.factorial(k)}}}, image {census.image_size} >= {bound}",
+            f"skipped: hypothesis not met (independence {report.status}, 2k={2 * k}, n={domain.n})",
         )]
-
-    return _guard(name, body)
-
-
-def _check_second_moment(label, domain, k, census):
-    name = f"second-moment-{label}-k{k}"
-
-    def body():
-        check = census_mod.second_moment_identity_check(domain, k, census=census)
-        detail = f"lhs {check.lhs} vs rhs {check.rhs}"
-        return [_result(name, check.equal, detail)]
-
-    return _guard(name, body)
+    allowed = {0, math.factorial(k)}
+    bad = [key for key, g in census.good_counts.items() if g not in allowed]
+    if bad:
+        return [_result(name, False, f"good count outside {allowed} at {bad[0]}")]
+    bound = census_mod.image_size_lower_bound(domain, k)
+    if census.image_size < bound:
+        return [_result(name, False, f"image {census.image_size} below bound {bound}")]
+    return [_result(
+        name, True,
+        f"good counts in {{0, {math.factorial(k)}}}, image {census.image_size} >= {bound}",
+    )]
 
 
-def _check_chebyshev(label, domain, k, census):
-    name = f"chebyshev-{label}-k{k}"
-
-    def body():
-        bound = census_mod.chebyshev_zero_bound(domain, k)
-        observed = census.zero_count_fraction()
-        ok = observed <= bound
-        return [_result(name, ok, f"observed {observed} vs bound {bound}")]
-
-    return _guard(name, body)
+def _check_second_moment(name, domain, k, census):
+    check = census_mod.second_moment_identity_check(domain, k, census=census)
+    return [_result(name, check.equal, f"lhs {check.lhs} vs rhs {check.rhs}")]
 
 
-def _check_monotonicity(label, domain, bundle):
-    name = f"image-monotonicity-{label}"
-
-    def body():
-        # The image can only grow with k (pad any pre-image with weight 0),
-        # so each enumerated image must contain the previous one; the seed
-        # set {0} covers the k=0 image.
-        ks = sorted(bundle)
-        previous = {(0,) * domain.n}
-        for k in ks:
-            current = set(bundle[k]["census"].counts)
-            missing = previous - current
-            if missing:
-                return [_result(name, False, f"target {sorted(missing)[0]} fell out at k={k}")]
-            previous = current
-        return [_result(name, True, f"images nest across k = {list(ks)}")]
-
-    return _guard(name, body)
+def _check_chebyshev(name, domain, k, census):
+    bound = census_mod.chebyshev_zero_bound(domain, k)
+    observed = census.zero_count_fraction()
+    return [_result(name, observed <= bound, f"observed {observed} vs bound {bound}")]
 
 
-def _check_simulator(label, domain, k, entry):
-    """Pipeline equivalence and exact success probability, one secret sweep."""
-    pipeline_name = f"pipeline-equivalence-{label}-k{k}"
-    success_name = f"success-probability-{label}-k{k}"
-
-    def body():
-        census = entry["census"]
-        image = entry["image"]
-        params = domain.params
-        codomain = census.codomain_size
-        expected = census.success_probability()
-        worst_amp = 0.0
-        probs = []
-        argmax_ok = True
-        check_argmax = 2 * image.size > codomain
-        for flat in _secret_indices(codomain):
-            secret = vector_from_flat(params, domain.n, flat)
-            state = simulator.run_algorithm(domain, k, census.transversal, secret)
-            direct = simulator.restricted_fourier_state(image, secret)
-            worst_amp = max(worst_amp, float(np.max(np.abs(state.amplitudes - direct.amplitudes))))
-            probs.append(simulator.success_probability(state, secret))
-            if check_argmax and simulator.outcome_distribution(state).argmax() != secret:
-                argmax_ok = False
-        pipeline = _result(pipeline_name, worst_amp < 1e-12,
-                           f"max amplitude gap {worst_amp:.2e} over {len(probs)} secrets")
-        spread = max(probs) - min(probs)
-        off = max(abs(p - expected) for p in probs)
-        ok = off < 1e-9 and spread < 1e-9 and argmax_ok
-        detail = (f"p = {expected} ({float(expected):.6f}), max error {off:.2e}, "
-                  f"spread {spread:.2e}")
-        if not argmax_ok:
-            detail += ", argmax missed the secret"
-        return [pipeline, _result(success_name, ok, detail)]
-
-    return _guard(pipeline_name, body)
+def _check_monotonicity(name, domain, censuses):
+    # The image can only grow with k (pad any pre-image with weight 0), so
+    # each enumerated image must contain the previous one; the seed set {0}
+    # covers the k=0 image.
+    ks = sorted(censuses)
+    previous = {(0,) * domain.n}
+    for k in ks:
+        current = set(censuses[k].counts)
+        missing = previous - current
+        if missing:
+            return [_result(name, False, f"target {sorted(missing)[0]} fell out at k={k}")]
+        previous = current
+    return [_result(name, True, f"images nest across k = {list(ks)}")]
 
 
-def _check_phase_query(q):
-    name = f"phase-query-q{q}"
-
-    def body():
-        params = parse_field_spec(str(q))
-        domain = build_vandermonde_domain(params, 1)
-        for flat in range(params.q ** domain.n):
-            secret = vector_from_flat(params, domain.n, flat)
-            if not simulator.phase_query_check(domain, secret):
-                return [_result(name, False, f"identity broke at secret {secret!r}")]
-        return [_result(name, True, f"all {params.q ** domain.n} secrets, every domain vector")]
-
-    return _guard(name, body)
-
-
-def _check_gram_rank(label, domain, k, entry):
-    name = f"state-family-rank-{label}-k{k}"
-
-    def body():
-        image = entry["image"]
-        census = entry["census"]
-        rank = simulator.state_family_rank(image)
-        if rank != image.size:
-            return [_result(name, False, f"rank {rank} != |image| {image.size}")]
-        achieved = census.success_probability()
-        ceiling = Fraction(rank, census.codomain_size)
-        if achieved != ceiling:
-            return [_result(name, False, f"achieved {achieved} != ceiling {ceiling}")]
-        return [_result(name, True, f"rank {rank} = |image|, ceiling met with equality")]
-
-    return _guard(name, body)
+def _check_simulator(name, domain, k, census, success_name):
+    """Pipeline equivalence and exact success probability from one secret
+    sweep; the second result is named success_name."""
+    image = census_mod.image_set(census)
+    params = domain.params
+    codomain = census.codomain_size
+    expected = census.success_probability()
+    worst_amp = 0.0
+    probs = []
+    argmax_ok = True
+    check_argmax = 2 * image.size > codomain
+    for flat in _secret_indices(codomain):
+        secret = vector_from_flat(params, domain.n, flat)
+        state = simulator.run_algorithm(domain, k, census.transversal, secret)
+        direct = simulator.restricted_fourier_state(image, secret)
+        worst_amp = max(worst_amp, float(np.max(np.abs(state.amplitudes - direct.amplitudes))))
+        probs.append(simulator.success_probability(state, secret))
+        if check_argmax and simulator.outcome_distribution(state).argmax() != secret:
+            argmax_ok = False
+    pipeline = _result(name, worst_amp < 1e-12,
+                       f"max amplitude gap {worst_amp:.2e} over {len(probs)} secrets")
+    spread = max(probs) - min(probs)
+    off = max(abs(p - expected) for p in probs)
+    ok = off < 1e-9 and spread < 1e-9 and argmax_ok
+    detail = (f"p = {expected} ({float(expected):.6f}), max error {off:.2e}, "
+              f"spread {spread:.2e}")
+    if not argmax_ok:
+        detail += ", argmax missed the secret"
+    return [pipeline, _result(success_name, ok, detail)]
 
 
-def _check_sampling():
-    name = "sampling-reproducibility"
-
-    def body():
-        params = parse_field_spec("3")
-        domain = build_vandermonde_domain(params, 1)
-        census = census_mod.enumerate_census(domain, 1)
-        secret = VectorFq.from_index_tuple(params, (1, 1))
-        state = simulator.run_algorithm(domain, 1, census.transversal, secret)
-        dist = simulator.outcome_distribution(state)
-        first = simulator.sample_outcomes(dist, SAMPLING_TRIALS, seed=SAMPLING_SEED)
-        second = simulator.sample_outcomes(dist, SAMPLING_TRIALS, seed=SAMPLING_SEED)
-        if first.counts != second.counts:
-            return [_result(name, False, "same seed produced different counts")]
-        p = census.success_probability()
-        tol = 3 * math.sqrt(float(p) * (1 - float(p)) / SAMPLING_TRIALS)
-        freq = first.frequency_of(secret)
-        ok = abs(freq - float(p)) <= tol
-        return [_result(
-            name, ok,
-            f"frequency {freq:.5f} vs {float(p):.5f} within {tol:.5f}, seed-stable",
-        )]
-
-    return _guard(name, body)
+def _check_phase_query(name, q):
+    params = parse_field_spec(str(q))
+    domain = build_vandermonde_domain(params, 1)
+    for flat in range(params.q ** domain.n):
+        secret = vector_from_flat(params, domain.n, flat)
+        if not simulator.phase_query_check(domain, secret):
+            return [_result(name, False, f"identity broke at secret {secret!r}")]
+    return [_result(name, True, f"all {params.q ** domain.n} secrets, every domain vector")]
 
 
-def _check_query_formulas(quick):
-    name = "query-formula-sweep"
+def _check_gram_rank(name, census):
+    image = census_mod.image_set(census)
+    rank = simulator.state_family_rank(image)
+    if rank != image.size:
+        return [_result(name, False, f"rank {rank} != |image| {image.size}")]
+    achieved = census.success_probability()
+    ceiling = Fraction(rank, census.codomain_size)
+    if achieved != ceiling:
+        return [_result(name, False, f"achieved {achieved} != ceiling {ceiling}")]
+    return [_result(name, True, f"rank {rank} = |image|, ceiling met with equality")]
 
-    def body():
-        qs = (5, 7) if quick else (5, 7, 11, 13)
-        for q in qs:
-            for d in range(1, q):
-                n = d + 1
-                if d % 2 == 1:
-                    got = complexity.plan_bounded_error(n, q, q).k
-                    want = (d + 1) // 2
-                else:
-                    got = complexity.plan_high_probability(n, q, q, 1).k
-                    want = d // 2 + 1
-                if got != want:
-                    return [_result(name, False, f"(q={q}, d={d}) planned {got}, expected {want}")]
-        pinned = (
-            (complexity.plan_bounded_error(4, 5, 5).k, 2),
-            (complexity.plan_high_probability(5, 7, 7, 1).k, 3),
-            (complexity.plan_high_probability(6, 3, 9, 5).k, 7),
-        )
-        for got, want in pinned:
+
+def _check_sampling(name):
+    params = parse_field_spec("3")
+    domain = build_vandermonde_domain(params, 1)
+    census = census_mod.enumerate_census(domain, 1)
+    secret = VectorFq.from_index_tuple(params, (1, 1))
+    state = simulator.run_algorithm(domain, 1, census.transversal, secret)
+    dist = simulator.outcome_distribution(state)
+    first = simulator.sample_outcomes(dist, SAMPLING_TRIALS, seed=SAMPLING_SEED)
+    second = simulator.sample_outcomes(dist, SAMPLING_TRIALS, seed=SAMPLING_SEED)
+    if first.counts != second.counts:
+        return [_result(name, False, "same seed produced different counts")]
+    p = census.success_probability()
+    tol = 3 * math.sqrt(float(p) * (1 - float(p)) / SAMPLING_TRIALS)
+    freq = first.frequency_of(secret)
+    ok = abs(freq - float(p)) <= tol
+    return [_result(
+        name, ok,
+        f"frequency {freq:.5f} vs {float(p):.5f} within {tol:.5f}, seed-stable",
+    )]
+
+
+def _check_query_formulas(name, quick):
+    qs = (5, 7) if quick else (5, 7, 11, 13)
+    for q in qs:
+        for d in range(1, q):
+            n = d + 1
+            if d % 2 == 1:
+                got = complexity.plan_bounded_error(n, q, q).k
+                want = (d + 1) // 2
+            else:
+                got = complexity.plan_high_probability(n, q, q, 1).k
+                want = d // 2 + 1
             if got != want:
-                return [_result(name, False, f"pinned value {got} != {want}")]
-        return [_result(name, True, f"parity rules hold for q in {qs}, all d < q")]
-
-    return _guard(name, body)
-
-
-def _check_multivariate():
-    name = "multivariate-bounds"
-
-    def body():
-        cases = (
-            (2, 2, 3, 6, 1, 32),
-            (2, 3, 3, 10, 2, 50),
-            (3, 2, 2, 10, 1, 44),
-        )
-        for m, d, q, n_want, lo_want, hi_want in cases:
-            n = math.comb(m + d, d)
-            if n != n_want:
-                return [_result(name, False, f"n({m},{d}) = {n}, expected {n_want}")]
-            lo, hi = complexity.multivariate_query_bounds(n, q, m)
-            if (lo, hi) != (lo_want, hi_want):
-                return [_result(name, False, f"bounds ({lo},{hi}) != ({lo_want},{hi_want})")]
-            reference = Fraction(d * n, m + d)
-            if not lo <= reference <= hi:
-                return [_result(name, False, f"reference {reference} outside [{lo},{hi}]")]
-        for m in range(1, 5):
-            for d in range(1, 5):
-                plan = complexity.univariate_reduction(m, d)
-                if plan.reduced_degree != sum(d ** j for j in range(1, m + 1)):
-                    return [_result(name, False, f"reduced degree wrong at m={m}, d={d}")]
-        if complexity.univariate_reduction(3, 2).reduced_degree != 14:
-            return [_result(name, False, "m=3, d=2 reduced degree is not 14")]
-        return [_result(name, True, "bounds, references, and reductions all exact")]
-
-    return _guard(name, body)
+                return [_result(name, False, f"(q={q}, d={d}) planned {got}, expected {want}")]
+    pinned = (
+        (complexity.plan_bounded_error(4, 5, 5).k, 2),
+        (complexity.plan_high_probability(5, 7, 7, 1).k, 3),
+        (complexity.plan_high_probability(6, 3, 9, 5).k, 7),
+    )
+    for got, want in pinned:
+        if got != want:
+            return [_result(name, False, f"pinned value {got} != {want}")]
+    return [_result(name, True, f"parity rules hold for q in {qs}, all d < q")]
 
 
-def _check_monomial_shape():
-    name = "monomial-domain-shape"
+def _check_multivariate(name):
+    cases = (
+        (2, 2, 3, 6, 1, 32),
+        (2, 3, 3, 10, 2, 50),
+        (3, 2, 2, 10, 1, 44),
+    )
+    for m, d, q, n_want, lo_want, hi_want in cases:
+        n = math.comb(m + d, d)
+        if n != n_want:
+            return [_result(name, False, f"n({m},{d}) = {n}, expected {n_want}")]
+        lo, hi = complexity.multivariate_query_bounds(n, q, m)
+        if (lo, hi) != (lo_want, hi_want):
+            return [_result(name, False, f"bounds ({lo},{hi}) != ({lo_want},{hi_want})")]
+        reference = Fraction(d * n, m + d)
+        if not lo <= reference <= hi:
+            return [_result(name, False, f"reference {reference} outside [{lo},{hi}]")]
+    for m in range(1, 5):
+        for d in range(1, 5):
+            plan = complexity.univariate_reduction(m, d)
+            if plan.reduced_degree != sum(d ** j for j in range(1, m + 1)):
+                return [_result(name, False, f"reduced degree wrong at m={m}, d={d}")]
+    if complexity.univariate_reduction(3, 2).reduced_degree != 14:
+        return [_result(name, False, "m=3, d=2 reduced degree is not 14")]
+    return [_result(name, True, "bounds, references, and reductions all exact")]
 
-    def body():
-        params = parse_field_spec("3")
-        domain = build_monomial_domain(params, 2, 2)
-        q, m = 3, 2
-        closed_form = q ** m - (q - 1) ** m
-        if domain.size != q ** m or domain.n != 6:
-            return [_result(name, False, f"size {domain.size}, n {domain.n}")]
-        if domain.zero_touching_count() != closed_form:
-            return [_result(
-                name, False,
-                f"zero-touching {domain.zero_touching_count()} != closed form {closed_form}",
-            )]
-        return [_result(name, True, f"|V| = {domain.size}, n = {domain.n}, |V_0| = {closed_form}")]
 
-    return _guard(name, body)
+def _check_monomial_shape(name):
+    params = parse_field_spec("3")
+    domain = build_monomial_domain(params, 2, 2)
+    q, m = 3, 2
+    closed_form = q ** m - (q - 1) ** m
+    if domain.size != q ** m or domain.n != 6:
+        return [_result(name, False, f"size {domain.size}, n {domain.n}")]
+    if domain.zero_touching_count() != closed_form:
+        return [_result(
+            name, False,
+            f"zero-touching {domain.zero_touching_count()} != closed form {closed_form}",
+        )]
+    return [_result(name, True, f"|V| = {domain.size}, n = {domain.n}, |V_0| = {closed_form}")]
 
 
-def _check_domain_roundtrip():
-    name = "domain-file-roundtrip"
-
-    def body():
-        params = parse_field_spec("4")
-        domain = build_vandermonde_domain(params, 2)
-        with tempfile.TemporaryDirectory() as tmp:
-            path = os.path.join(tmp, "domain.txt")
-            write_domain_file(domain, path)
-            back = read_domain_file(path)
-        return [_result(name, back.same_as(domain),
-                        "write/read preserves field, length, and vectors")]
-
-    return _guard(name, body)
+def _check_domain_roundtrip(name):
+    params = parse_field_spec("4")
+    domain = build_vandermonde_domain(params, 2)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "domain.txt")
+        write_domain_file(domain, path)
+        back = read_domain_file(path)
+    return [_result(name, back.same_as(domain),
+                    "write/read preserves field, length, and vectors")]
 
 
 def run_all(quick: bool = False, corrupt_modulus: bool = False) -> list:
     """Run every check; returns CheckResults in a fixed, deterministic order.
+
+    This is the suite's one error boundary: a package error raised by a
+    check, or by the census its instance shares, becomes one failing result
+    under that check's name and the suite goes on.
 
     corrupt_modulus is a negative-control hook: the irreducibility check of
     each extension field is handed the reducible x^r instead of the field's
     modulus, and must then fail.  The field itself is left intact.
     """
     results = []
+
+    def run(name, check, *args):
+        try:
+            results.extend(check(name, *args))
+        except QvintError as exc:
+            results.append(_result(name, False, f"{type(exc).__name__}: {exc}"))
+
     fields = QUICK_FIELDS if quick else CHECK_FIELDS
     for q in fields:
         params = parse_field_spec(str(q))
         modulus = params.modulus
         if corrupt_modulus and params.r > 1:
             modulus = (0,) * params.r + (1,)
-        results.extend(_check_field_axioms(q, params))
-        results.extend(_check_trace_character(q, params))
-        results.extend(_check_modulus(q, params, modulus))
+        run(f"field-axioms-q{q}", _check_field_axioms, q, params)
+        run(f"trace-character-q{q}", _check_trace_character, params)
+        run(f"modulus-irreducible-q{q}", _check_modulus, params, modulus)
 
     vandermonde = QUICK_VANDERMONDE if quick else VANDERMONDE_GRID
     monomial = QUICK_MONOMIAL if quick else MONOMIAL_GRID
@@ -464,29 +376,30 @@ def run_all(quick: bool = False, corrupt_modulus: bool = False) -> list:
 
     gram_targets = {("vand-q3-d1", 1), ("vand-q5-d3", 2)}
     for label, domain, ks in instances:
+        # Every census the instance's checks need, enumerated once.
         try:
-            bundle = _census_bundle(domain, ks)
+            censuses = {k: census_mod.enumerate_census(domain, k) for k in ks}
         except QvintError as exc:
-            results.append(_result(
-                f"census-totals-{label}", False, f"{type(exc).__name__}: {exc}"
-            ))
+            results.append(_result(f"census-totals-{label}", False,
+                                   f"{type(exc).__name__}: {exc}"))
             continue
         for k in ks:
-            entry = bundle[k]
-            results.extend(_check_census_totals(label, domain, k, entry["census"]))
-            results.extend(_check_dichotomy(label, domain, k, entry["census"]))
-            results.extend(_check_second_moment(label, domain, k, entry["census"]))
-            results.extend(_check_chebyshev(label, domain, k, entry["census"]))
-            results.extend(_check_simulator(label, domain, k, entry))
+            census = censuses[k]
+            run(f"census-totals-{label}-k{k}", _check_census_totals, domain, k, census)
+            run(f"good-dichotomy-{label}-k{k}", _check_dichotomy, domain, k, census)
+            run(f"second-moment-{label}-k{k}", _check_second_moment, domain, k, census)
+            run(f"chebyshev-{label}-k{k}", _check_chebyshev, domain, k, census)
+            run(f"pipeline-equivalence-{label}-k{k}", _check_simulator, domain, k, census,
+                f"success-probability-{label}-k{k}")
             if (label, k) in gram_targets:
-                results.extend(_check_gram_rank(label, domain, k, entry))
-        results.extend(_check_monotonicity(label, domain, bundle))
+                run(f"state-family-rank-{label}-k{k}", _check_gram_rank, census)
+        run(f"image-monotonicity-{label}", _check_monotonicity, domain, censuses)
 
     for q in PHASE_CHECK_FIELDS:
-        results.extend(_check_phase_query(q))
-    results.extend(_check_sampling())
-    results.extend(_check_query_formulas(quick))
-    results.extend(_check_multivariate())
-    results.extend(_check_monomial_shape())
-    results.extend(_check_domain_roundtrip())
+        run(f"phase-query-q{q}", _check_phase_query, q)
+    run("sampling-reproducibility", _check_sampling)
+    run("query-formula-sweep", _check_query_formulas, quick)
+    run("multivariate-bounds", _check_multivariate)
+    run("monomial-domain-shape", _check_monomial_shape)
+    run("domain-file-roundtrip", _check_domain_roundtrip)
     return results

@@ -9,6 +9,7 @@ from click.testing import CliRunner
 import qvint
 from qvint.cli import main
 from qvint.domain import VectorFq, build_vandermonde_domain, write_domain_file
+from qvint.errors import ContractError, ParameterError, ResourceCapError
 from qvint.field import FieldParams
 
 
@@ -119,10 +120,12 @@ class TestEnumerate:
         )
 
     def test_csv_rejected_outside_enumerate(self, runner):
-        result = runner.invoke(
-            main, ["analyze", "--field", "3", "--vandermonde", "1",
-                   "--format", "csv"])
-        assert result.exit_code == 2
+        for command in ("analyze", "simulate"):
+            result = runner.invoke(
+                main, [command, "--field", "3", "--vandermonde", "1",
+                       "--format", "csv"])
+            assert result.exit_code == 2
+            assert "No such option '--format'" in result.output
 
     def test_out_file(self, runner, tmp_path):
         target = tmp_path / "report.json"
@@ -251,10 +254,49 @@ class TestUsageErrors:
         ["enumerate", "--field", "3", "--vandermonde", "1", "--k", "-1"],
         ["simulate", "--field", "3", "--vandermonde", "1", "--trials", "-5"],
         ["simulate", "--field", "4", "--vandermonde", "2", "--k", "1", "--secret", "1,2,3"],
+        ["simulate", "--field", "3", "--vandermonde", "1", "--k", "1", "--seed", "-1"],
+        ["simulate", "--field", "3", "--vandermonde", "1", "--k", "1",
+         "--secret", "1,2", "--trials", "5", "--seed", "-1"],
     ))
     def test_exit_code_two(self, runner, args):
         result = runner.invoke(main, args)
         assert result.exit_code == 2, result.output
+
+    @pytest.mark.parametrize("args,out", (
+        (["analyze", "--field", "3", "--vandermonde", "1"], "{tmp}"),
+        (["enumerate", "--field", "3", "--vandermonde", "1", "--k", "1",
+          "--format", "csv"], "{tmp}"),
+        (["enumerate", "--field", "3", "--vandermonde", "1", "--k", "1"],
+         "{tmp}/missing/x.json"),
+    ), ids=("analyze-directory", "csv-directory", "missing-directory"))
+    def test_bad_out_path_is_refused_before_work(self, runner, tmp_path, monkeypatch,
+                                                 args, out):
+        def no_work(*args):
+            raise AssertionError("command started work")
+
+        monkeypatch.setattr("qvint.cli._build_domain", no_work)
+        out = out.format(tmp=tmp_path)
+        result = runner.invoke(main, args + ["--out", out])
+        assert result.exit_code == 2, result.output
+        assert out in result.output
+
+    @pytest.mark.parametrize("error,code,prefix", (
+        (ParameterError, 2, "Error: "),
+        (ResourceCapError, 3, "resource cap exceeded: "),
+        (ContractError, 1, "invariant violated: "),
+    ))
+    @pytest.mark.parametrize("command", ("enumerate", "simulate"))
+    def test_package_errors_map_to_exit_codes(self, runner, monkeypatch, command,
+                                              error, code, prefix):
+        def broken(*args):
+            raise error("injected")
+
+        monkeypatch.setattr("qvint.census.transform_census", broken)
+        result = runner.invoke(main, [command, "--field", "3", "--vandermonde", "1",
+                                      "--k", "1"])
+        assert result.exit_code == code, result.output
+        assert prefix + "injected" in result.output
+        assert "Traceback" not in result.output
 
     def test_version(self, runner):
         result = runner.invoke(main, ["--version"])

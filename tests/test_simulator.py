@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from qvint import simulator
-from qvint.census import ImageSet, enumerate_census, image_set
+from qvint.census import ImageSet, Transversal, enumerate_census, image_set
 from qvint.domain import VectorFq, build_vandermonde_domain
 from qvint.errors import ContractError, ParameterError, ResourceCapError
 from qvint.field import FieldParams
@@ -193,6 +193,18 @@ class TestRunAlgorithm:
                 trans, keys=trans.keys[rows], positions=trans.positions[rows],
                 weights=trans.weights[rows])
 
+    def test_keys_wider_than_a_flat_index(self):
+        # GF(2)^70 has more points than an int64 flat index can number, so
+        # the repeated-key check must compare rows, not flat indices.
+        dom = build_vandermonde_domain(FieldParams(2), 69)
+        rows = np.arange(dom.size)
+        trans = Transversal(dom, 1, dom.indices, rows[:, None], np.ones((dom.size, 1), int))
+        assert trans.size == 2
+        with pytest.raises(ContractError, match="same target twice"):
+            dataclasses.replace(trans, keys=trans.keys[[0, 1, 1]],
+                                positions=trans.positions[[0, 1, 1]],
+                                weights=trans.weights[[0, 1, 1]])
+
     def test_checked_copy_is_read_only_and_runs(self):
         dom, _, trans = instance(3, 1, 1)
         copy = dataclasses.replace(trans, keys=trans.keys.copy())
@@ -285,6 +297,13 @@ class TestSampling:
             sample_outcomes(dist, 0, seed=1)
         with pytest.raises(ParameterError):
             sample_outcomes(dist, 1.5, seed=1)
+
+    def test_negative_seed_is_a_parameter_error(self):
+        dom, _, trans = instance(3, 1, 1)
+        dist = outcome_distribution(
+            run_algorithm(dom, 1, trans, VectorFq.from_index_tuple(F3, (0, 0))))
+        with pytest.raises(ParameterError, match="seed must be non-negative"):
+            sample_outcomes(dist, 5, seed=-1)
 
 
 def kronecker_rank(image):

@@ -22,7 +22,8 @@ The transversal of either is each target's first pre-image in walk order,
 i.e. the lexicographically smallest sequence of (vector position, weight
 index) pairs ((v0, y0), (v1, y1), ...), picked level by level against R_j,
 the support of the j-tuple counts, for the j levels that remain.  One
-forward transform per census feeds its counts, good counts and R_j.
+forward transform per census feeds its counts, good counts and R_j, and the
+tally of its N(t) feeds the second-moment identity and the tail bound.
 
 All counts are exact integers and all derived statistics are Fractions;
 floating point never enters here.
@@ -42,8 +43,8 @@ from .errors import ContractError, ParameterError, check_cap
 from .field import FieldElement, FieldParams, _is_prime, _read_only
 
 DEFAULT_MAX_TUPLES = 10 ** 8
-# Points t of GF(q)^n per vectorised pass of the second-moment right side.
-_RHS_BLOCK = 4096
+# Points t of GF(q)^n per vectorised pass of the direct hit tally.
+_DIRECT_BLOCK = 4096
 # Transform primes lie in (2^25, 2^26): each exceeds every |V|*q a transform
 # census accepts, and a sum of p products of two residues fits in int64 for
 # every p <= 1021.
@@ -110,6 +111,13 @@ class PreimageCensus:
     census keeps it, a walk census builds it on first use.  All three arrays
     are read-only.  counts and good_counts are dict views of the nonzero
     entries keyed by element-index tuple, built on first access.
+
+    N is indexed by digit characters: N(t) counts the domain vectors v on
+    whose line F*v the character with flat index t is trivial.  On a prime
+    field that is the number of v with t.v = 0; on an extension field it is
+    that count at another point, relabelled through the trace-dual basis.
+    So N(t) matches the field-orthogonal count as a histogram (hit_tally),
+    not point by point.
     """
 
     domain: Domain
@@ -132,8 +140,19 @@ class PreimageCensus:
 
     def _line_hits(self) -> np.ndarray:
         if self._hits is None:
-            self._hits = _line_transform(self.domain, _transform_primes(self.domain, 1)[0])
+            self._hits = _line_transform(self.domain)
         return self._hits
+
+    @cached_property
+    def hit_tally(self) -> np.ndarray:
+        """tally[h], the number of points t of GF(q)^n with N(t) = h, for h
+        in [0, |V|]; read-only.  t = 0 is counted at h = |V|."""
+        return _read_only(np.bincount(self._line_hits(), minlength=self.domain.size + 1))
+
+    @property
+    def largest_hyperplane_section(self) -> int:
+        """max N(t) over t != 0 (flat index 0 is t = 0)."""
+        return int(self._line_hits()[1:].max())
 
     @cached_property
     def _image(self) -> np.ndarray:
@@ -307,20 +326,36 @@ def transform_census(domain: Domain, k: int) -> PreimageCensus:
     _check_k(k)
     q = domain.params.q
     primes = _transform_primes(domain, k)
-    hits = _line_transform(domain, primes[0])
+    hits = _line_transform(domain)
     dense = _hit_transform(domain, hits, primes, k, lambda h: (q * h) ** k)
     if dense.sum() != (domain.size * q) ** k:
         raise ContractError("census total does not match the tuple count")
     return PreimageCensus(domain, k, dense, _hits=hits)
 
 
-def _line_transform(domain: Domain, ell: int) -> np.ndarray:
+def _line_transform(domain: Domain) -> np.ndarray:
     """N(t) by flat index t, read-only: the forward transform of the line
-    measure modulo the transform prime ell, over q."""
+    measure modulo the largest transform prime, over q."""
     params, n = domain.params, domain.n
+    ell = _transform_primes(domain, 1)[0]
     scaled = params.mul_rows()[:, domain.indices].reshape(-1, n)
     line_measure = np.bincount(rows_to_flat(scaled, params.q), minlength=params.q ** n)
     return _read_only(_dft(line_measure, params.p, params.r * n, ell) // params.q)
+
+
+def _direct_hit_tally(domain: Domain) -> np.ndarray:
+    """The reference for PreimageCensus.hit_tally: for each h, the number of
+    points t with t.v = 0 for exactly h domain vectors v, by q^n * |V| field
+    dot products in blocks.  Capped at DEFAULT_MAX_TUPLES dot products."""
+    params, n = domain.params, domain.n
+    codomain = params.q ** n
+    check_cap("direct hit tally", codomain * domain.size, "dot products", DEFAULT_MAX_TUPLES)
+    tally = np.zeros(domain.size + 1, dtype=np.int64)
+    for start in range(0, codomain, _DIRECT_BLOCK):
+        block = flat_to_rows(np.arange(start, min(start + _DIRECT_BLOCK, codomain)), params.q, n)
+        hits = sum((dot_rows(params, v, block) == 0).astype(np.intp) for v in domain.indices)
+        tally += np.bincount(hits, minlength=domain.size + 1)
+    return _read_only(tally)
 
 
 def _hit_transform(domain: Domain, hits: np.ndarray, primes: list, j: int,
@@ -599,51 +634,42 @@ def second_moment_identity_check(domain: Domain, k: int, *,
                                  census: PreimageCensus = None) -> SecondMomentCheck:
     """Compare sum of squared counts against the closed-form character sum.
 
-    The right side is (|V|q)^(2k)/q^n plus (q^(2k)/q^n) times the sum over
-    nonzero t of (number of domain vectors orthogonal to t)^(2k), evaluated
-    directly; equality is exact rational equality, not approximate.
+    The right side is (q^(2k)/q^n) times the sum over every t of N(t)^(2k),
+    read off the census's hit_tally; t = 0 gives the (|V|q)^(2k)/q^n term.
+    For a transform census this is Parseval's relation, so it checks the
+    inverse transform and the CRT; verify checks N(t) itself against the
+    direct count.  Equality is exact rational equality, not approximate.
     """
-    if census is None:
-        census = enumerate_census(domain, k)
-    elif census.k != k or not census.domain.same_as(domain):
-        raise ParameterError("supplied census does not match (domain, k)")
-    _check_identity_size(domain)
-    params = domain.params
-    q = params.q
-    n = domain.n
-    codomain = q ** n
-    # hit_tally[h] counts the nonzero t orthogonal to exactly h domain vectors.
-    hit_tally = np.zeros(domain.size + 1, dtype=np.int64)
-    for start in range(1, codomain, _RHS_BLOCK):
-        block = flat_to_rows(np.arange(start, min(start + _RHS_BLOCK, codomain)), q, n)
-        hits = np.zeros(len(block), dtype=np.intp)
-        for v in domain.indices:
-            hits += dot_rows(params, v, block) == 0
-        hit_tally += np.bincount(hits, minlength=domain.size + 1)
-    two_k = 2 * k
-    # Python ints: hits ** (2k) overflows int64.
-    ortho_power_sum = sum(tally * hits ** two_k
-                          for hits, tally in enumerate(hit_tally.tolist()))
-    rhs = Fraction(
-        (domain.size * q) ** two_k + q ** two_k * ortho_power_sum, codomain
-    )
+    census = enumerate_census(domain, k) if census is None else _matching(domain, k, census)
+    q = domain.params.q
+    rhs = Fraction(q ** (2 * k) * _power_sum(census.hit_tally, 2 * k), q ** domain.n)
     lhs = census.second_moment_sum()
     return SecondMomentCheck(lhs=lhs, rhs=rhs, equal=Fraction(lhs) == rhs)
 
 
-def _check_identity_size(domain: Domain) -> None:
-    """The right side takes q^n * |V| dot products."""
-    check_cap("identity right side", domain.params.q ** domain.n * domain.size,
-              "dot products", DEFAULT_MAX_TUPLES)
+def chebyshev_zero_bound(domain: Domain, k: int, *,
+                         census: PreimageCensus = None) -> Fraction:
+    """Second-moment tail bound on the fraction of unhit targets:
+    Var/mean^2 = sum over t != 0 of (N(t)/|V|)^(2k), by Chebyshev's
+    inequality (Alon and Spencer, The Probabilistic Method, ch. 4).
 
-
-def chebyshev_zero_bound(domain: Domain, k: int) -> Fraction:
-    """Tail bound q^n * (|V_0|/|V|)^(2k) on the fraction of unhit targets.
-
-    May exceed 1, in which case it is vacuous but still valid.
+    N(t) comes from the census's hit_tally, or from the line transform of
+    the domain when no census is given.  May exceed 1, in which case it is
+    vacuous but still valid.
     """
     _check_k(k)
-    q = domain.params.q
-    return Fraction(q ** domain.n) * Fraction(
-        domain.zero_touching_count(), domain.size
-    ) ** (2 * k)
+    tally = (np.bincount(_line_transform(domain), minlength=domain.size + 1) if census is None
+             else _matching(domain, k, census).hit_tally)
+    scale = domain.size ** (2 * k)
+    return Fraction(_power_sum(tally, 2 * k) - scale, scale)  # t = 0 has N = |V|
+
+
+def _matching(domain: Domain, k: int, census: PreimageCensus) -> PreimageCensus:
+    if census.k != k or not census.domain.same_as(domain):
+        raise ParameterError("supplied census does not match (domain, k)")
+    return census
+
+
+def _power_sum(tally: np.ndarray, exponent: int) -> int:
+    """Sum over h of tally[h] * h^exponent, in Python ints: h^(2k) overflows int64."""
+    return sum(int(tally[h]) * h ** exponent for h in np.flatnonzero(tally).tolist())

@@ -18,6 +18,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import asdict
 from fractions import Fraction
 
 import click
@@ -254,18 +255,15 @@ def cmd_enumerate(field_spec, vandermonde, monomial, domain_file, k, out, fmt, t
     started = time.perf_counter()
     domain, _ = _build_domain(field_spec, vandermonde, monomial, domain_file)
     k_value, k_rule = _resolve_k(domain, k)
-    if fmt != "csv":
-        census_mod._check_identity_size(domain)  # refuse before the census work
     census = census_mod.transform_census(domain, k_value)
     if fmt == "csv":
         _write(_census_csv(census), out)
         return
 
     identity = census_mod.second_moment_identity_check(domain, k_value, census=census)
-    cheb = census_mod.chebyshev_zero_bound(domain, k_value)
+    cheb = census_mod.chebyshev_zero_bound(domain, k_value, census=census)
     observed = census.zero_count_fraction()
-    lower = None
-    lower_note = None
+    lower = lower_note = None
     try:
         lower = census_mod.image_size_lower_bound(domain, k_value)
     except (ContractError, ResourceCapError) as exc:
@@ -294,14 +292,11 @@ def cmd_enumerate(field_spec, vandermonde, monomial, domain_file, k, out, fmt, t
             "lower_bound_satisfied": None if lower is None
             else census.image_size >= lower,
             "chebyshev_zero_bound": cheb,
+            "largest_hyperplane_section": census.largest_hyperplane_section,
             "observed_zero_fraction": observed,
             "chebyshev_consistent": observed <= cheb,
         },
-        "second_moment_identity": {
-            "lhs": identity.lhs,
-            "rhs": identity.rhs,
-            "equal": identity.equal,
-        },
+        "second_moment_identity": asdict(identity),
     }
     _emit(report, out, started if timings else None)
     if not identity.equal or observed > cheb:

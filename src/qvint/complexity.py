@@ -2,9 +2,11 @@
 
 Two planning rules are implemented.  The bounded-error rule picks the least
 k with (|V|*q)^k >= q^n, enough for the image to have positive density in
-the codomain.  The high-probability rule picks the least k for which the
-zero-count tail bound (see census.chebyshev_zero_bound) becomes small; its
-shape depends on whether the field or the domain is larger.
+the codomain.  The high-probability rule picks the least k for which
+(|V_0|/|V|)^(2k), |V_0| the zero-touching count, falls below a target; its
+shape depends on whether the field or the domain is larger.  That ratio is
+not census.chebyshev_zero_bound, which reads the largest hyperplane
+sections instead; the README states the open question between the two.
 
 All ceilings of log-ratios are evaluated as least-integer power
 inequalities over exact integers.  The interesting instances sit exactly on

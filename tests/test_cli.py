@@ -24,6 +24,15 @@ def run_json(runner, args):
     return json.loads(result.output)
 
 
+def binary_domain_file(tmp_path, m, n):
+    """A domain file of the m largest vectors of GF(2)^n; returns its path."""
+    rows = [format((1 << n) - 1 - i, f"0{n}b") for i in range(m)]
+    path = tmp_path / "domain.txt"
+    path.write_text(f"q=2 n={n}\n" + "".join(",".join(row) + "\n" for row in rows),
+                    encoding="ascii")
+    return str(path)
+
+
 class TestAnalyze:
     def test_vandermonde_plans(self, runner):
         report = run_json(runner, ["analyze", "--field", "5", "--vandermonde", "3"])
@@ -75,6 +84,19 @@ class TestEnumerate:
         assert report["bounds"]["image_lower_bound"] == 6
         assert report["bounds"]["lower_bound_satisfied"] is True
         assert report["bounds"]["chebyshev_consistent"] is True
+
+    @pytest.mark.parametrize("q,bound,observed", (
+        (7, "242412/16807", "8868/16807"),
+        (8, "14021/1024", "14091/32768"),
+    ))
+    def test_tail_bound_holds_at_degree_four(self, runner, q, bound, observed):
+        report = run_json(runner, ["enumerate", "--field", str(q), "--vandermonde", "4",
+                                   "--k", "3"])
+        assert report["second_moment_identity"]["equal"] is True
+        assert report["bounds"]["chebyshev_zero_bound"] == bound
+        assert report["bounds"]["observed_zero_fraction"] == observed
+        assert report["bounds"]["chebyshev_consistent"] is True
+        assert report["bounds"]["largest_hyperplane_section"] == 4
 
     def test_k0(self, runner):
         report = run_json(
@@ -310,35 +332,35 @@ class TestResourceCaps:
          None, "census"),
         (["enumerate", "--field", "11", "--vandermonde", "3", "--k", "2000000"],
          None, "census"),
-        (["enumerate", "--k", "1"], (1, 20000), "identity right side"),
+        (["enumerate", "--k", "1"], (1, 20000), "census"),
         (["enumerate", "--k", "1", "--format", "csv"], (1, 20000), "census"),
         (["enumerate", "--k", "1"], (10, 23), "census"),
-        (["enumerate", "--k", "1"], (128, 20), "identity right side"),
-        (["enumerate", "--field", "1021", "--vandermonde", "1", "--k", "1"],
-         None, "identity right side"),
         (["simulate", "--k", "1"], (1, 70), "state over GF(2)^70"),
         (["simulate", "--field", "3", "--vandermonde", "1", "--k", "1",
           "--secret", "1,1", "--trials", "10000001"], None, "sampling"),
         (["analyze", "--field", "2", "--monomial", "2,3000"], None, "domain"),
         (["analyze", "--field", "2", "--vandermonde", "3000000"], None, "domain"),
     ), ids=("census-digits", "census-power", "identity-digits", "census-space",
-            "census-residues", "identity-dot-products", "identity-before-census",
+            "census-residues",
             "state-secret", "trials", "monomial-entries", "vandermonde-entries"))
     def test_oversized_request_exits_three(self, runner, tmp_path, args, vectors, stage):
-        if vectors is not None:  # (m, n): the m largest vectors of GF(2)^n
-            m, n = vectors
-            rows = [format((1 << n) - 1 - i, f"0{n}b") for i in range(m)]
-            path = tmp_path / "domain.txt"
-            path.write_text(f"q=2 n={n}\n" + "".join(",".join(row) + "\n" for row in rows),
-                            encoding="ascii")
-            args = args + ["--domain-file", str(path)]
+        if vectors is not None:
+            args = args + ["--domain-file", binary_domain_file(tmp_path, *vectors)]
         started = time.perf_counter()
         result = runner.invoke(main, args)
         assert result.exit_code == 3, result.output
         assert f"resource cap exceeded: {stage} needs" in result.output
         assert "Traceback" not in result.output
-        # Refused before any census or identity work.
+        # Refused before any census work.
         assert time.perf_counter() - started < 2
+
+    def test_identity_runs_past_the_old_dot_product_cap(self, runner, tmp_path):
+        # 2^20 points times 128 vectors is 1.3e8 dot products, over the 10^8
+        # the direct count was capped at; the identity reads the census's N(t).
+        report = run_json(runner, ["enumerate", "--k", "1", "--domain-file",
+                                   binary_domain_file(tmp_path, 128, 20)])
+        assert report["second_moment_identity"]["equal"] is True
+        assert report["bounds"]["chebyshev_consistent"] is True
 
 
 class TestReproducibility:

@@ -21,7 +21,7 @@ def test_corrupt_modulus_fails_only_the_irreducibility_check():
 
 
 def test_a_raising_check_fails_alone(monkeypatch):
-    def broken(domain, k):
+    def broken(domain, k, *, census=None):
         raise ContractError("bound withheld")
 
     monkeypatch.setattr(census_mod, "chebyshev_zero_bound", broken)
@@ -31,3 +31,25 @@ def test_a_raising_check_fails_alone(monkeypatch):
     assert failed == [r for r in results if r.name.startswith("chebyshev-")]
     assert failed
     assert all(r.detail == "ContractError: bound withheld" for r in failed)
+
+
+def test_corrupt_hit_counts_fail_the_second_moment_checks(monkeypatch):
+    real = census_mod._line_transform
+
+    def corrupt(domain):
+        hits = real(domain).copy()
+        hits[1] = (hits[1] + 1) % (domain.size + 1)
+        return hits
+
+    monkeypatch.setattr(census_mod, "_line_transform", corrupt)
+    results = run_all(quick=True)
+    second_moment = [r for r in results if r.name.startswith("second-moment-")]
+    assert len(second_moment) == 4
+    assert all(not r.ok and r.detail.endswith(", N(t) tally differs from the direct count")
+               for r in second_moment)
+    # The transform census and the picker read the same N(t), so the walk
+    # comparison and the k=2 transversal catch it too; nothing else does.
+    failed = {r.name for r in results if not r.ok}
+    assert failed == ({r.name for r in second_moment}
+                      | {r.name.replace("second-moment-", "census-totals-") for r in second_moment}
+                      | {"pipeline-equivalence-vand-q5-d3-k2"})

@@ -135,29 +135,10 @@ def _build_domain(field_spec, vandermonde, monomial, domain_file):
 def _resolve_k(domain, k):
     """Explicit k, or the planned one (high-probability rule when defined)."""
     if k is not None:
-        if k < 0:
-            raise ParameterError("--k must be non-negative")
         return k, "explicit"
     low, high, _ = complexity.query_plans(domain.stats())
     plan = high or low
     return plan.k, plan.rule
-
-
-def _domain_block(domain):
-    stats = domain.stats()
-    return {
-        "label": stats.label,
-        "field_order": stats.field_order,
-        "characteristic": stats.characteristic,
-        "extension_degree": stats.extension_degree,
-        "length": stats.length,
-        "size": stats.size,
-        "zero_touching": stats.zero_touching,
-    }
-
-
-def _plan_block(plan):
-    return {"k": plan.k, "rule": plan.rule, "note": plan.note}
 
 
 class _Commands(click.Group):
@@ -185,7 +166,8 @@ def main():
 @main.command()
 @domain_options
 @output_options
-@click.option("--k", type=int, default=None, help="Classify this query count.")
+@click.option("--k", type=click.IntRange(min=0), default=None,
+              help="Classify this query count.")
 def analyze(field_spec, vandermonde, monomial, domain_file, k, out, timings):
     """Domain statistics and query planning; no enumeration."""
     started = time.perf_counter()
@@ -210,11 +192,11 @@ def analyze(field_spec, vandermonde, monomial, domain_file, k, out, timings):
             field=field_spec, vandermonde=vandermonde, monomial=monomial,
             domain_file=domain_file, k=k,
         ),
-        "domain": _domain_block(domain),
+        "domain": asdict(stats),
         "independence": independence,
         "plan": {
-            "bounded_error": _plan_block(low),
-            "high_probability": None if high is None else _plan_block(high),
+            "bounded_error": asdict(low),
+            "high_probability": None if high is None else asdict(high),
             "high_probability_error": high_error,
         },
     }
@@ -249,7 +231,8 @@ def analyze(field_spec, vandermonde, monomial, domain_file, k, out, timings):
 @output_options
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
               default="json", help="Report format (csv: the raw census table).")
-@click.option("--k", type=int, default=None, help="Query count (planned if omitted).")
+@click.option("--k", type=click.IntRange(min=0), default=None,
+              help="Query count (planned if omitted).")
 def cmd_enumerate(field_spec, vandermonde, monomial, domain_file, k, out, fmt, timings):
     """Exact pre-image census with bound comparisons."""
     started = time.perf_counter()
@@ -275,7 +258,7 @@ def cmd_enumerate(field_spec, vandermonde, monomial, domain_file, k, out, fmt, t
             field=field_spec, vandermonde=vandermonde, monomial=monomial,
             domain_file=domain_file, k=k_value, k_rule=k_rule,
         ),
-        "domain": _domain_block(domain),
+        "domain": asdict(domain.stats()),
         "census": {
             "image_size": census.image_size,
             "codomain_size": census.codomain_size,
@@ -306,7 +289,8 @@ def cmd_enumerate(field_spec, vandermonde, monomial, domain_file, k, out, fmt, t
 @main.command()
 @domain_options
 @output_options
-@click.option("--k", type=int, default=None, help="Query count (planned if omitted).")
+@click.option("--k", type=click.IntRange(min=0), default=None,
+              help="Query count (planned if omitted).")
 @click.option("--secret", default="random", metavar="SPEC",
               help="Element list 'a,b,...', or 'sweep' (all secrets), or 'random'.")
 @click.option("--trials", type=click.IntRange(min=0), default=0, show_default=True,
@@ -331,7 +315,7 @@ def simulate(field_spec, vandermonde, monomial, domain_file, k, secret, trials,
             domain_file=domain_file, k=k_value, k_rule=k_rule,
             secret=secret, trials=trials, seed=seed,
         ),
-        "domain": _domain_block(domain),
+        "domain": asdict(domain.stats()),
         "image_size": census.image_size,
         "codomain_size": census.codomain_size,
         "analytic": {

@@ -30,8 +30,8 @@ LOW_REGIME_NOTE = (
 )
 HIGH_REGIME_NOTE = "success probability 1 - O(1/min(q, |V|)) at this query count"
 DEGENERATE_NOTE = (
-    "no domain vector touches zero, so the tail bound vanishes for every "
-    "k >= 1 and a single query already hits the full-image regime"
+    "no domain vector touches zero, so the |V_0| formula sets no constraint "
+    "and the least k, 1, is planned; it promises no success probability"
 )
 
 
@@ -102,9 +102,9 @@ def plan_bounded_error(n: int, q: int, domain_size: int) -> QueryPlan:
 
 def plan_high_probability(n: int, q: int, domain_size: int,
                           zero_touching: int) -> QueryPlan:
-    """Least k with (|V|/|V_0|)^(2k) >= |V|*q^n (field larger than domain)
-    or >= q^(n+1) (domain larger than field); at q = |V| the two targets
-    coincide and agreement is asserted rather than assumed."""
+    """Least k with (|V|/|V_0|)^(2k) >= |V|*q^n (field at least as large as
+    the domain) or >= q^(n+1) (domain larger than field); at q = |V| the two
+    targets are the same integer."""
     _validate_counts(n, q, domain_size, zero_touching)
     if zero_touching == domain_size:
         raise ParameterError(
@@ -113,23 +113,12 @@ def plan_high_probability(n: int, q: int, domain_size: int,
         )
     if zero_touching == 0:
         return QueryPlan(k=1, rule="high-regime-degenerate", note=DEGENERATE_NOTE)
-    ratio_num = domain_size * domain_size
-    ratio_den = zero_touching * zero_touching
-    if q > domain_size:
-        k = _least_k(ratio_num, ratio_den, domain_size * q ** n, 1)
-        rule = "high-regime-q-large"
-    elif q < domain_size:
-        k = _least_k(ratio_num, ratio_den, q ** (n + 1), 1)
-        rule = "high-regime-V-large"
+    if q < domain_size:
+        target, rule = q ** (n + 1), "high-regime-V-large"
     else:
-        k_a = _least_k(ratio_num, ratio_den, domain_size * q ** n, 1)
-        k_b = _least_k(ratio_num, ratio_den, q ** (n + 1), 1)
-        if k_a != k_b:
-            raise ContractError(
-                f"tie case q = |V| = {q} produced diverging plans {k_a} and {k_b}"
-            )
-        k = k_a
-        rule = "high-regime-tie"
+        target = domain_size * q ** n
+        rule = "high-regime-q-large" if q > domain_size else "high-regime-tie"
+    k = _least_k(domain_size * domain_size, zero_touching * zero_touching, target, 1)
     return QueryPlan(k=k, rule=rule, note=HIGH_REGIME_NOTE)
 
 

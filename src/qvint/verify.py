@@ -1,15 +1,17 @@
 """Self-check suite over a built-in instance grid.
 
-Every check is named and runs to a boolean verdict with a one-line detail.
-run_all never raises: an error raised by the modules under test fails the
-check that hit it.  The command line front-end prints one line per check
-and exits nonzero if any failed.
+Every check returns a boolean verdict with a one-line detail, and run_all
+names it.  The list of names is fixed by the grid: run_all never raises, and
+an error raised by the modules under test fails each name whose check hit
+it.  The command line front-end prints one line per check and exits nonzero
+if any failed.
 
 The default grid covers prime and extension fields, Vandermonde and
 monomial domains, and every query count the desk-scale identities are
 asserted for.  --quick shrinks it to a sub-10-second subset.
 """
 
+import functools
 import math
 import os
 import tempfile
@@ -64,132 +66,127 @@ class CheckResult:
     detail: str
 
 
-def _result(name, ok, detail):
-    return CheckResult(name=name, ok=bool(ok), detail=detail)
-
-
 def _secret_indices(codomain_size):
     if codomain_size <= SWEEP_LIMIT:
         return range(codomain_size)
     return sorted({0, 1, codomain_size // 2, codomain_size - 2, codomain_size - 1})
 
 
-def _check_field_axioms(name, q, params):
+def _check_field_axioms(q, params):
     elems = params.elements()
     zero, one = params.zero(), params.one()
     for a in elems:
         if a + zero != a or a * one != a or a + (-a) != zero:
-            return [_result(name, False, f"unit/negation law broke at {a!r}")]
+            return False, f"unit/negation law broke at {a!r}"
         if not a.is_zero() and a * a.inverse() != one:
-            return [_result(name, False, f"inverse law broke at {a!r}")]
+            return False, f"inverse law broke at {a!r}"
     for a in elems:
         for b in elems:
             if a + b != b + a or a * b != b * a:
-                return [_result(name, False, f"commutativity broke at {a!r}, {b!r}")]
+                return False, f"commutativity broke at {a!r}, {b!r}"
             for c in elems:
                 if (a + b) + c != a + (b + c) or (a * b) * c != a * (b * c):
-                    return [_result(name, False, "associativity broke")]
+                    return False, "associativity broke"
                 if a * (b + c) != a * b + a * c:
-                    return [_result(name, False, "distributivity broke")]
-    return [_result(name, True, f"ring laws exhaustive over {q}^3 triples")]
+                    return False, "distributivity broke"
+    return True, f"ring laws exhaustive over {q}^3 triples"
 
 
-def _check_trace_character(name, params):
+def _check_trace_character(params):
     p = params.p
     elems = params.elements()
     for a in elems:
         for b in elems:
             if (a + b).trace() != (a.trace() + b.trace()) % p:
-                return [_result(name, False, f"trace additivity broke at {a!r}, {b!r}")]
+                return False, f"trace additivity broke at {a!r}, {b!r}"
             if abs((a + b).character() - a.character() * b.character()) > 1e-9:
-                return [_result(name, False, "character multiplicativity broke")]
+                return False, "character multiplicativity broke"
     if not character_orthogonality_check(params):
-        return [_result(name, False, "orthogonality relation failed")]
-    return [_result(name, True, "trace linear, character multiplicative, orthogonality exact")]
+        return False, "orthogonality relation failed"
+    return True, "trace linear, character multiplicative, orthogonality exact"
 
 
-def _check_modulus(name, params, modulus):
+def _check_modulus(params, modulus):
     if params.r == 1:
-        return [_result(name, True, "prime field, nothing to factor")]
+        return True, "prime field, nothing to factor"
     ok = _is_irreducible(modulus, params.p)
     detail = f"modulus {modulus} over GF({params.p})"
-    return [_result(name, ok, detail if ok else detail + " is reducible")]
+    return ok, detail if ok else detail + " is reducible"
 
 
-def _check_census_totals(name, domain, k, census):
+def _check_census_totals(domain, k, census_of):
+    census = census_of(k)
     expected = (domain.size * domain.params.q) ** k
     total = sum(census.counts.values())
     v_good, y_good = census_mod.good_set_sizes(domain, k)
     good_total = sum(census.good_counts.values())
     if total != expected:
-        return [_result(name, False, f"count total {total} != {expected}")]
+        return False, f"count total {total} != {expected}"
     if good_total != v_good * y_good:
-        return [_result(name, False, f"good total {good_total} != {v_good * y_good}")]
+        return False, f"good total {good_total} != {v_good * y_good}"
     if census.mean() * census.codomain_size != expected:
-        return [_result(name, False, "mean identity broke")]
+        return False, "mean identity broke"
     if k >= 1 and census.counts.get((0,) * domain.n, 0) == 0:
-        return [_result(name, False, "image misses the zero target")]
+        return False, "image misses the zero target"
     # The commands' engine must reproduce the walk exactly.
     transform = census_mod.transform_census(domain, k)
     if not (np.array_equal(transform.dense, census.dense)
             and np.array_equal(transform.dense_good, census.dense_good)):
-        return [_result(name, False, "transform census differs from the walk")]
-    return [_result(name, True, f"totals {total} and {good_total} exact")]
+        return False, "transform census differs from the walk"
+    return True, f"totals {total} and {good_total} exact"
 
 
-def _check_dichotomy(name, domain, k, census):
+def _check_dichotomy(domain, k, census_of):
+    census = census_of(k)
     report = domain.independence()
     if report.status != "verified" or 2 * k > domain.n:
-        return [_result(
-            name, True,
-            f"skipped: hypothesis not met (independence {report.status}, 2k={2 * k}, n={domain.n})",
-        )]
+        return (True, f"skipped: hypothesis not met "
+                      f"(independence {report.status}, 2k={2 * k}, n={domain.n})")
     allowed = {0, math.factorial(k)}
     bad = [key for key, g in census.good_counts.items() if g not in allowed]
     if bad:
-        return [_result(name, False, f"good count outside {allowed} at {bad[0]}")]
+        return False, f"good count outside {allowed} at {bad[0]}"
     bound = census_mod.image_size_lower_bound(domain, k)
     if census.image_size < bound:
-        return [_result(name, False, f"image {census.image_size} below bound {bound}")]
-    return [_result(
-        name, True,
-        f"good counts in {{0, {math.factorial(k)}}}, image {census.image_size} >= {bound}",
-    )]
+        return False, f"image {census.image_size} below bound {bound}"
+    return True, f"good counts in {{0, {math.factorial(k)}}}, image {census.image_size} >= {bound}"
 
 
-def _check_second_moment(name, domain, k, census):
+def _check_second_moment(domain, k, census_of):
+    census = census_of(k)
     check = census_mod.second_moment_identity_check(domain, k, census=census)
     # The right side reads N(t) off the census; hold it to field dot products,
     # as histograms: on extension fields the transform's N(t) is relabelled.
     direct = np.array_equal(census.hit_tally, census_mod._direct_hit_tally(domain))
     detail = "" if direct else ", N(t) tally differs from the direct count"
-    return [_result(name, check.equal and direct, f"lhs {check.lhs} vs rhs {check.rhs}{detail}")]
+    return check.equal and direct, f"lhs {check.lhs} vs rhs {check.rhs}{detail}"
 
 
-def _check_chebyshev(name, domain, k, census):
+def _check_chebyshev(domain, k, census_of):
+    census = census_of(k)
     bound = census_mod.chebyshev_zero_bound(domain, k, census=census)
     observed = census.zero_count_fraction()
-    return [_result(name, observed <= bound, f"observed {observed} vs bound {bound}")]
+    return observed <= bound, f"observed {observed} vs bound {bound}"
 
 
-def _check_monotonicity(name, domain, censuses):
+def _check_monotonicity(domain, ks, census_of):
     # The image can only grow with k (pad any pre-image with weight 0), so
     # each enumerated image must contain the previous one; the seed set {0}
     # covers the k=0 image.
-    ks = sorted(censuses)
     previous = {(0,) * domain.n}
     for k in ks:
-        current = set(censuses[k].counts)
+        current = set(census_of(k).counts)
         missing = previous - current
         if missing:
-            return [_result(name, False, f"target {sorted(missing)[0]} fell out at k={k}")]
+            return False, f"target {sorted(missing)[0]} fell out at k={k}"
         previous = current
-    return [_result(name, True, f"images nest across k = {list(ks)}")]
+    return True, f"images nest across k = {list(ks)}"
 
 
-def _check_simulator(name, domain, k, census, success_name):
-    """Pipeline equivalence and exact success probability from one secret
-    sweep; the second result is named success_name."""
+def _check_simulator(domain, k, census_of):
+    """Pipeline equivalence and exact success probability, in that order,
+    from one secret sweep."""
+    census = census_of(k)
     image = census_mod.image_set(census)
     params = domain.params
     codomain = census.codomain_size
@@ -206,8 +203,7 @@ def _check_simulator(name, domain, k, census, success_name):
         probs.append(simulator.success_probability(state, secret))
         if check_argmax and simulator.outcome_distribution(state).argmax() != secret:
             argmax_ok = False
-    pipeline = _result(name, worst_amp < 1e-12,
-                       f"max amplitude gap {worst_amp:.2e} over {len(probs)} secrets")
+    pipeline = (worst_amp < 1e-12, f"max amplitude gap {worst_amp:.2e} over {len(probs)} secrets")
     spread = max(probs) - min(probs)
     off = max(abs(p - expected) for p in probs)
     ok = off < 1e-9 and spread < 1e-9 and argmax_ok
@@ -215,32 +211,33 @@ def _check_simulator(name, domain, k, census, success_name):
               f"spread {spread:.2e}")
     if not argmax_ok:
         detail += ", argmax missed the secret"
-    return [pipeline, _result(success_name, ok, detail)]
+    return pipeline, (ok, detail)
 
 
-def _check_phase_query(name, q):
+def _check_phase_query(q):
     params = parse_field_spec(str(q))
     domain = build_vandermonde_domain(params, 1)
     for flat in range(params.q ** domain.n):
         secret = vector_from_flat(params, domain.n, flat)
         if not simulator.phase_query_check(domain, secret):
-            return [_result(name, False, f"identity broke at secret {secret!r}")]
-    return [_result(name, True, f"all {params.q ** domain.n} secrets, every domain vector")]
+            return False, f"identity broke at secret {secret!r}"
+    return True, f"all {params.q ** domain.n} secrets, every domain vector"
 
 
-def _check_gram_rank(name, census):
+def _check_gram_rank(k, census_of):
+    census = census_of(k)
     image = census_mod.image_set(census)
     rank = simulator.state_family_rank(image)
     if rank != image.size:
-        return [_result(name, False, f"rank {rank} != |image| {image.size}")]
+        return False, f"rank {rank} != |image| {image.size}"
     achieved = census.success_probability()
     ceiling = Fraction(rank, census.codomain_size)
     if achieved != ceiling:
-        return [_result(name, False, f"achieved {achieved} != ceiling {ceiling}")]
-    return [_result(name, True, f"rank {rank} = |image|, ceiling met with equality")]
+        return False, f"achieved {achieved} != ceiling {ceiling}"
+    return True, f"rank {rank} = |image|, ceiling met with equality"
 
 
-def _check_sampling(name):
+def _check_sampling():
     params = parse_field_spec("3")
     domain = build_vandermonde_domain(params, 1)
     census = census_mod.enumerate_census(domain, 1)
@@ -250,18 +247,15 @@ def _check_sampling(name):
     first = simulator.sample_outcomes(dist, SAMPLING_TRIALS, seed=SAMPLING_SEED)
     second = simulator.sample_outcomes(dist, SAMPLING_TRIALS, seed=SAMPLING_SEED)
     if first.counts != second.counts:
-        return [_result(name, False, "same seed produced different counts")]
+        return False, "same seed produced different counts"
     p = census.success_probability()
     tol = 3 * math.sqrt(float(p) * (1 - float(p)) / SAMPLING_TRIALS)
     freq = first.frequency_of(secret)
     ok = abs(freq - float(p)) <= tol
-    return [_result(
-        name, ok,
-        f"frequency {freq:.5f} vs {float(p):.5f} within {tol:.5f}, seed-stable",
-    )]
+    return ok, f"frequency {freq:.5f} vs {float(p):.5f} within {tol:.5f}, seed-stable"
 
 
-def _check_query_formulas(name, quick):
+def _check_query_formulas(quick):
     qs = (5, 7) if quick else (5, 7, 11, 13)
     for q in qs:
         for d in range(1, q):
@@ -273,7 +267,7 @@ def _check_query_formulas(name, quick):
                 got = complexity.plan_high_probability(n, q, q, 1).k
                 want = d // 2 + 1
             if got != want:
-                return [_result(name, False, f"(q={q}, d={d}) planned {got}, expected {want}")]
+                return False, f"(q={q}, d={d}) planned {got}, expected {want}"
     pinned = (
         (complexity.plan_bounded_error(4, 5, 5).k, 2),
         (complexity.plan_high_probability(5, 7, 7, 1).k, 3),
@@ -281,11 +275,11 @@ def _check_query_formulas(name, quick):
     )
     for got, want in pinned:
         if got != want:
-            return [_result(name, False, f"pinned value {got} != {want}")]
-    return [_result(name, True, f"parity rules hold for q in {qs}, all d < q")]
+            return False, f"pinned value {got} != {want}"
+    return True, f"parity rules hold for q in {qs}, all d < q"
 
 
-def _check_multivariate(name):
+def _check_multivariate():
     cases = (
         (2, 2, 3, 6, 1, 32),
         (2, 3, 3, 10, 2, 50),
@@ -294,55 +288,53 @@ def _check_multivariate(name):
     for m, d, q, n_want, lo_want, hi_want in cases:
         n = math.comb(m + d, d)
         if n != n_want:
-            return [_result(name, False, f"n({m},{d}) = {n}, expected {n_want}")]
+            return False, f"n({m},{d}) = {n}, expected {n_want}"
         lo, hi = complexity.multivariate_query_bounds(n, q, m)
         if (lo, hi) != (lo_want, hi_want):
-            return [_result(name, False, f"bounds ({lo},{hi}) != ({lo_want},{hi_want})")]
+            return False, f"bounds ({lo},{hi}) != ({lo_want},{hi_want})"
         reference = Fraction(d * n, m + d)
         if not lo <= reference <= hi:
-            return [_result(name, False, f"reference {reference} outside [{lo},{hi}]")]
+            return False, f"reference {reference} outside [{lo},{hi}]"
     for m in range(1, 5):
         for d in range(1, 5):
             plan = complexity.univariate_reduction(m, d)
             if plan.reduced_degree != sum(d ** j for j in range(1, m + 1)):
-                return [_result(name, False, f"reduced degree wrong at m={m}, d={d}")]
+                return False, f"reduced degree wrong at m={m}, d={d}"
     if complexity.univariate_reduction(3, 2).reduced_degree != 14:
-        return [_result(name, False, "m=3, d=2 reduced degree is not 14")]
-    return [_result(name, True, "bounds, references, and reductions all exact")]
+        return False, "m=3, d=2 reduced degree is not 14"
+    return True, "bounds, references, and reductions all exact"
 
 
-def _check_monomial_shape(name):
+def _check_monomial_shape():
     params = parse_field_spec("3")
     domain = build_monomial_domain(params, 2, 2)
     q, m = 3, 2
     closed_form = q ** m - (q - 1) ** m
     if domain.size != q ** m or domain.n != 6:
-        return [_result(name, False, f"size {domain.size}, n {domain.n}")]
+        return False, f"size {domain.size}, n {domain.n}"
     if domain.zero_touching_count() != closed_form:
-        return [_result(
-            name, False,
-            f"zero-touching {domain.zero_touching_count()} != closed form {closed_form}",
-        )]
-    return [_result(name, True, f"|V| = {domain.size}, n = {domain.n}, |V_0| = {closed_form}")]
+        return (False, f"zero-touching {domain.zero_touching_count()} "
+                       f"!= closed form {closed_form}")
+    return True, f"|V| = {domain.size}, n = {domain.n}, |V_0| = {closed_form}"
 
 
-def _check_domain_roundtrip(name):
+def _check_domain_roundtrip():
     params = parse_field_spec("4")
     domain = build_vandermonde_domain(params, 2)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "domain.txt")
         write_domain_file(domain, path)
         back = read_domain_file(path)
-    return [_result(name, back.same_as(domain),
-                    "write/read preserves field, length, and vectors")]
+    return back.same_as(domain), "write/read preserves field, length, and vectors"
 
 
 def run_all(quick: bool = False, corrupt_modulus: bool = False) -> list:
     """Run every check; returns CheckResults in a fixed, deterministic order.
 
-    This is the suite's one error boundary: a package error raised by a
-    check, or by the census its instance shares, becomes one failing result
-    under that check's name and the suite goes on.
+    This is the suite's one error boundary and the only place a verdict is
+    named.  A package error raised by a check, or by the census it fetches,
+    fails every name that check owns and the suite goes on, so the names and
+    their order are the same whatever fails.
 
     corrupt_modulus is a negative-control hook: the irreducibility check of
     each extension field is handed the reducible x^r instead of the field's
@@ -350,11 +342,17 @@ def run_all(quick: bool = False, corrupt_modulus: bool = False) -> list:
     """
     results = []
 
-    def run(name, check, *args):
+    def run(names, check, *args):
+        """One name and check's (ok, detail) verdict, or a tuple of names
+        and one verdict per name from check."""
+        names =(names,) if isinstance(names, str) else names
         try:
-            results.extend(check(name, *args))
+            verdicts = check(*args)
+            verdicts = (verdicts,) if len(names) == 1 else verdicts
         except QvintError as exc:
-            results.append(_result(name, False, f"{type(exc).__name__}: {exc}"))
+            verdicts = ((False, f"{type(exc).__name__}: {exc}"),) * len(names)
+        results.extend(CheckResult(name, bool(ok), detail)
+                       for name, (ok, detail) in zip(names, verdicts, strict=True))
 
     fields = QUICK_FIELDS if quick else CHECK_FIELDS
     for q in fields:
@@ -380,24 +378,18 @@ def run_all(quick: bool = False, corrupt_modulus: bool = False) -> list:
 
     gram_targets = {("vand-q3-d1", 1), ("vand-q5-d3", 2)}
     for label, domain, ks in instances:
-        # Every census the instance's checks need, enumerated once.
-        try:
-            censuses = {k: census_mod.enumerate_census(domain, k) for k in ks}
-        except QvintError as exc:
-            results.append(_result(f"census-totals-{label}", False,
-                                   f"{type(exc).__name__}: {exc}"))
-            continue
+        # Each census is enumerated once, by the first check that asks for it.
+        census_of = functools.cache(functools.partial(census_mod.enumerate_census, domain))
         for k in ks:
-            census = censuses[k]
-            run(f"census-totals-{label}-k{k}", _check_census_totals, domain, k, census)
-            run(f"good-dichotomy-{label}-k{k}", _check_dichotomy, domain, k, census)
-            run(f"second-moment-{label}-k{k}", _check_second_moment, domain, k, census)
-            run(f"chebyshev-{label}-k{k}", _check_chebyshev, domain, k, census)
-            run(f"pipeline-equivalence-{label}-k{k}", _check_simulator, domain, k, census,
-                f"success-probability-{label}-k{k}")
+            run(f"census-totals-{label}-k{k}", _check_census_totals, domain, k, census_of)
+            run(f"good-dichotomy-{label}-k{k}", _check_dichotomy, domain, k, census_of)
+            run(f"second-moment-{label}-k{k}", _check_second_moment, domain, k, census_of)
+            run(f"chebyshev-{label}-k{k}", _check_chebyshev, domain, k, census_of)
+            run((f"pipeline-equivalence-{label}-k{k}", f"success-probability-{label}-k{k}"),
+                _check_simulator, domain, k, census_of)
             if (label, k) in gram_targets:
-                run(f"state-family-rank-{label}-k{k}", _check_gram_rank, census)
-        run(f"image-monotonicity-{label}", _check_monotonicity, domain, censuses)
+                run(f"state-family-rank-{label}-k{k}", _check_gram_rank, k, census_of)
+        run(f"image-monotonicity-{label}", _check_monotonicity, domain, ks, census_of)
 
     for q in PHASE_CHECK_FIELDS:
         run(f"phase-query-q{q}", _check_phase_query, q)

@@ -246,6 +246,23 @@ class TestDomainFiles:
         assert result.exit_code == 2, result.output
         assert "Traceback" not in result.output
 
+    def test_degenerate_plan_promises_no_success_probability(self, runner, tmp_path):
+        # No vector touches zero, yet one query reaches only 5 of 9 targets.
+        path = tmp_path / "domain.txt"
+        path.write_text("q=3 n=2\n1,1\n1,2\n2,1\n", encoding="ascii")
+        plan = run_json(runner, ["analyze", "--domain-file", str(path)])["plan"]
+        assert plan["high_probability"] == {
+            "k": 1,
+            "rule": "high-regime-degenerate",
+            "note": "no domain vector touches zero, so the |V_0| formula sets no "
+                    "constraint and the least k, 1, is planned; it promises no "
+                    "success probability",
+        }
+        report = run_json(runner, ["enumerate", "--domain-file", str(path)])
+        assert report["config"]["k"] == 1
+        assert report["config"]["k_rule"] == "high-regime-degenerate"
+        assert report["census"]["success_probability"] == "5/9"
+
     def test_field_flag_conflicts_with_file(self, runner, tmp_path):
         path = tmp_path / "domain.txt"
         write_domain_file(build_vandermonde_domain(FieldParams(3), 1), str(path))
@@ -279,6 +296,8 @@ class TestUsageErrors:
         ["simulate", "--field", "3", "--vandermonde", "1", "--k", "1", "--seed", "-1"],
         ["simulate", "--field", "3", "--vandermonde", "1", "--k", "1",
          "--secret", "1,2", "--trials", "5", "--seed", "-1"],
+        ["simulate", "--field", "3", "--vandermonde", "1", "--k", "-1"],
+        ["analyze", "--field", "3", "--vandermonde", "1", "--k", "-1"],
     ))
     def test_exit_code_two(self, runner, args):
         result = runner.invoke(main, args)

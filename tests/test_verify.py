@@ -1,6 +1,6 @@
 """Self-check suite: green on the quick grid, red under fault injection."""
 
-from qvint import census as census_mod
+from qvint import census as census_mod, simulator
 from qvint.errors import ContractError
 from qvint.verify import run_all
 
@@ -48,8 +48,54 @@ def test_corrupt_hit_counts_fail_the_second_moment_checks(monkeypatch):
     assert all(not r.ok and r.detail.endswith(", N(t) tally differs from the direct count")
                for r in second_moment)
     # The transform census and the picker read the same N(t), so the walk
-    # comparison and the k=2 transversal catch it too; nothing else does.
+    # comparison and the k=2 sweep's two verdicts catch it too; nothing else does.
+    assert len(results) == 47
     failed = {r.name for r in results if not r.ok}
     assert failed == ({r.name for r in second_moment}
                       | {r.name.replace("second-moment-", "census-totals-") for r in second_moment}
-                      | {"pipeline-equivalence-vand-q5-d3-k2"})
+                      | {"pipeline-equivalence-vand-q5-d3-k2",
+                         "success-probability-vand-q5-d3-k2"})
+
+
+def test_a_failing_census_fails_its_dependents_and_keeps_every_name(monkeypatch):
+    passing = [r.name for r in run_all()]
+    real = census_mod.enumerate_census
+
+    def withheld(domain, k):
+        if (domain.params.q, domain.n, k) == (5, 4, 2):
+            raise ContractError("census withheld")
+        return real(domain, k)
+
+    monkeypatch.setattr(census_mod, "enumerate_census", withheld)
+    results = run_all()
+    assert len(results) == 109
+    assert [r.name for r in results] == passing
+    failed = [r for r in results if not r.ok]
+    assert [r.name for r in failed] == [
+        "census-totals-vand-q5-d3-k2",
+        "good-dichotomy-vand-q5-d3-k2",
+        "second-moment-vand-q5-d3-k2",
+        "chebyshev-vand-q5-d3-k2",
+        "pipeline-equivalence-vand-q5-d3-k2",
+        "success-probability-vand-q5-d3-k2",
+        "state-family-rank-vand-q5-d3-k2",
+        "image-monotonicity-vand-q5-d3",
+    ]
+    assert all(r.detail == "ContractError: census withheld" for r in failed)
+
+
+def test_a_raising_sweep_fails_both_of_its_names(monkeypatch):
+    passing = [r.name for r in run_all(quick=True)]
+
+    def broken(state, secret):
+        raise ContractError("probability withheld")
+
+    monkeypatch.setattr(simulator, "success_probability", broken)
+    results = run_all(quick=True)
+    assert len(results) == 47
+    assert [r.name for r in results] == passing
+    failed = [r for r in results if not r.ok]
+    assert failed == [r for r in results
+                      if r.name.startswith(("pipeline-equivalence-", "success-probability-"))]
+    assert len(failed) == 8
+    assert all(r.detail == "ContractError: probability withheld" for r in failed)

@@ -31,7 +31,8 @@ from .domain import (build_monomial_domain, build_vandermonde_domain,
 from .errors import ContractError, ParameterError, ResourceCapError, check_cap
 from .field import parse_field_spec
 
-# --secret sweep runs one full simulation per point of GF(q)^n.
+# --secret sweep simulates every point of GF(q)^n as a secret, in blocks of
+# secrets that share one decode of the transversal.
 SWEEP_MAX_SECRETS = 4096
 
 
@@ -327,11 +328,10 @@ def simulate(field_spec, vandermonde, monomial, domain_file, k, secret, trials,
     codomain = census.codomain_size
     if secret == "sweep":
         check_cap("secret sweep", codomain, "secrets", SWEEP_MAX_SECRETS)
-        errors = []
-        for flat in range(codomain):
-            s = vector_from_flat(params, domain.n, flat)
-            state = simulator.run_algorithm(domain, k_value, census.transversal, s)
-            errors.append(abs(simulator.success_probability(state, s) - float(analytic)))
+        errors = [abs(p - float(analytic))
+                  for _, _, success in simulator._sweep(domain, k_value, census.transversal,
+                                                        range(codomain))
+                  for p in success]
         report["sweep"] = {
             "secrets": codomain,
             "max_abs_error": max(errors),

@@ -142,12 +142,15 @@ def dot_rows(params: FieldParams, s, rows) -> np.ndarray:
     table step per coordinate, equal to dot(s, z).index().  s is one index
     row, or an array broadcasting against rows: (S, 1, n) gives the (S, m)
     table of S secrets, and (m, n) the m row-by-row dot products."""
-    add = params.add_rows()
-    mul = params.mul_rows()
+    q = params.q
+    # Entry (a, b) of a flattened table is at a * q + b: one 1-D gather per
+    # lookup is faster than indexing the 2-D table with two arrays.
+    add = params.add_rows().reshape(-1)
+    mul = params.mul_rows().reshape(-1)
     s = np.asarray(s)
     acc = np.zeros(np.broadcast_shapes(s.shape[:-1], rows.shape[:-1]), dtype=np.intp)
     for i in range(s.shape[-1]):
-        acc = add[acc, mul[s[..., i], rows[..., i]]]
+        acc = add[acc * q + mul[s[..., i] * q + rows[..., i]]]
     return acc
 
 

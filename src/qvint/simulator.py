@@ -15,7 +15,9 @@ The computation runs on the integer index arrays of the domain, image and
 transversal, the flat-index codec and the field's numpy tables; VectorFq
 appears only at the API boundary.  Every phase e(s.z) is a lookup in
 character_values() by dot_rows, except in fourier_state: its Kronecker
-products keep it an independent reference for the tests.
+products keep it an independent reference for the tests.  A sweep over many
+secrets applies run_algorithm's phase rule to blocks of secrets at once,
+decoding the transversal once per block instead of once per secret.
 """
 
 import math
@@ -36,6 +38,9 @@ RANK_REL_TOL = 1e-8
 PHASE_QUERY_TOL = 1e-12
 # sample_outcomes holds about 26 bytes per trial, so this is about 260 MB.
 MAX_TRIALS = 10 ** 7
+# Amplitudes per block of a batched sweep: a fixed budget keeps its peak
+# memory flat whatever the number of secrets.
+_SWEEP_BLOCK = 1 << 14
 
 
 def _check_state_size(params: FieldParams, n: int) -> int:
@@ -103,6 +108,22 @@ def restricted_fourier_state(image: ImageSet, secret: VectorFq) -> StateVector:
     return _support_state(params, image.n, image.keys, phases)
 
 
+def _check_transversal(domain: Domain, k: int, transversal: Transversal):
+    if not transversal.domain.same_as(domain):
+        raise ParameterError("transversal was built for a different domain")
+    if transversal.k != k:
+        raise ParameterError(f"transversal is for k={transversal.k}, asked for k={k}")
+
+
+def _query_phases(domain: Domain, transversal: Transversal, secrets) -> np.ndarray:
+    """The (S, size) phase table of S secret index rows (S, n): query i
+    answers s . v_i, and pre-image j picks up e(sum_i y_i (s . v_i))."""
+    params = domain.params
+    answers = dot_rows(params, secrets[:, None, :], domain.indices)
+    phase_index = dot_rows(params, transversal.weights, answers[:, transversal.positions])
+    return params.character_values()[phase_index]
+
+
 def run_algorithm(domain: Domain, k: int, transversal: Transversal,
                   secret: VectorFq) -> StateVector:
     """Simulate the three steps on the transversal support.
@@ -113,16 +134,36 @@ def run_algorithm(domain: Domain, k: int, transversal: Transversal,
     pre-image by its image point z, a bijection onto the image because the
     Transversal checked it when it was built.
     """
-    if not transversal.domain.same_as(domain):
-        raise ParameterError("transversal was built for a different domain")
-    if transversal.k != k:
-        raise ParameterError(f"transversal is for k={transversal.k}, asked for k={k}")
+    _check_transversal(domain, k, transversal)
     params = domain.params
     _check_secret(params, domain.n, secret)
-    answers = dot_rows(params, secret.index_tuple(), domain.indices)
-    phase_index = dot_rows(params, transversal.weights, answers[transversal.positions])
-    return _support_state(params, domain.n, transversal.keys,
-                          params.character_values()[phase_index])
+    phases = _query_phases(domain, transversal, np.array([secret.index_tuple()]))
+    return _support_state(params, domain.n, transversal.keys, phases[0])
+
+
+def _sweep(domain: Domain, k: int, transversal: Transversal, flats):
+    """run_algorithm and success_probability for the secrets at flat indices
+    flats, in blocks of _SWEEP_BLOCK amplitudes (one secret per block when a
+    state alone holds more).
+
+    Yields (secrets, amplitudes, success) per block: the (S, n) secret index
+    rows; each final state's amplitudes on the transversal keys, a
+    C-contiguous (S, size) table in key order; and each state's success
+    probability.  When the keys are in canonical order, as a census picks
+    them, every float equals the one-secret functions' bit for bit.
+    """
+    _check_transversal(domain, k, transversal)
+    params, n = domain.params, domain.n
+    scale = 1.0 / math.sqrt(transversal.size)
+    step = max(1, _SWEEP_BLOCK // transversal.size)
+    for start in range(0, len(flats), step):
+        secrets = flat_to_rows(flats[start:start + step], params.q, n)
+        amplitudes = _query_phases(domain, transversal, secrets) * scale
+        fourier = params.character_values()[dot_rows(params, secrets[:, None, :],
+                                                     transversal.keys)]
+        # vdot on contiguous rows, as in success_probability, keeps every bit.
+        yield secrets, amplitudes, [float(abs(np.vdot(f, a)) ** 2 / params.q ** n)
+                                    for f, a in zip(fourier, amplitudes)]
 
 
 def success_probability(state: StateVector, secret: VectorFq) -> float:
@@ -164,20 +205,27 @@ def outcome_distribution(state: StateVector) -> OutcomeDistribution:
     kernel; identical to q^n separate inner products but one mode-product
     per coordinate instead.
     """
-    params = state.params
+    probs = _outcome_probs(state.params, state.n, state.amplitudes)
+    return OutcomeDistribution(params=state.params, n=state.n, probs=probs)
+
+
+def _outcome_probs(params: FieldParams, n: int, amplitudes: np.ndarray) -> np.ndarray:
+    """outcome_distribution's probabilities for each state along the last
+    axis of (..., q^n) amplitudes; each state's must sum to 1, else a
+    ContractError."""
     q = params.q
-    n = state.n
     kernel = params.fourier_matrix().conj()
-    arr = state.amplitudes.reshape((q,) * n)
-    for axis in range(n):
+    lead = amplitudes.shape[:-1]
+    arr = amplitudes.reshape(lead + (q,) * n)
+    for axis in range(len(lead), arr.ndim):
         arr = np.moveaxis(np.tensordot(kernel, arr, axes=(1, axis)), 0, axis)
-    probs = np.abs(arr.reshape(-1)) ** 2
-    total = float(probs.sum())
-    if abs(total - 1.0) > OUTCOME_SUM_TOL:
-        raise ContractError(
-            f"outcome probabilities sum to {total}, expected 1 within {OUTCOME_SUM_TOL}"
-        )
-    return OutcomeDistribution(params=params, n=n, probs=probs)
+    probs = np.abs(arr.reshape(lead + (-1,))) ** 2
+    for total in np.atleast_1d(probs.sum(axis=-1)).tolist():
+        if abs(total - 1.0) > OUTCOME_SUM_TOL:
+            raise ContractError(
+                f"outcome probabilities sum to {total}, expected 1 within {OUTCOME_SUM_TOL}"
+            )
+    return probs
 
 
 @dataclass(eq=False)

@@ -22,9 +22,10 @@ import numpy as np
 
 from . import census as census_mod
 from . import complexity, simulator
-from .domain import (build_monomial_domain, build_vandermonde_domain,
-                     read_domain_file, vector_from_flat, write_domain_file, VectorFq)
-from .errors import QvintError
+from .domain import (build_monomial_domain, build_vandermonde_domain, dot_rows,
+                     read_domain_file, rows_to_flat, vector_from_flat,
+                     write_domain_file, VectorFq)
+from .errors import ContractError, QvintError
 from .field import (character_orthogonality_check, parse_field_spec,
                     _is_irreducible)
 
@@ -72,7 +73,8 @@ def _secret_indices(codomain_size):
     return sorted({0, 1, codomain_size // 2, codomain_size - 2, codomain_size - 1})
 
 
-def _check_field_axioms(q, params):
+def _check_field_axioms(field, q):
+    params = field(q)
     elems = params.elements()
     zero, one = params.zero(), params.one()
     for a in elems:
@@ -92,7 +94,8 @@ def _check_field_axioms(q, params):
     return True, f"ring laws exhaustive over {q}^3 triples"
 
 
-def _check_trace_character(params):
+def _check_trace_character(field, q):
+    params = field(q)
     p = params.p
     elems = params.elements()
     for a in elems:
@@ -106,16 +109,19 @@ def _check_trace_character(params):
     return True, "trace linear, character multiplicative, orthogonality exact"
 
 
-def _check_modulus(params, modulus):
+def _check_modulus(field, q, corrupt):
+    params = field(q)
     if params.r == 1:
         return True, "prime field, nothing to factor"
+    modulus = (0,) * params.r + (1,) if corrupt else params.modulus
     ok = _is_irreducible(modulus, params.p)
     detail = f"modulus {modulus} over GF({params.p})"
     return ok, detail if ok else detail + " is reducible"
 
 
-def _check_census_totals(domain, k, census_of):
+def _check_census_totals(k, census_of):
     census = census_of(k)
+    domain = census.domain
     expected = (domain.size * domain.params.q) ** k
     total = sum(census.counts.values())
     v_good, y_good = census_mod.good_set_sizes(domain, k)
@@ -136,8 +142,9 @@ def _check_census_totals(domain, k, census_of):
     return True, f"totals {total} and {good_total} exact"
 
 
-def _check_dichotomy(domain, k, census_of):
+def _check_dichotomy(k, census_of):
     census = census_of(k)
+    domain = census.domain
     report = domain.independence()
     if report.status != "verified" or 2 * k > domain.n:
         return (True, f"skipped: hypothesis not met "
@@ -152,8 +159,9 @@ def _check_dichotomy(domain, k, census_of):
     return True, f"good counts in {{0, {math.factorial(k)}}}, image {census.image_size} >= {bound}"
 
 
-def _check_second_moment(domain, k, census_of):
+def _check_second_moment(k, census_of):
     census = census_of(k)
+    domain = census.domain
     check = census_mod.second_moment_identity_check(domain, k, census=census)
     # The right side reads N(t) off the census; hold it to field dot products,
     # as histograms: on extension fields the transform's N(t) is relabelled.
@@ -162,18 +170,18 @@ def _check_second_moment(domain, k, census_of):
     return check.equal and direct, f"lhs {check.lhs} vs rhs {check.rhs}{detail}"
 
 
-def _check_chebyshev(domain, k, census_of):
+def _check_chebyshev(k, census_of):
     census = census_of(k)
-    bound = census_mod.chebyshev_zero_bound(domain, k, census=census)
+    bound = census_mod.chebyshev_zero_bound(census.domain, k, census=census)
     observed = census.zero_count_fraction()
     return observed <= bound, f"observed {observed} vs bound {bound}"
 
 
-def _check_monotonicity(domain, ks, census_of):
+def _check_monotonicity(ks, census_of):
     # The image can only grow with k (pad any pre-image with weight 0), so
     # each enumerated image must contain the previous one; the seed set {0}
     # covers the k=0 image.
-    previous = {(0,) * domain.n}
+    previous = {(0,) * census_of(ks[0]).domain.n}
     for k in ks:
         current = set(census_of(k).counts)
         missing = previous - current
@@ -183,26 +191,37 @@ def _check_monotonicity(domain, ks, census_of):
     return True, f"images nest across k = {list(ks)}"
 
 
-def _check_simulator(domain, k, census_of):
+def _check_simulator(k, census_of):
     """Pipeline equivalence and exact success probability, in that order,
-    from one secret sweep."""
+    from one batched secret sweep."""
     census = census_of(k)
+    domain = census.domain
     image = census_mod.image_set(census)
+    transversal = census.transversal
     params = domain.params
     codomain = census.codomain_size
     expected = census.success_probability()
+    image_flat = rows_to_flat(image.keys, params.q)
+    keys = rows_to_flat(transversal.keys, params.q)
+    if not np.array_equal(np.sort(keys), image_flat):
+        raise ContractError("transversal support is not the image")
+    # Each amplitude is held to the direct path's phase at its own key.
+    placement = np.searchsorted(image_flat, keys)
+    scale = 1.0 / math.sqrt(image.size)
     worst_amp = 0.0
     probs = []
     argmax_ok = True
     check_argmax = 2 * image.size > codomain
-    for flat in _secret_indices(codomain):
-        secret = vector_from_flat(params, domain.n, flat)
-        state = simulator.run_algorithm(domain, k, census.transversal, secret)
-        direct = simulator.restricted_fourier_state(image, secret)
-        worst_amp = max(worst_amp, float(np.max(np.abs(state.amplitudes - direct.amplitudes))))
-        probs.append(simulator.success_probability(state, secret))
-        if check_argmax and simulator.outcome_distribution(state).argmax() != secret:
-            argmax_ok = False
+    for secrets, amplitudes, success in simulator._sweep(
+            domain, k, transversal, _secret_indices(codomain)):
+        direct = params.character_values()[dot_rows(params, secrets[:, None, :], image.keys)]
+        worst_amp = max(worst_amp, float(np.abs(amplitudes - direct[:, placement] * scale).max()))
+        probs.extend(success)
+        if check_argmax:
+            states = np.zeros((len(secrets), codomain), dtype=np.complex128)
+            states[:, keys] = amplitudes
+            outcomes = simulator._outcome_probs(params, domain.n, states).argmax(axis=1)
+            argmax_ok &= np.array_equal(outcomes, rows_to_flat(secrets, params.q))
     pipeline = (worst_amp < 1e-12, f"max amplitude gap {worst_amp:.2e} over {len(probs)} secrets")
     spread = max(probs) - min(probs)
     off = max(abs(p - expected) for p in probs)
@@ -332,9 +351,9 @@ def run_all(quick: bool = False, corrupt_modulus: bool = False) -> list:
     """Run every check; returns CheckResults in a fixed, deterministic order.
 
     This is the suite's one error boundary and the only place a verdict is
-    named.  A package error raised by a check, or by the census it fetches,
-    fails every name that check owns and the suite goes on, so the names and
-    their order are the same whatever fails.
+    named.  A package error raised by a check, or by the field, domain or
+    census it fetches, fails every name that check owns and the suite goes
+    on, so the names and their order are the same whatever fails.
 
     corrupt_modulus is a negative-control hook: the irreducibility check of
     each extension field is handed the reducible x^r instead of the field's
@@ -345,7 +364,7 @@ def run_all(quick: bool = False, corrupt_modulus: bool = False) -> list:
     def run(names, check, *args):
         """One name and check's (ok, detail) verdict, or a tuple of names
         and one verdict per name from check."""
-        names =(names,) if isinstance(names, str) else names
+        names = (names,) if isinstance(names, str) else names
         try:
             verdicts = check(*args)
             verdicts = (verdicts,) if len(names) == 1 else verdicts
@@ -354,42 +373,34 @@ def run_all(quick: bool = False, corrupt_modulus: bool = False) -> list:
         results.extend(CheckResult(name, bool(ok), detail)
                        for name, (ok, detail) in zip(names, verdicts, strict=True))
 
-    fields = QUICK_FIELDS if quick else CHECK_FIELDS
-    for q in fields:
-        params = parse_field_spec(str(q))
-        modulus = params.modulus
-        if corrupt_modulus and params.r > 1:
-            modulus = (0,) * params.r + (1,)
-        run(f"field-axioms-q{q}", _check_field_axioms, q, params)
-        run(f"trace-character-q{q}", _check_trace_character, params)
-        run(f"modulus-irreducible-q{q}", _check_modulus, params, modulus)
+    # Fields and domains are built inside the boundary, by the first check
+    # that needs them, so a build error fails those checks' names alone.
+    field = functools.cache(lambda q: parse_field_spec(str(q)))
+    for q in QUICK_FIELDS if quick else CHECK_FIELDS:
+        run(f"field-axioms-q{q}", _check_field_axioms, field, q)
+        run(f"trace-character-q{q}", _check_trace_character, field, q)
+        run(f"modulus-irreducible-q{q}", _check_modulus, field, q, corrupt_modulus)
 
-    vandermonde = QUICK_VANDERMONDE if quick else VANDERMONDE_GRID
-    monomial = QUICK_MONOMIAL if quick else MONOMIAL_GRID
-    instances = []
-    for q, d, ks in vandermonde:
-        params = parse_field_spec(str(q))
-        domain = build_vandermonde_domain(params, d)
-        instances.append((f"vand-q{q}-d{d}", domain, ks))
-    for q, m, d, ks in monomial:
-        params = parse_field_spec(str(q))
-        domain = build_monomial_domain(params, m, d)
-        instances.append((f"mono-q{q}-m{m}-d{d}", domain, ks))
-
+    instances = [(f"vand-q{q}-d{d}", build_vandermonde_domain, q, (d,), ks)
+                 for q, d, ks in (QUICK_VANDERMONDE if quick else VANDERMONDE_GRID)]
+    instances += [(f"mono-q{q}-m{m}-d{d}", build_monomial_domain, q, (m, d), ks)
+                  for q, m, d, ks in (QUICK_MONOMIAL if quick else MONOMIAL_GRID)]
     gram_targets = {("vand-q3-d1", 1), ("vand-q5-d3", 2)}
-    for label, domain, ks in instances:
+    for label, build, q, shape, ks in instances:
         # Each census is enumerated once, by the first check that asks for it.
-        census_of = functools.cache(functools.partial(census_mod.enumerate_census, domain))
+        domain = functools.cache(lambda build=build, q=q, shape=shape: build(field(q), *shape))
+        census_of = functools.cache(
+            lambda k, domain=domain: census_mod.enumerate_census(domain(), k))
         for k in ks:
-            run(f"census-totals-{label}-k{k}", _check_census_totals, domain, k, census_of)
-            run(f"good-dichotomy-{label}-k{k}", _check_dichotomy, domain, k, census_of)
-            run(f"second-moment-{label}-k{k}", _check_second_moment, domain, k, census_of)
-            run(f"chebyshev-{label}-k{k}", _check_chebyshev, domain, k, census_of)
+            run(f"census-totals-{label}-k{k}", _check_census_totals, k, census_of)
+            run(f"good-dichotomy-{label}-k{k}", _check_dichotomy, k, census_of)
+            run(f"second-moment-{label}-k{k}", _check_second_moment, k, census_of)
+            run(f"chebyshev-{label}-k{k}", _check_chebyshev, k, census_of)
             run((f"pipeline-equivalence-{label}-k{k}", f"success-probability-{label}-k{k}"),
-                _check_simulator, domain, k, census_of)
+                _check_simulator, k, census_of)
             if (label, k) in gram_targets:
                 run(f"state-family-rank-{label}-k{k}", _check_gram_rank, k, census_of)
-        run(f"image-monotonicity-{label}", _check_monotonicity, domain, ks, census_of)
+        run(f"image-monotonicity-{label}", _check_monotonicity, ks, census_of)
 
     for q in PHASE_CHECK_FIELDS:
         run(f"phase-query-q{q}", _check_phase_query, q)

@@ -38,6 +38,8 @@ CASES = {
         ("analyze", "--field", "3", "--monomial", "2,2"),
     "verify_quick.txt":
         ("verify", "--quick"),
+    "verify_full.txt":
+        ("verify",),
 }
 
 

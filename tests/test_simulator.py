@@ -15,7 +15,7 @@ import pytest
 
 from qvint import simulator
 from qvint.census import ImageSet, Transversal, enumerate_census, image_set
-from qvint.domain import VectorFq, build_vandermonde_domain
+from qvint.domain import VectorFq, build_vandermonde_domain, rows_to_flat
 from qvint.errors import ContractError, ParameterError, ResourceCapError
 from qvint.field import FieldParams
 from qvint.simulator import (OutcomeDistribution, fourier_state,
@@ -23,6 +23,7 @@ from qvint.simulator import (OutcomeDistribution, fourier_state,
                              restricted_fourier_state, run_algorithm,
                              sample_outcomes, state_family_rank,
                              success_probability)
+from qvint.verify import run_all
 
 F3 = FieldParams(3)
 F4 = FieldParams(2, 2)
@@ -218,6 +219,45 @@ class TestRunAlgorithm:
         empty = ImageSet(params=F3, n=2, keys=np.empty((0, 2), np.intp))
         with pytest.raises(ParameterError):
             restricted_fourier_state(empty, VectorFq.from_index_tuple(F3, (0, 0)))
+
+
+class TestBatchedSweep:
+    # GF(9) d=2 k=2 sweeps 729 secrets in blocks of 22, so its last block is
+    # a partial one.
+    @pytest.mark.parametrize("params,d,k", ((F3, 1, 1), (F4, 2, 2), (FieldParams(3, 2), 2, 2)),
+                             ids=("gf3-d1-k1", "gf4-d2-k2", "gf9-d2-k2"))
+    def test_equals_the_one_secret_path_bit_for_bit(self, params, d, k):
+        dom = build_vandermonde_domain(params, d)
+        trans = enumerate_census(dom, k).transversal
+        flats = range(params.q ** dom.n)
+        blocks = list(simulator._sweep(dom, k, trans, flats))
+        step = simulator._SWEEP_BLOCK // trans.size
+        assert [len(secrets) for secrets, _, _ in blocks] == [
+            min(step, len(flats) - start) for start in range(0, len(flats), step)]
+        assert all(amplitudes.flags.c_contiguous for _, amplitudes, _ in blocks)
+        keys = rows_to_flat(trans.keys, params.q)
+        for secrets, amplitudes, success in blocks:
+            for row, amps, probability in zip(secrets, amplitudes, success, strict=True):
+                secret = VectorFq.from_index_tuple(params, row.tolist())
+                state = run_algorithm(dom, k, trans, secret)
+                assert amps.tobytes() == state.amplitudes[keys].tobytes()
+                assert probability.hex() == success_probability(state, secret).hex()
+        assert np.array_equal(np.concatenate([rows_to_flat(b[0], params.q) for b in blocks]),
+                              flats)
+
+    def test_a_corrupt_phase_lookup_fails_pipeline_equivalence(self, monkeypatch):
+        real = simulator._query_phases
+
+        def misplaced(domain, transversal, secrets):
+            return np.roll(real(domain, transversal, secrets), 1, axis=1)
+
+        monkeypatch.setattr(simulator, "_query_phases", misplaced)
+        pipeline = [r for r in run_all(quick=True) if r.name.startswith("pipeline-equivalence-")]
+        assert len(pipeline) == 4
+        for result in pipeline:
+            assert not result.ok
+            gap = re.fullmatch(r"max amplitude gap (\S+) over \d+ secrets", result.detail)
+            assert float(gap.group(1)) > 0
 
 
 class TestOutcomeDistribution:

@@ -1,6 +1,8 @@
 """Self-check suite: green on the quick grid, red under fault injection."""
 
-from qvint import census as census_mod, simulator
+import itertools
+
+from qvint import census as census_mod, simulator, verify as verify_mod
 from qvint.errors import ContractError
 from qvint.verify import run_all
 
@@ -87,10 +89,10 @@ def test_a_failing_census_fails_its_dependents_and_keeps_every_name(monkeypatch)
 def test_a_raising_sweep_fails_both_of_its_names(monkeypatch):
     passing = [r.name for r in run_all(quick=True)]
 
-    def broken(state, secret):
+    def broken(domain, k, transversal, flats):
         raise ContractError("probability withheld")
 
-    monkeypatch.setattr(simulator, "success_probability", broken)
+    monkeypatch.setattr(simulator, "_sweep", broken)
     results = run_all(quick=True)
     assert len(results) == 47
     assert [r.name for r in results] == passing
@@ -99,3 +101,73 @@ def test_a_raising_sweep_fails_both_of_its_names(monkeypatch):
                       if r.name.startswith(("pipeline-equivalence-", "success-probability-"))]
     assert len(failed) == 8
     assert all(r.detail == "ContractError: probability withheld" for r in failed)
+
+
+def test_a_grid_build_error_fails_only_that_instance(monkeypatch):
+    passing = [r.name for r in run_all()]
+    real = verify_mod.build_vandermonde_domain
+
+    def refused(params, d):
+        if params.q == 7:
+            raise ContractError("domain withheld")
+        return real(params, d)
+
+    monkeypatch.setattr(verify_mod, "build_vandermonde_domain", refused)
+    results = run_all()
+    assert len(results) == 109
+    assert [r.name for r in results] == passing
+    failed = [r for r in results if not r.ok]
+    assert failed == [r for r in results if "vand-q7-d3" in r.name]
+    assert len(failed) == 13
+    assert all(r.detail == "ContractError: domain withheld" for r in failed)
+
+
+def test_a_field_build_error_fails_only_that_field(monkeypatch):
+    real = verify_mod.parse_field_spec
+
+    def refused(spec):
+        if spec == "8":
+            raise ContractError("field withheld")
+        return real(spec)
+
+    monkeypatch.setattr(verify_mod, "parse_field_spec", refused)
+    results = run_all()
+    assert len(results) == 109
+    failed = {r.name: r.detail for r in results if not r.ok}
+    assert failed == dict.fromkeys(
+        ("field-axioms-q8", "trace-character-q8", "modulus-irreducible-q8"),
+        "ContractError: field withheld")
+
+
+def test_a_permuted_transversal_fails_pipeline_equivalence(monkeypatch):
+    real = census_mod.enumerate_census
+
+    def permuted(domain, k):
+        census = real(domain, k)
+        # Reversed keys bypass the Transversal's own check: every amplitude
+        # now sits at another pre-image's image point.
+        object.__setattr__(census.transversal, "keys", census.transversal.keys[::-1])
+        return census
+
+    monkeypatch.setattr(census_mod, "enumerate_census", permuted)
+    pipeline = [r for r in run_all(quick=True) if r.name.startswith("pipeline-equivalence-")]
+    assert len(pipeline) == 4
+    assert not any(r.ok for r in pipeline)
+
+
+def test_a_transversal_off_the_image_fails_its_sweep(monkeypatch):
+    real = census_mod.enumerate_census
+
+    def off_image(domain, k):
+        census = real(domain, k)
+        if (domain.params.q, domain.n, k) == (3, 2, 1):
+            keys = census.transversal.keys.copy()
+            keys[0] = next(z for z in itertools.product(range(3), repeat=2)
+                           if z not in census.counts)
+            object.__setattr__(census.transversal, "keys", keys)
+        return census
+
+    monkeypatch.setattr(census_mod, "enumerate_census", off_image)
+    details = {r.name: r.detail for r in run_all(quick=True) if not r.ok}
+    for name in ("pipeline-equivalence-vand-q3-d1-k1", "success-probability-vand-q3-d1-k1"):
+        assert details[name] == "ContractError: transversal support is not the image"

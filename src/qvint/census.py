@@ -367,7 +367,7 @@ def _hit_transform(domain: Domain, hits: np.ndarray, primes: list, j: int,
     total = (domain.size * params.q) ** j
     while len(primes) > 1 and math.prod(primes[:-1]) > total:
         primes = primes[:-1]
-    levels = np.unique(hits).tolist()
+    levels = np.flatnonzero(np.bincount(hits, minlength=domain.size + 1)).tolist()
     values = [coefficient(h) for h in levels]
     residues = []
     for ell in primes:

@@ -190,9 +190,15 @@ class Domain:
             raise ParameterError("a domain needs at least one vector")
         if rows.min() < 0 or rows.max() >= params.q:
             raise ParameterError(f"element indices must lie in [0, {params.q})")
+        # Sort the rows lexicographically (first coordinate most significant)
+        # and keep each row that differs from its predecessor; rows, not flat
+        # indices, so a GF(q)^n past 2^63 points still dedups.
+        rows = rows[np.lexsort(rows.T[::-1])]
+        fresh = np.ones(len(rows), dtype=bool)
+        fresh[1:] = (rows[1:] != rows[:-1]).any(axis=1)
         self.params = params
         self.n = rows.shape[1]
-        self.indices = _index_array(np.unique(rows, axis=0), self.n)
+        self.indices = _index_array(rows[fresh], self.n)
         self.label = label
         self._vectors = None
         self._independence = None

@@ -9,6 +9,14 @@ if any failed.
 The default grid covers prime and extension fields, Vandermonde and
 monomial domains, and every query count the desk-scale identities are
 asserted for.  --quick shrinks it to a sub-10-second subset.
+
+The field laws are checked on the index tables every other layer computes
+with.  FieldElement sums and products are held to add_rows() and mul_rows()
+on all q^2 pairs, and traces and characters to trace_values() and
+character_values() on every element; the unit, negation and inverse laws
+stay per element.  The tables are then checked, vectorised, for the ring
+laws over all q^3 triples and for trace additivity and character
+multiplicativity over all q^2 pairs.
 """
 
 import functools
@@ -73,37 +81,51 @@ def _secret_indices(codomain_size):
     return sorted({0, 1, codomain_size // 2, codomain_size - 2, codomain_size - 1})
 
 
+def _first_break(params, holds):
+    """The elements at the first index tuple where the boolean table holds is False."""
+    return ", ".join(repr(params.from_index(int(i))) for i in np.argwhere(~holds)[0])
+
+
 def _check_field_axioms(field, q):
     params = field(q)
     elems = params.elements()
+    add, mul = params.add_rows(), params.mul_rows()
     zero, one = params.zero(), params.one()
     for a in elems:
         if a + zero != a or a * one != a or a + (-a) != zero:
             return False, f"unit/negation law broke at {a!r}"
         if not a.is_zero() and a * a.inverse() != one:
             return False, f"inverse law broke at {a!r}"
-    for a in elems:
-        for b in elems:
-            if a + b != b + a or a * b != b * a:
-                return False, f"commutativity broke at {a!r}, {b!r}"
-            for c in elems:
-                if (a + b) + c != a + (b + c) or (a * b) * c != a * (b * c):
-                    return False, "associativity broke"
-                if a * (b + c) != a * b + a * c:
-                    return False, "distributivity broke"
+    for i, a in enumerate(elems):
+        for j, b in enumerate(elems):
+            if (a + b).index() != add[i, j] or (a * b).index() != mul[i, j]:
+                return False, f"element arithmetic differs from the tables at {a!r}, {b!r}"
+    x, y, z = np.ix_(*(np.arange(q),) * 3)
+    laws = (
+        ("commutativity", (add == add.T) & (mul == mul.T)),
+        ("associativity", (add[add[x, y], z] == add[x, add[y, z]])
+                          & (mul[mul[x, y], z] == mul[x, mul[y, z]])),
+        ("distributivity", mul[x, add[y, z]] == add[mul[x, y], mul[x, z]]),
+    )
+    for law, holds in laws:
+        if not holds.all():
+            return False, f"{law} broke at {_first_break(params, holds)}"
     return True, f"ring laws exhaustive over {q}^3 triples"
 
 
 def _check_trace_character(field, q):
     params = field(q)
-    p = params.p
-    elems = params.elements()
-    for a in elems:
-        for b in elems:
-            if (a + b).trace() != (a.trace() + b.trace()) % p:
-                return False, f"trace additivity broke at {a!r}, {b!r}"
-            if abs((a + b).character() - a.character() * b.character()) > 1e-9:
-                return False, "character multiplicativity broke"
+    add = params.add_rows()
+    traces = np.array(params.trace_values())
+    chars = params.character_values()
+    for i, a in enumerate(params.elements()):
+        if a.trace() != traces[i] or abs(a.character() - chars[i]) > 1e-9:
+            return False, f"trace or character of {a!r} differs from the tables"
+    additive = traces[add] == (traces[:, None] + traces) % params.p
+    if not additive.all():
+        return False, f"trace additivity broke at {_first_break(params, additive)}"
+    if not np.all(np.abs(chars[add] - np.outer(chars, chars)) <= 1e-9):
+        return False, "character multiplicativity broke"
     if not character_orthogonality_check(params):
         return False, "orthogonality relation failed"
     return True, "trace linear, character multiplicative, orthogonality exact"

@@ -203,6 +203,22 @@ class TestTransformCensus:
             assert np.array_equal(transform.dense, walk.dense)
             assert np.array_equal(transform.dense_good, walk.dense_good)
 
+    # Captured from the trial-division prime test this walk used before.
+    PINNED_PRIMES = {
+        (2, 1, 1): [67108859],
+        (3, 1, 2): [67108837],
+        (4, 2, 3): [67108859],
+        (31, 3, 3): [67108739, 67107871],
+        (1021, 1, 1): [67108289],
+        (9, 2, 5): [67108837, 67108819],
+        (7, 1, 30): [67108819, 67108777, 67108763, 67108721, 67108693, 67108511, 67108049],
+        (31, 1, 12): [67108739, 67107871, 67107809, 67107499, 67106693],
+    }
+
+    @pytest.mark.parametrize("q,d,k", PINNED_PRIMES)
+    def test_transform_primes_are_pinned(self, q, d, k):
+        assert census_mod._transform_primes(vandermonde(q, d), k) == self.PINNED_PRIMES[q, d, k]
+
     def test_several_primes_join_exactly(self, monkeypatch):
         # Primes = 1 (mod 5) in (30, 64) are 61, 41 and 31, and 25^3 needs all three.
         monkeypatch.setattr(census_mod, "_PRIME_FLOOR", 30)

@@ -1,6 +1,9 @@
 """Command-line behavior: report contents, formats, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -8,7 +11,7 @@ from click.testing import CliRunner
 
 import qvint
 from qvint.cli import main
-from qvint.domain import VectorFq, build_vandermonde_domain, write_domain_file
+from qvint.domain import Domain, VectorFq, build_vandermonde_domain, write_domain_file
 from qvint.errors import ContractError, ParameterError, ResourceCapError
 from qvint.field import FieldParams
 
@@ -229,6 +232,20 @@ class TestDomainFiles:
         report = run_json(runner, ["enumerate", "--domain-file", str(path), "--k", "1"])
         assert report["census"]["image_size"] == 7
 
+    def test_analyze_a_domain_past_flat_index_range(self, runner, tmp_path):
+        # GF(1021)^8 has more than 2^63 points, so no flat index covers it.
+        rows = [[1020, 3, 0, 7, 1, 2, 9, 1000], [5] * 8, [1020, 3, 0, 7, 1, 2, 9, 1000],
+                [0] * 7 + [1]]
+        domain = Domain(FieldParams(1021), rows)
+        assert domain.indices.tolist() == [[0] * 7 + [1], [5] * 8, rows[0]]
+        path = tmp_path / "domain.txt"
+        write_domain_file(domain, str(path))
+        report = run_json(runner, ["analyze", "--domain-file", str(path), "--k", "2"])
+        assert report["domain"]["size"] == 3
+        assert report["domain"]["length"] == 8
+        assert report["domain"]["zero_touching"] == 2
+        assert report["independence"]["status"] == "verified"
+
     @pytest.mark.parametrize("text", (
         "q=abc n=2\n1,1\n",
         "q=3 n=two\n1,1\n",
@@ -418,3 +435,20 @@ class TestVerifyCommand:
         result = runner.invoke(main, ["verify", "--quick", "--max-tuples", "10"])
         assert result.exit_code == 2
         assert "--max-tuples" in result.output
+
+
+@pytest.mark.parametrize("args", (
+    ["enumerate", "--field", "4", "--vandermonde", "2", "--k", "2"],
+    ["simulate", "--field", "3", "--vandermonde", "1", "--k", "1", "--secret", "1,1"],
+    ["analyze", "--field", "5", "--vandermonde", "3"],
+    ["verify", "--quick"],
+), ids=lambda args: args[0])
+def test_commands_leave_numpy_ma_unimported(args):
+    # A fresh interpreter, as each command pays its own imports.
+    src = os.path.dirname(os.path.dirname(qvint.__file__))
+    script = ("import sys\nfrom qvint.cli import main\n"
+              f"main({args!r}, standalone_mode=False)\n"
+              "print('numpy.ma' in sys.modules, file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert proc.stderr.splitlines()[-1] == "False"

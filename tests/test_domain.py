@@ -4,6 +4,7 @@ import copy
 import itertools
 import pickle
 
+import numpy as np
 import pytest
 
 from qvint import domain as domain_mod
@@ -185,6 +186,15 @@ class TestBuilders:
                 rows.add(tuple(row))
             assert build_monomial_domain(params, m, d).indices.tolist() == [
                 list(row) for row in sorted(rows)]
+
+    @pytest.mark.parametrize("q,n", ((2, 1), (3, 4), (5, 3), (1021, 2)))
+    def test_dedup_matches_numpy_unique(self, q, n):
+        rng = np.random.default_rng(q * 10 + n)
+        rows = rng.integers(0, q, size=(60, n))
+        rows = np.concatenate([rows, rows[:25], rows[:5]])
+        rng.shuffle(rows)
+        dom = Domain(parse_field_spec(str(q)), rows)
+        assert np.array_equal(dom.indices, np.unique(rows, axis=0))
 
     def test_domain_from_index_rows(self):
         dom = Domain(F4, [[3, 1], [0, 2], [3, 1]], label="rows")

@@ -11,7 +11,8 @@ import pytest
 import sympy
 
 from qvint.errors import ParameterError, ResourceCapError
-from qvint.field import (FieldParams, character_orthogonality_check,
+from qvint import census as census_mod
+from qvint.field import (FieldParams, _is_prime, character_orthogonality_check,
                          parse_field_spec, smallest_irreducible)
 
 SMALL_FIELDS = (2, 3, 4, 5, 7, 8, 9)
@@ -31,6 +32,30 @@ def sympy_field_mul(coeffs_a, coeffs_b, modulus, p):
     out = [int(c) % p for c in reversed(rem.all_coeffs())]
     out += [0] * (len(modulus) - 1 - len(out))
     return tuple(out)
+
+
+class TestPrimality:
+    def test_agrees_with_sympy_below_2_to_16(self):
+        assert [n for n in range(1 << 16) if _is_prime(n) != sympy.isprime(n)] == []
+
+    @pytest.mark.parametrize("p", (2, 3, 7, 31, 1021))
+    def test_agrees_with_sympy_on_the_transform_prime_candidates(self, p):
+        # The candidates the census walks, = 1 (mod p) and largest first,
+        # for as far as MAX_TRANSFORM_PRIMES primes reach.
+        ceiling = census_mod._PRIME_CEILING
+        candidate, found = ceiling - 1 - (ceiling - 2) % p, 0
+        while found < census_mod.MAX_TRANSFORM_PRIMES:
+            assert _is_prime(candidate) == sympy.isprime(candidate), candidate
+            found += _is_prime(candidate)
+            candidate -= p
+
+    def test_strong_pseudoprimes_and_the_64_bit_edge(self):
+        # Strong pseudoprimes to every base up to 7, 13 and 23, Carmichael
+        # numbers, and the largest primes and composites below 2^64.
+        hard = (3215031751, 3474749660383, 3825123056546413051, 561, 41041, 825265,
+                (1 << 61) - 1, (1 << 64) - 59, (1 << 64) - 1, (1 << 64) - 3)
+        assert [_is_prime(n) for n in hard] == [sympy.isprime(n) for n in hard]
+        assert _is_prime((1 << 61) - 1) and _is_prime((1 << 64) - 59)
 
 
 class TestConstruction:

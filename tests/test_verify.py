@@ -2,8 +2,11 @@
 
 import itertools
 
+import pytest
+
 from qvint import census as census_mod, simulator, verify as verify_mod
 from qvint.errors import ContractError
+from qvint.field import FieldElement, FieldParams
 from qvint.verify import run_all
 
 
@@ -171,3 +174,88 @@ def test_a_transversal_off_the_image_fails_its_sweep(monkeypatch):
     details = {r.name: r.detail for r in run_all(quick=True) if not r.ok}
     for name in ("pipeline-equivalence-vand-q3-d1-k1", "success-probability-vand-q3-d1-k1"):
         assert details[name] == "ContractError: transversal support is not the image"
+
+
+
+@pytest.fixture(scope="module")
+def clean_names():
+    """The 109 names of a full run before any fault is planted, in order."""
+    return [r.name for r in run_all()]
+
+
+def failures_in_full_run(clean_names):
+    """The failing names and details of a full run, which must keep every name."""
+    results = run_all()
+    assert [r.name for r in results] == clean_names
+    assert len(results) == 109
+    return {r.name: r.detail for r in results if not r.ok}
+
+
+# GF(9) is checked but backs no instance, so a fault planted in it reaches
+# only its own field checks.
+def test_a_wrong_element_product_fails_field_axioms(monkeypatch, clean_names):
+    real = FieldElement.__mul__
+
+    def wrong(self, other):
+        # (1+w)(1+2w) is in no unit, inverse or power law of the check.
+        product = real(self, other)
+        if self.params.q == 9 and (self.index(), other.index()) == (4, 7):
+            return product + 1
+        return product
+
+    monkeypatch.setattr(FieldElement, "__mul__", wrong)
+    assert failures_in_full_run(clean_names) == {
+        "field-axioms-q9":
+            "element arithmetic differs from the tables at GF(9):(1, 1), GF(9):(1, 2)"}
+
+
+def swap_in_gf9_add_table(monkeypatch):
+    """Swap w + (1+w) and w + (2+w) in GF(9)'s add table; the row stays a
+    permutation and the unit and negation entries are untouched."""
+    real = FieldParams.add_rows
+
+    def swapped(self):
+        table = real(self)
+        if self.q != 9:
+            return table
+        table = table.copy()
+        table[3, [4, 5]] = table[3, [5, 4]]
+        return table
+
+    monkeypatch.setattr(FieldParams, "add_rows", swapped)
+
+
+def test_a_swapped_add_table_entry_fails_field_axioms(monkeypatch, clean_names):
+    swap_in_gf9_add_table(monkeypatch)
+    # The trace check reads the same table, so it fails too.
+    assert failures_in_full_run(clean_names) == {
+        "field-axioms-q9":
+            "element arithmetic differs from the tables at GF(9):(0, 1), GF(9):(1, 1)",
+        "trace-character-q9": "trace additivity broke at GF(9):(0, 1), GF(9):(1, 1)"}
+
+
+def test_a_lawless_table_that_element_sums_follow_fails_field_axioms(monkeypatch, clean_names):
+    swap_in_gf9_add_table(monkeypatch)
+
+    def table_sum(self, other):
+        return self.params.from_index(int(self.params.add_rows()[self.index(), other.index()]))
+
+    # Element sums now equal the table, so only the table laws can catch it.
+    monkeypatch.setattr(FieldElement, "__add__", table_sum)
+    failed = failures_in_full_run(clean_names)
+    assert failed["field-axioms-q9"] == "commutativity broke at GF(9):(0, 1), GF(9):(1, 1)"
+    assert set(failed) == {"field-axioms-q9", "trace-character-q9"}
+
+
+def test_a_wrong_trace_value_fails_trace_character(monkeypatch, clean_names):
+    real = FieldParams.trace_values
+
+    def wrong(self):
+        traces = real(self)
+        if self.q != 9:
+            return traces
+        return [(t + 1) % 3 if i == 4 else t for i, t in enumerate(traces)]
+
+    monkeypatch.setattr(FieldParams, "trace_values", wrong)
+    assert failures_in_full_run(clean_names) == {
+        "trace-character-q9": "trace or character of GF(9):(1, 1) differs from the tables"}

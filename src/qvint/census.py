@@ -15,8 +15,10 @@ PreimageCensus with the same integers:
   Math. Comp. 1971) and the residues are joined by CRT (Knuth, TAOCP vol. 2,
   4.3.3).  k enters only through the number of primes, about
   k*log2(|V|*q)/25, where the walk costs (|V|*q)^k.
-* enumerate_census, the reference: it walks all (|V|*q)^k input tuples.
-  verify and the tests hold the transform to it.
+* enumerate_census, the reference: it walks all (|V|*q)^k input tuples,
+  sharing nothing with the DFT.  Each level adds every (vector, weight)
+  pair's scaled row to a numpy block of partial sums at once, in blocks of
+  at most _WALK_BLOCK tuples.  verify and the tests hold the transform to it.
 
 The transversal of either is each target's first pre-image in walk order,
 i.e. the lexicographically smallest sequence of (vector position, weight
@@ -43,6 +45,9 @@ from .errors import ContractError, ParameterError, check_cap
 from .field import FieldElement, FieldParams, _is_prime, _read_only
 
 DEFAULT_MAX_TUPLES = 10 ** 8
+# Input tuples per expansion of the reference walk: a fixed budget keeps its
+# peak memory flat whatever the tuple count.
+_WALK_BLOCK = 1 << 16
 # Points t of GF(q)^n per vectorised pass of the direct hit tally.
 _DIRECT_BLOCK = 4096
 # Transform primes lie in (2^25, 2^26): each exceeds every |V|*q a transform
@@ -208,7 +213,10 @@ class PreimageCensus:
 
     @cached_property
     def _square_sum(self) -> int:
-        nonzero = self.dense[self._image].astype(object)  # Python ints: no wrap
+        nonzero = self.dense[self._image]
+        # int64 while no partial sum can wrap, Python ints otherwise.
+        if nonzero.dtype == object or int(nonzero.max()) ** 2 * len(nonzero) >= _INT64_LIMIT:
+            nonzero = nonzero.astype(object)
         return int(nonzero @ nonzero)
 
     def variance(self) -> Fraction:
@@ -239,68 +247,56 @@ def enumerate_census(domain: Domain, k: int) -> PreimageCensus:
     """Walk all (|V|*q)^k input tuples and tally exact pre-image counts: the
     reference engine transform_census is checked against.
 
+    The walk is depth-first over blocks of partial sums.  A block of T sums
+    at level j expands with numpy to the T*|V|*q sums of level j + 1, one per
+    (vector, weight) pair, and carries the (T, j) positions used so far and
+    a good flag: weight nonzero and position not used yet.  Expansions hold
+    at most _WALK_BLOCK tuples, so peak memory does not grow with k, and
+    each block of leaves is tallied in time proportional to the block.
+
     Raises ResourceCapError (naming the tuple count) before starting if the
     walk would exceed DEFAULT_MAX_TUPLES, or if GF(q)^n has more than
     MAX_RESIDUES points to hold counts for.
     """
     _check_k(k)
     params = domain.params
-    q = params.q
+    q, n = params.q, domain.n
     # The power stops at 64 factors: past that it is over the cap, as
     # |V|*q >= 2, and prints as a lower bound, so a huge k costs nothing.
     # If check_cap returns, total is the exact tuple count.
     total = (domain.size * q) ** min(k, 64)
     check_cap("census", total, "tuples", DEFAULT_MAX_TUPLES)
-    check_cap("census", q ** domain.n, "points", MAX_RESIDUES)
-    zero_key = (0,) * domain.n
-    counts: dict = {}
-    good: dict = {}
-    if k == 0:
-        counts[zero_key] = good[zero_key] = 1
+    check_cap("census", q ** n, "points", MAX_RESIDUES)
 
-    add = params.add_rows().tolist()
-    # scaled[j][y] = weight y times domain vector j: mul[y, indices[j, c]] as [j][y][c].
-    scaled = params.mul_rows()[:, domain.indices].transpose(1, 0, 2).tolist()
-    # One entry per (vector, weight) pair, in walk order: its scaled row, a
-    # bit marking the vector for distinctness tracking, and whether the
-    # weight is nonzero.
-    pairs = [
-        (tuple(scaled[j][y]), 1 << j, y != 0)
-        for j in range(domain.size)
-        for y in range(q)
-    ]
+    add = params.add_rows().reshape(-1)
+    # lines[j * q + y] = y * v_j, one row per (vector, weight) pair in walk order.
+    lines = params.mul_rows()[:, domain.indices].transpose(1, 0, 2).reshape(-1, n)
+    position, weight = np.divmod(np.arange(len(lines)), q)
+    dense = np.zeros(q ** n, dtype=np.int64)
+    dense_good = np.zeros(q ** n, dtype=np.int64)
+    step = max(1, _WALK_BLOCK // len(lines))  # sums per expansion
+    blocks = [(np.zeros((1, n), dtype=np.intp), np.zeros((1, 0), dtype=np.intp),
+               np.ones(1, dtype=bool))]
+    while blocks:
+        acc, used, good = blocks.pop()
+        if used.shape[1] < k:
+            acc = add[acc[:, None, :] * q + lines].reshape(-1, n)
+            good = (good[:, None] & (weight != 0)
+                    & (used[:, :, None] != position).all(axis=1)).reshape(-1)
+            if used.shape[1] + 1 < k:
+                used = np.concatenate((np.repeat(used, len(lines), axis=0),
+                                       np.tile(position, len(used))[:, None]), axis=1)
+                blocks.extend((acc[i:i + step], used[i:i + step], good[i:i + step])
+                              for i in range(0, len(acc), step))
+                continue
+        # A block of leaves, tallied in time proportional to the block.
+        flat = rows_to_flat(acc, q)
+        np.add.at(dense, flat, 1)
+        np.add.at(dense_good, flat[good], 1)
 
-    def descend(level, acc, used, good_flag):
-        if level < k - 1:
-            for row, bit, nonzero in pairs:
-                descend(
-                    level + 1,
-                    tuple([add[a][b] for a, b in zip(acc, row)]),
-                    used | bit,
-                    good_flag and nonzero and not (used & bit),
-                )
-            return
-        for row, bit, nonzero in pairs:
-            key = tuple([add[a][b] for a, b in zip(acc, row)])
-            counts[key] = counts.get(key, 0) + 1
-            if good_flag and nonzero and not (used & bit):
-                good[key] = good.get(key, 0) + 1
-
-    if k > 0:
-        descend(0, zero_key, 0, True)
-
-    if sum(counts.values()) != total:
+    if dense.sum() != total:
         raise ContractError("census total does not match the tuple count")
-    return PreimageCensus(domain, k, _dense(domain, counts), _dense(domain, good))
-
-
-def _dense(domain: Domain, tally: dict) -> np.ndarray:
-    """A walk's tally (index tuple -> count) as a read-only int64 array by flat index."""
-    q = domain.params.q
-    dense = np.zeros(q ** domain.n, dtype=np.int64)
-    if tally:
-        dense[rows_to_flat(list(tally), q)] = list(tally.values())
-    return _read_only(dense)
+    return PreimageCensus(domain, k, _read_only(dense), _read_only(dense_good))
 
 
 def transform_census(domain: Domain, k: int) -> PreimageCensus:
@@ -414,10 +410,10 @@ def _dft(values: np.ndarray, p: int, axes: int, ell: int, *,
         root = pow(root, -1, ell)
     powers = np.array([pow(root, e, ell) for e in range(p)], dtype=np.int64)
     kernel = powers[np.outer(np.arange(p), np.arange(p)) % p]
-    arr = np.asarray(values, dtype=np.int64).reshape(p, -1)
-    for _ in range(axes):
-        # Transform the leading axis, then rotate it to the back.
-        arr = (kernel @ arr % ell).T.reshape(p, -1)
+    arr = np.asarray(values, dtype=np.int64)
+    for axis in range(axes):
+        # A view that puts this axis in the middle: no transposed copy.
+        arr = kernel @ arr.reshape(p ** axis, p, -1) % ell
     arr = arr.reshape(-1)
     return arr * pow(p ** axes, -1, ell) % ell if inverse else arr
 

@@ -329,8 +329,8 @@ def simulate(field_spec, vandermonde, monomial, domain_file, k, secret, trials,
     if secret == "sweep":
         check_cap("secret sweep", codomain, "secrets", SWEEP_MAX_SECRETS)
         errors = [abs(p - float(analytic))
-                  for _, _, success in simulator._sweep(domain, k_value, census.transversal,
-                                                        range(codomain))
+                  for _, _, _, success in simulator._sweep(domain, k_value, census.transversal,
+                                                           range(codomain))
                   for p in success]
         report["sweep"] = {
             "secrets": codomain,

@@ -8,8 +8,10 @@ transversal holds one pre-image per image point, the relabeling is a
 permutation on the support, so a dense vector over the codomain is enough;
 the (|V|*q)^k-dimensional query register is never materialized.
 
-Measurement in the Fourier basis, sampling, and the rank of the reachable
-state family are computed from the same vectors.
+Measurement in the Fourier basis and sampling are computed from the same
+vectors.  The rank of the reachable state family comes from its
+certificate: a unitary Fourier kernel makes it the number of distinct image
+points.
 
 The computation runs on the integer index arrays of the domain, image and
 transversal, the flat-index codec and the field's numpy tables; VectorFq
@@ -38,8 +40,9 @@ RANK_REL_TOL = 1e-8
 PHASE_QUERY_TOL = 1e-12
 # sample_outcomes holds about 26 bytes per trial, so this is about 260 MB.
 MAX_TRIALS = 10 ** 7
-# Amplitudes per block of a batched sweep: a fixed budget keeps its peak
-# memory flat whatever the number of secrets.
+# Amplitudes per block of a batched sweep, and kernel entries per block of
+# phase_query_check: a fixed budget keeps peak memory flat whatever the
+# number of secrets or domain vectors.
 _SWEEP_BLOCK = 1 << 14
 
 
@@ -146,9 +149,10 @@ def _sweep(domain: Domain, k: int, transversal: Transversal, flats):
     flats, in blocks of _SWEEP_BLOCK amplitudes (one secret per block when a
     state alone holds more).
 
-    Yields (secrets, amplitudes, success) per block: the (S, n) secret index
-    rows; each final state's amplitudes on the transversal keys, a
-    C-contiguous (S, size) table in key order; and each state's success
+    Yields (secrets, amplitudes, fourier, success) per block: the (S, n)
+    secret index rows; each final state's amplitudes on the transversal
+    keys, a C-contiguous (S, size) table in key order; the Fourier phases
+    e(s.z) at those keys, in the same layout; and each state's success
     probability.  When the keys are in canonical order, as a census picks
     them, every float equals the one-secret functions' bit for bit.
     """
@@ -162,8 +166,8 @@ def _sweep(domain: Domain, k: int, transversal: Transversal, flats):
         fourier = params.character_values()[dot_rows(params, secrets[:, None, :],
                                                      transversal.keys)]
         # vdot on contiguous rows, as in success_probability, keeps every bit.
-        yield secrets, amplitudes, [float(abs(np.vdot(f, a)) ** 2 / params.q ** n)
-                                    for f, a in zip(fourier, amplitudes)]
+        yield secrets, amplitudes, fourier, [float(abs(np.vdot(f, a)) ** 2 / params.q ** n)
+                                             for f, a in zip(fourier, amplitudes)]
 
 
 def success_probability(state: StateVector, secret: VectorFq) -> float:
@@ -258,9 +262,10 @@ def sample_outcomes(dist: OutcomeDistribution, trials: int, seed: int) -> Sample
     draws = rng.random(trials)
     positions = np.searchsorted(cdf, draws, side="right")
     positions = np.minimum(positions, len(dist.probs) - 1)
-    flats, tallies = np.unique(positions, return_counts=True)
+    tallies = np.bincount(positions, minlength=len(dist.probs))
+    flats = np.flatnonzero(tallies)
     keys = flat_to_rows(flats, dist.params.q, dist.n).tolist()
-    counts = {tuple(key): tally for key, tally in zip(keys, tallies.tolist())}
+    counts = {tuple(key): tally for key, tally in zip(keys, tallies[flats].tolist())}
     return SampleReport(params=dist.params, n=dist.n, counts=counts,
                         trials=trials, seed=seed)
 
@@ -270,16 +275,24 @@ def state_family_rank(image: ImageSet) -> int:
 
     The row space spans every final state any algorithm supported on the
     image can reach, so this rank caps the number of distinguishable
-    secrets.  Singular values below RANK_REL_TOL times the top one are zero.
+    secrets.  Column z is the character at z, a column of the n-fold tensor
+    power of the q x q Fourier kernel; when that kernel is unitary, so is
+    its tensor power, and the rank is the number of distinct image points.
+    The kernel is held to unitarity within RANK_REL_TOL, else a
+    ContractError; no phase matrix is formed.
     """
     params = image.params
-    size = _check_state_size(params, image.n)
+    _check_state_size(params, image.n)
     if image.size == 0:
         raise ParameterError("rank of an empty state family is undefined")
-    secrets = flat_to_rows(np.arange(size), params.q, image.n)
-    phases = params.character_values()[dot_rows(params, secrets[:, None], image.keys)]
-    singular = np.linalg.svd(phases, compute_uv=False)
-    return int(np.sum(singular > RANK_REL_TOL * singular[0]))
+    kernel = params.fourier_matrix()
+    gap = float(np.abs(kernel @ kernel.conj().T - np.eye(params.q)).max())
+    if gap > RANK_REL_TOL:
+        raise ContractError(f"Fourier kernel is {gap:.2e} off unitary, "
+                            f"tolerance {RANK_REL_TOL}")
+    # Distinct points by sorting: np.unique would import numpy.ma.
+    flat = np.sort(rows_to_flat(image.keys, params.q))
+    return 1 + int(np.count_nonzero(flat[1:] != flat[:-1]))
 
 
 def phase_query_check(domain: Domain, secret: VectorFq) -> bool:
@@ -297,11 +310,17 @@ def phase_query_check(domain: Domain, secret: VectorFq) -> bool:
     chars = params.character_values()
     add = params.add_rows()
     mul = params.mul_rows()
-    for shift in dot_rows(params, secret.index_tuple(), domain.indices).tolist():
-        permutation = np.zeros((q, q), dtype=np.complex128)
-        permutation[add[:, shift], np.arange(q)] = 1.0
-        conjugated = fourier @ permutation @ fourier.conj().T
-        diagonal = np.diag(chars[mul[shift]])
-        if np.max(np.abs(conjugated - diagonal)) > PHASE_QUERY_TOL:
+    shifts = dot_rows(params, secret.index_tuple(), domain.indices)
+    # Every shift's conjugation in one batched contraction per block.
+    step = max(1, _SWEEP_BLOCK // (q * q))
+    columns = np.arange(q)
+    for start in range(0, len(shifts), step):
+        block = shifts[start:start + step]
+        stack = np.arange(len(block))[:, None]
+        permutations = np.zeros((len(block), q, q), dtype=np.complex128)
+        permutations[stack, add[:, block].T, columns] = 1.0
+        conjugated = fourier @ permutations @ fourier.conj().T
+        conjugated[stack, columns, columns] -= chars[mul[block]]
+        if np.abs(conjugated).max() > PHASE_QUERY_TOL:
             return False
     return True

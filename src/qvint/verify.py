@@ -30,7 +30,7 @@ import numpy as np
 
 from . import census as census_mod
 from . import complexity, simulator
-from .domain import (build_monomial_domain, build_vandermonde_domain, dot_rows,
+from .domain import (build_monomial_domain, build_vandermonde_domain,
                      read_domain_file, rows_to_flat, vector_from_flat,
                      write_domain_file, VectorFq)
 from .errors import ContractError, QvintError
@@ -223,21 +223,18 @@ def _check_simulator(k, census_of):
     params = domain.params
     codomain = census.codomain_size
     expected = census.success_probability()
-    image_flat = rows_to_flat(image.keys, params.q)
     keys = rows_to_flat(transversal.keys, params.q)
-    if not np.array_equal(np.sort(keys), image_flat):
+    if not np.array_equal(np.sort(keys), rows_to_flat(image.keys, params.q)):
         raise ContractError("transversal support is not the image")
-    # Each amplitude is held to the direct path's phase at its own key.
-    placement = np.searchsorted(image_flat, keys)
+    # Each amplitude is held to the sweep's Fourier phase at its own key.
     scale = 1.0 / math.sqrt(image.size)
     worst_amp = 0.0
     probs = []
     argmax_ok = True
     check_argmax = 2 * image.size > codomain
-    for secrets, amplitudes, success in simulator._sweep(
+    for secrets, amplitudes, fourier, success in simulator._sweep(
             domain, k, transversal, _secret_indices(codomain)):
-        direct = params.character_values()[dot_rows(params, secrets[:, None, :], image.keys)]
-        worst_amp = max(worst_amp, float(np.abs(amplitudes - direct[:, placement] * scale).max()))
+        worst_amp = max(worst_amp, float(np.abs(amplitudes - fourier * scale).max()))
         probs.extend(success)
         if check_argmax:
             states = np.zeros((len(secrets), codomain), dtype=np.complex128)
@@ -245,8 +242,9 @@ def _check_simulator(k, census_of):
             outcomes = simulator._outcome_probs(params, domain.n, states).argmax(axis=1)
             argmax_ok &= np.array_equal(outcomes, rows_to_flat(secrets, params.q))
     pipeline = (worst_amp < 1e-12, f"max amplitude gap {worst_amp:.2e} over {len(probs)} secrets")
-    spread = max(probs) - min(probs)
-    off = max(abs(p - expected) for p in probs)
+    probs = np.array(probs)
+    spread = probs.max() - probs.min()
+    off = np.abs(probs - float(expected)).max()
     ok = off < 1e-9 and spread < 1e-9 and argmax_ok
     detail = (f"p = {expected} ({float(expected):.6f}), max error {off:.2e}, "
               f"spread {spread:.2e}")

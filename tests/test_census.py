@@ -181,6 +181,106 @@ class TestCensusInvariants:
             enumerate_census(vandermonde(3, 1), -1)
 
 
+def brute_force_census(dom, k):
+    """(dense, dense_good) by itertools.product over (position, weight)
+    pairs and Python-list field tables: shares nothing with the package's
+    blocked walk but the domain's index rows."""
+    params = dom.params
+    q, n = params.q, dom.n
+    add, mul = params.add_rows().tolist(), params.mul_rows().tolist()
+    rows = dom.indices.tolist()
+    pairs = [(j, y) for j in range(dom.size) for y in range(q)]
+    dense = np.zeros(q ** n, dtype=np.int64)
+    good = np.zeros(q ** n, dtype=np.int64)
+    for chosen in itertools.product(pairs, repeat=k):
+        acc = [0] * n
+        for j, y in chosen:
+            acc = [add[a][mul[y][b]] for a, b in zip(acc, rows[j])]
+        flat = rows_to_flat(acc, q)
+        dense[flat] += 1
+        positions = [j for j, _ in chosen]
+        if len(set(positions)) == k and all(y != 0 for _, y in chosen):
+            good[flat] += 1
+    return dense, good
+
+
+def _two_rows(dom):
+    return build_explicit_domain(dom.vectors[:2])
+
+
+class TestBlockedWalk:
+    # (domain, ks): every (|V| q)^k stays at or below 81^2 * 16, so the
+    # Python brute force stays quick; GF(9) past k = 2 runs on two rows of
+    # its Vandermonde domain.
+    CASES = {
+        "gf2-d1": (lambda: vandermonde(2, 1), range(5)),
+        "gf3-d1": (lambda: vandermonde(3, 1), range(5)),
+        "gf4-d1": (lambda: vandermonde(4, 1), range(5)),
+        "gf4-d2": (lambda: vandermonde(4, 2), range(4)),
+        "gf9-d1": (lambda: vandermonde(9, 1), range(3)),
+        "gf9-d1-two-rows": (lambda: _two_rows(vandermonde(9, 1)), range(3, 5)),
+        "gf2-monomial-2-2": (lambda: build_monomial_domain(FieldParams(2), 2, 2), range(5)),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_equals_the_brute_force(self, name):
+        build, ks = self.CASES[name]
+        dom = build()
+        for k in ks:
+            dense, good = brute_force_census(dom, k)
+            census = enumerate_census(dom, k)
+            assert np.array_equal(census.dense, dense), k
+            assert np.array_equal(census.dense_good, good), k
+
+    @pytest.mark.parametrize("block", (1, 2 * 9 + 1, 5 * 9 + 4))
+    def test_block_size_does_not_change_the_counts(self, monkeypatch, block):
+        # GF(3) d=1 has 9 pairs, so these budgets expand 1, 2 and 5 sums at a
+        # time; the 9 sums of level 1 then split mid-block.
+        dom = vandermonde(3, 1)
+        expected = [enumerate_census(dom, k) for k in range(5)]
+        monkeypatch.setattr(census_mod, "_WALK_BLOCK", block)
+        for k, want in enumerate(expected):
+            got = enumerate_census(dom, k)
+            assert np.array_equal(got.dense, want.dense)
+            assert np.array_equal(got.dense_good, want.dense_good)
+
+    @pytest.mark.parametrize("cap,value,match", (
+        ("DEFAULT_MAX_TUPLES", 10, "census needs 81 tuples, cap is 10"),
+        ("MAX_RESIDUES", 8, "census needs 9 points, cap is 8"),
+    ))
+    def test_caps_raise_before_any_allocation(self, monkeypatch, cap, value, match):
+        dom = vandermonde(3, 1)
+        dom.params.add_rows(), dom.params.mul_rows()  # built before the patch
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated before the cap check")
+
+        monkeypatch.setattr(census_mod, cap, value)
+        monkeypatch.setattr(census_mod.np, "zeros", refuse)
+        with pytest.raises(ResourceCapError, match=match):
+            enumerate_census(dom, 2)
+
+
+class TestSquareSum:
+    @pytest.mark.parametrize("q,d,k", ((3, 1, 1), (4, 1, 2), (5, 3, 2), (5, 3, 3), (7, 3, 2)))
+    def test_int64_path_equals_python_ints(self, q, d, k):
+        census = enumerate_census(vandermonde(q, d), k)
+        assert census.dense.dtype == np.int64
+        assert census.second_moment_sum() == sum(int(c) ** 2 for c in census.dense.tolist())
+
+    def test_wide_counts_keep_python_ints(self):
+        # 9^14 tuples: each count squared times the image is past 2^63.
+        census = transform_census(vandermonde(3, 1), 14)
+        assert census.dense.dtype == np.int64
+        assert int(census.dense.max()) ** 2 * census.image_size >= 2 ** 63
+        assert census.second_moment_sum() == sum(int(c) ** 2 for c in census.dense.tolist())
+
+    def test_object_counts(self):
+        census = transform_census(vandermonde(3, 1), 25)
+        assert census.dense.dtype == object
+        assert census.second_moment_sum() == sum(int(c) ** 2 for c in census.dense.tolist())
+
+
 class TestTransformCensus:
     INSTANCES = ((3, 1, 0), (3, 1, 1), (3, 1, 2), (4, 1, 2), (5, 3, 3), (7, 3, 2),
                  (8, 3, 2), (9, 3, 2), (4, 2, 3))

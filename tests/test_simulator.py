@@ -15,7 +15,8 @@ import pytest
 
 from qvint import simulator
 from qvint.census import ImageSet, Transversal, enumerate_census, image_set
-from qvint.domain import VectorFq, build_vandermonde_domain, rows_to_flat
+from qvint.domain import (VectorFq, build_vandermonde_domain, dot_rows, flat_to_rows,
+                          rows_to_flat)
 from qvint.errors import ContractError, ParameterError, ResourceCapError
 from qvint.field import FieldParams
 from qvint.simulator import (OutcomeDistribution, fourier_state,
@@ -232,16 +233,20 @@ class TestBatchedSweep:
         flats = range(params.q ** dom.n)
         blocks = list(simulator._sweep(dom, k, trans, flats))
         step = simulator._SWEEP_BLOCK // trans.size
-        assert [len(secrets) for secrets, _, _ in blocks] == [
+        assert [len(secrets) for secrets, _, _, _ in blocks] == [
             min(step, len(flats) - start) for start in range(0, len(flats), step)]
-        assert all(amplitudes.flags.c_contiguous for _, amplitudes, _ in blocks)
+        assert all(amplitudes.flags.c_contiguous for _, amplitudes, _, _ in blocks)
         keys = rows_to_flat(trans.keys, params.q)
-        for secrets, amplitudes, success in blocks:
-            for row, amps, probability in zip(secrets, amplitudes, success, strict=True):
+        for secrets, amplitudes, fourier, success in blocks:
+            for row, amps, phases, probability in zip(secrets, amplitudes, fourier, success,
+                                                      strict=True):
                 secret = VectorFq.from_index_tuple(params, row.tolist())
                 state = run_algorithm(dom, k, trans, secret)
                 assert amps.tobytes() == state.amplitudes[keys].tobytes()
                 assert probability.hex() == success_probability(state, secret).hex()
+                # success_probability's phases, on the state's support.
+                reference = params.character_values()[dot_rows(params, row, trans.keys)]
+                assert phases.tobytes() == reference.tobytes()
         assert np.array_equal(np.concatenate([rows_to_flat(b[0], params.q) for b in blocks]),
                               flats)
 
@@ -345,6 +350,23 @@ class TestSampling:
         with pytest.raises(ParameterError, match="seed must be non-negative"):
             sample_outcomes(dist, 5, seed=-1)
 
+    @pytest.mark.parametrize("seed", (0, 7, 20250815, 2 ** 40))
+    def test_counts_equal_the_unique_reference(self, seed):
+        dom, _, trans = instance(5, 3, 2)
+        dist = outcome_distribution(
+            run_algorithm(dom, 2, trans, VectorFq.from_index_tuple(F5, (1, 2, 3, 4))))
+        trials = 5000
+        rng = np.random.default_rng(seed)
+        positions = np.searchsorted(np.cumsum(dist.probs), rng.random(trials), side="right")
+        positions = np.minimum(positions, len(dist.probs) - 1)
+        flats, tallies = np.unique(positions, return_counts=True)
+        keys = flat_to_rows(flats, F5.q, dom.n).tolist()
+        reference = {tuple(key): tally for key, tally in zip(keys, tallies.tolist())}
+        counts = sample_outcomes(dist, trials, seed=seed).counts
+        assert counts == reference
+        assert list(counts.items()) == list(reference.items())
+        assert all(type(count) is int for count in counts.values())
+
 
 def kronecker_rank(image):
     """Reference rank of the phase matrix: column z is the Kronecker product
@@ -394,8 +416,79 @@ class TestStateFamilyRank:
         with pytest.raises(ParameterError):
             state_family_rank(ImageSet(params=F3, n=2, keys=np.empty((0, 2), np.intp)))
 
+    def test_repeated_keys_count_once(self):
+        image = ImageSet(params=F4, n=2, keys=[[0, 0], [1, 3], [0, 0], [2, 1], [1, 3]])
+        assert state_family_rank(image) == kronecker_rank(image) == 3
+
+    def test_a_kernel_off_unitary_is_a_contract_error(self, monkeypatch):
+        real = FieldParams.fourier_matrix
+        monkeypatch.setattr(FieldParams, "fourier_matrix", lambda self: real(self) + 1e-6)
+        _, census, _ = instance(3, 1, 1)
+        with pytest.raises(ContractError, match="off unitary"):
+            state_family_rank(image_set(census))
+
+    def test_a_kernel_off_unitary_fails_the_verify_rank_checks(self, monkeypatch):
+        names = [result.name for result in run_all()]
+        real = FieldParams.fourier_matrix
+        monkeypatch.setattr(FieldParams, "fourier_matrix", lambda self: real(self) + 1e-6)
+        results = run_all()
+        assert len(names) == 109
+        assert [result.name for result in results] == names
+        ranks = [r for r in results if r.name.startswith("state-family-rank-")]
+        assert [r.name for r in ranks] == ["state-family-rank-vand-q3-d1-k1",
+                                           "state-family-rank-vand-q5-d3-k2"]
+        for result in ranks:
+            assert not result.ok
+            assert result.detail.startswith("ContractError: Fourier kernel is")
+
+
+def per_shift_phase_check(domain, secret):
+    """Reference for phase_query_check: one q x q conjugation per domain vector."""
+    params = domain.params
+    q = params.q
+    fourier = params.fourier_matrix()
+    chars, add, mul = params.character_values(), params.add_rows(), params.mul_rows()
+    for shift in dot_rows(params, secret.index_tuple(), domain.indices).tolist():
+        permutation = np.zeros((q, q), dtype=np.complex128)
+        permutation[add[:, shift], np.arange(q)] = 1.0
+        conjugated = fourier @ permutation @ fourier.conj().T
+        if np.max(np.abs(conjugated - np.diag(chars[mul[shift]]))) > simulator.PHASE_QUERY_TOL:
+            return False
+    return True
+
 
 class TestPhaseQueryIdentity:
+    @pytest.mark.parametrize("params,d", ((F4, 2), (FieldParams(3, 2), 1), (FieldParams(7), 2)),
+                             ids=("gf4-d2", "gf9-d1", "gf7-d2"))
+    def test_agrees_with_the_per_shift_loop(self, params, d):
+        dom = build_vandermonde_domain(params, d)
+        for secret in all_secrets(params, dom.n):
+            assert phase_query_check(dom, secret) is per_shift_phase_check(dom, secret) is True
+
+    def test_blocks_of_shifts(self, monkeypatch):
+        # Two kernels per block over GF(7)'s seven domain vectors: 2, 2, 2, 1.
+        monkeypatch.setattr(simulator, "_SWEEP_BLOCK", 2 * 49 + 1)
+        dom = build_vandermonde_domain(FieldParams(7), 1)
+        for secret in all_secrets(dom.params, dom.n):
+            assert phase_query_check(dom, secret)
+
+    def test_one_wrong_addition_entry_fails(self, monkeypatch):
+        dom = build_vandermonde_domain(F5, 1)
+        # s . (1, x) = 1 for every x: each kernel conjugates the shift by 1,
+        # and the secret's dot products read only add[0, 1] and add[1, 0].
+        secret = VectorFq.from_index_tuple(F5, (1, 0))
+        assert phase_query_check(dom, secret)
+        real = FieldParams.add_rows
+
+        def corrupted(self):
+            table = real(self).copy()
+            table[2, 1] = table[3, 1]
+            return table
+
+        monkeypatch.setattr(FieldParams, "add_rows", corrupted)
+        assert not phase_query_check(dom, secret)
+        assert not per_shift_phase_check(dom, secret)
+
     @pytest.mark.parametrize("params", (F3, F4, F5), ids=("q3", "q4", "q5"))
     def test_all_secrets(self, params):
         dom = build_vandermonde_domain(params, 1)

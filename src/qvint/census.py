@@ -34,7 +34,7 @@ floating point never enters here.
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -50,6 +50,9 @@ DEFAULT_MAX_TUPLES = 10 ** 8
 _WALK_BLOCK = 1 << 16
 # Points t of GF(q)^n per vectorised pass of the direct hit tally.
 _DIRECT_BLOCK = 4096
+# Table entries (pairs times reachable points) per scatter of the transversal
+# picker.
+_SCATTER_BLOCK = 1 << 16
 # Transform primes lie in (2^25, 2^26): each exceeds every |V|*q a transform
 # census accepts, and a sum of p products of two residues fits in int64 for
 # every p <= 1021.
@@ -387,16 +390,24 @@ def _transform_primes(domain: Domain, k: int) -> list:
     check_cap("census", params.q ** domain.n * needed, "residues", MAX_RESIDUES)
     total = width ** k
     primes, product = [], 1
-    # The largest candidate below 2^26 that is 1 mod p, then every p-th below.
-    candidate = _PRIME_CEILING - 1 - (_PRIME_CEILING - 2) % params.p
     while product <= total:
-        if candidate <= _PRIME_FLOOR:
-            raise ContractError(f"no transform prime left for p = {params.p}")
-        if _is_prime(candidate):
-            primes.append(candidate)
-            product *= candidate
-        candidate -= params.p
+        primes.append(_transform_prime(params.p, len(primes), _PRIME_FLOOR, _PRIME_CEILING))
+        product *= primes[-1]
     return primes
+
+
+@cache
+def _transform_prime(p: int, i: int, floor: int, ceiling: int) -> int:
+    """The (i+1)-th largest prime l = 1 (mod p) in (floor, ceiling), cached:
+    the candidates are the largest one below ceiling that is 1 mod p, then
+    every p-th below it."""
+    candidate = (ceiling - 1 - (ceiling - 2) % p if i == 0
+                 else _transform_prime(p, i - 1, floor, ceiling) - p)
+    while candidate > floor:
+        if _is_prime(candidate):
+            return candidate
+        candidate -= p
+    raise ContractError(f"no transform prime left for p = {p}")
 
 
 def _dft(values: np.ndarray, p: int, axes: int, ell: int, *,
@@ -480,11 +491,15 @@ def _pick_transversal(census: PreimageCensus) -> "Transversal":
 
 def _first_pairs_by_table(add, q, lines, reachable, remainders) -> np.ndarray:
     """For each remainder r, the first pair index i with r - lines[i] in the
-    reachable set (len(lines) if none), from a table over R + lines[i]."""
+    reachable set (len(lines) if none), from a table over R + lines[i]: the
+    least pair index scattered onto each point, for blocks of pairs at once."""
     first = np.full(len(reachable), len(lines), dtype=np.intp)
     members = flat_to_rows(np.flatnonzero(reachable), q, lines.shape[1])
-    for pair in reversed(range(len(lines))):
-        first[rows_to_flat(add[members, lines[pair]], q)] = pair
+    step = max(1, _SCATTER_BLOCK // len(members))
+    for start in range(0, len(lines), step):
+        block = np.arange(start, min(start + step, len(lines)))
+        targets = rows_to_flat(add[members, lines[block, None]], q)
+        np.minimum.at(first, targets.reshape(-1), np.repeat(block, len(members)))
     return first[rows_to_flat(remainders, q)]
 
 
@@ -566,9 +581,15 @@ class Transversal:
         if bad.size:
             key, got = keys[bad[0]].tolist(), z[bad[0]].tolist()
             raise ContractError(f"transversal entry for {tuple(key)} maps to {tuple(got)}")
-        # Sorted by every column, a repeated key sits next to its twin.
-        ordered = keys[np.lexsort(keys.T)]
-        if (ordered[1:] == ordered[:-1]).all(axis=1).any():
+        # Sorted, a repeated key sits next to its twin: as int64 flat indices
+        # where q^n has them, else row by row on every column.
+        if self.domain.params.q ** self.domain.n < _INT64_LIMIT:
+            ordered = np.sort(rows_to_flat(keys, self.domain.params.q))
+            repeated = (ordered[1:] == ordered[:-1]).any()
+        else:
+            ordered = keys[np.lexsort(keys.T)]
+            repeated = (ordered[1:] == ordered[:-1]).all(axis=1).any()
+        if repeated:
             raise ContractError("in-place relabeling hit the same target twice")
 
     @property

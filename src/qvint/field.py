@@ -133,8 +133,8 @@ class FieldParams:
 
     __slots__ = (
         "p", "r", "q", "modulus",
-        "_add_rows", "_mul_rows", "_traces", "_chars",
-        "_elements", "_fourier",
+        "_add_rows", "_mul_rows", "_traces", "_trace_products", "_trace_chars",
+        "_chars", "_elements", "_fourier",
     )
 
     def __init__(self, p: int, r: int = 1, modulus=None):
@@ -163,6 +163,8 @@ class FieldParams:
         self._add_rows = None
         self._mul_rows = None
         self._traces = None
+        self._trace_products = None
+        self._trace_chars = None
         self._chars = None
         self._elements = None
         self._fourier = None
@@ -264,13 +266,27 @@ class FieldParams:
             self._traces = (self._digits() @ np.array(basis) % self.p).tolist()
         return self._traces
 
-    def character_values(self) -> np.ndarray:
-        """Additive character of every element, by canonical index."""
-        if self._chars is None:
+    def trace_products(self) -> np.ndarray:
+        """trace_products()[a, b] is Tr(a * b), by canonical indices.  The
+        trace is GF(p)-linear, so e(sum_i a_i * b_i) is
+        trace_characters() at the sum of these entries, reduced mod p."""
+        if self._trace_products is None:
+            self._trace_products = _read_only(np.array(self.trace_values())[self.mul_rows()])
+        return self._trace_products
+
+    def trace_characters(self) -> np.ndarray:
+        """exp(2*pi*i * t / p) for every trace value t in [0, p)."""
+        if self._trace_chars is None:
             root = cmath.exp(2j * cmath.pi / self.p)
-            self._chars = _read_only(np.array(
-                [root ** t for t in self.trace_values()], dtype=np.complex128
-            ))
+            self._trace_chars = _read_only(np.array(
+                [root ** t for t in range(self.p)], dtype=np.complex128))
+        return self._trace_chars
+
+    def character_values(self) -> np.ndarray:
+        """Additive character of every element, by canonical index: the
+        trace_characters() entry of its trace, so both agree bit for bit."""
+        if self._chars is None:
+            self._chars = _read_only(self.trace_characters()[self.trace_values()])
         return self._chars
 
     def character_table(self) -> np.ndarray:

@@ -15,11 +15,16 @@ points.
 
 The computation runs on the integer index arrays of the domain, image and
 transversal, the flat-index codec and the field's numpy tables; VectorFq
-appears only at the API boundary.  Every phase e(s.z) is a lookup in
-character_values() by dot_rows, except in fourier_state: its Kronecker
-products keep it an independent reference for the tests.  A sweep over many
-secrets applies run_algorithm's phase rule to blocks of secrets at once,
-decoding the transversal once per block instead of once per secret.
+appears only at the API boundary.  The trace is GF(p)-linear, so every
+phase is e(sum_i a_i * b_i) = exp(2*pi*i * sum_i Tr(a_i * b_i) / p): a sum of
+trace_products() entries, then one lookup in trace_characters() tiled past
+the largest sum, with no reduction mod p.  Query phases add one kickback
+Tr(y_i * (s . v_i)) per query, the oracle answers s . v_i coming from
+dot_rows; Fourier phases e(s . z) add Tr(s_i * z_i) over the coordinates.
+fourier_state alone builds its phases from Kronecker products, which keeps
+it an independent reference for the tests.  A sweep over many secrets
+applies run_algorithm's phase rule to blocks of secrets at once, decoding
+the transversal once per block instead of once per secret.
 """
 
 import math
@@ -40,9 +45,9 @@ RANK_REL_TOL = 1e-8
 PHASE_QUERY_TOL = 1e-12
 # sample_outcomes holds about 26 bytes per trial, so this is about 260 MB.
 MAX_TRIALS = 10 ** 7
-# Amplitudes per block of a batched sweep, and kernel entries per block of
-# phase_query_check: a fixed budget keeps peak memory flat whatever the
-# number of secrets or domain vectors.
+# Amplitudes (and kickbacks) per block of a batched sweep, and kernel entries
+# per block of phase_query_check: a fixed budget keeps peak memory flat
+# whatever the number of secrets or domain vectors.
 _SWEEP_BLOCK = 1 << 14
 
 
@@ -107,8 +112,8 @@ def restricted_fourier_state(image: ImageSet, secret: VectorFq) -> StateVector:
         raise ParameterError("cannot build a state over an empty image")
     params = image.params
     _check_secret(params, image.n, secret)
-    phases = params.character_values()[dot_rows(params, secret.index_tuple(), image.keys)]
-    return _support_state(params, image.n, image.keys, phases)
+    phases = _fourier_phases(params, np.array([secret.index_tuple()]), image.keys)
+    return _support_state(params, image.n, image.keys, phases[0])
 
 
 def _check_transversal(domain: Domain, k: int, transversal: Transversal):
@@ -118,13 +123,38 @@ def _check_transversal(domain: Domain, k: int, transversal: Transversal):
         raise ParameterError(f"transversal is for k={transversal.k}, asked for k={k}")
 
 
+def _characters(params: FieldParams, totals: np.ndarray, terms: int) -> np.ndarray:
+    """e at every entry of totals, each a sum of `terms` traces and so below
+    terms * p: a lookup in trace_characters() tiled that far, with no % p."""
+    return np.resize(params.trace_characters(), max(terms, 1) * params.p)[totals]
+
+
 def _query_phases(domain: Domain, transversal: Transversal, secrets) -> np.ndarray:
-    """The (S, size) phase table of S secret index rows (S, n): query i
-    answers s . v_i, and pre-image j picks up e(sum_i y_i (s . v_i))."""
+    """The C-contiguous (S, size) phase table of S secret index rows (S, n):
+    query i answers y = s . v_i, and pre-image j picks up the kickback
+    e(w_i * y) of each query, w_i its weight."""
     params = domain.params
+    q = params.q
     answers = dot_rows(params, secrets[:, None, :], domain.indices)
-    phase_index = dot_rows(params, transversal.weights, answers[:, transversal.positions])
-    return params.character_values()[phase_index]
+    # kick[s, v * q + w] = Tr(w * y[s, v]), one row per secret.
+    kick = params.trace_products()[answers].reshape(len(secrets), -1)
+    # One contiguous row of kick columns per query, as in _fourier_phases.
+    columns = np.ascontiguousarray((transversal.positions * q + transversal.weights).T)
+    totals = np.zeros((len(secrets), transversal.size), dtype=np.intp)
+    for column in columns:
+        totals += np.take(kick, column, axis=1)
+    return _characters(params, totals, transversal.k)
+
+
+def _fourier_phases(params: FieldParams, secrets: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """e(s . z) for S secret index rows (S, n) at m key rows (m, n), as a
+    C-contiguous (S, m) table: Tr(s_i * z_i) summed over the coordinates."""
+    products = params.trace_products()
+    totals = np.zeros((len(secrets), len(keys)), dtype=np.intp)
+    # Contiguous rows of key coordinates: gathers by them are fast.
+    for s, z in zip(secrets.T, np.ascontiguousarray(keys.T)):
+        totals += np.take(products[s], z, axis=1)
+    return _characters(params, totals, keys.shape[1])
 
 
 def run_algorithm(domain: Domain, k: int, transversal: Transversal,
@@ -147,7 +177,10 @@ def run_algorithm(domain: Domain, k: int, transversal: Transversal,
 def _sweep(domain: Domain, k: int, transversal: Transversal, flats):
     """run_algorithm and success_probability for the secrets at flat indices
     flats, in blocks of _SWEEP_BLOCK amplitudes (one secret per block when a
-    state alone holds more).
+    state alone holds more).  A block also holds at most _SWEEP_BLOCK
+    kickbacks, one per secret and (vector, weight) pair, which only a domain
+    with more pairs than image points, such as one of collinear vectors,
+    makes the tighter bound.
 
     Yields (secrets, amplitudes, fourier, success) per block: the (S, n)
     secret index rows; each final state's amplitudes on the transversal
@@ -159,12 +192,11 @@ def _sweep(domain: Domain, k: int, transversal: Transversal, flats):
     _check_transversal(domain, k, transversal)
     params, n = domain.params, domain.n
     scale = 1.0 / math.sqrt(transversal.size)
-    step = max(1, _SWEEP_BLOCK // transversal.size)
+    step = max(1, _SWEEP_BLOCK // max(transversal.size, domain.size * params.q))
     for start in range(0, len(flats), step):
         secrets = flat_to_rows(flats[start:start + step], params.q, n)
         amplitudes = _query_phases(domain, transversal, secrets) * scale
-        fourier = params.character_values()[dot_rows(params, secrets[:, None, :],
-                                                     transversal.keys)]
+        fourier = _fourier_phases(params, secrets, transversal.keys)
         # vdot on contiguous rows, as in success_probability, keeps every bit.
         yield secrets, amplitudes, fourier, [float(abs(np.vdot(f, a)) ** 2 / params.q ** n)
                                              for f, a in zip(fourier, amplitudes)]
@@ -175,9 +207,9 @@ def success_probability(state: StateVector, secret: VectorFq) -> float:
     params = state.params
     _check_secret(params, state.n, secret)
     support = np.flatnonzero(state.amplitudes)
-    phases = params.character_values()[dot_rows(
-        params, secret.index_tuple(), flat_to_rows(support, params.q, state.n))]
-    return float(abs(np.vdot(phases, state.amplitudes[support])) ** 2 / params.q ** state.n)
+    phases = _fourier_phases(params, np.array([secret.index_tuple()]),
+                             flat_to_rows(support, params.q, state.n))
+    return float(abs(np.vdot(phases[0], state.amplitudes[support])) ** 2 / params.q ** state.n)
 
 
 @dataclass(eq=False)
@@ -279,10 +311,12 @@ def state_family_rank(image: ImageSet) -> int:
     power of the q x q Fourier kernel; when that kernel is unitary, so is
     its tensor power, and the rank is the number of distinct image points.
     The kernel is held to unitarity within RANK_REL_TOL, else a
-    ContractError; no phase matrix is formed.
+    ContractError; no phase matrix is formed, so the only cap is on q^n,
+    which must number the image's points with int64 flat indices.
     """
     params = image.params
-    _check_state_size(params, image.n)
+    check_cap(f"state family over GF({params.q})^{image.n}", params.q ** image.n,
+              "points", (1 << 63) - 1)
     if image.size == 0:
         raise ParameterError("rank of an empty state family is undefined")
     kernel = params.fourier_matrix()

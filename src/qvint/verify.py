@@ -13,10 +13,11 @@ asserted for.  --quick shrinks it to a sub-10-second subset.
 The field laws are checked on the index tables every other layer computes
 with.  FieldElement sums and products are held to add_rows() and mul_rows()
 on all q^2 pairs, and traces and characters to trace_values() and
-character_values() on every element; the unit, negation and inverse laws
-stay per element.  The tables are then checked, vectorised, for the ring
-laws over all q^3 triples and for trace additivity and character
-multiplicativity over all q^2 pairs.
+character_values() on every element; the simulator's trace_products() and
+trace_characters() are held to those tables, and the unit, negation and
+inverse laws stay per element.  The tables are then checked, vectorised,
+for the ring laws over all q^3 triples and for trace additivity and
+character multiplicativity over all q^2 pairs.
 """
 
 import functools
@@ -121,6 +122,12 @@ def _check_trace_character(field, q):
     for i, a in enumerate(params.elements()):
         if a.trace() != traces[i] or abs(a.character() - chars[i]) > 1e-9:
             return False, f"trace or character of {a!r} differs from the tables"
+    # The simulator's phases: sums of Tr(a * b) entries, then trace_characters().
+    products = params.trace_products() == traces[params.mul_rows()]
+    if not products.all():
+        return False, f"trace product table broke at {_first_break(params, products)}"
+    if not np.array_equal(params.trace_characters()[traces], chars):
+        return False, "trace characters differ from the character values"
     additive = traces[add] == (traces[:, None] + traces) % params.p
     if not additive.all():
         return False, f"trace additivity broke at {_first_break(params, additive)}"

@@ -17,7 +17,7 @@ from qvint.census import (ImageSet, Preimage, chebyshev_zero_bound,
                           enumerate_census, good_set_sizes, image_set,
                           image_size_lower_bound, linear_combination,
                           second_moment_identity_check, transform_census)
-from qvint.domain import (VectorFq, build_explicit_domain,
+from qvint.domain import (Domain, VectorFq, build_explicit_domain,
                           build_monomial_domain, build_vandermonde_domain,
                           flat_to_rows, rows_to_flat)
 from qvint.errors import ContractError, ParameterError, ResourceCapError
@@ -333,6 +333,26 @@ class TestTransformCensus:
         assert np.array_equal(transform.transversal.positions, walk.transversal.positions)
         assert np.array_equal(transform.transversal.weights, walk.transversal.weights)
 
+    def test_transform_primes_are_cached_per_range(self, monkeypatch):
+        calls = []
+        real = census_mod._is_prime
+        monkeypatch.setattr(census_mod, "_is_prime", lambda n: calls.append(n) or real(n))
+        census_mod._transform_prime.cache_clear()
+        dom = vandermonde(7, 1)
+        assert census_mod._transform_primes(dom, 30) == self.PINNED_PRIMES[7, 1, 30]
+        scanned = len(calls)
+        assert scanned > 7
+        assert census_mod._transform_primes(dom, 30) == self.PINNED_PRIMES[7, 1, 30]
+        assert census_mod._transform_primes(dom, 1) == self.PINNED_PRIMES[7, 1, 30][:1]
+        assert len(calls) == scanned
+        # Another range is another cache entry: primes = 1 (mod 7) in (30, 64).
+        monkeypatch.setattr(census_mod, "_PRIME_FLOOR", 30)
+        monkeypatch.setattr(census_mod, "_PRIME_CEILING", 64)
+        one = build_explicit_domain([VectorFq.from_index_tuple(F7, (1,))])
+        with pytest.raises(ContractError, match="no transform prime left for p = 7"):
+            census_mod._transform_primes(one, 3)
+        assert census_mod._transform_prime(7, 0, 30, 64) == 43
+
     def test_python_ints_past_int64(self):
         # 9^25 tuples over 9 points: every count is past 2^63.
         dom = vandermonde(3, 1)
@@ -557,6 +577,30 @@ class TestTransversal:
             table = census_mod._first_pairs_by_table(add, q, lines, reachable, every_point)
             scan = census_mod._first_pairs_by_scan(add, q, steps, reachable, every_point)
             assert np.array_equal(table, scan)
+
+    @pytest.mark.parametrize("block", (1, 7, 1 << 16))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_scatter_equals_the_per_pair_table(self, monkeypatch, seed, block):
+        # The table path as one write per pair, last pair first, so the
+        # least pair index lands on every point; on random explicit domains
+        # and reachable sets, with the scatter split into blocks of pairs.
+        rng = np.random.default_rng(seed)
+        params = (F3, F4, F5, FieldParams(3, 2))[seed]
+        q, n = params.q, 3 if params.q < 9 else 2
+        dom = Domain(params, rng.integers(0, q, size=(int(rng.integers(1, 6)), n)), "random")
+        add = params.add_rows()
+        lines = params.mul_rows()[:, dom.indices].transpose(1, 0, 2).reshape(-1, n)
+        every_point = flat_to_rows(np.arange(q ** n), q, n)
+        monkeypatch.setattr(census_mod, "_SCATTER_BLOCK", block)
+        for density in (0.05, 0.5, 1.0):
+            reachable = rng.random(q ** n) < density
+            reachable[0] = True
+            first = np.full(q ** n, len(lines), dtype=np.intp)
+            members = every_point[reachable]
+            for pair in reversed(range(len(lines))):
+                first[rows_to_flat(add[members, lines[pair]], q)] = pair
+            got = census_mod._first_pairs_by_table(add, q, lines, reachable, every_point)
+            assert np.array_equal(got, first)
 
     def test_k0(self):
         trans = enumerate_census(vandermonde(3, 1), 0).transversal

@@ -272,6 +272,40 @@ class TestTraceAndCharacter:
             assert any(abs(v - 1) > 0.5 for v in values)
 
 
+class TestTraceTables:
+    @pytest.mark.parametrize("q", (2, 3, 4, 7, 8, 9, 25))
+    def test_trace_products_are_traces_of_products(self, q):
+        f = params_for(q)
+        elems = f.elements()
+        products = f.trace_products()
+        assert products.shape == (q, q)
+        for a, b in itertools.product(elems, repeat=2):
+            assert products[a.index(), b.index()] == (a * b).trace()
+
+    @pytest.mark.parametrize("q", (2, 3, 4, 7, 8, 9, 25))
+    def test_characters_are_the_trace_characters_bit_for_bit(self, q):
+        f = params_for(q)
+        roots = f.trace_characters()
+        assert roots.shape == (f.p,) and roots.dtype == np.complex128
+        assert roots.tobytes() == np.array(
+            [cmath.exp(2j * cmath.pi / f.p) ** t for t in range(f.p)]).tobytes()
+        assert f.character_values().tobytes() == roots[f.trace_values()].tobytes()
+        for e in f.elements():
+            assert abs(f.character_values()[e.index()] - e.character()) < 1e-12
+
+    def test_tables_are_cached_and_read_only(self):
+        f = FieldParams(3, 2)
+        for table in (f.trace_products(), f.trace_characters()):
+            with pytest.raises(ValueError):
+                table[0] = 0
+        assert f.trace_products() is f.trace_products()
+        assert f.trace_characters() is f.trace_characters()
+
+    def test_trace_products_are_capped_like_the_tables(self):
+        with pytest.raises(ResourceCapError, match="field table needs 2081 rows"):
+            FieldParams(2081).trace_products()
+
+
 class TestFourierKernel:
     @pytest.mark.parametrize("q", (2, 3, 4, 5, 9))
     def test_fourier_matrix_is_unitary(self, q):

@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 
 from qvint import simulator
-from qvint.census import ImageSet, Transversal, enumerate_census, image_set
-from qvint.domain import (VectorFq, build_vandermonde_domain, dot_rows, flat_to_rows,
-                          rows_to_flat)
+from qvint.census import (ImageSet, Transversal, enumerate_census, image_set,
+                          transform_census)
+from qvint.domain import (Domain, VectorFq, build_vandermonde_domain, dot_rows,
+                          flat_to_rows, rows_to_flat)
 from qvint.errors import ContractError, ParameterError, ResourceCapError
 from qvint.field import FieldParams
 from qvint.simulator import (OutcomeDistribution, fourier_state,
@@ -195,6 +196,13 @@ class TestRunAlgorithm:
                 trans, keys=trans.keys[rows], positions=trans.positions[rows],
                 weights=trans.weights[rows])
 
+    def test_twins_far_apart_are_found_on_flat_keys(self):
+        _, _, trans = instance(5, 3, 2)
+        for rows in ([5, 0, 1, 2, 3, 4, 5], [trans.size - 1, *range(trans.size)]):
+            with pytest.raises(ContractError, match="same target twice"):
+                dataclasses.replace(trans, keys=trans.keys[rows],
+                                    positions=trans.positions[rows], weights=trans.weights[rows])
+
     def test_keys_wider_than_a_flat_index(self):
         # GF(2)^70 has more points than an int64 flat index can number, so
         # the repeated-key check must compare rows, not flat indices.
@@ -263,6 +271,50 @@ class TestBatchedSweep:
             assert not result.ok
             gap = re.fullmatch(r"max amplitude gap (\S+) over \d+ secrets", result.detail)
             assert float(gap.group(1)) > 0
+
+    def test_blocks_also_bound_the_kickbacks(self, monkeypatch):
+        # Six multiples of one vector of GF(7): 42 (vector, weight) pairs but
+        # a 7-point image, so the kickbacks, not the amplitudes, set the block.
+        params = FieldParams(7)
+        dom = Domain(params, np.arange(1, 7)[:, None], "collinear")
+        trans = transform_census(dom, 1).transversal
+        assert trans.size == 7
+        monkeypatch.setattr(simulator, "_SWEEP_BLOCK", 84)
+        blocks = list(simulator._sweep(dom, 1, trans, range(7)))
+        assert [len(secrets) for secrets, _, _, _ in blocks] == [2, 2, 2, 1]
+        keys = rows_to_flat(trans.keys, 7)
+        for secrets, amplitudes, _, _ in blocks:
+            for row, amps in zip(secrets, amplitudes, strict=True):
+                state = run_algorithm(dom, 1, trans, VectorFq.from_index_tuple(params, row.tolist()))
+                assert amps.tobytes() == state.amplitudes[keys].tobytes()
+
+
+# Prime and extension fields of characteristic 2, 3 and 5.
+KERNEL_FIELDS = {"gf2": FieldParams(2), "gf3": F3, "gf4": F4, "gf8": FieldParams(2, 3),
+                 "gf9": FieldParams(3, 2), "gf25": FieldParams(5, 2)}
+
+
+class TestPhaseKernels:
+    """The phases as sums of trace_products() entries, held to the rule they
+    replace: character_values() at field dot products from dot_rows."""
+
+    @pytest.mark.parametrize("k", range(4))
+    @pytest.mark.parametrize("name", KERNEL_FIELDS)
+    def test_equal_the_dot_product_rule_bit_for_bit(self, name, k):
+        params = KERNEL_FIELDS[name]
+        dom = build_vandermonde_domain(params, 1)
+        trans = transform_census(dom, k).transversal
+        every = flat_to_rows(np.arange(params.q ** dom.n), params.q, dom.n)
+        for secrets in (every, every[-1:]):
+            answers = dot_rows(params, secrets[:, None, :], dom.indices)
+            queries = params.character_values()[
+                dot_rows(params, trans.weights, answers[:, trans.positions])]
+            fourier = params.character_values()[dot_rows(params, secrets[:, None, :], trans.keys)]
+            for got, want in ((simulator._query_phases(dom, trans, secrets), queries),
+                              (simulator._fourier_phases(params, secrets, trans.keys), fourier)):
+                assert got.shape == (len(secrets), trans.size)
+                assert got.flags.c_contiguous
+                assert got.tobytes() == want.tobytes()
 
 
 class TestOutcomeDistribution:
@@ -419,6 +471,20 @@ class TestStateFamilyRank:
     def test_repeated_keys_count_once(self):
         image = ImageSet(params=F4, n=2, keys=[[0, 0], [1, 3], [0, 0], [2, 1], [1, 3]])
         assert state_family_rank(image) == kronecker_rank(image) == 3
+
+    def test_no_amplitude_cap(self):
+        # 2^21 points exceed DEFAULT_MAX_AMPLITUDES, but the certificate needs
+        # only the 2 x 2 kernel and a sort of three keys.
+        image = ImageSet(params=FieldParams(2), n=21, keys=np.eye(3, 21, dtype=np.intp))
+        assert 2 ** 21 > simulator.DEFAULT_MAX_AMPLITUDES
+        assert state_family_rank(image) == 3
+
+    def test_flat_keys_must_fit_int64(self):
+        image = ImageSet(params=FieldParams(2), n=63, keys=np.eye(3, 63, dtype=np.intp))
+        with pytest.raises(ResourceCapError, match=re.escape(
+                "state family over GF(2)^63 needs 9223372036854775808 points")):
+            state_family_rank(image)
+        assert state_family_rank(dataclasses.replace(image, n=62, keys=image.keys[:, 1:])) == 3
 
     def test_a_kernel_off_unitary_is_a_contract_error(self, monkeypatch):
         real = FieldParams.fourier_matrix

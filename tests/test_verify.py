@@ -259,3 +259,19 @@ def test_a_wrong_trace_value_fails_trace_character(monkeypatch, clean_names):
     monkeypatch.setattr(FieldParams, "trace_values", wrong)
     assert failures_in_full_run(clean_names) == {
         "trace-character-q9": "trace or character of GF(9):(1, 1) differs from the tables"}
+
+
+def test_a_wrong_trace_product_fails_trace_character(monkeypatch, clean_names):
+    real = FieldParams.trace_products
+
+    def wrong(self):
+        products = real(self)
+        if self.q != 9:
+            return products
+        products = products.copy()
+        products[4, 5] = (products[4, 5] + 1) % 3
+        return products
+
+    monkeypatch.setattr(FieldParams, "trace_products", wrong)
+    assert failures_in_full_run(clean_names) == {
+        "trace-character-q9": "trace product table broke at GF(9):(1, 1), GF(9):(2, 1)"}

@@ -42,7 +42,7 @@ import numpy as np
 from .domain import (Domain, VectorFq, _index_array, dot_rows, flat_to_rows,
                      rows_to_flat)
 from .errors import ContractError, ParameterError, check_cap
-from .field import FieldElement, FieldParams, _is_prime, _read_only
+from .field import FieldParams, _is_prime, _read_only
 
 DEFAULT_MAX_TUPLES = 10 ** 8
 # Input tuples per expansion of the reference walk: a fixed budget keeps its
@@ -64,47 +64,6 @@ MAX_RESIDUES = 1 << 22
 # enumerate report prints stays within Python's 4300-digit limit on text.
 MAX_TRANSFORM_PRIMES = 128
 _INT64_LIMIT = 1 << 63
-
-
-@dataclass(frozen=True)
-class Preimage:
-    """One input tuple of the combination map: k vectors with k weights."""
-
-    vectors: tuple
-    weights: tuple
-
-    def __post_init__(self):
-        if len(self.vectors) != len(self.weights):
-            raise ParameterError(
-                f"{len(self.vectors)} vectors but {len(self.weights)} weights"
-            )
-        if self.vectors:
-            params = self.vectors[0].params
-            for w in self.weights:
-                if not isinstance(w, FieldElement) or w.params != params:
-                    raise ParameterError("weights must live in the vectors' field")
-
-    @property
-    def k(self) -> int:
-        return len(self.vectors)
-
-
-def linear_combination(vectors, weights, *, params: FieldParams = None,
-                       n: int = None) -> VectorFq:
-    """Weighted sum of vectors; the empty combination needs explicit params/n
-    to know which zero vector to return."""
-    vectors = tuple(vectors)
-    weights = tuple(weights)
-    if len(vectors) != len(weights):
-        raise ParameterError(f"{len(vectors)} vectors but {len(weights)} weights")
-    if not vectors:
-        if params is None or n is None:
-            raise ParameterError("empty combination needs explicit params and n")
-        return VectorFq(tuple(params.zero() for _ in range(n)))
-    acc = vectors[0].scale(weights[0])
-    for v, w in zip(vectors[1:], weights[1:]):
-        acc = acc + v.scale(w)
-    return acc
 
 
 @dataclass(eq=False)
@@ -199,12 +158,6 @@ class PreimageCensus:
     @property
     def codomain_size(self) -> int:
         return self.domain.params.q ** self.domain.n
-
-    def count_of(self, z: VectorFq) -> int:
-        return self.counts.get(z.index_tuple(), 0)
-
-    def good_count_of(self, z: VectorFq) -> int:
-        return self.good_counts.get(z.index_tuple(), 0)
 
     def mean(self) -> Fraction:
         """Average pre-image count over the whole codomain."""
@@ -595,18 +548,6 @@ class Transversal:
     @property
     def size(self) -> int:
         return len(self.keys)
-
-    @cached_property
-    def pairs(self) -> dict:
-        """z index-tuple -> Preimage, in canonical order of z."""
-        vectors = self.domain.vectors
-        elements = self.domain.params.elements()
-        return {
-            tuple(key): Preimage(tuple(vectors[j] for j in positions),
-                                 tuple(elements[y] for y in weights))
-            for key, positions, weights in zip(
-                self.keys.tolist(), self.positions.tolist(), self.weights.tolist())
-        }
 
 
 def good_set_sizes(domain: Domain, k: int) -> tuple:

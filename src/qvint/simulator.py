@@ -21,8 +21,8 @@ trace_products() entries, then one lookup in trace_characters() tiled past
 the largest sum, with no reduction mod p.  Query phases add one kickback
 Tr(y_i * (s . v_i)) per query, the oracle answers s . v_i coming from
 dot_rows; Fourier phases e(s . z) add Tr(s_i * z_i) over the coordinates.
-fourier_state alone builds its phases from Kronecker products, which keeps
-it an independent reference for the tests.  A sweep over many secrets
+The Fourier vector F_s of a secret s has amplitude e(s . z)/sqrt(q^n) at
+every z; no function here builds it whole.  A sweep over many secrets
 applies run_algorithm's phase rule to blocks of secrets at once, decoding
 the transversal once per block instead of once per secret.
 """
@@ -78,25 +78,10 @@ class StateVector:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
-    def amplitude_of(self, z: VectorFq) -> complex:
-        return complex(self.amplitudes[rows_to_flat(z.index_tuple(), self.params.q)])
-
     def inner(self, other: "StateVector") -> complex:
         if other.params != self.params or other.n != self.n:
             raise ParameterError("inner product needs matching field and length")
         return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-
-def fourier_state(params: FieldParams, n: int, secret: VectorFq) -> StateVector:
-    """The exact Fourier vector: amplitude e(s.z)/sqrt(q^n) for every z."""
-    _check_secret(params, n, secret)
-    _check_state_size(params, n)
-    table = params.character_table()
-    amps = np.ones(1, dtype=np.complex128)
-    for coord in secret.entries:
-        amps = np.kron(amps, table[coord.index()])
-    amps /= math.sqrt(params.q ** n)
-    return StateVector(params=params, n=n, amplitudes=amps)
 
 
 def _support_state(params, n, keys, phases) -> StateVector:
@@ -104,16 +89,6 @@ def _support_state(params, n, keys, phases) -> StateVector:
     amps = np.zeros(_check_state_size(params, n), dtype=np.complex128)
     amps[rows_to_flat(keys, params.q)] = phases * (1.0 / math.sqrt(len(keys)))
     return StateVector(params=params, n=n, amplitudes=amps)
-
-
-def restricted_fourier_state(image: ImageSet, secret: VectorFq) -> StateVector:
-    """Fourier phases e(s.z)/sqrt(|image|) on the image, zero elsewhere."""
-    if image.size == 0:
-        raise ParameterError("cannot build a state over an empty image")
-    params = image.params
-    _check_secret(params, image.n, secret)
-    phases = _fourier_phases(params, np.array([secret.index_tuple()]), image.keys)
-    return _support_state(params, image.n, image.keys, phases[0])
 
 
 def _check_transversal(domain: Domain, k: int, transversal: Transversal):
@@ -203,7 +178,8 @@ def _sweep(domain: Domain, k: int, transversal: Transversal, flats):
 
 
 def success_probability(state: StateVector, secret: VectorFq) -> float:
-    """|<fourier_state(secret) | state>|^2, summed over the state's support."""
+    """|<F_s | state>|^2 for the secret s, where F_s has amplitude
+    e(s . z)/sqrt(q^n) at every z; the sum runs over the state's support."""
     params = state.params
     _check_secret(params, state.n, secret)
     support = np.flatnonzero(state.amplitudes)
@@ -220,9 +196,6 @@ class OutcomeDistribution:
     n: int
     probs: np.ndarray  # flat, canonical order
 
-    def prob_of(self, t: VectorFq) -> float:
-        return float(self.probs[rows_to_flat(t.index_tuple(), self.params.q)])
-
     def argmax(self) -> VectorFq:
         return vector_from_flat(self.params, self.n, int(np.argmax(self.probs)))
 
@@ -235,7 +208,8 @@ class OutcomeDistribution:
 
 
 def outcome_distribution(state: StateVector) -> OutcomeDistribution:
-    """p(t) = |<fourier_state(t) | state>|^2 for every t, all at once.
+    """p(t) = |<F_t | state>|^2 for every t, all at once, where F_t has
+    amplitude e(t . z)/sqrt(q^n) at every z.
 
     Computed by contracting each tensor axis with the conjugate Fourier
     kernel; identical to q^n separate inner products but one mode-product

@@ -1,0 +1,73 @@
+"""Object-level references the tests hold the package to.
+
+No command or verify check runs these; they are here so that the
+index-array kernels have something independent to be compared with.  Each
+one computes with VectorFq and FieldElement arithmetic, or with Kronecker
+products of the character table, and none imports a private name of qvint
+(tests/test_api.py checks this), so none can reuse the kernel it checks.
+"""
+
+import math
+
+import numpy as np
+
+from qvint import simulator
+from qvint.domain import VectorFq, rows_to_flat
+from qvint.errors import ParameterError, check_cap
+from qvint.simulator import StateVector
+
+
+def linear_combination(vectors, weights, *, params=None, n=None) -> VectorFq:
+    """Weighted sum of vectors by FieldElement arithmetic.  The empty sum
+    needs params and n to know which zero vector to return."""
+    vectors, weights = tuple(vectors), tuple(weights)
+    if not vectors:
+        return VectorFq(tuple(params.zero() for _ in range(n)))
+    acc = vectors[0].scale(weights[0])
+    for v, w in zip(vectors[1:], weights[1:]):
+        acc = acc + v.scale(w)
+    return acc
+
+
+def transversal_pairs(transversal) -> dict:
+    """z index tuple -> (vectors, weights), the transversal's pre-image of z
+    as tuples of VectorFq and FieldElement, in canonical order of z."""
+    vectors = transversal.domain.vectors
+    elements = transversal.domain.params.elements()
+    return {
+        tuple(key): (tuple(vectors[j] for j in positions), tuple(elements[y] for y in weights))
+        for key, positions, weights in zip(transversal.keys.tolist(),
+                                           transversal.positions.tolist(),
+                                           transversal.weights.tolist())
+    }
+
+
+def fourier_state(params, n: int, secret) -> StateVector:
+    """The Fourier vector F_s: amplitude e(s.z)/sqrt(q^n) at every z, as the
+    Kronecker product of the character table's rows s_i.  Refuses a secret
+    of another field or length, and a state over the simulator's cap."""
+    if not isinstance(secret, VectorFq):
+        raise ParameterError(f"secret must be a VectorFq, got {type(secret).__name__}")
+    if secret.params != params or secret.n != n:
+        raise ParameterError(f"secret has length {secret.n} over GF({secret.params.q}), "
+                             f"state needs length {n} over GF({params.q})")
+    check_cap(f"state over GF({params.q})^{n}", params.q ** n, "amplitudes",
+              simulator.DEFAULT_MAX_AMPLITUDES)
+    table = params.character_table()
+    amps = np.ones(1, dtype=np.complex128)
+    for coord in secret.entries:
+        amps = np.kron(amps, table[coord.index()])
+    amps /= math.sqrt(params.q ** n)
+    return StateVector(params=params, n=n, amplitudes=amps)
+
+
+def restricted_fourier_state(image, secret) -> StateVector:
+    """fourier_state restricted to the image points and renormalised:
+    e(s.z)/sqrt(|image|) on the image, zero elsewhere."""
+    if image.size == 0:
+        raise ParameterError("cannot build a state over an empty image")
+    full = fourier_state(image.params, image.n, secret).amplitudes
+    amps = np.zeros_like(full)
+    on_image = rows_to_flat(image.keys, image.params.q)
+    amps[on_image] = full[on_image]
+    return StateVector(params=image.params, n=image.n, amplitudes=amps / np.linalg.norm(amps))

@@ -4,8 +4,8 @@ The flat-index codec, the vectorised dot product (one secret or a batch),
 the census walk and the simulator's array path, success probabilities
 included, are checked on random inputs against VectorFq, domain.dot, a
 brute-force scan over linear_combination and the Kronecker-product
-fourier_state, which share none of their code.  The transform census is
-checked against the walk.
+fourier_state of tests/oracles.py, which share none of their code.  The
+transform census is checked against the walk.
 """
 
 import itertools
@@ -16,13 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qvint.census import (enumerate_census, image_set, linear_combination,
-                          transform_census)
+from oracles import fourier_state, linear_combination
+from qvint.census import enumerate_census, image_set, transform_census
 from qvint.domain import (VectorFq, build_explicit_domain, dot, dot_rows,
                           flat_to_rows, rows_to_flat, vector_from_flat)
 from qvint.errors import ResourceCapError
 from qvint.field import parse_field_spec
-from qvint.simulator import fourier_state, run_algorithm, success_probability
+from qvint.simulator import run_algorithm, success_probability
 
 FIELDS = {q: parse_field_spec(str(q)) for q in (2, 3, 4, 5, 7, 8, 9)}
 

@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import fourier_state, restricted_fourier_state
 from qvint import simulator
 from qvint.census import (ImageSet, Transversal, enumerate_census, image_set,
                           transform_census)
@@ -20,11 +21,9 @@ from qvint.domain import (Domain, VectorFq, build_vandermonde_domain, dot_rows,
                           flat_to_rows, rows_to_flat)
 from qvint.errors import ContractError, ParameterError, ResourceCapError
 from qvint.field import FieldParams
-from qvint.simulator import (OutcomeDistribution, fourier_state,
-                             outcome_distribution, phase_query_check,
-                             restricted_fourier_state, run_algorithm,
-                             sample_outcomes, state_family_rank,
-                             success_probability)
+from qvint.simulator import (OutcomeDistribution, outcome_distribution,
+                             phase_query_check, run_algorithm, sample_outcomes,
+                             state_family_rank, success_probability)
 from qvint.verify import run_all
 
 F3 = FieldParams(3)
@@ -54,12 +53,17 @@ def all_secrets(params, n):
         yield VectorFq.from_index_tuple(params, key)
 
 
+def at(array, z):
+    """The entry of a flat state-sized array at the point z."""
+    return array[rows_to_flat(z.index_tuple(), z.params.q)]
+
+
 class TestFourierState:
     def test_normalized_and_flat_for_zero_secret(self):
         state = fourier_state(F3, 2, VectorFq.from_index_tuple(F3, (0, 0)))
         assert abs(state.norm() - 1.0) < 1e-12
         for z in all_secrets(F3, 2):
-            assert abs(state.amplitude_of(z) - 1 / 3) < 1e-12
+            assert abs(at(state.amplitudes, z) - 1 / 3) < 1e-12
 
     def test_amplitudes_are_character_values(self):
         secret = VectorFq.from_index_tuple(F4, (2, 3))
@@ -69,7 +73,7 @@ class TestFourierState:
                 (s * c for s, c in zip(secret.entries, z.entries)),
                 F4.zero(),
             ).character() / 4.0
-            assert abs(state.amplitude_of(z) - expected) < 1e-12
+            assert abs(at(state.amplitudes, z) - expected) < 1e-12
 
     def test_orthonormal_family(self):
         states = [fourier_state(F3, 2, s) for s in all_secrets(F3, 2)]
@@ -131,7 +135,7 @@ class TestRunAlgorithm:
         secret = VectorFq.from_index_tuple(F3, (1, 2))
         state = run_algorithm(dom, 1, trans, secret)
         for z in all_secrets(F3, 2):
-            amp = state.amplitude_of(z)
+            amp = at(state.amplitudes, z)
             if z.index_tuple() in census.counts:
                 assert abs(abs(amp) - 1 / math.sqrt(7)) < 1e-12
             else:
@@ -325,13 +329,13 @@ class TestOutcomeDistribution:
         dist = outcome_distribution(state)
         for t in all_secrets(F3, 2):
             direct = abs(fourier_state(F3, 2, t).inner(state)) ** 2
-            assert abs(dist.prob_of(t) - direct) < 1e-12
+            assert abs(at(dist.probs, t) - direct) < 1e-12
 
     def test_sums_to_one(self):
         dom, _, trans = instance(5, 3, 2)
         secret = VectorFq.from_index_tuple(F5, (1, 2, 3, 4))
         dist = outcome_distribution(run_algorithm(dom, 2, trans, secret))
-        total = sum(dist.prob_of(t) for t in all_secrets(F5, 4))
+        total = sum(at(dist.probs, t) for t in all_secrets(F5, 4))
         assert abs(total - 1.0) < 1e-9
 
     @pytest.mark.parametrize("q,d,k", ((3, 1, 1), (4, 1, 1), (5, 1, 1)))
@@ -374,7 +378,7 @@ class TestSampling:
         dist = outcome_distribution(run_algorithm(dom, 1, trans, secret))
         trials = 100_000
         report = sample_outcomes(dist, trials, seed=20250815)
-        p = dist.prob_of(secret)
+        p = float(at(dist.probs, secret))
         sigma = math.sqrt(p * (1 - p) / trials)
         assert abs(report.frequency_of(secret) - p) <= 3 * sigma
 

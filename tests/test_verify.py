@@ -62,6 +62,36 @@ def test_corrupt_hit_counts_fail_the_second_moment_checks(monkeypatch):
                          "success-probability-vand-q5-d3-k2"})
 
 
+def test_one_direct_tally_per_instance(monkeypatch):
+    real = census_mod._direct_hit_tally
+    calls = []
+
+    def counted(domain):
+        calls.append((domain.params.q, domain.n))
+        return real(domain)
+
+    monkeypatch.setattr(census_mod, "_direct_hit_tally", counted)
+    assert all(r.ok for r in run_all())
+    assert calls == [(3, 2), (4, 2), (5, 2), (5, 4), (7, 4), (3, 6)]
+
+
+def test_a_raising_direct_tally_fails_each_second_moment_name_of_its_instance(monkeypatch):
+    passing = [r.name for r in run_all()]
+    real = census_mod._direct_hit_tally
+
+    def withheld(domain):
+        if (domain.params.q, domain.n) == (5, 4):
+            raise ContractError("tally withheld")
+        return real(domain)
+
+    monkeypatch.setattr(census_mod, "_direct_hit_tally", withheld)
+    results = run_all()
+    assert [r.name for r in results] == passing
+    failed = [r for r in results if not r.ok]
+    assert [r.name for r in failed] == [f"second-moment-vand-q5-d3-k{k}" for k in (1, 2, 3)]
+    assert all(r.detail == "ContractError: tally withheld" for r in failed)
+
+
 def test_a_failing_census_fails_its_dependents_and_keeps_every_name(monkeypatch):
     passing = [r.name for r in run_all()]
     real = census_mod.enumerate_census

@@ -16,6 +16,7 @@ timings are included only when --timings is passed.  Exit codes: 0 success,
 import json
 import math
 import os
+import random
 import sys
 import time
 from dataclasses import asdict
@@ -297,7 +298,8 @@ def cmd_enumerate(field_spec, vandermonde, monomial, domain_file, k, out, fmt, t
 @click.option("--trials", type=click.IntRange(min=0), default=0, show_default=True,
               help="Empirical samples on top of the analytic result.")
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True,
-              help="PRNG seed for sampling and random secrets.")
+              help="Seed of Python's random.Random, whose stream is stable across "
+                   "versions, for sampling and random secrets.")
 def simulate(field_spec, vandermonde, monomial, domain_file, k, secret, trials,
              seed, out, timings):
     """Run the k-query procedure; report analytic and sampled outcomes."""
@@ -343,9 +345,8 @@ def simulate(field_spec, vandermonde, monomial, domain_file, k, secret, trials,
         return
 
     if secret == "random":
-        rng = np.random.default_rng(seed)
-        flat = int(rng.integers(codomain))
-        secret_vector = vector_from_flat(params, domain.n, flat)
+        secret_vector = vector_from_flat(params, domain.n,
+                                         random.Random(seed).randrange(codomain))
     else:
         secret_vector = parse_vector(params, secret)
         if secret_vector.n != domain.n:

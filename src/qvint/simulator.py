@@ -28,6 +28,7 @@ the transversal once per block instead of once per secret.
 """
 
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +44,12 @@ DEFAULT_MAX_AMPLITUDES = 1 << 20
 OUTCOME_SUM_TOL = 1e-9
 RANK_REL_TOL = 1e-8
 PHASE_QUERY_TOL = 1e-12
-# sample_outcomes holds about 26 bytes per trial, so this is about 260 MB.
-MAX_TRIALS = 10 ** 7
+# sample_outcomes draws in blocks, so its memory is flat in trials; this caps
+# its time, which is about 7 s at 10^8 trials.
+MAX_TRIALS = 10 ** 8
+# Draws per block of sample_outcomes, or q^n if that is more, so that counting
+# a block against the CDF stays linear in its draws.
+_DRAW_BLOCK = 1 << 16
 # Amplitudes (and kickbacks) per block of a batched sweep, and kernel entries
 # per block of phase_query_check: a fixed budget keeps peak memory flat
 # whatever the number of secrets or domain vectors.
@@ -240,7 +245,9 @@ def _outcome_probs(params: FieldParams, n: int, amplitudes: np.ndarray) -> np.nd
 
 @dataclass(eq=False)
 class SampleReport:
-    """Empirical counts from seeded inverse-CDF sampling."""
+    """Empirical counts from inverse-CDF sampling on the uniforms of
+    random.Random(seed).random(), a stream Python keeps stable across
+    versions."""
 
     params: FieldParams
     n: int
@@ -252,23 +259,44 @@ class SampleReport:
         return self.counts.get(t.index_tuple(), 0) / self.trials
 
 
+def _uniforms(rng: random.Random, count: int) -> np.ndarray:
+    """The next count values of rng.random(), bit for bit, as one array.
+
+    random() builds each value from two 32-bit Mersenne Twister outputs a, b
+    as ((a >> 5) * 2**26 + (b >> 6)) / 2**53, which is exact in a float64;
+    randbytes lays the same outputs out as little-endian words, in order.
+    """
+    words = np.frombuffer(rng.randbytes(8 * count), dtype="<u4").reshape(-1, 2)
+    return ((words[:, 0] >> 5) * 67108864.0 + (words[:, 1] >> 6)) * (1.0 / 9007199254740992.0)
+
+
 def sample_outcomes(dist: OutcomeDistribution, trials: int, seed: int) -> SampleReport:
     """Draw trials outcomes reproducibly: same seed, same counts.
 
-    Inverse-CDF over canonical outcome order, driven by numpy's default
-    PRNG, so the result depends only on (distribution, trials, seed).
+    Inverse-CDF over canonical outcome order: the first trials values of
+    random.Random(seed).random() each pick the first outcome whose
+    cumulative probability exceeds it, or the last outcome.  Python keeps
+    that stream the same across versions, so the counts depend only on
+    (distribution, trials, seed).  The draws come in sorted blocks of
+    _DRAW_BLOCK (or q^n), counted against the CDF by one binary search per
+    outcome, so memory does not grow with trials.
     """
-    if not isinstance(trials, int) or trials < 1:
+    if type(trials) is not int or trials < 1:
         raise ParameterError(f"trials must be a positive integer, got {trials!r}")
-    if seed < 0:
-        raise ParameterError(f"seed must be non-negative, got {seed!r}")
+    # random.Random would hash a float, str or bool seed without complaint.
+    if type(seed) is not int or seed < 0:
+        raise ParameterError(f"seed must be non-negative, a plain int, got {seed!r}")
     check_cap("sampling", trials, "trials", MAX_TRIALS)
-    rng = np.random.default_rng(seed)
-    cdf = np.cumsum(dist.probs)
-    draws = rng.random(trials)
-    positions = np.searchsorted(cdf, draws, side="right")
-    positions = np.minimum(positions, len(dist.probs) - 1)
-    tallies = np.bincount(positions, minlength=len(dist.probs))
+    rng = random.Random(seed)
+    cdf = np.cumsum(dist.probs)[:-1]
+    block = max(_DRAW_BLOCK, len(dist.probs))
+    tallies = np.zeros(len(dist.probs), dtype=np.int64)
+    for start in range(0, trials, block):
+        draws = np.sort(_uniforms(rng, min(block, trials - start)))
+        # Outcome i takes the draws in [cdf[i-1], cdf[i]); the last, every
+        # draw from cdf[-1] on.
+        tallies += np.diff(np.searchsorted(draws, cdf, side="left"),
+                           prepend=0, append=len(draws))
     flats = np.flatnonzero(tallies)
     keys = flat_to_rows(flats, dist.params.q, dist.n).tolist()
     counts = {tuple(key): tally for key, tally in zip(keys, tallies[flats].tolist())}

@@ -10,6 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import qvint
+from qvint import simulator
 from qvint.cli import main
 from qvint.domain import Domain, VectorFq, build_vandermonde_domain, write_domain_file
 from qvint.errors import ContractError, ParameterError, ResourceCapError
@@ -373,7 +374,7 @@ class TestResourceCaps:
         (["enumerate", "--k", "1"], (10, 23), "census"),
         (["simulate", "--k", "1"], (1, 70), "state over GF(2)^70"),
         (["simulate", "--field", "3", "--vandermonde", "1", "--k", "1",
-          "--secret", "1,1", "--trials", "10000001"], None, "sampling"),
+          "--secret", "1,1", "--trials", str(simulator.MAX_TRIALS + 1)], None, "sampling"),
         (["analyze", "--field", "2", "--monomial", "2,3000"], None, "domain"),
         (["analyze", "--field", "2", "--vandermonde", "3000000"], None, "domain"),
     ), ids=("census-digits", "census-power", "identity-digits", "census-space",
@@ -452,3 +453,21 @@ def test_commands_leave_numpy_ma_unimported(args):
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
     assert proc.stderr.splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize("args", (
+    ["verify", "--quick"],
+    ["simulate", "--field", "3", "--vandermonde", "1", "--k", "1", "--trials", "1000",
+     "--seed", "5"],
+), ids=("verify", "simulate-random-secret"))
+def test_sampling_leaves_numpy_random_unimported(args):
+    # Sampling and random secrets draw from the stdlib stream; numpy.random
+    # costs about 5 MiB of RSS to import.
+    src = os.path.dirname(os.path.dirname(qvint.__file__))
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "qvint.cli", *args],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "qvint.simulator" in imported
+    assert not [name for name in imported if name.split(".")[:2] == ["numpy", "random"]]

@@ -7,6 +7,7 @@ from the independent census enumeration.
 import dataclasses
 import itertools
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -398,6 +399,9 @@ class TestSampling:
             sample_outcomes(dist, 0, seed=1)
         with pytest.raises(ParameterError):
             sample_outcomes(dist, 1.5, seed=1)
+        # A bool is an int to isinstance, but not a trial count.
+        with pytest.raises(ParameterError):
+            sample_outcomes(dist, True, seed=1)
 
     def test_negative_seed_is_a_parameter_error(self):
         dom, _, trans = instance(3, 1, 1)
@@ -406,14 +410,44 @@ class TestSampling:
         with pytest.raises(ParameterError, match="seed must be non-negative"):
             sample_outcomes(dist, 5, seed=-1)
 
+    @pytest.mark.parametrize("seed", (1.0, True, np.int64(3), "3"))
+    def test_seed_must_be_a_plain_int(self, seed):
+        # random.Random would hash any of these into a seed without complaint.
+        dist = OutcomeDistribution(params=F3, n=1, probs=np.array([1.0, 0.0, 0.0]))
+        with pytest.raises(ParameterError, match="seed must be non-negative, a plain int"):
+            sample_outcomes(dist, 5, seed=seed)
+
+    @pytest.mark.parametrize("block", (1, 7, simulator._DRAW_BLOCK))
+    @pytest.mark.parametrize("seed", (0, 7, 20250815, 2 ** 40))
+    def test_draws_are_the_stdlib_stream(self, monkeypatch, seed, block):
+        # One outcome, so each block holds exactly _DRAW_BLOCK draws.
+        dist = OutcomeDistribution(params=F3, n=0, probs=np.ones(1))
+        trials = 2000
+        drawn = []
+        uniforms = simulator._uniforms
+
+        def spy(rng, count):
+            drawn.append(uniforms(rng, count))
+            return drawn[-1]
+
+        monkeypatch.setattr(simulator, "_DRAW_BLOCK", block)
+        monkeypatch.setattr(simulator, "_uniforms", spy)
+        assert sample_outcomes(dist, trials, seed=seed).counts == {(): trials}
+        assert [len(d) for d in drawn] == [min(block, trials - start)
+                                           for start in range(0, trials, block)]
+        stream = random.Random(seed)
+        reference = np.array([stream.random() for _ in range(trials)])
+        assert np.concatenate(drawn).tobytes() == reference.tobytes()
+
     @pytest.mark.parametrize("seed", (0, 7, 20250815, 2 ** 40))
     def test_counts_equal_the_unique_reference(self, seed):
         dom, _, trans = instance(5, 3, 2)
         dist = outcome_distribution(
             run_algorithm(dom, 2, trans, VectorFq.from_index_tuple(F5, (1, 2, 3, 4))))
         trials = 5000
-        rng = np.random.default_rng(seed)
-        positions = np.searchsorted(np.cumsum(dist.probs), rng.random(trials), side="right")
+        stream = random.Random(seed)
+        draws = np.array([stream.random() for _ in range(trials)])
+        positions = np.searchsorted(np.cumsum(dist.probs), draws, side="right")
         positions = np.minimum(positions, len(dist.probs) - 1)
         flats, tallies = np.unique(positions, return_counts=True)
         keys = flat_to_rows(flats, F5.q, dom.n).tolist()
@@ -422,6 +456,19 @@ class TestSampling:
         assert counts == reference
         assert list(counts.items()) == list(reference.items())
         assert all(type(count) is int for count in counts.values())
+
+    def test_counts_do_not_depend_on_the_block(self, monkeypatch):
+        # Nine outcomes: blocks of 9, 9, 1000 and the default, the last one
+        # holding every draw.
+        dom, _, trans = instance(3, 1, 1)
+        dist = outcome_distribution(
+            run_algorithm(dom, 1, trans, VectorFq.from_index_tuple(F3, (1, 2))))
+        reports = []
+        for block in (1, 7, 1000, simulator._DRAW_BLOCK):
+            monkeypatch.setattr(simulator, "_DRAW_BLOCK", block)
+            reports.append(sample_outcomes(dist, 5001, seed=20250815).counts)
+        assert all(list(r.items()) == list(reports[0].items()) for r in reports)
+        assert sum(reports[0].values()) == 5001
 
 
 def kronecker_rank(image):

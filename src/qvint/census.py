@@ -39,8 +39,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .domain import (Domain, VectorFq, _index_array, dot_rows, flat_to_rows,
-                     rows_to_flat)
+from .domain import (Domain, VectorFq, _canonical_order, _index_array, dot_rows,
+                     flat_to_rows, rows_to_flat)
 from .errors import ContractError, ParameterError, check_cap
 from .field import FieldParams, _is_prime, _read_only
 
@@ -534,15 +534,8 @@ class Transversal:
         if bad.size:
             key, got = keys[bad[0]].tolist(), z[bad[0]].tolist()
             raise ContractError(f"transversal entry for {tuple(key)} maps to {tuple(got)}")
-        # Sorted, a repeated key sits next to its twin: as int64 flat indices
-        # where q^n has them, else row by row on every column.
-        if self.domain.params.q ** self.domain.n < _INT64_LIMIT:
-            ordered = np.sort(rows_to_flat(keys, self.domain.params.q))
-            repeated = (ordered[1:] == ordered[:-1]).any()
-        else:
-            ordered = keys[np.lexsort(keys.T)]
-            repeated = (ordered[1:] == ordered[:-1]).all(axis=1).any()
-        if repeated:
+        # Sorted, a repeated key sits next to its twin.
+        if not _canonical_order(keys, self.domain.params.q)[1].all():
             raise ContractError("in-place relabeling hit the same target twice")
 
     @property

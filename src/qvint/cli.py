@@ -37,26 +37,13 @@ from .field import parse_field_spec
 SWEEP_MAX_SECRETS = 4096
 
 
-def _jsonable(value):
-    """Recursively coerce report values into JSON-stable primitives."""
+def _plain(value):
+    """json.dumps default: a Fraction as its text, a numpy integer as an int."""
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
+    if isinstance(value, np.integer):
         return int(value)
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
-def _emit(report: dict, out, started):
-    """Write a JSON report; a perf_counter start time adds the timings block."""
-    if started is not None:
-        report["timings"] = {"total_seconds": time.perf_counter() - started}
-    _write(json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n", out)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _write(text: str, out):
@@ -77,36 +64,11 @@ def _census_csv(census) -> str:
     return "\n".join(lines) + "\n"
 
 
-def domain_options(cmd):
-    cmd = click.option(
-        "--field", "field_spec", default=None, metavar="Q[:C0,C1,...]",
-        help="Field order p^r, optionally with an explicit modulus.")(cmd)
-    cmd = click.option(
-        "--vandermonde", type=int, default=None, metavar="D",
-        help="Rows (1, x, ..., x^D) over the whole field.")(cmd)
-    cmd = click.option(
-        "--monomial", default=None, metavar="M,D",
-        help="All degree-<=D monomial rows in M variables.")(cmd)
-    cmd = click.option(
-        "--domain-file", type=click.Path(exists=True, dir_okay=False), default=None,
-        help="Explicit domain file (carries its own field).")(cmd)
-    return cmd
-
-
 def _check_out(ctx, param, value):
     """Refuse an --out path whose directory is missing before any work."""
     if value is not None and not os.path.isdir(os.path.dirname(value) or "."):
         raise click.BadParameter(f"directory of {value!r} does not exist", ctx, param)
     return value
-
-
-def output_options(cmd):
-    cmd = click.option("--out", type=click.Path(dir_okay=False), default=None,
-                       callback=_check_out,
-                       help="Write the report here instead of stdout.")(cmd)
-    cmd = click.option("--timings", is_flag=True,
-                       help="Include wall-clock timings (breaks byte-reproducibility).")(cmd)
-    return cmd
 
 
 def _build_domain(field_spec, vandermonde, monomial, domain_file):
@@ -134,15 +96,6 @@ def _build_domain(field_spec, vandermonde, monomial, domain_file):
     return build_monomial_domain(params, m, d), (m, d)
 
 
-def _resolve_k(domain, k):
-    """Explicit k, or the planned one (high-probability rule when defined)."""
-    if k is not None:
-        return k, "explicit"
-    low, high, _ = complexity.query_plans(domain.stats())
-    plan = high or low
-    return plan.k, plan.rule
-
-
 class _Commands(click.Group):
     """Maps package errors onto the documented exit codes for every command."""
 
@@ -165,42 +118,88 @@ def main():
     """Exact desk-scale experiments on secret-vector interpolation."""
 
 
-@main.command()
-@domain_options
-@output_options
-@click.option("--k", type=click.IntRange(min=0), default=None,
-              help="Classify this query count.")
-def analyze(field_spec, vandermonde, monomial, domain_file, k, out, timings):
+_DOMAIN_OPTIONS = (
+    click.option("--field", "field_spec", default=None, metavar="Q[:C0,C1,...]",
+                 help="Field order p^r, optionally with an explicit modulus."),
+    click.option("--vandermonde", type=int, default=None, metavar="D",
+                 help="Rows (1, x, ..., x^D) over the whole field."),
+    click.option("--monomial", default=None, metavar="M,D",
+                 help="All degree-<=D monomial rows in M variables."),
+    click.option("--domain-file", type=click.Path(exists=True, dir_okay=False), default=None,
+                 help="Explicit domain file (carries its own field)."),
+)
+_OUTPUT_OPTIONS = (
+    click.option("--out", type=click.Path(dir_okay=False), default=None, callback=_check_out,
+                 help="Write the report here instead of stdout."),
+    click.option("--timings", is_flag=True,
+                 help="Include wall-clock timings (breaks byte-reproducibility)."),
+)
+
+
+def _domain_command(name, *options, planned_k=True):
+    """Register body as the command `name` over one domain.
+
+    The command takes the domain flags, --k, --out and --timings on top of
+    its own options, builds the domain, and starts the report with its
+    command, config and domain.  With planned_k an omitted --k becomes the
+    planned one (the high-probability rule when defined) and config records
+    its rule as k_rule; without it --k is passed on as given.
+    body(domain, mono_md, k, report, **own_options) adds its sections and
+    returns the verdict, False exiting 1 after the JSON report is written;
+    or it returns the text of a CSV report, written as it is.
+    """
+    def decorate(body):
+        def command(field_spec, vandermonde, monomial, domain_file, k, out, timings, **own):
+            started = time.perf_counter()
+            domain, mono_md = _build_domain(field_spec, vandermonde, monomial, domain_file)
+            config = dict(field=field_spec, vandermonde=vandermonde, monomial=monomial,
+                          domain_file=domain_file)
+            if planned_k:
+                config["k_rule"] = "explicit"
+                if k is None:
+                    low, high, _ = complexity.query_plans(domain.stats())
+                    k, config["k_rule"] = (high or low).k, (high or low).rule
+            config["k"] = k
+            report = {"command": name, "config": config, "domain": asdict(domain.stats())}
+            verdict = body(domain, mono_md, k, report, **own)
+            if isinstance(verdict, str):
+                _write(verdict, out)
+                return
+            if timings:
+                report["timings"] = {"total_seconds": time.perf_counter() - started}
+            _write(json.dumps(report, indent=2, sort_keys=True, default=_plain) + "\n", out)
+            if verdict is False:
+                sys.exit(1)
+
+        k_help = "Query count (planned if omitted)." if planned_k else "Classify this query count."
+        k_option = click.option("--k", type=click.IntRange(min=0), default=None, help=k_help)
+        for option in reversed(_DOMAIN_OPTIONS + (k_option,) + options + _OUTPUT_OPTIONS):
+            command = option(command)
+        return main.command(name=name, help=body.__doc__)(command)
+    return decorate
+
+
+@_domain_command("analyze", planned_k=False)
+def analyze(domain, mono_md, k, report):
     """Domain statistics and query planning; no enumeration."""
-    started = time.perf_counter()
-    domain, mono_md = _build_domain(field_spec, vandermonde, monomial, domain_file)
     stats = domain.stats()
     try:
         rep = domain.independence()
-        independence = {
+        report["independence"] = {
             "status": rep.status,
             "subset_size": rep.subset_size,
             "subsets_checked": rep.subsets_checked,
         }
         if rep.witness is not None:
-            independence["witness"] = [list(v.index_tuple()) for v in rep.witness]
+            report["independence"]["witness"] = [list(v.index_tuple()) for v in rep.witness]
     except ResourceCapError as exc:
-        independence = {"status": "skipped", "reason": str(exc)}
+        report["independence"] = {"status": "skipped", "reason": str(exc)}
 
     low, high, high_error = complexity.query_plans(stats)
-    report = {
-        "command": "analyze",
-        "config": dict(
-            field=field_spec, vandermonde=vandermonde, monomial=monomial,
-            domain_file=domain_file, k=k,
-        ),
-        "domain": asdict(stats),
-        "independence": independence,
-        "plan": {
-            "bounded_error": asdict(low),
-            "high_probability": None if high is None else asdict(high),
-            "high_probability_error": high_error,
-        },
+    report["plan"] = {
+        "bounded_error": asdict(low),
+        "high_probability": None if high is None else asdict(high),
+        "high_probability_error": high_error,
     }
     if mono_md is not None:
         m, d = mono_md
@@ -225,137 +224,97 @@ def analyze(field_spec, vandermonde, monomial, domain_file, k, out, timings):
             "meets_bounded_error": cls.meets_bounded_error,
             "meets_high_probability": cls.meets_high_probability,
         }
-    _emit(report, out, started if timings else None)
 
 
-@main.command(name="enumerate")
-@domain_options
-@output_options
-@click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
-              default="json", help="Report format (csv: the raw census table).")
-@click.option("--k", type=click.IntRange(min=0), default=None,
-              help="Query count (planned if omitted).")
-def cmd_enumerate(field_spec, vandermonde, monomial, domain_file, k, out, fmt, timings):
+@_domain_command("enumerate", click.option(
+    "--format", "fmt", type=click.Choice(["json", "csv"]), default="json",
+    help="Report format (csv: the raw census table)."))
+def cmd_enumerate(domain, mono_md, k, report, fmt):
     """Exact pre-image census with bound comparisons."""
-    started = time.perf_counter()
-    domain, _ = _build_domain(field_spec, vandermonde, monomial, domain_file)
-    k_value, k_rule = _resolve_k(domain, k)
-    census = census_mod.transform_census(domain, k_value)
+    census = census_mod.transform_census(domain, k)
     if fmt == "csv":
-        _write(_census_csv(census), out)
-        return
+        return _census_csv(census)
 
-    identity = census_mod.second_moment_identity_check(domain, k_value, census=census)
-    cheb = census_mod.chebyshev_zero_bound(domain, k_value, census=census)
+    identity = census_mod.second_moment_identity_check(domain, k, census=census)
+    cheb = census_mod.chebyshev_zero_bound(domain, k, census=census)
     observed = census.zero_count_fraction()
     lower = lower_note = None
     try:
-        lower = census_mod.image_size_lower_bound(domain, k_value)
+        lower = census_mod.image_size_lower_bound(domain, k)
     except (ContractError, ResourceCapError) as exc:
         lower_note = str(exc)
 
-    report = {
-        "command": "enumerate",
-        "config": dict(
-            field=field_spec, vandermonde=vandermonde, monomial=monomial,
-            domain_file=domain_file, k=k_value, k_rule=k_rule,
-        ),
-        "domain": asdict(domain.stats()),
-        "census": {
-            "image_size": census.image_size,
-            "codomain_size": census.codomain_size,
-            "total_tuples": census.total,
-            "success_probability": census.success_probability(),
-            "success_probability_float": float(census.success_probability()),
-            "mean_count": census.mean(),
-            "variance": census.variance(),
-            "second_moment_sum": census.second_moment_sum(),
-        },
-        "bounds": {
-            "image_lower_bound": lower,
-            "image_lower_bound_note": lower_note,
-            "lower_bound_satisfied": None if lower is None
-            else census.image_size >= lower,
-            "chebyshev_zero_bound": cheb,
-            "largest_hyperplane_section": census.largest_hyperplane_section,
-            "observed_zero_fraction": observed,
-            "chebyshev_consistent": observed <= cheb,
-        },
-        "second_moment_identity": asdict(identity),
-    }
-    _emit(report, out, started if timings else None)
-    if not identity.equal or observed > cheb:
-        sys.exit(1)
-
-
-@main.command()
-@domain_options
-@output_options
-@click.option("--k", type=click.IntRange(min=0), default=None,
-              help="Query count (planned if omitted).")
-@click.option("--secret", default="random", metavar="SPEC",
-              help="Element list 'a,b,...', or 'sweep' (all secrets), or 'random'.")
-@click.option("--trials", type=click.IntRange(min=0), default=0, show_default=True,
-              help="Empirical samples on top of the analytic result.")
-@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True,
-              help="Seed of Python's random.Random, whose stream is stable across "
-                   "versions, for sampling and random secrets.")
-def simulate(field_spec, vandermonde, monomial, domain_file, k, secret, trials,
-             seed, out, timings):
-    """Run the k-query procedure; report analytic and sampled outcomes."""
-    started = time.perf_counter()
-    domain, _ = _build_domain(field_spec, vandermonde, monomial, domain_file)
-    params = domain.params
-    k_value, k_rule = _resolve_k(domain, k)
-    simulator._check_state_size(params, domain.n)
-    census = census_mod.transform_census(domain, k_value)
-    analytic = census.success_probability()
-
-    report = {
-        "command": "simulate",
-        "config": dict(
-            field=field_spec, vandermonde=vandermonde, monomial=monomial,
-            domain_file=domain_file, k=k_value, k_rule=k_rule,
-            secret=secret, trials=trials, seed=seed,
-        ),
-        "domain": asdict(domain.stats()),
+    report["census"] = {
         "image_size": census.image_size,
         "codomain_size": census.codomain_size,
-        "analytic": {
-            "success_probability": analytic,
-            "success_probability_float": float(analytic),
-        },
+        "total_tuples": census.total,
+        "success_probability": census.success_probability(),
+        "success_probability_float": float(census.success_probability()),
+        "mean_count": census.mean(),
+        "variance": census.variance(),
+        "second_moment_sum": census.second_moment_sum(),
+    }
+    report["bounds"] = {
+        "image_lower_bound": lower,
+        "image_lower_bound_note": lower_note,
+        "lower_bound_satisfied": None if lower is None
+        else census.image_size >= lower,
+        "chebyshev_zero_bound": cheb,
+        "largest_hyperplane_section": census.largest_hyperplane_section,
+        "observed_zero_fraction": observed,
+        "chebyshev_consistent": observed <= cheb,
+    }
+    report["second_moment_identity"] = asdict(identity)
+    return identity.equal and observed <= cheb
+
+
+@_domain_command(
+    "simulate",
+    click.option("--secret", default="random", metavar="SPEC",
+                 help="Element list 'a,b,...', or 'sweep' (all secrets), or 'random'."),
+    click.option("--trials", type=click.IntRange(min=0), default=0, show_default=True,
+                 help="Empirical samples on top of the analytic result."),
+    click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True,
+                 help="Seed of Python's random.Random, whose stream is stable across "
+                      "versions, for sampling and random secrets."))
+def simulate(domain, mono_md, k, report, secret, trials, seed):
+    """Run the k-query procedure; report analytic and sampled outcomes."""
+    if secret == "sweep" and trials:
+        raise ParameterError("--secret sweep samples nothing; drop --trials")
+    params = domain.params
+    simulator._check_state_size(params, domain.n)
+    census = census_mod.transform_census(domain, k)
+    analytic = census.success_probability()
+    report["config"].update(secret=secret, trials=trials, seed=seed)
+    report["image_size"] = census.image_size
+    report["codomain_size"] = census.codomain_size
+    report["analytic"] = {
+        "success_probability": analytic,
+        "success_probability_float": float(analytic),
     }
 
     codomain = census.codomain_size
     if secret == "sweep":
         check_cap("secret sweep", codomain, "secrets", SWEEP_MAX_SECRETS)
-        errors = [abs(p - float(analytic))
-                  for _, _, _, success in simulator._sweep(domain, k_value, census.transversal,
-                                                           range(codomain))
-                  for p in success]
+        error = max(abs(p - float(analytic))
+                    for _, _, _, success in simulator._sweep(domain, k, census.transversal,
+                                                             range(codomain))
+                    for p in success)
         report["sweep"] = {
             "secrets": codomain,
-            "max_abs_error": max(errors),
-            "secret_independent": max(errors) < 1e-9,
+            "max_abs_error": error,
+            "secret_independent": error < 1e-9,
         }
-        _emit(report, out, started if timings else None)
-        if max(errors) >= 1e-9:
-            sys.exit(1)
-        return
+        return error < 1e-9
 
     if secret == "random":
         secret_vector = vector_from_flat(params, domain.n,
                                          random.Random(seed).randrange(codomain))
     else:
         secret_vector = parse_vector(params, secret)
-        if secret_vector.n != domain.n:
-            raise ParameterError(
-                f"secret has {secret_vector.n} coordinates, domain needs {domain.n}"
-            )
     report["secret"] = list(secret_vector.index_tuple())
 
-    state = simulator.run_algorithm(domain, k_value, census.transversal, secret_vector)
+    state = simulator.run_algorithm(domain, k, census.transversal, secret_vector)
     dist = simulator.outcome_distribution(state)
     measured = simulator.success_probability(state, secret_vector)
     report["analytic"]["measured_success_probability"] = measured
@@ -370,22 +329,19 @@ def simulate(field_spec, vandermonde, monomial, domain_file, k, secret, trials,
         p = float(analytic)
         tolerance = 3 * math.sqrt(p * (1 - p) / trials) if 0 < p < 1 else 0.0
         top = sorted(sample.counts.items(), key=lambda kv: (-kv[1], kv[0]))[:5]
+        frequency = sample.frequency_of(secret_vector)
         report["empirical"] = {
             "trials": trials,
             "seed": seed,
-            "frequency_of_secret": sample.frequency_of(secret_vector),
+            "frequency_of_secret": frequency,
             "tolerance_3sigma": tolerance,
-            "within_tolerance":
-                abs(sample.frequency_of(secret_vector) - p) <= tolerance
-                if tolerance else sample.frequency_of(secret_vector) == p,
+            "within_tolerance": abs(frequency - p) <= tolerance if tolerance else frequency == p,
             "top_outcomes": [
                 {"outcome": list(key), "count": count, "frequency": count / trials}
                 for key, count in top
             ],
         }
-    _emit(report, out, started if timings else None)
-    if not report["analytic"]["matches_image_ratio"]:
-        sys.exit(1)
+    return report["analytic"]["matches_image_ratio"]
 
 
 @main.command()

@@ -125,6 +125,20 @@ def flat_to_rows(flat, q: int, n: int) -> np.ndarray:
     return (flat // _place_values(q, n) % q).astype(np.intp)
 
 
+def _canonical_order(rows, q: int):
+    """(order, fresh) for an (m, n) array of index rows: a stable sort into
+    canonical order, and whether each sorted row differs from the one before
+    it.  Sorts int64 flat indices where q^n has them, else np.lexsort on the
+    columns, so spaces past 2^63 points sort too."""
+    if q ** rows.shape[1] < 1 << 63:
+        order = np.argsort(rows_to_flat(rows, q), kind="stable")
+    else:
+        order = np.lexsort(rows.T[::-1])
+    fresh = np.ones(len(rows), dtype=bool)
+    fresh[1:] = (np.diff(rows[order], axis=0) != 0).any(axis=1)
+    return order, fresh
+
+
 def vector_from_flat(params: FieldParams, n: int, flat: int) -> VectorFq:
     """The vector of GF(q)^n at one flat index."""
     return VectorFq.from_index_tuple(params, flat_to_rows(flat, params.q, n).tolist())
@@ -190,15 +204,10 @@ class Domain:
             raise ParameterError("a domain needs at least one vector")
         if rows.min() < 0 or rows.max() >= params.q:
             raise ParameterError(f"element indices must lie in [0, {params.q})")
-        # Sort the rows lexicographically (first coordinate most significant)
-        # and keep each row that differs from its predecessor; rows, not flat
-        # indices, so a GF(q)^n past 2^63 points still dedups.
-        rows = rows[np.lexsort(rows.T[::-1])]
-        fresh = np.ones(len(rows), dtype=bool)
-        fresh[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+        order, fresh = _canonical_order(rows, params.q)
         self.params = params
         self.n = rows.shape[1]
-        self.indices = _index_array(rows[fresh], self.n)
+        self.indices = _index_array(rows[order[fresh]], self.n)
         self.label = label
         self._vectors = None
         self._independence = None

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .census import ImageSet, Transversal
-from .domain import (Domain, VectorFq, dot_rows, flat_to_rows, rows_to_flat,
-                     vector_from_flat)
+from .domain import (Domain, VectorFq, _canonical_order, dot_rows, flat_to_rows,
+                     rows_to_flat, vector_from_flat)
 from .errors import ContractError, ParameterError, check_cap
 from .field import FieldParams
 
@@ -313,12 +313,10 @@ def state_family_rank(image: ImageSet) -> int:
     power of the q x q Fourier kernel; when that kernel is unitary, so is
     its tensor power, and the rank is the number of distinct image points.
     The kernel is held to unitarity within RANK_REL_TOL, else a
-    ContractError; no phase matrix is formed, so the only cap is on q^n,
-    which must number the image's points with int64 flat indices.
+    ContractError; no phase matrix is formed, and the distinct points are
+    counted by sorting, so no cap applies.
     """
     params = image.params
-    check_cap(f"state family over GF({params.q})^{image.n}", params.q ** image.n,
-              "points", (1 << 63) - 1)
     if image.size == 0:
         raise ParameterError("rank of an empty state family is undefined")
     kernel = params.fourier_matrix()
@@ -327,8 +325,7 @@ def state_family_rank(image: ImageSet) -> int:
         raise ContractError(f"Fourier kernel is {gap:.2e} off unitary, "
                             f"tolerance {RANK_REL_TOL}")
     # Distinct points by sorting: np.unique would import numpy.ma.
-    flat = np.sort(rows_to_flat(image.keys, params.q))
-    return 1 + int(np.count_nonzero(flat[1:] != flat[:-1]))
+    return int(np.count_nonzero(_canonical_order(image.keys, params.q)[1]))
 
 
 def phase_query_check(domain: Domain, secret: VectorFq) -> bool:

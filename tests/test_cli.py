@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -224,6 +225,20 @@ class TestSimulate:
             main, ["simulate", "--field", "3", "--vandermonde", "1",
                    "--k", "1", "--secret", "1,2,0"])
         assert result.exit_code == 2
+        assert ("secret has length 3 over GF(3), state needs length 2 over GF(3)"
+                in result.output)
+
+    def test_sweep_with_trials_is_refused_before_the_census(self, runner, monkeypatch):
+        # A sweep samples nothing, so a report may not record trials it never ran.
+        def no_census(*args):
+            raise AssertionError("census built")
+
+        monkeypatch.setattr("qvint.census.transform_census", no_census)
+        result = runner.invoke(
+            main, ["simulate", "--field", "3", "--vandermonde", "1",
+                   "--k", "1", "--secret", "sweep", "--trials", "10"])
+        assert result.exit_code == 2, result.output
+        assert "--secret sweep samples nothing; drop --trials" in result.output
 
 
 class TestDomainFiles:
@@ -298,6 +313,42 @@ class TestIndependenceCaps:
             "reason": "independence check needs 102401024 elimination steps, "
                       "cap is 100000000",
         }
+
+
+_DOMAIN_HELP = {
+    ("--field Q[:C0,C1,...]", "Field order p^r, optionally with an explicit modulus.", None),
+    ("--vandermonde D", "Rows (1, x, ..., x^D) over the whole field.", None),
+    ("--monomial M,D", "All degree-<=D monomial rows in M variables.", None),
+    ("--domain-file FILE", "Explicit domain file (carries its own field).", None),
+    ("--out FILE", "Write the report here instead of stdout.", None),
+    ("--timings", "Include wall-clock timings (breaks byte-reproducibility).", False),
+    ("--help", "Show this message and exit.", False),
+}
+_PLANNED_K = ("--k INTEGER RANGE", "Query count (planned if omitted).  [x>=0]", None)
+
+
+class TestHelp:
+    # Each command's options, metavars, defaults and help strings; the
+    # order in which --help lists them is not pinned.
+    @pytest.mark.parametrize("command,own", (
+        ("analyze", {("--k INTEGER RANGE", "Classify this query count.  [x>=0]", None)}),
+        ("enumerate", {_PLANNED_K, (
+            "--format [json|csv]", "Report format (csv: the raw census table).", "json")}),
+        ("simulate", {_PLANNED_K, (
+            "--secret SPEC", "Element list 'a,b,...', or 'sweep' (all secrets), or 'random'.",
+            "random"), (
+            "--trials INTEGER RANGE",
+            "Empirical samples on top of the analytic result.  [default: 0; x>=0]", 0), (
+            "--seed INTEGER RANGE",
+            "Seed of Python's random.Random, whose stream is stable across versions, for "
+            "sampling and random secrets.  [default: 0; x>=0]", 0)}),
+    ))
+    def test_options_are_unchanged(self, command, own):
+        cmd = main.commands[command]
+        ctx = click.Context(cmd, info_name=command)
+        got = [(*param.get_help_record(ctx), param.default) for param in cmd.get_params(ctx)]
+        assert len(got) == len(set(got))
+        assert set(got) == _DOMAIN_HELP | own
 
 
 class TestUsageErrors:

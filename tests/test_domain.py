@@ -187,7 +187,8 @@ class TestBuilders:
             assert build_monomial_domain(params, m, d).indices.tolist() == [
                 list(row) for row in sorted(rows)]
 
-    @pytest.mark.parametrize("q,n", ((2, 1), (3, 4), (5, 3), (1021, 2)))
+    # GF(2)^70 and GF(3)^40 have more points than an int64 flat index can number.
+    @pytest.mark.parametrize("q,n", ((2, 1), (3, 4), (5, 3), (1021, 2), (2, 70), (3, 40)))
     def test_dedup_matches_numpy_unique(self, q, n):
         rng = np.random.default_rng(q * 10 + n)
         rows = rng.integers(0, q, size=(60, n))

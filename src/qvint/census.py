@@ -41,7 +41,7 @@ import numpy as np
 
 from .domain import (Domain, VectorFq, _canonical_order, _index_array, dot_rows,
                      flat_to_rows, rows_to_flat)
-from .errors import ContractError, ParameterError, check_cap
+from .errors import ContractError, ParameterError, check_cap, check_int
 from .field import FieldParams, _is_prime, _read_only
 
 DEFAULT_MAX_TUPLES = 10 ** 8
@@ -128,9 +128,7 @@ class PreimageCensus:
     @cached_property
     def image_keys(self) -> np.ndarray:
         """Index rows of the image points, in canonical (flat index) order."""
-        keys = flat_to_rows(self._image, self.domain.params.q, self.domain.n)
-        keys.setflags(write=False)
-        return keys
+        return _read_only(flat_to_rows(self._image, self.domain.params.q, self.domain.n))
 
     @cached_property
     def counts(self) -> dict:
@@ -194,11 +192,6 @@ class PreimageCensus:
         return _pick_transversal(self)
 
 
-def _check_k(k) -> None:
-    if not isinstance(k, int) or k < 0:
-        raise ParameterError(f"query count must be a non-negative integer, got {k!r}")
-
-
 def enumerate_census(domain: Domain, k: int) -> PreimageCensus:
     """Walk all (|V|*q)^k input tuples and tally exact pre-image counts: the
     reference engine transform_census is checked against.
@@ -214,7 +207,7 @@ def enumerate_census(domain: Domain, k: int) -> PreimageCensus:
     walk would exceed DEFAULT_MAX_TUPLES, or if GF(q)^n has more than
     MAX_RESIDUES points to hold counts for.
     """
-    _check_k(k)
+    check_int("query count", k, 0)
     params = domain.params
     q, n = params.q, domain.n
     # The power stops at 64 factors: past that it is over the cap, as
@@ -275,7 +268,7 @@ def transform_census(domain: Domain, k: int) -> PreimageCensus:
     more than MAX_TRANSFORM_PRIMES primes, GF(q)^n times the primes exceeds
     MAX_RESIDUES, or |V|*q leaves no prime to work modulo.
     """
-    _check_k(k)
+    check_int("query count", k, 0)
     q = domain.params.q
     primes = _transform_primes(domain, k)
     hits = _line_transform(domain)
@@ -481,7 +474,7 @@ class ImageSet:
     keys: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "keys", _index_array(self.keys, self.n))
+        object.__setattr__(self, "keys", _index_array(self.keys, self.n, self.params.q))
 
     @cached_property
     def elements(self) -> tuple:
@@ -522,8 +515,10 @@ class Transversal:
     weights: np.ndarray  # (size, k)
 
     def __post_init__(self):
-        for name, width in (("keys", self.domain.n), ("positions", self.k), ("weights", self.k)):
-            object.__setattr__(self, name, _index_array(getattr(self, name), width))
+        q = self.domain.params.q
+        for name, width, bound in (("keys", self.domain.n, q), ("weights", self.k, q),
+                                   ("positions", self.k, self.domain.size)):
+            object.__setattr__(self, name, _index_array(getattr(self, name), width, bound))
         keys, positions, weights = self.keys, self.positions, self.weights
         add, mul = self.domain.params.add_rows(), self.domain.params.mul_rows()
         # Combination map on every pre-image at once: z = sum_i y_i * v_i.
@@ -535,7 +530,7 @@ class Transversal:
             key, got = keys[bad[0]].tolist(), z[bad[0]].tolist()
             raise ContractError(f"transversal entry for {tuple(key)} maps to {tuple(got)}")
         # Sorted, a repeated key sits next to its twin.
-        if not _canonical_order(keys, self.domain.params.q)[1].all():
+        if not _canonical_order(keys, q)[1].all():
             raise ContractError("in-place relabeling hit the same target twice")
 
     @property
@@ -545,7 +540,7 @@ class Transversal:
 
 def good_set_sizes(domain: Domain, k: int) -> tuple:
     """Exact sizes (k!*C(|V|,k), (q-1)^k) of the good input components."""
-    _check_k(k)
+    check_int("query count", k, 0)
     v_good = math.factorial(k) * math.comb(domain.size, k)
     y_good = (domain.params.q - 1) ** k
     return v_good, y_good
@@ -558,7 +553,7 @@ def image_size_lower_bound(domain: Domain, k: int) -> int:
     2k <= n; both hypotheses are enforced here because the bound is simply
     wrong without them.
     """
-    _check_k(k)
+    check_int("query count", k, 0)
     if 2 * k > domain.n:
         raise ContractError(
             f"lower bound needs 2k <= n, got k={k} with n={domain.n}"
@@ -608,7 +603,7 @@ def chebyshev_zero_bound(domain: Domain, k: int, *,
     the domain when no census is given.  May exceed 1, in which case it is
     vacuous but still valid.
     """
-    _check_k(k)
+    check_int("query count", k, 0)
     tally = (np.bincount(_line_transform(domain), minlength=domain.size + 1) if census is None
              else _matching(domain, k, census).hit_tally)
     scale = domain.size ** (2 * k)

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .domain import monomial_exponents
-from .errors import ContractError, ParameterError
+from .errors import ContractError, ParameterError, check_int
 
 # Plans beyond this are outside anything this package can enumerate anyway;
 # the loop guard exists to turn a logic bug into an error instead of a hang.
@@ -79,18 +79,10 @@ def _least_k(ratio_num: int, ratio_den: int, target_num: int, target_den: int) -
     return k
 
 
-def _validate_counts(n, q, domain_size, zero_touching=None):
-    if not isinstance(n, int) or n < 1:
-        raise ParameterError(f"dimension must be a positive integer, got {n!r}")
-    if not isinstance(q, int) or q < 2:
-        raise ParameterError(f"field order must be an integer >= 2, got {q!r}")
-    if not isinstance(domain_size, int) or domain_size < 1:
-        raise ParameterError(f"domain size must be a positive integer, got {domain_size!r}")
-    if zero_touching is not None:
-        if not isinstance(zero_touching, int) or not 0 <= zero_touching <= domain_size:
-            raise ParameterError(
-                f"zero-touching count must lie in [0, {domain_size}], got {zero_touching!r}"
-            )
+def _validate_counts(n, q, domain_size):
+    check_int("dimension", n, 1)
+    check_int("field order", q, 2)
+    check_int("domain size", domain_size, 1)
 
 
 def plan_bounded_error(n: int, q: int, domain_size: int) -> QueryPlan:
@@ -105,7 +97,11 @@ def plan_high_probability(n: int, q: int, domain_size: int,
     """Least k with (|V|/|V_0|)^(2k) >= |V|*q^n (field at least as large as
     the domain) or >= q^(n+1) (domain larger than field); at q = |V| the two
     targets are the same integer."""
-    _validate_counts(n, q, domain_size, zero_touching)
+    _validate_counts(n, q, domain_size)
+    check_int("zero-touching count", zero_touching, 0)
+    if zero_touching > domain_size:
+        raise ParameterError(f"zero-touching count must lie in [0, {domain_size}], "
+                             f"got {zero_touching}")
     if zero_touching == domain_size:
         raise ParameterError(
             "every domain vector touches zero; the high-probability formula "
@@ -137,8 +133,7 @@ def multivariate_query_bounds(n: int, q: int, variables: int) -> tuple:
     """Conservative bracket (ceil((n+1)/(2*m^m)), ceil((n+1)*q^m/2)) for the
     high-probability query count of an m-variable monomial domain."""
     _validate_counts(n, q, 1)
-    if not isinstance(variables, int) or variables < 1:
-        raise ParameterError(f"variable count must be a positive integer, got {variables!r}")
+    check_int("variable count", variables, 1)
     m = variables
     lower = -((n + 1) // -(2 * m ** m))
     upper = -((n + 1) * q ** m // -2)
@@ -168,10 +163,7 @@ def univariate_reduction(variables: int, degree: int) -> ReductionPlan:
     """Exponents (1, 1+d, 1+d+d^2, ...) substituting every variable by a
     power of the first, plus the parity-based query count for the reduced
     degree D = d + d^2 + ... + d^m."""
-    if not isinstance(variables, int) or variables < 1:
-        raise ParameterError(f"variable count must be a positive integer, got {variables!r}")
-    if not isinstance(degree, int) or degree < 1:
-        raise ParameterError(f"degree must be a positive integer, got {degree!r}")
+    monomials = monomial_exponents(variables, degree)  # checks both are integers >= 1
     m, d = variables, degree
     exponents = []
     acc = 1
@@ -182,7 +174,7 @@ def univariate_reduction(variables: int, degree: int) -> ReductionPlan:
     reduced_degree = sum(d ** j for j in range(1, m + 1))
 
     image = {}
-    for e in monomial_exponents(m, d):
+    for e in monomials:
         image[e] = sum(ei * xi for ei, xi in zip(e, exponents))
     if len(set(image.values())) != len(image):
         raise ContractError(
@@ -231,8 +223,7 @@ def classify_instance(stats, k: int) -> InstanceClassification:
     zero_touching attributes).  k must be at least 1; k = 0 never
     interpolates anything beyond the zero secret.
     """
-    if not isinstance(k, int) or k < 1:
-        raise ParameterError(f"query count must be an integer >= 1, got {k!r}")
+    check_int("query count", k, 1)
     low, high, high_error = query_plans(stats)
     meets_high = None if high is None else k >= high.k
     if high is not None and k == high.k:

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, check_cap
-from .field import FieldElement, FieldParams, _refuse_write, parse_field_spec
+from .errors import ParameterError, check_cap, check_int
+from .field import FieldElement, FieldParams, _read_only, _refuse_write, parse_field_spec
 
 MAX_DOMAIN_VECTORS = 1 << 20
 # Vectors times coordinates; wide domains pass the vector cap but not this.
@@ -144,11 +144,13 @@ def vector_from_flat(params: FieldParams, n: int, flat: int) -> VectorFq:
     return VectorFq.from_index_tuple(params, flat_to_rows(flat, params.q, n).tolist())
 
 
-def _index_array(rows, width: int) -> np.ndarray:
-    """Read-only (len(rows), width) array of index rows."""
+def _index_array(rows, width: int, bound: int) -> np.ndarray:
+    """Read-only copy of rows as a (len(rows), width) index array, every
+    entry in [0, bound), else a ParameterError."""
     array = np.array(rows, dtype=np.intp).reshape(len(rows), width)
-    array.setflags(write=False)
-    return array
+    if array.size and not 0 <= array.min() <= array.max() < bound:
+        raise ParameterError(f"indices must lie in [0, {bound})")
+    return _read_only(array)
 
 
 def dot_rows(params: FieldParams, s, rows) -> np.ndarray:
@@ -202,12 +204,11 @@ class Domain:
         rows = np.asarray(indices, dtype=np.intp)
         if rows.ndim != 2 or rows.size == 0:
             raise ParameterError("a domain needs at least one vector")
-        if rows.min() < 0 or rows.max() >= params.q:
-            raise ParameterError(f"element indices must lie in [0, {params.q})")
+        rows = _index_array(rows, rows.shape[1], params.q)
         order, fresh = _canonical_order(rows, params.q)
         self.params = params
         self.n = rows.shape[1]
-        self.indices = _index_array(rows[order[fresh]], self.n)
+        self.indices = _read_only(rows[order[fresh]])
         self.label = label
         self._vectors = None
         self._independence = None
@@ -341,8 +342,7 @@ def build_explicit_domain(vectors, label: str = "explicit") -> Domain:
 
 def build_vandermonde_domain(params: FieldParams, degree: int) -> Domain:
     """All rows (1, x, x^2, ..., x^degree) for x in GF(q); n = degree + 1."""
-    if not isinstance(degree, int) or degree < 1:
-        raise ParameterError(f"Vandermonde degree must be a positive integer, got {degree!r}")
+    check_int("Vandermonde degree", degree, 1)
     _check_size("domain", params.q, degree + 1)
     return Domain(params, _power_table(params, degree).T,
                   label=f"vandermonde(q={params.q}, d={degree})")
@@ -361,8 +361,8 @@ def monomial_exponents(variables: int, degree: int) -> tuple:
     """Exponent tuples of all monomials in `variables` variables with total
     degree at most `degree`, in graded order (degree first, then
     lexicographic on the exponent tuple)."""
-    if variables < 1 or degree < 1:
-        raise ParameterError("monomial domains need variables >= 1 and degree >= 1")
+    check_int("variable count", variables, 1)
+    check_int("monomial degree", degree, 1)
     exps = [
         e
         for e in itertools.product(range(degree + 1), repeat=variables)
@@ -379,8 +379,8 @@ def build_monomial_domain(params: FieldParams, variables: int, degree: int) -> D
     every point to 1 (0^0 = 1 by convention), so the first coordinate is
     never zero and rows for distinct points are distinct.
     """
-    if variables < 1 or degree < 1:
-        raise ParameterError("monomial domains need variables >= 1 and degree >= 1")
+    check_int("variable count", variables, 1)
+    check_int("monomial degree", degree, 1)
     # Refuse before monomial_exponents scans (degree+1)^variables tuples; past
     # 64 variables q^64 is already over the cap and prints as a lower bound.
     # The vector cap goes first: it leaves variables <= 20, so the binomial

@@ -40,5 +40,12 @@ def check_cap(stage: str, need: int, unit: str, cap: int) -> None:
         raise ResourceCapError(f"{stage} needs {shown} {unit}, cap is {cap}")
 
 
+def check_int(name: str, value, low: int) -> None:
+    """Raise ParameterError("<name> must be an integer >= <low>, got <value!r>")
+    unless value is a plain int, not a bool, of at least low."""
+    if type(value) is not int or value < low:
+        raise ParameterError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 class ContractError(QvintError, RuntimeError):
     """An internal invariant or stated hypothesis does not hold."""

@@ -16,12 +16,13 @@ element type and the reference those tables are tested against.
 """
 
 import cmath
+import functools
 import itertools
 import math
 
 import numpy as np
 
-from .errors import ContractError, ParameterError, check_cap
+from .errors import ContractError, ParameterError, check_cap, check_int
 
 # Hard ceilings.  DEFAULT_MAX_Q bounds field construction outright;
 # TABLE_MAX_Q additionally bounds the dense q x q operation tables that the
@@ -117,6 +118,19 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _table(build):
+    """A FieldParams table method: built on first call, then served from the
+    _tables slot under its name; a numpy table is made read-only."""
+    @functools.wraps(build)
+    def table(self):
+        name = build.__name__
+        if name not in self._tables:
+            value = build(self)
+            self._tables[name] = _read_only(value) if isinstance(value, np.ndarray) else value
+        return self._tables[name]
+    return table
+
+
 def _refuse_write(self, name, *value):
     """__setattr__ and __delattr__ of a value type whose hash rests on its slots."""
     raise AttributeError(f"{type(self).__name__}.{name} is read-only")
@@ -131,17 +145,12 @@ class FieldParams:
     lazily on first use and cached; the numpy tables are read-only.
     """
 
-    __slots__ = (
-        "p", "r", "q", "modulus",
-        "_add_rows", "_mul_rows", "_traces", "_trace_products", "_trace_chars",
-        "_chars", "_elements", "_fourier",
-    )
+    __slots__ = ("p", "r", "q", "modulus", "_tables")
 
     def __init__(self, p: int, r: int = 1, modulus=None):
         if not isinstance(p, int) or not _is_prime(p):
             raise ParameterError(f"characteristic must be a prime integer, got {p!r}")
-        if not isinstance(r, int) or r < 1:
-            raise ParameterError(f"extension degree must be a positive integer, got {r!r}")
+        check_int("extension degree", r, 1)
         q = p ** r
         check_cap("field", q, "elements", DEFAULT_MAX_Q)
         if modulus is None:
@@ -160,14 +169,7 @@ class FieldParams:
         self.r = r
         self.q = q
         self.modulus = modulus
-        self._add_rows = None
-        self._mul_rows = None
-        self._traces = None
-        self._trace_products = None
-        self._trace_chars = None
-        self._chars = None
-        self._elements = None
-        self._fourier = None
+        self._tables = {}
 
     def __setattr__(self, name, value):
         if name in ("p", "r", "q", "modulus") and hasattr(self, name):
@@ -218,11 +220,10 @@ class FieldParams:
             coeffs.append(c)
         return FieldElement(self, tuple(coeffs))
 
+    @_table
     def elements(self) -> tuple:
         """All q elements in canonical index order."""
-        if self._elements is None:
-            self._elements = tuple(self.from_index(i) for i in range(self.q))
-        return self._elements
+        return tuple(self.from_index(i) for i in range(self.q))
 
     # -- dense operation tables ---------------------------------------------
 
@@ -230,70 +231,60 @@ class FieldParams:
         """(q, r) base-p coefficient digits of every element, by canonical index."""
         return np.arange(self.q)[:, None] // self.p ** np.arange(self.r) % self.p
 
+    @_table
     def add_rows(self) -> np.ndarray:
         """add_rows()[i, j] is the index of element i plus element j."""
-        if self._add_rows is None:
-            check_cap("field table", self.q, "rows", TABLE_MAX_Q)
-            p, digits = self.p, self._digits()
-            # Digit-wise addition mod p.
-            self._add_rows = _read_only(sum(
-                (digits[:, None, j] + digits[None, :, j]) % p * p ** j for j in range(self.r)))
-        return self._add_rows
+        check_cap("field table", self.q, "rows", TABLE_MAX_Q)
+        p, digits = self.p, self._digits()
+        # Digit-wise addition mod p.
+        return sum((digits[:, None, j] + digits[None, :, j]) % p * p ** j for j in range(self.r))
 
+    @_table
     def mul_rows(self) -> np.ndarray:
         """mul_rows()[i, j] is the index of element i times element j."""
-        if self._mul_rows is None:
-            check_cap("field table", self.q, "rows", TABLE_MAX_Q)
-            p, r, digits = self.p, self.r, self._digits()
-            # shifted[j, b] holds the digits of x^j * b: x^(j-1) * b moved up one
-            # place, its top digit folded back in by x^r = -modulus[:r].
-            fold = np.array([-c % p for c in self.modulus[:r]])
-            shifted = [digits]
-            for _ in range(r - 1):
-                prev = shifted[-1]
-                shifted.append((np.pad(prev[:, :-1], ((0, 0), (1, 0))) + prev[:, -1:] * fold) % p)
-            shifted = np.stack(shifted)
-            # a * b = sum_j a_j * (x^j * b), one product digit i at a time.
-            self._mul_rows = _read_only(sum(
-                digits @ shifted[:, :, i] % p * p ** i for i in range(r)))
-        return self._mul_rows
+        check_cap("field table", self.q, "rows", TABLE_MAX_Q)
+        p, r, digits = self.p, self.r, self._digits()
+        # shifted[j, b] holds the digits of x^j * b: x^(j-1) * b moved up one
+        # place, its top digit folded back in by x^r = -modulus[:r].
+        fold = np.array([-c % p for c in self.modulus[:r]])
+        shifted = [digits]
+        for _ in range(r - 1):
+            prev = shifted[-1]
+            shifted.append((np.pad(prev[:, :-1], ((0, 0), (1, 0))) + prev[:, -1:] * fold) % p)
+        shifted = np.stack(shifted)
+        # a * b = sum_j a_j * (x^j * b), one product digit i at a time.
+        return sum(digits @ shifted[:, :, i] % p * p ** i for i in range(r))
 
+    @_table
     def trace_values(self) -> list:
         """Absolute trace of every element, by canonical index; the trace is
         GF(p)-linear, so it is the digits against Tr(x^j)."""
-        if self._traces is None:
-            basis = [self.from_index(self.p ** j).trace() for j in range(self.r)]
-            self._traces = (self._digits() @ np.array(basis) % self.p).tolist()
-        return self._traces
+        basis = [self.from_index(self.p ** j).trace() for j in range(self.r)]
+        return (self._digits() @ np.array(basis) % self.p).tolist()
 
+    @_table
     def trace_products(self) -> np.ndarray:
         """trace_products()[a, b] is Tr(a * b), by canonical indices.  The
         trace is GF(p)-linear, so e(sum_i a_i * b_i) is
         trace_characters() at the sum of these entries, reduced mod p."""
-        if self._trace_products is None:
-            self._trace_products = _read_only(np.array(self.trace_values())[self.mul_rows()])
-        return self._trace_products
+        return np.array(self.trace_values())[self.mul_rows()]
 
+    @_table
     def trace_characters(self) -> np.ndarray:
         """exp(2*pi*i * t / p) for every trace value t in [0, p)."""
-        if self._trace_chars is None:
-            root = cmath.exp(2j * cmath.pi / self.p)
-            self._trace_chars = _read_only(np.array(
-                [root ** t for t in range(self.p)], dtype=np.complex128))
-        return self._trace_chars
+        root = cmath.exp(2j * cmath.pi / self.p)
+        return np.array([root ** t for t in range(self.p)], dtype=np.complex128)
 
+    @_table
     def character_values(self) -> np.ndarray:
         """Additive character of every element, by canonical index: the
         trace_characters() entry of its trace, so both agree bit for bit."""
-        if self._chars is None:
-            self._chars = _read_only(self.trace_characters()[self.trace_values()])
-        return self._chars
+        return self.trace_characters()[self.trace_values()]
 
+    @_table
     def character_table(self) -> np.ndarray:
         """q x q complex matrix with entry [a, b] = e(a * b), unnormalized."""
-        if self._fourier is None:
-            self._fourier = _read_only(self.character_values()[self.mul_rows()])
-        return self._fourier
+        return self.character_values()[self.mul_rows()]
 
     def fourier_matrix(self) -> np.ndarray:
         """Unitary Fourier kernel e(a * b) / sqrt(q)."""

@@ -36,7 +36,7 @@ import numpy as np
 from .census import ImageSet, Transversal
 from .domain import (Domain, VectorFq, _canonical_order, dot_rows, flat_to_rows,
                      rows_to_flat, vector_from_flat)
-from .errors import ContractError, ParameterError, check_cap
+from .errors import ContractError, ParameterError, check_cap, check_int
 from .field import FieldParams
 
 DEFAULT_MAX_AMPLITUDES = 1 << 20
@@ -281,11 +281,9 @@ def sample_outcomes(dist: OutcomeDistribution, trials: int, seed: int) -> Sample
     _DRAW_BLOCK (or q^n), counted against the CDF by one binary search per
     outcome, so memory does not grow with trials.
     """
-    if type(trials) is not int or trials < 1:
-        raise ParameterError(f"trials must be a positive integer, got {trials!r}")
+    check_int("trials", trials, 1)
     # random.Random would hash a float, str or bool seed without complaint.
-    if type(seed) is not int or seed < 0:
-        raise ParameterError(f"seed must be non-negative, a plain int, got {seed!r}")
+    check_int("seed", seed, 0)
     check_cap("sampling", trials, "trials", MAX_TRIALS)
     rng = random.Random(seed)
     cdf = np.cumsum(dist.probs)[:-1]

@@ -164,6 +164,12 @@ class TestCensusInvariants:
         with pytest.raises(ParameterError):
             enumerate_census(vandermonde(3, 1), -1)
 
+    @pytest.mark.parametrize("engine", (enumerate_census, transform_census))
+    def test_k_must_be_a_plain_int(self, engine):
+        # A bool is an int to isinstance, but not a query count.
+        with pytest.raises(ParameterError, match="query count must be an integer >= 0, got True"):
+            engine(vandermonde(3, 1), True)
+
 
 def brute_force_census(dom, k):
     """(dense, dense_good) by itertools.product over (position, weight)
@@ -618,6 +624,12 @@ class TestImageSet:
         empty = ImageSet(params=F3, n=2, keys=np.empty((0, 2), np.intp))
         assert empty.keys.shape == (0, 2)
         assert VectorFq.from_index_tuple(F3, (0, 0)) not in empty
+
+    @pytest.mark.parametrize("keys", ([[0, 3], [1, 0]], [[0, -1], [1, 0]]))
+    def test_keys_outside_the_field_are_refused(self, keys):
+        # Unchecked, [0, 3] and [1, 0] would share flat index 3 on GF(3)^2.
+        with pytest.raises(ParameterError, match=r"indices must lie in \[0, 3\)"):
+            ImageSet(params=F3, n=2, keys=keys)
 
 
 class TestSecondMoment:

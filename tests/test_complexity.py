@@ -46,6 +46,9 @@ class TestBoundedErrorPlan:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ParameterError):
             plan_bounded_error(0, 5, 5)
+        # A bool is an int to isinstance, but not a dimension.
+        with pytest.raises(ParameterError, match="dimension must be an integer >= 1, got True"):
+            plan_bounded_error(True, 5, 5)
         with pytest.raises(ParameterError):
             plan_bounded_error(4, 5, 0)
 

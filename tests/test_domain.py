@@ -132,6 +132,19 @@ class TestBuilders:
         with pytest.raises(ParameterError):
             build_vandermonde_domain(F3, 0)
 
+    @pytest.mark.parametrize("degree", (True, 2.0))
+    def test_vandermonde_degree_must_be_a_plain_int(self, degree):
+        # A bool is an int to isinstance, but not a degree.
+        with pytest.raises(ParameterError, match="Vandermonde degree must be an integer >= 1"):
+            build_vandermonde_domain(parse_field_spec("5"), degree)
+
+    @pytest.mark.parametrize("variables,degree", ((2.0, 1), ("2", 1), (2, True), (0, 1)))
+    def test_monomial_arguments_must_be_plain_ints(self, variables, degree):
+        with pytest.raises(ParameterError, match="must be an integer >= 1"):
+            build_monomial_domain(F3, variables, degree)
+        with pytest.raises(ParameterError, match="must be an integer >= 1"):
+            monomial_exponents(variables, degree)
+
     def test_monomial_exponent_order(self):
         assert monomial_exponents(2, 2) == (
             (0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)

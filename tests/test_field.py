@@ -90,6 +90,11 @@ class TestConstruction:
             with pytest.raises(ParameterError):
                 FieldParams(bad)
 
+    @pytest.mark.parametrize("r", (0, True, 2.0))
+    def test_extension_degree_must_be_a_plain_int(self, r):
+        with pytest.raises(ParameterError, match="extension degree must be an integer >= 1"):
+            FieldParams(5, r)
+
     def test_order_cap(self):
         with pytest.raises(ResourceCapError):
             FieldParams(2, 20)  # 2^20 elements, over DEFAULT_MAX_Q
@@ -300,6 +305,18 @@ class TestTraceTables:
                 table[0] = 0
         assert f.trace_products() is f.trace_products()
         assert f.trace_characters() is f.trace_characters()
+
+    @pytest.mark.parametrize("name", ("elements", "add_rows", "mul_rows", "trace_values",
+                                      "trace_products", "trace_characters",
+                                      "character_values", "character_table"))
+    def test_each_table_is_built_once(self, name):
+        f = FieldParams(3, 2)
+        table = getattr(f, name)()
+        assert getattr(f, name)() is table
+        assert getattr(FieldParams, name).__name__ == name
+        if isinstance(table, np.ndarray):
+            with pytest.raises(ValueError):
+                table[0] = table[1]
 
     def test_trace_products_are_capped_like_the_tables(self):
         with pytest.raises(ResourceCapError, match="field table needs 2081 rows"):

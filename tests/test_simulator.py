@@ -234,6 +234,22 @@ class TestRunAlgorithm:
         with pytest.raises(ParameterError):
             restricted_fourier_state(empty, VectorFq.from_index_tuple(F3, (0, 0)))
 
+    def test_negative_weight_is_refused(self):
+        # numpy reads weight -1 as element 2 in the transversal's own check,
+        # but the query phases would read pair position*q - 1, another pair.
+        _, _, trans = instance(3, 1, 1)
+        weights = np.where(trans.weights == 2, -1, trans.weights)
+        with pytest.raises(ParameterError, match=re.escape("indices must lie in [0, 3)")):
+            dataclasses.replace(trans, weights=weights)
+
+    def test_position_past_the_domain_is_refused(self):
+        dom, _, trans = instance(3, 1, 1)
+        positions = trans.positions.copy()
+        positions[-1] = dom.size
+        bound = re.escape(f"indices must lie in [0, {dom.size})")
+        with pytest.raises(ParameterError, match=bound):
+            dataclasses.replace(trans, positions=positions)
+
 
 class TestBatchedSweep:
     # GF(9) d=2 k=2 sweeps 729 secrets in blocks of 22, so its last block is
@@ -407,14 +423,14 @@ class TestSampling:
         dom, _, trans = instance(3, 1, 1)
         dist = outcome_distribution(
             run_algorithm(dom, 1, trans, VectorFq.from_index_tuple(F3, (0, 0))))
-        with pytest.raises(ParameterError, match="seed must be non-negative"):
+        with pytest.raises(ParameterError, match="seed must be an integer >= 0"):
             sample_outcomes(dist, 5, seed=-1)
 
     @pytest.mark.parametrize("seed", (1.0, True, np.int64(3), "3"))
     def test_seed_must_be_a_plain_int(self, seed):
         # random.Random would hash any of these into a seed without complaint.
         dist = OutcomeDistribution(params=F3, n=1, probs=np.array([1.0, 0.0, 0.0]))
-        with pytest.raises(ParameterError, match="seed must be non-negative, a plain int"):
+        with pytest.raises(ParameterError, match="seed must be an integer >= 0"):
             sample_outcomes(dist, 5, seed=seed)
 
     @pytest.mark.parametrize("block", (1, 7, simulator._DRAW_BLOCK))

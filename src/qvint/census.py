@@ -32,7 +32,7 @@ floating point never enters here.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cache, cached_property
 from typing import Callable, Optional
@@ -66,6 +66,12 @@ MAX_TRANSFORM_PRIMES = 128
 _INT64_LIMIT = 1 << 63
 
 
+def _reduce_through_init(self):
+    """__reduce__ of the census dataclasses: a copy or an unpickled object is
+    built by the constructor, so its checks run and its arrays are read-only."""
+    return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
 @dataclass(eq=False)
 class PreimageCensus:
     """Exact pre-image count of every point of GF(q)^n.
@@ -92,6 +98,13 @@ class PreimageCensus:
     dense: np.ndarray
     _good: Optional[np.ndarray] = field(default=None, repr=False)
     _hits: Optional[np.ndarray] = field(default=None, repr=False)
+
+    def __post_init__(self):
+        for array in (self.dense, self._good, self._hits):
+            if array is not None:
+                _read_only(array)
+
+    __reduce__ = _reduce_through_init
 
     @property
     def dense_good(self) -> np.ndarray:
@@ -245,7 +258,7 @@ def enumerate_census(domain: Domain, k: int) -> PreimageCensus:
 
     if dense.sum() != total:
         raise ContractError("census total does not match the tuple count")
-    return PreimageCensus(domain, k, _read_only(dense), _read_only(dense_good))
+    return PreimageCensus(domain, k, dense, dense_good)
 
 
 def transform_census(domain: Domain, k: int) -> PreimageCensus:
@@ -476,6 +489,8 @@ class ImageSet:
     def __post_init__(self):
         object.__setattr__(self, "keys", _index_array(self.keys, self.n, self.params.q))
 
+    __reduce__ = _reduce_through_init
+
     @cached_property
     def elements(self) -> tuple:
         return tuple(VectorFq.from_index_tuple(self.params, key)
@@ -532,6 +547,8 @@ class Transversal:
         # Sorted, a repeated key sits next to its twin.
         if not _canonical_order(keys, q)[1].all():
             raise ContractError("in-place relabeling hit the same target twice")
+
+    __reduce__ = _reduce_through_init
 
     @property
     def size(self) -> int:

@@ -31,6 +31,8 @@ MAX_DOMAIN_ENTRIES = 1 << 22
 DEFAULT_MAX_SUBSETS = 250_000
 # Subsets x size^2 x n bounds the elimination work of validate_independence.
 MAX_ELIMINATION_STEPS = 10 ** 8
+# Entries (subsets x size x n) per block of validate_independence.
+_SUBSET_BLOCK = 1 << 16
 
 
 class VectorFq:
@@ -213,6 +215,9 @@ class Domain:
         self._vectors = None
         self._independence = None
 
+    def __reduce__(self):
+        return Domain, (self.params, self.indices, self.label)
+
     @property
     def vectors(self) -> tuple:
         """The domain as VectorFq, decoded from indices on first access."""
@@ -259,42 +264,37 @@ class Domain:
         return f"Domain({self.label}, q={self.params.q}, n={self.n}, size={self.size})"
 
 
-def _elimination_tables(params: FieldParams) -> tuple:
-    """(add, mul, negate, inverse) as lists, with negate[a] = -a and
-    inverse[a] = 1/a by index; zero keeps the placeholder inverse 0."""
+def _ranks(stack, params: FieldParams) -> np.ndarray:
+    """Rank over GF(q) of every index matrix in a (B, m, n) stack, by one
+    elimination of all B at once: step i takes row i, already reduced by the
+    rows above it, and clears its first nonzero column from the rows below."""
+    q = params.q
     add, mul = params.add_rows(), params.mul_rows()
-    # Every table row is a permutation, so each has exactly one hit.
-    negate = np.nonzero(add == 0)[1].tolist()
-    inverse = [0] + np.nonzero(mul[1:] == 1)[1].tolist()
-    return add.tolist(), mul.tolist(), negate, inverse
-
-
-def _rank(rows, add, mul, negate, inverse) -> int:
-    """Rank over GF(q) of a list of index rows by Gaussian elimination, given
-    _elimination_tables of their field; reorders and replaces the list's rows."""
-    rank = 0
-    for col in range(len(rows[0])):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = inverse[rows[rank][col]]
-        for i in range(rank + 1, len(rows)):
-            if not rows[i][col]:
-                continue
-            neg_factor = mul[negate[mul[rows[i][col]][inv]]]
-            rows[i] = [add[a][neg_factor[b]] for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+    # Every table row is a permutation: one 0 in each add row, one 1 in each
+    # nonzero mul row; zero keeps the placeholder inverse 0.  negate and mul
+    # give q times their result, the row offset of the next flat lookup.
+    negate, inverse = add.argmin(axis=1) * q, (mul == 1).argmax(axis=1)
+    add, mul = add.reshape(-1), mul.reshape(-1) * q
+    rows = np.array(stack, dtype=np.intp)
+    every = np.arange(len(rows))
+    for i in range(rows.shape[1] - 1):
+        row = rows[:, i]
+        # Pivot column of row i: the pivot, then the leads of the rows below.
+        column = rows[every, i:, (row != 0).argmax(axis=1)]
+        # q * factor, factor = -lead / pivot, zero when row i is zero.
+        factor = mul[negate[column[:, 1:]] + inverse[column[:, :1]]]
+        rows[:, i + 1:] = add[mul[factor[:, :, None] + row[:, None, :]] + rows[:, i + 1:]]
+    # Steps leave row i zero exactly when it depends on the rows above it.
+    return rows.any(axis=2).sum(axis=1)
 
 
 def validate_independence(domain: Domain) -> IndependenceReport:
     """Check that every subset of size min(n, |V|) is linearly independent.
 
     Subsets are visited in canonical order, so a refutation always reports
-    the same witness.  Raises ResourceCapError when the subset count exceeds
+    the same witness.  They are ranked in blocks by _ranks: the first block
+    is the first subset alone, the next ones hold up to _SUBSET_BLOCK
+    entries.  Raises ResourceCapError when the subset count exceeds
     DEFAULT_MAX_SUBSETS, or their elimination work MAX_ELIMINATION_STEPS,
     rather than degrading to a sample.
     """
@@ -303,19 +303,22 @@ def validate_independence(domain: Domain) -> IndependenceReport:
     check_cap("independence check", total, "subsets", DEFAULT_MAX_SUBSETS)
     check_cap("independence check", total * size * size * domain.n, "elimination steps",
               MAX_ELIMINATION_STEPS)
-    tables = _elimination_tables(domain.params)
-    rows = domain.indices.tolist()
-    checked = 0
-    for subset in itertools.combinations(range(domain.size), size):
-        checked += 1
-        if _rank([rows[i] for i in subset], *tables) < size:
+    subsets = itertools.chain.from_iterable(itertools.combinations(range(domain.size), size))
+    checked, block = 0, 1
+    while checked < total:
+        chunk = np.fromiter(itertools.islice(subsets, block * size), dtype=np.intp)
+        chunk = chunk.reshape(-1, size)
+        deficient = np.flatnonzero(_ranks(domain.indices[chunk], domain.params) < size)
+        if deficient.size:
             return IndependenceReport(
                 status="refuted",
                 subset_size=size,
-                subsets_checked=checked,
-                witness=tuple(VectorFq.from_index_tuple(domain.params, rows[i])
-                              for i in subset),
+                subsets_checked=checked + int(deficient[0]) + 1,
+                witness=tuple(VectorFq.from_index_tuple(domain.params, row)
+                              for row in domain.indices[chunk[deficient[0]]].tolist()),
             )
+        checked += len(chunk)
+        block = max(1, _SUBSET_BLOCK // (size * domain.n))
     return IndependenceReport(
         status="verified", subset_size=size, subsets_checked=checked, witness=None
     )

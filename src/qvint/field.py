@@ -165,21 +165,15 @@ class FieldParams:
                 raise ParameterError("modulus must be monic")
             if r > 1 and not _is_irreducible(modulus, p):
                 raise ParameterError(f"modulus {modulus} is reducible over GF({p})")
-        self.p = p
-        self.r = r
-        self.q = q
-        self.modulus = modulus
-        self._tables = {}
+        for name, value in (("p", p), ("r", r), ("q", q), ("modulus", modulus),
+                            ("_tables", {})):
+            object.__setattr__(self, name, value)
 
-    def __setattr__(self, name, value):
-        if name in ("p", "r", "q", "modulus") and hasattr(self, name):
-            raise AttributeError(f"FieldParams.{name} is read-only")
-        object.__setattr__(self, name, value)
+    __setattr__ = __delattr__ = _refuse_write
 
-    def __delattr__(self, name):
-        if name in ("p", "r", "q", "modulus"):
-            raise AttributeError(f"FieldParams.{name} is read-only")
-        object.__delattr__(self, name)
+    def __reduce__(self):
+        # Tables are rebuilt, read-only, on first use after unpickling.
+        return FieldParams, (self.p, self.r, self.modulus)
 
     # -- identity ----------------------------------------------------------
 

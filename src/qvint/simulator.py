@@ -80,14 +80,6 @@ class StateVector:
     n: int
     amplitudes: np.ndarray
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def inner(self, other: "StateVector") -> complex:
-        if other.params != self.params or other.n != self.n:
-            raise ParameterError("inner product needs matching field and length")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
 
 def _support_state(params, n, keys, phases) -> StateVector:
     """Amplitude phases[i] / sqrt(len(keys)) at point keys[i], zero elsewhere."""

@@ -7,6 +7,7 @@ products of the character table, and none imports a private name of qvint
 (tests/test_api.py checks this), so none can reuse the kernel it checks.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -61,6 +62,18 @@ def fourier_state(params, n: int, secret) -> StateVector:
     return StateVector(params=params, n=n, amplitudes=amps)
 
 
+def norm(state) -> float:
+    """Euclidean norm of a state's amplitudes."""
+    return float(np.linalg.norm(state.amplitudes))
+
+
+def inner(a, b) -> complex:
+    """<a|b>, conjugating a; refuses states of another field or length."""
+    if a.params != b.params or a.n != b.n:
+        raise ParameterError("inner product needs matching field and length")
+    return complex(np.vdot(a.amplitudes, b.amplitudes))
+
+
 def restricted_fourier_state(image, secret) -> StateVector:
     """fourier_state restricted to the image points and renormalised:
     e(s.z)/sqrt(|image|) on the image, zero elsewhere."""
@@ -71,3 +84,33 @@ def restricted_fourier_state(image, secret) -> StateVector:
     on_image = rows_to_flat(image.keys, image.params.q)
     amps[on_image] = full[on_image]
     return StateVector(params=image.params, n=image.n, amplitudes=amps / np.linalg.norm(amps))
+
+
+def field_element_rank(vectors) -> int:
+    """Rank over GF(q) by Gaussian elimination on FieldElement copies of the rows."""
+    rows = [list(v.entries) for v in vectors]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if not rows[i][col].is_zero()), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = rows[rank][col].inverse()
+        for i in range(rank + 1, len(rows)):
+            factor = rows[i][col] * inv
+            rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def independence_walk(domain) -> tuple:
+    """(status, subset_size, subsets_checked, witness) of the subset walk:
+    every subset of min(n, |V|) domain vectors, in lexicographic order of
+    positions, ranked by field_element_rank until the first deficient one."""
+    size = min(domain.n, domain.size)
+    checked = 0
+    for subset in itertools.combinations(domain.vectors, size):
+        checked += 1
+        if field_element_rank(subset) < size:
+            return "refuted", size, checked, subset
+    return "verified", size, checked, None

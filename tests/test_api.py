@@ -41,7 +41,8 @@ def test_all_is_pinned():
     (census.Transversal, "pairs"), (census.PreimageCensus, "count_of"),
     (census.PreimageCensus, "good_count_of"),
     (simulator, "fourier_state"), (simulator, "restricted_fourier_state"),
-    (simulator.StateVector, "amplitude_of"), (simulator.OutcomeDistribution, "prob_of"),
+    (simulator.StateVector, "amplitude_of"), (simulator.StateVector, "norm"),
+    (simulator.StateVector, "inner"), (simulator.OutcomeDistribution, "prob_of"),
 ))
 def test_oracle_only_names_are_gone(owner, name):
     assert not hasattr(owner, name)

@@ -5,8 +5,10 @@ enumeration (plain integer arithmetic modulo p and hand-built GF(4)
 tables), not from the package under test.
 """
 
+import copy
 import itertools
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -630,6 +632,52 @@ class TestImageSet:
         # Unchecked, [0, 3] and [1, 0] would share flat index 3 on GF(3)^2.
         with pytest.raises(ParameterError, match=r"indices must lie in \[0, 3\)"):
             ImageSet(params=F3, n=2, keys=keys)
+
+
+def copies(obj):
+    """A pickle round trip and a deep copy of obj."""
+    return pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj)
+
+
+class TestCopies:
+    """Pickling and deep-copying rebuild each census type through its
+    constructor: arrays come back read-only and the checks run again."""
+
+    @pytest.mark.parametrize("engine", (enumerate_census, transform_census))
+    def test_census(self, engine):
+        census = engine(vandermonde(5, 3), 2)
+        census.dense_good, census.hit_tally
+        for back in copies(census):
+            assert back.domain.same_as(census.domain) and back.k == census.k
+            for name in ("dense", "_good", "_hits"):
+                array = getattr(back, name)
+                assert np.array_equal(array, getattr(census, name))
+                assert not array.flags.writeable
+            assert back.image_size == FROZEN_IMAGE_SIZES[(5, 3, 2)]
+
+    def test_image_set(self):
+        image = image_set(enumerate_census(vandermonde(3, 1), 1))
+        for back in copies(image):
+            assert back.keys.tolist() == image.keys.tolist()
+            assert not back.keys.flags.writeable
+        object.__setattr__(image, "keys", np.array([[0, 3], [1, 0]]))
+        with pytest.raises(ParameterError, match=r"indices must lie in \[0, 3\)"):
+            pickle.loads(pickle.dumps(image))
+
+    def test_transversal(self):
+        trans = enumerate_census(vandermonde(3, 1), 1).transversal
+        for back in copies(trans):
+            for name in ("keys", "positions", "weights"):
+                assert np.array_equal(getattr(back, name), getattr(trans, name))
+                assert not getattr(back, name).flags.writeable
+            assert transversal_pairs(back) == transversal_pairs(trans)
+        # Weight -1 would read as weight 2 in the simulator's phase table.
+        object.__setattr__(trans, "weights", trans.weights - 3)
+        with pytest.raises(ParameterError, match=r"indices must lie in \[0, 3\)"):
+            pickle.loads(pickle.dumps(trans))
+        object.__setattr__(trans, "weights", (trans.weights + 4) % 3)
+        with pytest.raises(ContractError, match="maps to"):
+            copy.deepcopy(trans)
 
 
 class TestSecondMoment:

@@ -3,10 +3,12 @@
 import copy
 import itertools
 import pickle
+import random
 
 import numpy as np
 import pytest
 
+from oracles import field_element_rank, independence_walk, linear_combination
 from qvint import domain as domain_mod
 from qvint.domain import (Domain, VectorFq, build_explicit_domain,
                           build_monomial_domain, build_vandermonde_domain,
@@ -43,32 +45,23 @@ def mod_p_rank(rows, p):
     return rank
 
 
-def field_element_rank(vectors) -> int:
-    """Rank over GF(q) by Gaussian elimination on FieldElement copies of the rows."""
-    rows = [list(v.entries) for v in vectors]
-    if not rows:
-        return 0
-    n = len(rows[0])
-    rank = 0
-    for col in range(n):
-        pivot = None
-        for i in range(rank, len(rows)):
-            if not rows[i][col].is_zero():
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = rows[rank][col].inverse()
-        for i in range(rank + 1, len(rows)):
-            if rows[i][col].is_zero():
-                continue
-            factor = rows[i][col] * inv
-            rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+def random_domain(params, rng):
+    """A random explicit domain, |V| > n, |V| = n, |V| < n or wide n with
+    equal odds; in half the cases one vector is replaced by a combination of
+    up to n - 1 others, the zero vector included."""
+    n, shape = rng.randint(2, 4), rng.randrange(4)
+    size = (rng.randint(n + 1, n + 4), n, rng.randint(1, n - 1), rng.randint(1, 4))[shape]
+    n *= 20 if shape == 3 else 1
+    q = params.q
+    vectors = [VectorFq.from_index_tuple(params, [rng.randrange(q) for _ in range(n)])
+               for _ in range(size)]
+    if size > 1 and rng.random() < 0.5:
+        target = rng.randrange(size)
+        others = rng.sample([i for i in range(size) if i != target],
+                            rng.randint(1, min(size - 1, n - 1)))
+        vectors[target] = linear_combination([vectors[i] for i in others],
+                                             [params.from_index(rng.randrange(q)) for _ in others])
+    return build_explicit_domain(vectors)
 
 
 class TestVectors:
@@ -219,6 +212,17 @@ class TestBuilders:
             with pytest.raises(ParameterError):
                 Domain(F4, bad)
 
+    def test_copies_are_rebuilt_read_only(self):
+        dom = build_monomial_domain(F4, 2, 1)
+        for back in (pickle.loads(pickle.dumps(dom)), copy.deepcopy(dom)):
+            assert back.same_as(dom) and back.label == dom.label
+            with pytest.raises(ValueError):
+                back.indices[0, 0] = 1
+        # A row past GF(4), which the constructor refuses.
+        object.__setattr__(dom, "indices", np.array([[0, 4]]))
+        with pytest.raises(ParameterError, match=r"indices must lie in \[0, 4\)"):
+            pickle.loads(pickle.dumps(dom))
+
     def test_mixed_length_rejected(self):
         a = VectorFq.from_index_tuple(F3, (2, 1))
         c = VectorFq.from_index_tuple(F3, (2, 1, 0))
@@ -253,11 +257,12 @@ class TestIndependence:
 
     def test_rank_matches_independent_reduction(self):
         dom = build_vandermonde_domain(F5, 3)
-        tables = domain_mod._elimination_tables(F5)
-        for subset in itertools.combinations(dom.vectors, 4):
-            expected = mod_p_rank([v.index_tuple() for v in subset], 5)
+        subsets = list(itertools.combinations(dom.indices.tolist(), 4))
+        ranks = domain_mod._ranks(np.array(subsets), F5)
+        for subset, rank in zip(subsets, ranks.tolist()):
+            expected = mod_p_rank(subset, 5)
             assert expected == 4  # Vandermonde minors are invertible
-            assert domain_mod._rank([v.index_tuple() for v in subset], *tables) == expected
+            assert rank == expected
 
     @pytest.mark.parametrize("dom", (
         build_monomial_domain(F4, 2, 1),
@@ -265,15 +270,32 @@ class TestIndependence:
         build_monomial_domain(F9, 2, 1),
     ), ids=("gf4-monomial", "gf9-vandermonde", "gf9-monomial"))
     def test_rank_matches_field_element_reduction(self, dom):
-        tables = domain_mod._elimination_tables(dom.params)
         ranks = set()
         for size in (2, 3, 4):
-            for subset in itertools.combinations(dom.vectors[:16], size):
-                rank = domain_mod._rank([v.index_tuple() for v in subset], *tables)
+            subsets = list(itertools.combinations(dom.vectors[:16], size))
+            stack = np.array([[v.index_tuple() for v in subset] for subset in subsets])
+            for subset, rank in zip(subsets, domain_mod._ranks(stack, dom.params).tolist()):
                 assert rank == field_element_rank(subset)
                 ranks.add((size, rank))
         if dom.label.startswith("monomial"):
             assert (3, 2) in ranks  # three collinear points give a deficient subset
+
+    # 540 seeded random domains, half of them ranked a few subsets per block.
+    @pytest.mark.parametrize("block", (None, 40))
+    @pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9, 16, 25))
+    def test_matches_the_subset_walk(self, monkeypatch, q, block):
+        if block:
+            monkeypatch.setattr(domain_mod, "_SUBSET_BLOCK", block)
+        params, rng = parse_field_spec(str(q)), random.Random(q * 2 + bool(block))
+        statuses = set()
+        for _ in range(30):
+            dom = random_domain(params, rng)
+            report = validate_independence(dom)
+            walk = independence_walk(dom)
+            assert (report.status, report.subset_size, report.subsets_checked,
+                    report.witness) == walk
+            statuses.add(walk[0])
+        assert statuses == {"verified", "refuted"}
 
     def test_report_is_cached(self):
         dom = build_vandermonde_domain(F3, 1)

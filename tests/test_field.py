@@ -144,6 +144,18 @@ class TestConstruction:
         assert f.add_rows().dtype == f.mul_rows().dtype == np.intp
         assert f.character_values().dtype == np.complex128
 
+    def test_copies_rebuild_read_only_tables(self):
+        fresh = len(pickle.dumps(FieldParams(3, 2)))
+        f = FieldParams(3, 2)
+        f.add_rows(), f.mul_rows(), f.character_table()
+        data = pickle.dumps(f)
+        assert len(data) <= fresh  # no cached table travels
+        for back in (pickle.loads(data), copy.deepcopy(f)):
+            assert back == f and hash(back) == hash(f)
+            for table in (back.add_rows(), back.mul_rows(), back.character_table()):
+                assert not table.flags.writeable
+            assert np.array_equal(back.mul_rows(), f.mul_rows())
+
 
 class TestArithmetic:
     @pytest.mark.parametrize("q", SMALL_FIELDS)

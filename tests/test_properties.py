@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import fourier_state, linear_combination
+from oracles import fourier_state, inner, linear_combination
 from qvint.census import enumerate_census, image_set, transform_census
 from qvint.domain import (VectorFq, build_explicit_domain, dot, dot_rows,
                           flat_to_rows, rows_to_flat, vector_from_flat)
@@ -171,7 +171,7 @@ def test_run_algorithm_is_the_fourier_state_restricted_to_the_image(case):
 def test_success_probability_matches_the_fourier_reference(case):
     domain, k, secret = case
     state = run_algorithm(domain, k, enumerate_census(domain, k).transversal, secret)
-    reference = abs(fourier_state(domain.params, domain.n, secret).inner(state)) ** 2
+    reference = abs(inner(fourier_state(domain.params, domain.n, secret), state)) ** 2
     assert abs(success_probability(state, secret) - reference) <= 1e-12
 
 

@@ -72,7 +72,7 @@ def _reduce_through_init(self):
     return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class PreimageCensus:
     """Exact pre-image count of every point of GF(q)^n.
 
@@ -82,8 +82,9 @@ class PreimageCensus:
     vectors and all weights nonzero; the walk tallies them as it goes, and a
     transform census builds them on first use.  _hits holds N(t): a transform
     census keeps it, a walk census builds it on first use.  All three arrays
-    are read-only.  counts and good_counts are dict views of the nonzero
-    entries keyed by element-index tuple, built on first access.
+    are read-only, and no attribute can be rebound.  counts and good_counts
+    are dict views of the nonzero entries keyed by element-index tuple, built
+    on first access.
 
     N is indexed by digit characters: N(t) counts the domain vectors v on
     whose line F*v the character with flat index t is trivial.  On a prime
@@ -112,15 +113,16 @@ class PreimageCensus:
         x^k coefficient of (1 + (q-1)x)^h (1 - x)^(|V|-h)."""
         if self._good is None:
             q, size, k = self.domain.params.q, self.domain.size, self.k
-            primes = _transform_primes(self.domain, k)  # caps before a forward transform
-            self._good = _hit_transform(self.domain, self._line_hits(), primes, k, lambda h: sum(
-                math.comb(h, i) * (q - 1) ** i * math.comb(size - h, k - i) * (-1) ** (k - i)
-                for i in range(min(h, k) + 1)) * math.factorial(k))
+            _transform_primes(self.domain, k)  # caps before a forward transform
+            object.__setattr__(self, "_good", _hit_transform(
+                self.domain, self._line_hits(), k, lambda h: sum(
+                    math.comb(h, i) * (q - 1) ** i * math.comb(size - h, k - i) * (-1) ** (k - i)
+                    for i in range(min(h, k) + 1)) * math.factorial(k)))
         return self._good
 
     def _line_hits(self) -> np.ndarray:
         if self._hits is None:
-            self._hits = _line_transform(self.domain)
+            object.__setattr__(self, "_hits", _line_transform(self.domain))
         return self._hits
 
     @cached_property
@@ -283,9 +285,9 @@ def transform_census(domain: Domain, k: int) -> PreimageCensus:
     """
     check_int("query count", k, 0)
     q = domain.params.q
-    primes = _transform_primes(domain, k)
+    _transform_primes(domain, k)  # every cap, before the forward transform
     hits = _line_transform(domain)
-    dense = _hit_transform(domain, hits, primes, k, lambda h: (q * h) ** k)
+    dense = _hit_transform(domain, hits, k, lambda h: (q * h) ** k)
     if dense.sum() != (domain.size * q) ** k:
         raise ContractError("census total does not match the tuple count")
     return PreimageCensus(domain, k, dense, _hits=hits)
@@ -316,23 +318,29 @@ def _direct_hit_tally(domain: Domain) -> np.ndarray:
     return _read_only(tally)
 
 
-def _hit_transform(domain: Domain, hits: np.ndarray, primes: list, j: int,
+def _hit_transform(domain: Domain, hits: np.ndarray, j: int,
                    coefficient: Callable[[int], int]) -> np.ndarray:
     """The dense integers, each in [0, (|V|*q)^j], whose transform is
-    coefficient(N(t)) at every t, read-only by flat index; of the
-    _transform_primes of level j or above, the fewest leading ones serve."""
+    coefficient(N(t)) at every t, read-only by flat index: the inverse
+    transform modulo each of _transform_primes(domain, j), lifted into the
+    integers one prime at a time (Garner) as soon as it is made.  int64 when
+    (|V|*q)^j < 2^63, else Python ints."""
     params = domain.params
-    total = (domain.size * params.q) ** j
-    while len(primes) > 1 and math.prod(primes[:-1]) > total:
-        primes = primes[:-1]
     levels = np.flatnonzero(np.bincount(hits, minlength=domain.size + 1)).tolist()
     values = [coefficient(h) for h in levels]
-    residues = []
-    for ell in primes:
+    modulus = 1
+    for ell in _transform_primes(domain, j):
         table = np.zeros(domain.size + 1, dtype=np.int64)
-        table[levels] = [value % ell for value in values]
-        residues.append(_dft(table[hits], params.p, params.r * domain.n, ell, inverse=True))
-    return _read_only(_crt(residues, primes, total))
+        table[levels] = [v % ell for v in values]
+        residue = _dft(table[hits], params.p, params.r * domain.n, ell, inverse=True)
+        if modulus > 1:  # the first residue is the value as it is: no q^n copy
+            if modulus * ell >= _INT64_LIMIT:
+                value = value.astype(object)
+            lift = (residue - (value % ell).astype(np.int64)) % ell * pow(modulus, -1, ell) % ell
+            residue = value + lift.astype(value.dtype) * modulus
+        value, modulus = residue, modulus * ell
+    dtype = np.int64 if (domain.size * params.q) ** j < _INT64_LIMIT else object
+    return _read_only(value.astype(dtype, copy=False))
 
 
 def _transform_primes(domain: Domain, k: int) -> list:
@@ -388,20 +396,6 @@ def _dft(values: np.ndarray, p: int, axes: int, ell: int, *,
     return arr * pow(p ** axes, -1, ell) % ell if inverse else arr
 
 
-def _crt(residues: list, primes: list, total: int) -> np.ndarray:
-    """The integers in [0, product of primes) with the given residues,
-    lifted one prime at a time (Garner); int64 when total < 2^63, else
-    Python ints."""
-    value, modulus = residues[0], primes[0]
-    for residue, ell in zip(residues[1:], primes[1:]):
-        if modulus * ell >= _INT64_LIMIT:
-            value = value.astype(object)
-        lift = (residue - (value % ell).astype(np.int64)) % ell * pow(modulus, -1, ell) % ell
-        value = value + lift.astype(value.dtype) * modulus
-        modulus *= ell
-    return value.astype(np.int64 if total < _INT64_LIMIT else object)
-
-
 def _pick_transversal(census: PreimageCensus) -> "Transversal":
     """First pre-image in walk order of every image point of the census.
 
@@ -415,10 +409,11 @@ def _pick_transversal(census: PreimageCensus) -> "Transversal":
     params, n = domain.params, domain.n
     q = params.q
     reach = [np.arange(q ** n) == 0]
-    primes = _transform_primes(domain, k - 1) if k > 1 else None  # every cap, before N(t)
+    if k > 1:
+        _transform_primes(domain, k - 1)  # every cap, before N(t)
     for j in range(1, k):
         if j == 1 or not np.array_equal(reach[-1], reach[-2]):
-            counts = _hit_transform(domain, census._line_hits(), primes, j, lambda h: (q * h) ** j)
+            counts = _hit_transform(domain, census._line_hits(), j, lambda h: (q * h) ** j)
         reach.append(counts != 0)
     remainders = keys.copy()
     positions = np.zeros((len(keys), k), dtype=np.intp)

@@ -28,8 +28,8 @@ from .field import FieldElement, FieldParams, _read_only, _refuse_write, parse_f
 MAX_DOMAIN_VECTORS = 1 << 20
 # Vectors times coordinates; wide domains pass the vector cap but not this.
 MAX_DOMAIN_ENTRIES = 1 << 22
-DEFAULT_MAX_SUBSETS = 250_000
-# Subsets x size^2 x n bounds the elimination work of validate_independence.
+# Subsets x size^2 x n, the one cap on validate_independence's work: _ranks
+# takes 10-90 ns a step, so a few seconds at the cap.
 MAX_ELIMINATION_STEPS = 10 ** 8
 # Entries (subsets x size x n) per block of validate_independence.
 _SUBSET_BLOCK = 1 << 16
@@ -198,7 +198,9 @@ class IndependenceReport:
 class Domain:
     """Canonically ordered set of distinct vectors in GF(q)^n, held as their
     index rows: indices is a read-only (size, n) array, and vectors decodes
-    them to VectorFq on first access, in the same order."""
+    them to VectorFq on first access, in the same order.  No attribute can
+    be rebound, since the cached vectors and independence report rest on
+    them all."""
 
     __slots__ = ("params", "n", "indices", "label", "_vectors", "_independence")
 
@@ -208,12 +210,12 @@ class Domain:
             raise ParameterError("a domain needs at least one vector")
         rows = _index_array(rows, rows.shape[1], params.q)
         order, fresh = _canonical_order(rows, params.q)
-        self.params = params
-        self.n = rows.shape[1]
-        self.indices = _read_only(rows[order[fresh]])
-        self.label = label
-        self._vectors = None
-        self._independence = None
+        for name, value in (("params", params), ("n", rows.shape[1]),
+                            ("indices", _read_only(rows[order[fresh]])), ("label", label),
+                            ("_vectors", None), ("_independence", None)):
+            object.__setattr__(self, name, value)
+
+    __setattr__ = __delattr__ = _refuse_write
 
     def __reduce__(self):
         return Domain, (self.params, self.indices, self.label)
@@ -222,8 +224,8 @@ class Domain:
     def vectors(self) -> tuple:
         """The domain as VectorFq, decoded from indices on first access."""
         if self._vectors is None:
-            self._vectors = tuple(VectorFq.from_index_tuple(self.params, row)
-                                  for row in self.indices.tolist())
+            object.__setattr__(self, "_vectors", tuple(VectorFq.from_index_tuple(self.params, row)
+                                                       for row in self.indices.tolist()))
         return self._vectors
 
     @property
@@ -257,7 +259,7 @@ class Domain:
         raises ResourceCapError, it never samples.
         """
         if self._independence is None:
-            self._independence = validate_independence(self)
+            object.__setattr__(self, "_independence", validate_independence(self))
         return self._independence
 
     def __repr__(self):
@@ -294,13 +296,11 @@ def validate_independence(domain: Domain) -> IndependenceReport:
     Subsets are visited in canonical order, so a refutation always reports
     the same witness.  They are ranked in blocks by _ranks: the first block
     is the first subset alone, the next ones hold up to _SUBSET_BLOCK
-    entries.  Raises ResourceCapError when the subset count exceeds
-    DEFAULT_MAX_SUBSETS, or their elimination work MAX_ELIMINATION_STEPS,
-    rather than degrading to a sample.
+    entries.  Raises ResourceCapError when their elimination work exceeds
+    MAX_ELIMINATION_STEPS, rather than degrading to a sample.
     """
     size = min(domain.n, domain.size)
     total = math.comb(domain.size, size)
-    check_cap("independence check", total, "subsets", DEFAULT_MAX_SUBSETS)
     check_cap("independence check", total * size * size * domain.n, "elimination steps",
               MAX_ELIMINATION_STEPS)
     subsets = itertools.chain.from_iterable(itertools.combinations(range(domain.size), size))

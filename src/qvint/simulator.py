@@ -340,9 +340,8 @@ def phase_query_check(domain: Domain, secret: VectorFq) -> bool:
     for start in range(0, len(shifts), step):
         block = shifts[start:start + step]
         stack = np.arange(len(block))[:, None]
-        permutations = np.zeros((len(block), q, q), dtype=np.complex128)
-        permutations[stack, add[:, block].T, columns] = 1.0
-        conjugated = fourier @ permutations @ fourier.conj().T
+        # fourier times the shift's permutation: column y is fourier's column y + s.v.
+        conjugated = np.moveaxis(fourier[:, add[:, block].T], 1, 0) @ fourier.conj().T
         conjugated[stack, columns, columns] -= chars[mul[block]]
         if np.abs(conjugated).max() > PHASE_QUERY_TOL:
             return False

@@ -358,6 +358,30 @@ class TestTransformCensus:
         assert sum(census.good_counts.values()) == v_good * y_good == 0
         assert second_moment_identity_check(dom, 25, census=census).equal
 
+    # Vandermonde GF(3) d=1 by hand: the line measure's transform is 9 at
+    # t = 0, 3 at the six t with t_2 != 0 and 0 elsewhere, so the count of
+    # x = (x_1, x_2) is 9^(k-1) + 3^(k-1) * c(x), c = 2 at x = 0, -1 at
+    # (0, 1) and (0, 2), 0 elsewhere.
+    @pytest.mark.parametrize("k,primes,dtype", ((1, 1, np.int64), (14, 2, np.int64),
+                                                (19, 3, np.int64), (20, 3, object),
+                                                (25, 4, object)))
+    def test_pinned_counts_across_prime_counts(self, k, primes, dtype):
+        dom = vandermonde(3, 1)
+        assert len(census_mod._transform_primes(dom, k)) == primes
+        census = transform_census(dom, k)
+        assert census.dense.dtype == dtype
+        pinned = [9 ** (k - 1) + 3 ** (k - 1) * c for c in (2, -1, -1, 0, 0, 0, 0, 0, 0)]
+        assert census.dense.tolist() == pinned
+
+    @pytest.mark.parametrize("engine", (enumerate_census, transform_census))
+    def test_attributes_are_read_only(self, engine):
+        census = engine(vandermonde(5, 1), 1)
+        census.dense_good, census.hit_tally
+        for name in ("domain", "k", "dense", "_good", "_hits"):
+            with pytest.raises(AttributeError):
+                setattr(census, name, 3)
+        assert census.total == 25 and census.k == 1
+
     def test_counts_past_the_walk_cap(self):
         # 25^7 = 6.1e9 tuples: the walk refuses, the transform is exact.
         dom = vandermonde(5, 3)

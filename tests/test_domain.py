@@ -223,6 +223,17 @@ class TestBuilders:
         with pytest.raises(ParameterError, match=r"indices must lie in \[0, 4\)"):
             pickle.loads(pickle.dumps(dom))
 
+    def test_attributes_are_read_only(self):
+        dom = build_vandermonde_domain(F5, 1)
+        assert dom.independence().status == "verified"
+        dependent = np.array([[1, 0], [2, 0], [3, 0]])
+        for name in ("params", "n", "indices", "label", "_vectors", "_independence"):
+            with pytest.raises(AttributeError, match=f"Domain.{name} is read-only"):
+                setattr(dom, name, dependent)
+            with pytest.raises(AttributeError, match=f"Domain.{name} is read-only"):
+                delattr(dom, name)
+        assert dom.size == 5 and dom.independence().status == "verified"
+
     def test_mixed_length_rejected(self):
         a = VectorFq.from_index_tuple(F3, (2, 1))
         c = VectorFq.from_index_tuple(F3, (2, 1, 0))
@@ -301,10 +312,18 @@ class TestIndependence:
         dom = build_vandermonde_domain(F3, 1)
         assert dom.independence() is dom.independence()
 
-    def test_subset_cap(self):
-        dom = build_monomial_domain(FieldParams(7), 2, 2)  # C(49, 6) subsets
-        with pytest.raises(ResourceCapError, match="subsets"):
+    def test_subset_count_trips_the_step_cap(self):
+        # C(49, 6) = 13983816 subsets of six vectors of length 6.
+        dom = build_monomial_domain(FieldParams(7), 2, 2)
+        with pytest.raises(ResourceCapError,
+                           match="independence check needs 3020504256 elimination steps"):
             validate_independence(dom)
+
+    def test_many_small_subsets_are_checked_in_full(self):
+        # C(1021, 2) = 520710 pairs: 520710 * 2^2 * 2 steps, under the step cap.
+        report = validate_independence(build_vandermonde_domain(FieldParams(1021), 1))
+        assert report.status == "verified"
+        assert (report.subset_size, report.subsets_checked) == (2, 520710)
 
     def test_elimination_cap(self):
         # One subset of all 32 vectors, but 32^2 * 100001 elimination steps.

@@ -32,7 +32,7 @@ floating point never enters here.
 """
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
 from typing import Callable, Optional
@@ -42,7 +42,7 @@ import numpy as np
 from .domain import (Domain, VectorFq, _canonical_order, _index_array, dot_rows,
                      flat_to_rows, rows_to_flat)
 from .errors import ContractError, ParameterError, check_cap, check_int
-from .field import FieldParams, _is_prime, _read_only
+from .field import FieldParams, _is_prime, _read_only, _reduce_through_init
 
 DEFAULT_MAX_TUPLES = 10 ** 8
 # Input tuples per expansion of the reference walk: a fixed budget keeps its
@@ -64,12 +64,6 @@ MAX_RESIDUES = 1 << 22
 # enumerate report prints stays within Python's 4300-digit limit on text.
 MAX_TRANSFORM_PRIMES = 128
 _INT64_LIMIT = 1 << 63
-
-
-def _reduce_through_init(self):
-    """__reduce__ of the census dataclasses: a copy or an unpickled object is
-    built by the constructor, so its checks run and its arrays are read-only."""
-    return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 @dataclass(frozen=True, eq=False)

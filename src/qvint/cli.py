@@ -282,20 +282,27 @@ def simulate(domain, mono_md, k, report, secret, trials, seed):
     if secret == "sweep" and trials:
         raise ParameterError("--secret sweep samples nothing; drop --trials")
     params = domain.params
-    simulator._check_state_size(params, domain.n)
+    codomain = simulator._check_state_size(params, domain.n)
+    # Every refusal of the request comes before the census.
+    if secret == "sweep":
+        check_cap("secret sweep", codomain, "secrets", SWEEP_MAX_SECRETS)
+    elif secret == "random":
+        secret_vector = vector_from_flat(params, domain.n, random.Random(seed).randrange(codomain))
+    else:
+        secret_vector = parse_vector(params, secret)
+        simulator._check_secret(params, domain.n, secret_vector)
+    check_cap("sampling", trials, "trials", simulator.MAX_TRIALS)
     census = census_mod.transform_census(domain, k)
     analytic = census.success_probability()
     report["config"].update(secret=secret, trials=trials, seed=seed)
     report["image_size"] = census.image_size
-    report["codomain_size"] = census.codomain_size
+    report["codomain_size"] = codomain
     report["analytic"] = {
         "success_probability": analytic,
         "success_probability_float": float(analytic),
     }
 
-    codomain = census.codomain_size
     if secret == "sweep":
-        check_cap("secret sweep", codomain, "secrets", SWEEP_MAX_SECRETS)
         error = max(abs(p - float(analytic))
                     for _, _, _, success in simulator._sweep(domain, k, census.transversal,
                                                              range(codomain))
@@ -307,11 +314,6 @@ def simulate(domain, mono_md, k, report, secret, trials, seed):
         }
         return error < 1e-9
 
-    if secret == "random":
-        secret_vector = vector_from_flat(params, domain.n,
-                                         random.Random(seed).randrange(codomain))
-    else:
-        secret_vector = parse_vector(params, secret)
     report["secret"] = list(secret_vector.index_tuple())
 
     state = simulator.run_algorithm(domain, k, census.transversal, secret_vector)

@@ -18,30 +18,33 @@ linearly independent (the hypothesis behind the pre-image dichotomy).
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ParameterError, check_cap, check_int
-from .field import FieldElement, FieldParams, _read_only, _refuse_write, parse_field_spec
+from .field import FieldElement, FieldParams, _read_only, _reduce_through_init, parse_field_spec
 
 MAX_DOMAIN_VECTORS = 1 << 20
 # Vectors times coordinates; wide domains pass the vector cap but not this.
 MAX_DOMAIN_ENTRIES = 1 << 22
-# Subsets x size^2 x n, the one cap on validate_independence's work: _ranks
-# takes 10-90 ns a step, so a few seconds at the cap.
+# Subsets x size^2 x n, the one cap on validate_independence's work, checked
+# against the work done as it goes: _ranks takes 10-90 ns a step, so a few
+# seconds at the cap.
 MAX_ELIMINATION_STEPS = 10 ** 8
 # Entries (subsets x size x n) per block of validate_independence.
 _SUBSET_BLOCK = 1 << 16
 
 
+@dataclass(frozen=True, slots=True)
 class VectorFq:
     """Fixed-length vector over one field; immutable once built."""
 
-    __slots__ = ("entries",)
+    entries: tuple
 
-    def __init__(self, entries):
-        entries = tuple(entries)
+    def __post_init__(self):
+        entries = tuple(self.entries)
         if not entries:
             raise ParameterError("vectors must have at least one coordinate")
         params = entries[0].params
@@ -50,10 +53,7 @@ class VectorFq:
                 raise ParameterError("all coordinates must come from the same field")
         object.__setattr__(self, "entries", entries)
 
-    __setattr__ = __delattr__ = _refuse_write
-
-    def __reduce__(self):
-        return VectorFq, (self.entries,)
+    __reduce__ = _reduce_through_init
 
     @property
     def params(self) -> FieldParams:
@@ -78,12 +78,6 @@ class VectorFq:
 
     def __getitem__(self, i):
         return self.entries[i]
-
-    def __eq__(self, other):
-        return isinstance(other, VectorFq) and self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
 
     def __repr__(self):
         return f"VectorFq{self.index_tuple()}"
@@ -195,6 +189,7 @@ class IndependenceReport:
     witness: tuple | None  # offending vectors when refuted
 
 
+@dataclass(frozen=True, eq=False)
 class Domain:
     """Canonically ordered set of distinct vectors in GF(q)^n, held as their
     index rows: indices is a read-only (size, n) array, and vectors decodes
@@ -202,31 +197,27 @@ class Domain:
     be rebound, since the cached vectors and independence report rest on
     them all."""
 
-    __slots__ = ("params", "n", "indices", "label", "_vectors", "_independence")
+    params: FieldParams
+    indices: np.ndarray
+    label: str = "explicit"
+    n: int = field(init=False)
 
-    def __init__(self, params: FieldParams, indices, label: str = "explicit"):
-        rows = np.asarray(indices, dtype=np.intp)
+    def __post_init__(self):
+        rows = np.asarray(self.indices, dtype=np.intp)
         if rows.ndim != 2 or rows.size == 0:
             raise ParameterError("a domain needs at least one vector")
-        rows = _index_array(rows, rows.shape[1], params.q)
-        order, fresh = _canonical_order(rows, params.q)
-        for name, value in (("params", params), ("n", rows.shape[1]),
-                            ("indices", _read_only(rows[order[fresh]])), ("label", label),
-                            ("_vectors", None), ("_independence", None)):
-            object.__setattr__(self, name, value)
+        rows = _index_array(rows, rows.shape[1], self.params.q)
+        order, fresh = _canonical_order(rows, self.params.q)
+        object.__setattr__(self, "indices", _read_only(rows[order[fresh]]))
+        object.__setattr__(self, "n", rows.shape[1])
 
-    __setattr__ = __delattr__ = _refuse_write
+    __reduce__ = _reduce_through_init
 
-    def __reduce__(self):
-        return Domain, (self.params, self.indices, self.label)
-
-    @property
+    @cached_property
     def vectors(self) -> tuple:
         """The domain as VectorFq, decoded from indices on first access."""
-        if self._vectors is None:
-            object.__setattr__(self, "_vectors", tuple(VectorFq.from_index_tuple(self.params, row)
-                                                       for row in self.indices.tolist()))
-        return self._vectors
+        return tuple(VectorFq.from_index_tuple(self.params, row)
+                     for row in self.indices.tolist())
 
     @property
     def size(self) -> int:
@@ -258,9 +249,11 @@ class Domain:
         The result is cached; the check either finishes exhaustively or
         raises ResourceCapError, it never samples.
         """
-        if self._independence is None:
-            object.__setattr__(self, "_independence", validate_independence(self))
         return self._independence
+
+    @cached_property
+    def _independence(self) -> IndependenceReport:
+        return validate_independence(self)
 
     def __repr__(self):
         return f"Domain({self.label}, q={self.params.q}, n={self.n}, size={self.size})"
@@ -296,16 +289,19 @@ def validate_independence(domain: Domain) -> IndependenceReport:
     Subsets are visited in canonical order, so a refutation always reports
     the same witness.  They are ranked in blocks by _ranks: the first block
     is the first subset alone, the next ones hold up to _SUBSET_BLOCK
-    entries.  Raises ResourceCapError when their elimination work exceeds
-    MAX_ELIMINATION_STEPS, rather than degrading to a sample.
+    entries.  Before each block the elimination work done so far is checked
+    against MAX_ELIMINATION_STEPS: a domain refuted early is refuted however
+    many subsets it has, and one whose next block would pass the cap raises
+    ResourceCapError on the total work, rather than degrading to a sample.
     """
     size = min(domain.n, domain.size)
-    total = math.comb(domain.size, size)
-    check_cap("independence check", total * size * size * domain.n, "elimination steps",
-              MAX_ELIMINATION_STEPS)
+    total, steps = math.comb(domain.size, size), size * size * domain.n
     subsets = itertools.chain.from_iterable(itertools.combinations(range(domain.size), size))
     checked, block = 0, 1
     while checked < total:
+        if (checked + block) * steps > MAX_ELIMINATION_STEPS:  # raises if total passes it
+            check_cap("independence check", total * steps, "elimination steps",
+                      MAX_ELIMINATION_STEPS)
         chunk = np.fromiter(itertools.islice(subsets, block * size), dtype=np.intp)
         chunk = chunk.reshape(-1, size)
         deficient = np.flatnonzero(_ranks(domain.indices[chunk], domain.params) < size)

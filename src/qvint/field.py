@@ -19,6 +19,7 @@ import cmath
 import functools
 import itertools
 import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -131,11 +132,14 @@ def _table(build):
     return table
 
 
-def _refuse_write(self, name, *value):
-    """__setattr__ and __delattr__ of a value type whose hash rests on its slots."""
-    raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+def _reduce_through_init(self):
+    """__reduce__ of the value dataclasses: a copy or an unpickled object is
+    built by the constructor from its init fields, so its checks run, its
+    arrays are read-only and its caches start empty."""
+    return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
 
+@dataclass(frozen=True, slots=True)
 class FieldParams:
     """Immutable description of GF(p^r), shared by every element of the field.
 
@@ -145,9 +149,14 @@ class FieldParams:
     lazily on first use and cached; the numpy tables are read-only.
     """
 
-    __slots__ = ("p", "r", "q", "modulus", "_tables")
+    p: int
+    r: int = 1
+    modulus: tuple = None
+    q: int = field(init=False, compare=False)
+    _tables: dict = field(init=False, compare=False, repr=False, default_factory=dict)
 
-    def __init__(self, p: int, r: int = 1, modulus=None):
+    def __post_init__(self):
+        p, r, modulus = self.p, self.r, self.modulus
         if not isinstance(p, int) or not _is_prime(p):
             raise ParameterError(f"characteristic must be a prime integer, got {p!r}")
         check_int("extension degree", r, 1)
@@ -165,28 +174,11 @@ class FieldParams:
                 raise ParameterError("modulus must be monic")
             if r > 1 and not _is_irreducible(modulus, p):
                 raise ParameterError(f"modulus {modulus} is reducible over GF({p})")
-        for name, value in (("p", p), ("r", r), ("q", q), ("modulus", modulus),
-                            ("_tables", {})):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "modulus", modulus)
 
-    __setattr__ = __delattr__ = _refuse_write
-
-    def __reduce__(self):
-        # Tables are rebuilt, read-only, on first use after unpickling.
-        return FieldParams, (self.p, self.r, self.modulus)
-
-    # -- identity ----------------------------------------------------------
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldParams)
-            and self.p == other.p
-            and self.r == other.r
-            and self.modulus == other.modulus
-        )
-
-    def __hash__(self):
-        return hash((self.p, self.r, self.modulus))
+    # Tables are rebuilt, read-only, on first use after unpickling.
+    __reduce__ = _reduce_through_init
 
     def __repr__(self):
         if self.r == 1:
@@ -285,20 +277,15 @@ class FieldParams:
         return self.character_table() / math.sqrt(self.q)
 
 
+@dataclass(frozen=True, slots=True)
 class FieldElement:
     """One element of GF(p^r) in the polynomial basis of its FieldParams;
     params and coeffs cannot be reassigned, as the hash depends on them."""
 
-    __slots__ = ("params", "coeffs")
+    params: FieldParams
+    coeffs: tuple
 
-    def __init__(self, params: FieldParams, coeffs: tuple):
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    __setattr__ = __delattr__ = _refuse_write
-
-    def __reduce__(self):
-        return FieldElement, (self.params, self.coeffs)
+    __reduce__ = _reduce_through_init
 
     def index(self) -> int:
         """Canonical integer index sum(c_i * p**i)."""
@@ -309,16 +296,6 @@ class FieldElement:
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldElement)
-            and self.params == other.params
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.coeffs, self.params.p, self.params.modulus))
 
     def __repr__(self):
         if self.params.r == 1:

@@ -1,10 +1,15 @@
 """The public surface: qvint.__all__ pinned, the oracle-only names gone from
-the package, and the test oracles kept apart from the kernels they check."""
+the package, the test oracles kept apart from the kernels they check, and
+one immutability rule for the value types."""
 
 import ast
+import copy
 import inspect
+import pickle
+from dataclasses import FrozenInstanceError, fields, is_dataclass
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qvint
@@ -82,3 +87,55 @@ def test_oracles_use_no_private_name_of_the_package():
     assert private_names("from qvint.simulator import _fourier_phases") == ["_fourier_phases"]
     assert private_names("import qvint._x") == ["_x"]
     assert private_names("from qvint import simulator\nsimulator._sweep") == ["_sweep"]
+
+
+def _value(name):
+    """A small instance of the value type name."""
+    f3 = qvint.FieldParams(3)
+    counts = qvint.transform_census(qvint.build_vandermonde_domain(f3, 1), 1)
+    return {
+        "FieldParams": qvint.FieldParams(3, 2),
+        "FieldElement": qvint.FieldParams(3, 2).from_index(4),
+        "VectorFq": qvint.VectorFq.from_index_tuple(f3, (1, 2)),
+        "Domain": counts.domain,
+        "PreimageCensus": counts,
+        "ImageSet": qvint.image_set(counts),
+        "Transversal": counts.transversal,
+    }[name]
+
+
+def _same(a, b) -> bool:
+    """Equal values: ==, same_as for a Domain, and field by field for the
+    census types, which compare by identity."""
+    if isinstance(a, qvint.Domain):
+        return a.same_as(b)
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b) and not b.flags.writeable
+    if is_dataclass(a) and type(a).__eq__ is object.__eq__:
+        return type(a) is type(b) and all(_same(getattr(a, f.name), getattr(b, f.name))
+                                          for f in fields(a) if f.init)
+    return a == b and hash(a) == hash(b)
+
+
+@pytest.mark.parametrize("name", ("FieldParams", "FieldElement", "VectorFq", "Domain",
+                                  "PreimageCensus", "ImageSet", "Transversal"))
+def test_value_types_share_one_immutability_rule(name):
+    value = _value(name)
+    kind = type(value)
+    assert kind.__name__ == name and is_dataclass(kind) and kind.__dataclass_params__.frozen
+    # One __reduce__ for all seven: each is rebuilt through its constructor.
+    assert kind.__reduce__ is qvint.PreimageCensus.__reduce__
+    assert kind.__reduce__.__name__ == "_reduce_through_init"
+    if name == "FieldParams":
+        value.add_rows(), value.trace_characters()
+    for f in fields(value):
+        before = getattr(value, f.name)
+        with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{f.name}'"):
+            setattr(value, f.name, before)
+        with pytest.raises(FrozenInstanceError, match=f"cannot delete field '{f.name}'"):
+            delattr(value, f.name)
+        assert getattr(value, f.name) is before
+    for back in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert back is not value and _same(value, back)
+        if name == "FieldParams":
+            assert back._tables == {} and value._tables

@@ -240,6 +240,27 @@ class TestSimulate:
         assert result.exit_code == 2, result.output
         assert "--secret sweep samples nothing; drop --trials" in result.output
 
+    @pytest.mark.parametrize("args,code,message", (
+        (["--field", "1021", "--vandermonde", "1", "--secret", "sweep"], 3,
+         "secret sweep needs 1042441 secrets, cap is 4096"),
+        (["--field", "31", "--vandermonde", "3", "--secret", "1,2"], 2,
+         "secret has length 2 over GF(31), state needs length 4 over GF(31)"),
+        (["--field", "31", "--vandermonde", "3", "--secret", "1,2,x,4"], 2,
+         "bad element token 'x'"),
+        (["--field", "31", "--vandermonde", "3", "--secret", "1,2,3,4",
+          "--trials", str(simulator.MAX_TRIALS + 1)], 3,
+         f"sampling needs {simulator.MAX_TRIALS + 1} trials"),
+    ), ids=("sweep-cap", "secret-length", "secret-token", "trials-cap"))
+    def test_request_is_refused_before_the_census(self, runner, monkeypatch, args, code,
+                                                  message):
+        def no_census(*args):
+            raise AssertionError("census built")
+
+        monkeypatch.setattr("qvint.census.transform_census", no_census)
+        result = runner.invoke(main, ["simulate", "--k", "1"] + args)
+        assert result.exit_code == code, result.output
+        assert message in result.output
+
 
 class TestDomainFiles:
     def test_enumerate_from_file(self, runner, tmp_path):

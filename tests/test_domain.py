@@ -1,6 +1,7 @@
 """Domain layer: builders, canonical order, zero-touching, independence, files."""
 
 import copy
+from dataclasses import FrozenInstanceError
 import itertools
 import pickle
 import random
@@ -227,10 +228,10 @@ class TestBuilders:
         dom = build_vandermonde_domain(F5, 1)
         assert dom.independence().status == "verified"
         dependent = np.array([[1, 0], [2, 0], [3, 0]])
-        for name in ("params", "n", "indices", "label", "_vectors", "_independence"):
-            with pytest.raises(AttributeError, match=f"Domain.{name} is read-only"):
+        for name in ("params", "n", "indices", "label", "vectors", "_independence"):
+            with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{name}'"):
                 setattr(dom, name, dependent)
-            with pytest.raises(AttributeError, match=f"Domain.{name} is read-only"):
+            with pytest.raises(FrozenInstanceError, match=f"cannot delete field '{name}'"):
                 delattr(dom, name)
         assert dom.size == 5 and dom.independence().status == "verified"
 
@@ -312,12 +313,32 @@ class TestIndependence:
         dom = build_vandermonde_domain(F3, 1)
         assert dom.independence() is dom.independence()
 
-    def test_subset_count_trips_the_step_cap(self):
-        # C(49, 6) = 13983816 subsets of six vectors of length 6.
-        dom = build_monomial_domain(FieldParams(7), 2, 2)
+    def test_subset_count_trips_the_step_cap(self, monkeypatch):
+        # C(7, 3) = 35 subsets of three vectors of length 3, 27 steps each:
+        # 945 in all, over a cap of 500.  Blocks of three subsets after the
+        # first one rank 16 subsets (432 steps); the next block would pass it.
+        monkeypatch.setattr(domain_mod, "MAX_ELIMINATION_STEPS", 500)
+        monkeypatch.setattr(domain_mod, "_SUBSET_BLOCK", 27)
+        ranked, ranks = [], domain_mod._ranks
+
+        def counted(stack, params):
+            ranked.append(len(stack))
+            return ranks(stack, params)
+
+        monkeypatch.setattr(domain_mod, "_ranks", counted)
+        dom = build_vandermonde_domain(FieldParams(7), 2)
         with pytest.raises(ResourceCapError,
-                           match="independence check needs 3020504256 elimination steps"):
+                           match="independence check needs 945 elimination steps, cap is 500"):
             validate_independence(dom)
+        assert sum(ranked) == 16
+
+    def test_early_refutation_is_found_past_the_step_cap(self):
+        # C(49, 6) = 13983816 subsets of six vectors of length 6, 3020504256
+        # steps in all, but the first six points, second coordinate 0, span 3.
+        report = validate_independence(build_monomial_domain(FieldParams(7), 2, 2))
+        assert (report.status, report.subset_size, report.subsets_checked) == ("refuted", 6, 1)
+        rows = [v.index_tuple() for v in report.witness]
+        assert all(row[1] == 0 for row in rows) and mod_p_rank(rows, 7) == 3
 
     def test_many_small_subsets_are_checked_in_full(self):
         # C(1021, 2) = 520710 pairs: 520710 * 2^2 * 2 steps, under the step cap.

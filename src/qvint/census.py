@@ -18,7 +18,8 @@ PreimageCensus with the same integers:
 * enumerate_census, the reference: it walks all (|V|*q)^k input tuples,
   sharing nothing with the DFT.  Each level adds every (vector, weight)
   pair's scaled row to a numpy block of partial sums at once, in blocks of
-  at most _WALK_BLOCK tuples.  verify and the tests hold the transform to it.
+  at most errors.BLOCK_ENTRIES tuples.  verify and the tests hold the
+  transform to it.
 
 The transversal of either is each target's first pre-image in walk order,
 i.e. the lexicographically smallest sequence of (vector position, weight
@@ -41,18 +42,10 @@ import numpy as np
 
 from .domain import (Domain, VectorFq, _canonical_order, _index_array, dot_rows,
                      flat_to_rows, rows_to_flat)
-from .errors import ContractError, ParameterError, check_cap, check_int
+from .errors import ContractError, ParameterError, blocks, check_cap, check_int
 from .field import FieldParams, _is_prime, _read_only, _reduce_through_init
 
 DEFAULT_MAX_TUPLES = 10 ** 8
-# Input tuples per expansion of the reference walk: a fixed budget keeps its
-# peak memory flat whatever the tuple count.
-_WALK_BLOCK = 1 << 16
-# Points t of GF(q)^n per vectorised pass of the direct hit tally.
-_DIRECT_BLOCK = 4096
-# Table entries (pairs times reachable points) per scatter of the transversal
-# picker.
-_SCATTER_BLOCK = 1 << 16
 # Transform primes lie in (2^25, 2^26): each exceeds every |V|*q a transform
 # census accepts, and a sum of p products of two residues fits in int64 for
 # every p <= 1021.
@@ -209,8 +202,8 @@ def enumerate_census(domain: Domain, k: int) -> PreimageCensus:
     at level j expands with numpy to the T*|V|*q sums of level j + 1, one per
     (vector, weight) pair, and carries the (T, j) positions used so far and
     a good flag: weight nonzero and position not used yet.  Expansions hold
-    at most _WALK_BLOCK tuples, so peak memory does not grow with k, and
-    each block of leaves is tallied in time proportional to the block.
+    at most errors.BLOCK_ENTRIES tuples, so peak memory does not grow with
+    k, and each block of leaves is tallied in time proportional to the block.
 
     Raises ResourceCapError (naming the tuple count) before starting if the
     walk would exceed DEFAULT_MAX_TUPLES, or if GF(q)^n has more than
@@ -232,11 +225,10 @@ def enumerate_census(domain: Domain, k: int) -> PreimageCensus:
     position, weight = np.divmod(np.arange(len(lines)), q)
     dense = np.zeros(q ** n, dtype=np.int64)
     dense_good = np.zeros(q ** n, dtype=np.int64)
-    step = max(1, _WALK_BLOCK // len(lines))  # sums per expansion
-    blocks = [(np.zeros((1, n), dtype=np.intp), np.zeros((1, 0), dtype=np.intp),
-               np.ones(1, dtype=bool))]
-    while blocks:
-        acc, used, good = blocks.pop()
+    stack = [(np.zeros((1, n), dtype=np.intp), np.zeros((1, 0), dtype=np.intp),
+              np.ones(1, dtype=bool))]
+    while stack:
+        acc, used, good = stack.pop()
         if used.shape[1] < k:
             acc = add[acc[:, None, :] * q + lines].reshape(-1, n)
             good = (good[:, None] & (weight != 0)
@@ -244,8 +236,8 @@ def enumerate_census(domain: Domain, k: int) -> PreimageCensus:
             if used.shape[1] + 1 < k:
                 used = np.concatenate((np.repeat(used, len(lines), axis=0),
                                        np.tile(position, len(used))[:, None]), axis=1)
-                blocks.extend((acc[i:i + step], used[i:i + step], good[i:i + step])
-                              for i in range(0, len(acc), step))
+                # Each block of sums expands to at most BLOCK_ENTRIES tuples.
+                stack.extend((acc[b], used[b], good[b]) for b in blocks(len(acc), len(lines)))
                 continue
         # A block of leaves, tallied in time proportional to the block.
         flat = rows_to_flat(acc, q)
@@ -305,8 +297,8 @@ def _direct_hit_tally(domain: Domain) -> np.ndarray:
     codomain = params.q ** n
     check_cap("direct hit tally", codomain * domain.size, "dot products", DEFAULT_MAX_TUPLES)
     tally = np.zeros(domain.size + 1, dtype=np.int64)
-    for start in range(0, codomain, _DIRECT_BLOCK):
-        block = flat_to_rows(np.arange(start, min(start + _DIRECT_BLOCK, codomain)), params.q, n)
+    for b in blocks(codomain, n):
+        block = flat_to_rows(np.arange(b.start, b.stop), params.q, n)
         hits = sum((dot_rows(params, v, block) == 0).astype(np.intp) for v in domain.indices)
         tally += np.bincount(hits, minlength=domain.size + 1)
     return _read_only(tally)
@@ -375,19 +367,22 @@ def _dft(values: np.ndarray, p: int, axes: int, ell: int, *,
          inverse: bool = False) -> np.ndarray:
     """Length-p DFT modulo ell along every axis of a flat array of p^axes
     residues, first axis most significant; the inverse includes the factor
-    p^(-axes).  Entries are below ell < 2^26, so a row of p products fits int64."""
+    p^(-axes).  Entries are below ell < 2^26, so a row of p products fits int64.
+    Two int64 buffers take turns as input and output of the axis passes, so
+    an int64 values array may be overwritten: pass one the caller discards."""
     # Any g^((ell-1)/p) other than 1 is a primitive p-th root of unity.
     root = next(r for r in (pow(g, (ell - 1) // p, ell) for g in range(2, ell)) if r != 1)
-    if inverse:
-        root = pow(root, -1, ell)
-    powers = np.array([pow(root, e, ell) for e in range(p)], dtype=np.int64)
+    # The inverse's factor p^(-axes) is p^(-1) per axis, folded into the kernel.
+    root, scale = (pow(root, -1, ell), pow(p, -1, ell)) if inverse else (root, 1)
+    powers = np.array([pow(root, e, ell) * scale % ell for e in range(p)], dtype=np.int64)
     kernel = powers[np.outer(np.arange(p), np.arange(p)) % p]
     arr = np.asarray(values, dtype=np.int64)
+    spare = np.empty_like(arr)
     for axis in range(axes):
-        # A view that puts this axis in the middle: no transposed copy.
-        arr = kernel @ arr.reshape(p ** axis, p, -1) % ell
-    arr = arr.reshape(-1)
-    return arr * pow(p ** axes, -1, ell) % ell if inverse else arr
+        # Views that put this axis in the middle: no transposed copy.
+        np.matmul(kernel, arr.reshape(p ** axis, p, -1), out=spare.reshape(p ** axis, p, -1))
+        arr, spare = np.remainder(spare, ell, out=spare), arr
+    return arr
 
 
 def _pick_transversal(census: PreimageCensus) -> "Transversal":
@@ -443,9 +438,8 @@ def _first_pairs_by_table(add, q, lines, reachable, remainders) -> np.ndarray:
     least pair index scattered onto each point, for blocks of pairs at once."""
     first = np.full(len(reachable), len(lines), dtype=np.intp)
     members = flat_to_rows(np.flatnonzero(reachable), q, lines.shape[1])
-    step = max(1, _SCATTER_BLOCK // len(members))
-    for start in range(0, len(lines), step):
-        block = np.arange(start, min(start + step, len(lines)))
+    for b in blocks(len(lines), len(members)):
+        block = np.arange(b.start, b.stop)
         targets = rows_to_flat(add[members, lines[block, None]], q)
         np.minimum.at(first, targets.reshape(-1), np.repeat(block, len(members)))
     return first[rows_to_flat(remainders, q)]

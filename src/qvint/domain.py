@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ParameterError, check_cap, check_int
+from .errors import ParameterError, block_size, check_cap, check_int
 from .field import FieldElement, FieldParams, _read_only, _reduce_through_init, parse_field_spec
 
 MAX_DOMAIN_VECTORS = 1 << 20
@@ -33,8 +33,6 @@ MAX_DOMAIN_ENTRIES = 1 << 22
 # against the work done as it goes: _ranks takes 10-90 ns a step, so a few
 # seconds at the cap.
 MAX_ELIMINATION_STEPS = 10 ** 8
-# Entries (subsets x size x n) per block of validate_independence.
-_SUBSET_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True, slots=True)
@@ -124,14 +122,15 @@ def flat_to_rows(flat, q: int, n: int) -> np.ndarray:
 def _canonical_order(rows, q: int):
     """(order, fresh) for an (m, n) array of index rows: a stable sort into
     canonical order, and whether each sorted row differs from the one before
-    it.  Sorts int64 flat indices where q^n has them, else np.lexsort on the
-    columns, so spaces past 2^63 points sort too."""
-    if q ** rows.shape[1] < 1 << 63:
-        order = np.argsort(rows_to_flat(rows, q), kind="stable")
-    else:
-        order = np.lexsort(rows.T[::-1])
+    it.  Each int64 key is the flat index of as many consecutive columns as
+    fit in 62 bits, so one np.lexsort over the keys sorts any space: one key
+    for all but the widest rows, and one all-zero key for rows of no column."""
+    per = 62 // (q - 1).bit_length()
+    keys = np.stack([rows_to_flat(rows[:, i:i + per], q)
+                     for i in range(0, max(rows.shape[1], 1), per)])
+    order = np.lexsort(keys[::-1])
     fresh = np.ones(len(rows), dtype=bool)
-    fresh[1:] = (np.diff(rows[order], axis=0) != 0).any(axis=1)
+    fresh[1:] = (np.diff(keys[:, order], axis=1) != 0).any(axis=0)
     return order, fresh
 
 
@@ -288,11 +287,12 @@ def validate_independence(domain: Domain) -> IndependenceReport:
 
     Subsets are visited in canonical order, so a refutation always reports
     the same witness.  They are ranked in blocks by _ranks: the first block
-    is the first subset alone, the next ones hold up to _SUBSET_BLOCK
-    entries.  Before each block the elimination work done so far is checked
-    against MAX_ELIMINATION_STEPS: a domain refuted early is refuted however
-    many subsets it has, and one whose next block would pass the cap raises
-    ResourceCapError on the total work, rather than degrading to a sample.
+    is the first subset alone, the next ones hold up to errors.BLOCK_ENTRIES
+    entries (subsets x size x n).  Before each block the elimination work
+    done so far is checked against MAX_ELIMINATION_STEPS: a domain refuted
+    early is refuted however many subsets it has, and one whose next block
+    would pass the cap raises ResourceCapError on the total work, rather
+    than degrading to a sample.
     """
     size = min(domain.n, domain.size)
     total, steps = math.comb(domain.size, size), size * size * domain.n
@@ -314,7 +314,7 @@ def validate_independence(domain: Domain) -> IndependenceReport:
                               for row in domain.indices[chunk[deficient[0]]].tolist()),
             )
         checked += len(chunk)
-        block = max(1, _SUBSET_BLOCK // (size * domain.n))
+        block = block_size(size * domain.n)
     return IndependenceReport(
         status="verified", subset_size=size, subsets_checked=checked, witness=None
     )
@@ -348,12 +348,14 @@ def build_vandermonde_domain(params: FieldParams, degree: int) -> Domain:
 
 
 def _power_table(params: FieldParams, degree: int) -> np.ndarray:
-    """(degree + 1, q) array whose [e, a] entry is the index of a^e, 0^0 = 1."""
-    mul = params.mul_rows()
-    powers = [np.ones(params.q, dtype=np.intp)]  # index 1 is the element 1
-    for _ in range(degree):
-        powers.append(mul[powers[-1], np.arange(params.q)])
-    return np.stack(powers)
+    """(degree + 1, q) array whose [e, a] entry is the index of a^e, 0^0 = 1.
+    Powers repeat with period q - 1 from e = 1 on (a^(q-1) = 1 for a != 0,
+    0^e = 0), so at most q rows are multiplied out and the rest gathered."""
+    q, mul = params.q, params.mul_rows()
+    powers = [np.ones(q, dtype=np.intp)]  # index 1 is the element 1
+    for _ in range(min(degree, q - 1)):
+        powers.append(mul[powers[-1], np.arange(q)])
+    return np.stack(powers)[np.concatenate(([0], np.arange(degree) % (q - 1) + 1))]
 
 
 def monomial_exponents(variables: int, degree: int) -> tuple:

@@ -1,4 +1,4 @@
-"""Shared exception types.
+"""Shared exception types, input checks and the one block budget.
 
 Three failure categories are kept apart so callers (and the command line
 layer) can map them to distinct exit codes:
@@ -12,6 +12,9 @@ layer) can map them to distinct exit codes:
   asked for a quantity whose hypotheses are not established.  Seeing one of
   these means either a bug or a misuse that would silently produce wrong
   numbers if allowed through.
+
+BLOCK_ENTRIES is the one budget every blocked array loop splits its work
+by, through block_size and blocks; patching it here re-blocks them all.
 """
 
 
@@ -38,6 +41,24 @@ def check_cap(stage: str, need: int, unit: str, cap: int) -> None:
         bits = need.bit_length()
         shown = need if bits <= 64 else f"at least 2^{bits - 1}"
         raise ResourceCapError(f"{stage} needs {shown} {unit}, cap is {cap}")
+
+
+# Entries per block of every blocked array loop in the package: one fixed
+# budget keeps peak memory flat whatever the count of items.  Not a limit:
+# it changes how work is split, never a result.
+BLOCK_ENTRIES = 1 << 14
+
+
+def block_size(width: int) -> int:
+    """Items of width entries each per block: BLOCK_ENTRIES // width, at least one."""
+    return max(1, BLOCK_ENTRIES // width)
+
+
+def blocks(count: int, width: int) -> list:
+    """Consecutive slices covering range(count) in order, block_size(width)
+    items each but the last."""
+    step = block_size(width)
+    return [slice(start, min(start + step, count)) for start in range(0, count, step)]
 
 
 def check_int(name: str, value, low: int) -> None:

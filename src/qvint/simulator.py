@@ -36,7 +36,7 @@ import numpy as np
 from .census import ImageSet, Transversal
 from .domain import (Domain, VectorFq, _canonical_order, dot_rows, flat_to_rows,
                      rows_to_flat, vector_from_flat)
-from .errors import ContractError, ParameterError, check_cap, check_int
+from .errors import ContractError, ParameterError, block_size, blocks, check_cap, check_int
 from .field import FieldParams
 
 DEFAULT_MAX_AMPLITUDES = 1 << 20
@@ -47,13 +47,6 @@ PHASE_QUERY_TOL = 1e-12
 # sample_outcomes draws in blocks, so its memory is flat in trials; this caps
 # its time, which is about 7 s at 10^8 trials.
 MAX_TRIALS = 10 ** 8
-# Draws per block of sample_outcomes, or q^n if that is more, so that counting
-# a block against the CDF stays linear in its draws.
-_DRAW_BLOCK = 1 << 16
-# Amplitudes (and kickbacks) per block of a batched sweep, and kernel entries
-# per block of phase_query_check: a fixed budget keeps peak memory flat
-# whatever the number of secrets or domain vectors.
-_SWEEP_BLOCK = 1 << 14
 
 
 def _check_state_size(params: FieldParams, n: int) -> int:
@@ -148,8 +141,8 @@ def run_algorithm(domain: Domain, k: int, transversal: Transversal,
 
 def _sweep(domain: Domain, k: int, transversal: Transversal, flats):
     """run_algorithm and success_probability for the secrets at flat indices
-    flats, in blocks of _SWEEP_BLOCK amplitudes (one secret per block when a
-    state alone holds more).  A block also holds at most _SWEEP_BLOCK
+    flats, in blocks of errors.BLOCK_ENTRIES amplitudes (one secret per block
+    when a state alone holds more).  A block also holds at most that many
     kickbacks, one per secret and (vector, weight) pair, which only a domain
     with more pairs than image points, such as one of collinear vectors,
     makes the tighter bound.
@@ -164,9 +157,8 @@ def _sweep(domain: Domain, k: int, transversal: Transversal, flats):
     _check_transversal(domain, k, transversal)
     params, n = domain.params, domain.n
     scale = 1.0 / math.sqrt(transversal.size)
-    step = max(1, _SWEEP_BLOCK // max(transversal.size, domain.size * params.q))
-    for start in range(0, len(flats), step):
-        secrets = flat_to_rows(flats[start:start + step], params.q, n)
+    for b in blocks(len(flats), max(transversal.size, domain.size * params.q)):
+        secrets = flat_to_rows(flats[b], params.q, n)
         amplitudes = _query_phases(domain, transversal, secrets) * scale
         fourier = _fourier_phases(params, secrets, transversal.keys)
         # vdot on contiguous rows, as in success_probability, keeps every bit.
@@ -270,8 +262,9 @@ def sample_outcomes(dist: OutcomeDistribution, trials: int, seed: int) -> Sample
     cumulative probability exceeds it, or the last outcome.  Python keeps
     that stream the same across versions, so the counts depend only on
     (distribution, trials, seed).  The draws come in sorted blocks of
-    _DRAW_BLOCK (or q^n), counted against the CDF by one binary search per
-    outcome, so memory does not grow with trials.
+    errors.BLOCK_ENTRIES (or q^n, so that counting a block against the CDF
+    stays linear in its draws), counted by one binary search per outcome,
+    so memory does not grow with trials.
     """
     check_int("trials", trials, 1)
     # random.Random would hash a float, str or bool seed without complaint.
@@ -279,7 +272,7 @@ def sample_outcomes(dist: OutcomeDistribution, trials: int, seed: int) -> Sample
     check_cap("sampling", trials, "trials", MAX_TRIALS)
     rng = random.Random(seed)
     cdf = np.cumsum(dist.probs)[:-1]
-    block = max(_DRAW_BLOCK, len(dist.probs))
+    block = max(block_size(1), len(dist.probs))
     tallies = np.zeros(len(dist.probs), dtype=np.int64)
     for start in range(0, trials, block):
         draws = np.sort(_uniforms(rng, min(block, trials - start)))
@@ -335,10 +328,9 @@ def phase_query_check(domain: Domain, secret: VectorFq) -> bool:
     mul = params.mul_rows()
     shifts = dot_rows(params, secret.index_tuple(), domain.indices)
     # Every shift's conjugation in one batched contraction per block.
-    step = max(1, _SWEEP_BLOCK // (q * q))
     columns = np.arange(q)
-    for start in range(0, len(shifts), step):
-        block = shifts[start:start + step]
+    for b in blocks(len(shifts), q * q):
+        block = shifts[b]
         stack = np.arange(len(block))[:, None]
         # fourier times the shift's permutation: column y is fourier's column y + s.v.
         conjugated = np.moveaxis(fourier[:, add[:, block].T], 1, 0) @ fourier.conj().T

@@ -1,6 +1,6 @@
 """The public surface: qvint.__all__ pinned, the oracle-only names gone from
-the package, the test oracles kept apart from the kernels they check, and
-one immutability rule for the value types."""
+the package, the test oracles kept apart from the kernels they check, one
+immutability rule for the value types and one block budget."""
 
 import ast
 import copy
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import qvint
-from qvint import census, simulator
+from qvint import census, errors, simulator
 
 PUBLIC_NAMES = [
     "ContractError", "Domain", "DomainStats", "FieldElement", "FieldParams", "ImageSet",
@@ -139,3 +139,24 @@ def test_value_types_share_one_immutability_rule(name):
         assert back is not value and _same(value, back)
         if name == "FieldParams":
             assert back._tables == {} and value._tables
+
+
+def test_blocks_cover_the_count_in_order(monkeypatch):
+    monkeypatch.setattr(errors, "BLOCK_ENTRIES", 12)
+    # Three items of width 4 per block, the last block partial.
+    assert errors.blocks(10, 4) == [slice(0, 3), slice(3, 6), slice(6, 9), slice(9, 10)]
+    assert errors.blocks(6, 4) == [slice(0, 3), slice(3, 6)]
+    # An item wider than the budget still makes a block of its own.
+    assert errors.blocks(3, 13) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+    assert errors.blocks(0, 4) == []
+    assert [errors.block_size(w) for w in (1, 5, 12, 13)] == [12, 2, 1, 1]
+
+
+def test_one_module_reads_the_block_budget():
+    # Blocked loops go through errors.block_size and errors.blocks, so
+    # patching errors.BLOCK_ENTRIES re-blocks every one of them.
+    package = Path(qvint.__file__).parent
+    readers = sorted(path.name for path in package.glob("*.py")
+                     if any(getattr(node, "id", getattr(node, "attr", None)) == "BLOCK_ENTRIES"
+                            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))))
+    assert readers == ["errors.py"]

@@ -16,6 +16,7 @@ import pytest
 
 from oracles import linear_combination, transversal_pairs
 from qvint import census as census_mod
+from qvint import errors
 from qvint.census import (ImageSet, chebyshev_zero_bound, enumerate_census,
                           good_set_sizes, image_set, image_size_lower_bound,
                           second_moment_identity_check, transform_census)
@@ -230,7 +231,7 @@ class TestBlockedWalk:
         # time; the 9 sums of level 1 then split mid-block.
         dom = vandermonde(3, 1)
         expected = [enumerate_census(dom, k) for k in range(5)]
-        monkeypatch.setattr(census_mod, "_WALK_BLOCK", block)
+        monkeypatch.setattr(errors, "BLOCK_ENTRIES", block)
         for k, want in enumerate(expected):
             got = enumerate_census(dom, k)
             assert np.array_equal(got.dense, want.dense)
@@ -604,7 +605,7 @@ class TestTransversal:
         add = params.add_rows()
         lines = params.mul_rows()[:, dom.indices].transpose(1, 0, 2).reshape(-1, n)
         every_point = flat_to_rows(np.arange(q ** n), q, n)
-        monkeypatch.setattr(census_mod, "_SCATTER_BLOCK", block)
+        monkeypatch.setattr(errors, "BLOCK_ENTRIES", block)
         for density in (0.05, 0.5, 1.0):
             reachable = rng.random(q ** n) < density
             reachable[0] = True

@@ -11,6 +11,7 @@ import pytest
 
 from oracles import field_element_rank, independence_walk, linear_combination
 from qvint import domain as domain_mod
+from qvint import errors
 from qvint.domain import (Domain, VectorFq, build_explicit_domain,
                           build_monomial_domain, build_vandermonde_domain,
                           dot, monomial_exponents, parse_vector,
@@ -175,7 +176,8 @@ class TestBuilders:
     @pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9))
     def test_rows_match_field_element_arithmetic(self, q):
         params = parse_field_spec(str(q))
-        for d in (1, 2, 3):
+        # Degree 2q + 1 wraps the powers past a^(q-1) twice.
+        for d in (1, 2, 3, 2 * q + 1):
             rows = sorted(tuple((x ** e).index() for e in range(d + 1))
                           for x in params.elements())
             assert build_vandermonde_domain(params, d).indices.tolist() == [
@@ -194,8 +196,12 @@ class TestBuilders:
             assert build_monomial_domain(params, m, d).indices.tolist() == [
                 list(row) for row in sorted(rows)]
 
-    # GF(2)^70 and GF(3)^40 have more points than an int64 flat index can number.
-    @pytest.mark.parametrize("q,n", ((2, 1), (3, 4), (5, 3), (1021, 2), (2, 70), (3, 40)))
+    # GF(2)^70 and GF(3)^40 have more points than an int64 flat index can number;
+    # the last six sit on either side of a key's 62-bit packing: 62 columns of
+    # GF(2), 12 of GF(32) and 6 of GF(1021) fill one key.
+    @pytest.mark.parametrize("q,n", ((2, 1), (3, 4), (5, 3), (1021, 2), (2, 70), (3, 40),
+                                     (2, 62), (2, 63), (2, 125), (32, 13), (1021, 6),
+                                     (1021, 7)))
     def test_dedup_matches_numpy_unique(self, q, n):
         rng = np.random.default_rng(q * 10 + n)
         rows = rng.integers(0, q, size=(60, n))
@@ -297,7 +303,7 @@ class TestIndependence:
     @pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9, 16, 25))
     def test_matches_the_subset_walk(self, monkeypatch, q, block):
         if block:
-            monkeypatch.setattr(domain_mod, "_SUBSET_BLOCK", block)
+            monkeypatch.setattr(errors, "BLOCK_ENTRIES", block)
         params, rng = parse_field_spec(str(q)), random.Random(q * 2 + bool(block))
         statuses = set()
         for _ in range(30):
@@ -318,7 +324,7 @@ class TestIndependence:
         # 945 in all, over a cap of 500.  Blocks of three subsets after the
         # first one rank 16 subsets (432 steps); the next block would pass it.
         monkeypatch.setattr(domain_mod, "MAX_ELIMINATION_STEPS", 500)
-        monkeypatch.setattr(domain_mod, "_SUBSET_BLOCK", 27)
+        monkeypatch.setattr(errors, "BLOCK_ENTRIES", 27)
         ranked, ranks = [], domain_mod._ranks
 
         def counted(stack, params):

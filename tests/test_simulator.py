@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from oracles import fourier_state, inner, norm, restricted_fourier_state
-from qvint import simulator
+from qvint import errors, simulator
 from qvint.census import (ImageSet, Transversal, enumerate_census, image_set,
                           transform_census)
 from qvint.domain import (Domain, VectorFq, build_vandermonde_domain, dot_rows,
@@ -261,7 +261,7 @@ class TestBatchedSweep:
         trans = enumerate_census(dom, k).transversal
         flats = range(params.q ** dom.n)
         blocks = list(simulator._sweep(dom, k, trans, flats))
-        step = simulator._SWEEP_BLOCK // trans.size
+        step = errors.BLOCK_ENTRIES // trans.size
         assert [len(secrets) for secrets, _, _, _ in blocks] == [
             min(step, len(flats) - start) for start in range(0, len(flats), step)]
         assert all(amplitudes.flags.c_contiguous for _, amplitudes, _, _ in blocks)
@@ -300,7 +300,7 @@ class TestBatchedSweep:
         dom = Domain(params, np.arange(1, 7)[:, None], "collinear")
         trans = transform_census(dom, 1).transversal
         assert trans.size == 7
-        monkeypatch.setattr(simulator, "_SWEEP_BLOCK", 84)
+        monkeypatch.setattr(errors, "BLOCK_ENTRIES", 84)
         blocks = list(simulator._sweep(dom, 1, trans, range(7)))
         assert [len(secrets) for secrets, _, _, _ in blocks] == [2, 2, 2, 1]
         keys = rows_to_flat(trans.keys, 7)
@@ -433,10 +433,11 @@ class TestSampling:
         with pytest.raises(ParameterError, match="seed must be an integer >= 0"):
             sample_outcomes(dist, 5, seed=seed)
 
-    @pytest.mark.parametrize("block", (1, 7, simulator._DRAW_BLOCK))
+    # 1 << 16 holds all 2000 draws in one block.
+    @pytest.mark.parametrize("block", (1, 7, 1 << 16))
     @pytest.mark.parametrize("seed", (0, 7, 20250815, 2 ** 40))
     def test_draws_are_the_stdlib_stream(self, monkeypatch, seed, block):
-        # One outcome, so each block holds exactly _DRAW_BLOCK draws.
+        # One outcome, so each block holds exactly BLOCK_ENTRIES draws.
         dist = OutcomeDistribution(params=F3, n=0, probs=np.ones(1))
         trials = 2000
         drawn = []
@@ -446,7 +447,7 @@ class TestSampling:
             drawn.append(uniforms(rng, count))
             return drawn[-1]
 
-        monkeypatch.setattr(simulator, "_DRAW_BLOCK", block)
+        monkeypatch.setattr(errors, "BLOCK_ENTRIES", block)
         monkeypatch.setattr(simulator, "_uniforms", spy)
         assert sample_outcomes(dist, trials, seed=seed).counts == {(): trials}
         assert [len(d) for d in drawn] == [min(block, trials - start)
@@ -480,8 +481,8 @@ class TestSampling:
         dist = outcome_distribution(
             run_algorithm(dom, 1, trans, VectorFq.from_index_tuple(F3, (1, 2))))
         reports = []
-        for block in (1, 7, 1000, simulator._DRAW_BLOCK):
-            monkeypatch.setattr(simulator, "_DRAW_BLOCK", block)
+        for block in (1, 7, 1000, errors.BLOCK_ENTRIES):
+            monkeypatch.setattr(errors, "BLOCK_ENTRIES", block)
             reports.append(sample_outcomes(dist, 5001, seed=20250815).counts)
         assert all(list(r.items()) == list(reports[0].items()) for r in reports)
         assert sum(reports[0].values()) == 5001
@@ -602,7 +603,7 @@ class TestPhaseQueryIdentity:
 
     def test_blocks_of_shifts(self, monkeypatch):
         # Two kernels per block over GF(7)'s seven domain vectors: 2, 2, 2, 1.
-        monkeypatch.setattr(simulator, "_SWEEP_BLOCK", 2 * 49 + 1)
+        monkeypatch.setattr(errors, "BLOCK_ENTRIES", 2 * 49 + 1)
         dom = build_vandermonde_domain(FieldParams(7), 1)
         for secret in all_secrets(dom.params, dom.n):
             assert phase_query_check(dom, secret)

@@ -1,114 +1,17 @@
-"""qvint: exact desk-scale toolkit for secret-vector interpolation over finite fields."""
+"""qvint: exact desk-scale toolkit for secret-vector interpolation over finite fields.
 
-from .census import (
-    ImageSet,
-    PreimageCensus,
-    SecondMomentCheck,
-    Transversal,
-    chebyshev_zero_bound,
-    enumerate_census,
-    good_set_sizes,
-    image_set,
-    image_size_lower_bound,
-    second_moment_identity_check,
-    transform_census,
-)
-from .complexity import (
-    InstanceClassification,
-    QueryPlan,
-    ReductionPlan,
-    classify_instance,
-    multivariate_query_bounds,
-    plan_bounded_error,
-    plan_high_probability,
-    univariate_reduction,
-)
-from .domain import (
-    Domain,
-    DomainStats,
-    IndependenceReport,
-    VectorFq,
-    build_explicit_domain,
-    build_monomial_domain,
-    build_vandermonde_domain,
-    dot,
-    monomial_exponents,
-    parse_vector,
-    read_domain_file,
-    validate_independence,
-    write_domain_file,
-)
-from .errors import ContractError, ParameterError, QvintError, ResourceCapError
-from .field import (
-    FieldElement,
-    FieldParams,
-    character_orthogonality_check,
-    parse_field_spec,
-    smallest_irreducible,
-)
-from .simulator import (
-    OutcomeDistribution,
-    SampleReport,
-    StateVector,
-    outcome_distribution,
-    phase_query_check,
-    run_algorithm,
-    sample_outcomes,
-    state_family_rank,
-    success_probability,
-)
+Each module declares its own public names in its __all__; the package
+re-exports them all."""
 
-__all__ = [
-    "ContractError",
-    "Domain",
-    "DomainStats",
-    "FieldElement",
-    "FieldParams",
-    "ImageSet",
-    "IndependenceReport",
-    "InstanceClassification",
-    "OutcomeDistribution",
-    "ParameterError",
-    "PreimageCensus",
-    "QueryPlan",
-    "QvintError",
-    "ReductionPlan",
-    "ResourceCapError",
-    "SampleReport",
-    "SecondMomentCheck",
-    "StateVector",
-    "Transversal",
-    "VectorFq",
-    "build_explicit_domain",
-    "build_monomial_domain",
-    "build_vandermonde_domain",
-    "character_orthogonality_check",
-    "chebyshev_zero_bound",
-    "classify_instance",
-    "dot",
-    "enumerate_census",
-    "good_set_sizes",
-    "image_set",
-    "image_size_lower_bound",
-    "monomial_exponents",
-    "multivariate_query_bounds",
-    "outcome_distribution",
-    "parse_field_spec",
-    "parse_vector",
-    "phase_query_check",
-    "plan_bounded_error",
-    "plan_high_probability",
-    "read_domain_file",
-    "run_algorithm",
-    "sample_outcomes",
-    "second_moment_identity_check",
-    "smallest_irreducible",
-    "state_family_rank",
-    "success_probability",
-    "transform_census",
-    "univariate_reduction",
-    "validate_independence",
-    "write_domain_file",
-]
+from . import census, complexity, domain, errors, field, simulator
+from .census import *
+from .complexity import *
+from .domain import *
+from .errors import *
+from .field import *
+from .simulator import *
+
+__all__ = sorted(name for module in (census, complexity, domain, errors, field, simulator)
+                 for name in module.__all__)
 
 __version__ = "0.1.0"

@@ -32,11 +32,18 @@ All counts are exact integers and all derived statistics are Fractions;
 floating point never enters here.
 """
 
+__all__ = [
+    "ImageSet", "PreimageCensus", "SecondMomentCheck", "Transversal", "chebyshev_zero_bound",
+    "enumerate_census", "good_set_sizes", "image_set", "image_size_lower_bound",
+    "second_moment_identity_check", "transform_census",
+]
+
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
-from typing import Callable, Optional
+from types import MappingProxyType
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 
@@ -70,8 +77,8 @@ class PreimageCensus:
     transform census builds them on first use.  _hits holds N(t): a transform
     census keeps it, a walk census builds it on first use.  All three arrays
     are read-only, and no attribute can be rebound.  counts and good_counts
-    are dict views of the nonzero entries keyed by element-index tuple, built
-    on first access.
+    are read-only mapping views of the nonzero entries keyed by element-index
+    tuple, built on first access.
 
     N is indexed by digit characters: N(t) counts the domain vectors v on
     whose line F*v the character with flat index t is trivial.  On a prime
@@ -133,19 +140,19 @@ class PreimageCensus:
         return _read_only(flat_to_rows(self._image, self.domain.params.q, self.domain.n))
 
     @cached_property
-    def counts(self) -> dict:
+    def counts(self) -> Mapping:
         return self._nonzero_view(self.dense)
 
     @cached_property
-    def good_counts(self) -> dict:
+    def good_counts(self) -> Mapping:
         return self._nonzero_view(self.dense_good)
 
-    def _nonzero_view(self, dense: np.ndarray) -> dict:
+    def _nonzero_view(self, dense: np.ndarray) -> Mapping:
         # Every nonzero count lies in the image, so only its points are read.
         values = dense[self._image]
         kept = values != 0
         keys = self.image_keys[kept].tolist()
-        return dict(zip(map(tuple, keys), values[kept].tolist()))
+        return MappingProxyType(dict(zip(map(tuple, keys), values[kept].tolist())))
 
     @property
     def total(self) -> int:
@@ -219,9 +226,7 @@ def enumerate_census(domain: Domain, k: int) -> PreimageCensus:
     check_cap("census", total, "tuples", DEFAULT_MAX_TUPLES)
     check_cap("census", q ** n, "points", MAX_RESIDUES)
 
-    add = params.add_rows().reshape(-1)
-    # lines[j * q + y] = y * v_j, one row per (vector, weight) pair in walk order.
-    lines = params.mul_rows()[:, domain.indices].transpose(1, 0, 2).reshape(-1, n)
+    add, lines = params.add_rows().reshape(-1), domain.lines
     position, weight = np.divmod(np.arange(len(lines)), q)
     dense = np.zeros(q ** n, dtype=np.int64)
     dense_good = np.zeros(q ** n, dtype=np.int64)
@@ -284,8 +289,7 @@ def _line_transform(domain: Domain) -> np.ndarray:
     measure modulo the largest transform prime, over q."""
     params, n = domain.params, domain.n
     ell = _transform_primes(domain, 1)[0]
-    scaled = params.mul_rows()[:, domain.indices].reshape(-1, n)
-    line_measure = np.bincount(rows_to_flat(scaled, params.q), minlength=params.q ** n)
+    line_measure = np.bincount(rows_to_flat(domain.lines, params.q), minlength=params.q ** n)
     return _read_only(_dft(line_measure, params.p, params.r * n, ell) // params.q)
 
 
@@ -407,11 +411,8 @@ def _pick_transversal(census: PreimageCensus) -> "Transversal":
     remainders = keys.copy()
     positions = np.zeros((len(keys), k), dtype=np.intp)
     weights = np.zeros((len(keys), k), dtype=np.intp)
-    add = params.add_rows()
-    negate = np.argmin(add, axis=1)  # add[x, negate[x]] is the zero index 0
-    # lines[j * q + y] = y * v_j, one row per pair in walk order; steps subtract it.
-    lines = params.mul_rows()[:, domain.indices].transpose(1, 0, 2).reshape(-1, n)
-    steps = negate[lines]
+    add, lines = params.add_rows(), domain.lines
+    steps = params.negations()[lines]  # -y*v_j: a step subtracts pair j*q + y
     for level in range(k):
         reachable = reach[k - 1 - level]
         size = int(np.count_nonzero(reachable))
@@ -518,11 +519,11 @@ class Transversal:
                                    ("positions", self.k, self.domain.size)):
             object.__setattr__(self, name, _index_array(getattr(self, name), width, bound))
         keys, positions, weights = self.keys, self.positions, self.weights
-        add, mul = self.domain.params.add_rows(), self.domain.params.mul_rows()
+        add, lines = self.domain.params.add_rows(), self.domain.lines
         # Combination map on every pre-image at once: z = sum_i y_i * v_i.
         z = np.zeros_like(keys)
         for i in range(self.k):
-            z = add[z, mul[weights[:, i, None], self.domain.indices[positions[:, i]]]]
+            z = add[z, lines[positions[:, i] * q + weights[:, i]]]
         bad = np.flatnonzero((z != keys).any(axis=1))
         if bad.size:
             key, got = keys[bad[0]].tolist(), z[bad[0]].tolist()

@@ -14,9 +14,15 @@ decision boundaries, where a floating-point log is one ulp away from the
 wrong answer.
 """
 
+__all__ = [
+    "InstanceClassification", "QueryPlan", "ReductionPlan", "classify_instance",
+    "multivariate_query_bounds", "plan_bounded_error", "plan_high_probability",
+    "univariate_reduction",
+]
+
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .domain import monomial_exponents
 from .errors import ContractError, ParameterError, check_int
@@ -147,14 +153,16 @@ class ReductionPlan:
     Variable i maps to x^(exponents[i-1]); a monomial with exponent tuple e
     maps to x^(sum e_i * exponents[i-1]).  The map is injective on all
     monomials of total degree <= degree (verified exhaustively), so the
-    reduced problem is univariate of degree reduced_degree.
+    reduced problem is univariate of degree reduced_degree.  monomial_image
+    is fixed by variables, degree and exponents, so equality and the hash
+    leave it out.
     """
 
     variables: int
     degree: int
     exponents: tuple
     reduced_degree: int
-    monomial_image: dict  # exponent tuple -> reduced exponent
+    monomial_image: dict = field(compare=False)  # exponent tuple -> reduced exponent
     suggested_k: int
     note: str
 

@@ -16,6 +16,12 @@ exhaustive verification that every small-enough subset of the domain is
 linearly independent (the hypothesis behind the pre-image dichotomy).
 """
 
+__all__ = [
+    "Domain", "DomainStats", "IndependenceReport", "VectorFq", "build_explicit_domain",
+    "build_monomial_domain", "build_vandermonde_domain", "dot", "monomial_exponents",
+    "parse_vector", "read_domain_file", "validate_independence", "write_domain_file",
+]
+
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -219,6 +225,15 @@ class Domain:
                      for row in self.indices.tolist())
 
     @property
+    def lines(self) -> np.ndarray:
+        """Every scaled vector y*v in walk order, read-only: lines[j*q + y] is
+        the index row of y*v_j, the weight at canonical index y.  Built on
+        each access, not cached: held for the domain's lifetime, its |V|*q*n
+        entries would raise the peak of every later census step."""
+        return _read_only(self.params.mul_rows()[:, self.indices].transpose(1, 0, 2)
+                          .reshape(-1, self.n))
+
+    @property
     def size(self) -> int:
         return len(self.indices)
 
@@ -264,10 +279,10 @@ def _ranks(stack, params: FieldParams) -> np.ndarray:
     rows above it, and clears its first nonzero column from the rows below."""
     q = params.q
     add, mul = params.add_rows(), params.mul_rows()
-    # Every table row is a permutation: one 0 in each add row, one 1 in each
-    # nonzero mul row; zero keeps the placeholder inverse 0.  negate and mul
-    # give q times their result, the row offset of the next flat lookup.
-    negate, inverse = add.argmin(axis=1) * q, (mul == 1).argmax(axis=1)
+    # Every nonzero mul row is a permutation with one 1; zero keeps the
+    # placeholder inverse 0.  negate and mul give q times their result, the
+    # row offset of the next flat lookup.
+    negate, inverse = params.negations() * q, (mul == 1).argmax(axis=1)
     add, mul = add.reshape(-1), mul.reshape(-1) * q
     rows = np.array(stack, dtype=np.intp)
     every = np.arange(len(rows))

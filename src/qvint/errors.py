@@ -17,6 +17,8 @@ BLOCK_ENTRIES is the one budget every blocked array loop splits its work
 by, through block_size and blocks; patching it here re-blocks them all.
 """
 
+__all__ = ["ContractError", "ParameterError", "QvintError", "ResourceCapError"]
+
 
 class QvintError(Exception):
     """Base class for all package-specific errors."""

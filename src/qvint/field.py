@@ -15,6 +15,9 @@ from the base-p digits of all q indices at once; FieldElement is the public
 element type and the reference those tables are tested against.
 """
 
+__all__ = ["FieldElement", "FieldParams", "character_orthogonality_check", "parse_field_spec",
+           "smallest_irreducible"]
+
 import cmath
 import functools
 import itertools
@@ -145,8 +148,11 @@ class FieldParams:
 
     p, r, q and modulus cannot be reassigned after construction, because the
     hash and every cached table depend on them.  Heavy derived data (q x q
-    add/mul tables, trace and character tables, the Fourier kernel) is built
-    lazily on first use and cached; the numpy tables are read-only.
+    add/mul tables, negations, trace and character tables) is built lazily on
+    first use and cached; the numpy tables are read-only.  The Fourier kernel
+    is not cached: fourier_matrix() builds a new writable array on each call
+    from the cached character_table(), so no second q x q complex table is
+    held.
     """
 
     p: int
@@ -242,18 +248,24 @@ class FieldParams:
         return sum(digits @ shifted[:, :, i] % p * p ** i for i in range(r))
 
     @_table
-    def trace_values(self) -> list:
+    def negations(self) -> np.ndarray:
+        """negations()[i] is the index of minus element i: every add row is a
+        permutation, whose one 0 (the zero index) sits at the negation."""
+        return self.add_rows().argmin(axis=1)
+
+    @_table
+    def trace_values(self) -> np.ndarray:
         """Absolute trace of every element, by canonical index; the trace is
         GF(p)-linear, so it is the digits against Tr(x^j)."""
         basis = [self.from_index(self.p ** j).trace() for j in range(self.r)]
-        return (self._digits() @ np.array(basis) % self.p).tolist()
+        return self._digits() @ np.array(basis) % self.p
 
     @_table
     def trace_products(self) -> np.ndarray:
         """trace_products()[a, b] is Tr(a * b), by canonical indices.  The
         trace is GF(p)-linear, so e(sum_i a_i * b_i) is
         trace_characters() at the sum of these entries, reduced mod p."""
-        return np.array(self.trace_values())[self.mul_rows()]
+        return self.trace_values()[self.mul_rows()]
 
     @_table
     def trace_characters(self) -> np.ndarray:
@@ -400,11 +412,9 @@ def character_orthogonality_check(params: FieldParams) -> bool:
     pair lands within ORTHOGONALITY_TOL of its exact target.
     """
     q = params.q
-    add = params.add_rows()
-    # sums[d] = sum_z e(z * d); negate[y] = -y, the y with add[y, -y] = 0.
+    # sums[d] = sum_z e(z * d), read at every d = x - y.
     sums = params.character_values()[params.mul_rows()].sum(axis=1)
-    negate = np.nonzero(add == 0)[1]
-    totals = sums[add[:, negate]]
+    totals = sums[params.add_rows()[:, params.negations()]]
     return bool(np.all(np.abs(totals - q * np.eye(q)) <= ORTHOGONALITY_TOL))
 
 

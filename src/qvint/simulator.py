@@ -27,6 +27,12 @@ applies run_algorithm's phase rule to blocks of secrets at once, decoding
 the transversal once per block instead of once per secret.
 """
 
+__all__ = [
+    "OutcomeDistribution", "SampleReport", "StateVector", "outcome_distribution",
+    "phase_query_check", "run_algorithm", "sample_outcomes", "state_family_rank",
+    "success_probability",
+]
+
 import math
 import random
 from dataclasses import dataclass

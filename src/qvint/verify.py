@@ -117,7 +117,7 @@ def _check_field_axioms(field, q):
 def _check_trace_character(field, q):
     params = field(q)
     add = params.add_rows()
-    traces = np.array(params.trace_values())
+    traces = params.trace_values()
     chars = params.character_values()
     for i, a in enumerate(params.elements()):
         if a.trace() != traces[i] or abs(a.character() - chars[i]) > 1e-9:
@@ -259,9 +259,9 @@ def _check_simulator(k, census_of):
     return pipeline, (ok, detail)
 
 
-def _check_phase_query(q):
-    params = parse_field_spec(str(q))
-    domain = build_vandermonde_domain(params, 1)
+def _check_phase_query(domain_of):
+    domain = domain_of()
+    params = domain.params
     for flat in range(params.q ** domain.n):
         secret = vector_from_flat(params, domain.n, flat)
         if not simulator.phase_query_check(domain, secret):
@@ -282,12 +282,11 @@ def _check_gram_rank(k, census_of):
     return True, f"rank {rank} = |image|, ceiling met with equality"
 
 
-def _check_sampling():
-    params = parse_field_spec("3")
-    domain = build_vandermonde_domain(params, 1)
-    census = census_mod.enumerate_census(domain, 1)
+def _check_sampling(census_of):
+    census = census_of()
+    params = census.domain.params
     secret = VectorFq.from_index_tuple(params, (1, 1))
-    state = simulator.run_algorithm(domain, 1, census.transversal, secret)
+    state = simulator.run_algorithm(census.domain, 1, census.transversal, secret)
     dist = simulator.outcome_distribution(state)
     first = simulator.sample_outcomes(dist, SAMPLING_TRIALS, seed=SAMPLING_SEED)
     second = simulator.sample_outcomes(dist, SAMPLING_TRIALS, seed=SAMPLING_SEED)
@@ -350,10 +349,9 @@ def _check_multivariate():
     return True, "bounds, references, and reductions all exact"
 
 
-def _check_monomial_shape():
-    params = parse_field_spec("3")
-    domain = build_monomial_domain(params, 2, 2)
-    q, m = 3, 2
+def _check_monomial_shape(domain_of):
+    domain = domain_of()
+    q, m = domain.params.q, 2
     closed_form = q ** m - (q - 1) ** m
     if domain.size != q ** m or domain.n != 6:
         return False, f"size {domain.size}, n {domain.n}"
@@ -363,9 +361,8 @@ def _check_monomial_shape():
     return True, f"|V| = {domain.size}, n = {domain.n}, |V_0| = {closed_form}"
 
 
-def _check_domain_roundtrip():
-    params = parse_field_spec("4")
-    domain = build_vandermonde_domain(params, 2)
+def _check_domain_roundtrip(domain_of):
+    domain = domain_of()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "domain.txt")
         write_domain_file(domain, path)
@@ -399,9 +396,13 @@ def run_all(quick: bool = False, corrupt_modulus: bool = False) -> list:
         results.extend(CheckResult(name, bool(ok), detail)
                        for name, (ok, detail) in zip(names, verdicts, strict=True))
 
-    # Fields and domains are built inside the boundary, by the first check
-    # that needs them, so a build error fails those checks' names alone.
+    # Fields, domains and walk censuses are built inside the boundary, each
+    # once per run by the first check that needs it, so a build error fails
+    # those checks' names alone.
     field = functools.cache(lambda q: parse_field_spec(str(q)))
+    domain_of = functools.cache(lambda build, q, *shape: build(field(q), *shape))
+    census_of = functools.cache(lambda build, q, shape, k: census_mod.enumerate_census(
+        domain_of(build, q, *shape), k))
     for q in QUICK_FIELDS if quick else CHECK_FIELDS:
         run(f"field-axioms-q{q}", _check_field_axioms, field, q)
         run(f"trace-character-q{q}", _check_trace_character, field, q)
@@ -413,29 +414,31 @@ def run_all(quick: bool = False, corrupt_modulus: bool = False) -> list:
                   for q, m, d, ks in (QUICK_MONOMIAL if quick else MONOMIAL_GRID)]
     gram_targets = {("vand-q3-d1", 1), ("vand-q5-d3", 2)}
     for label, build, q, shape, ks in instances:
-        # Each census is enumerated once, by the first check that asks for it.
-        domain = functools.cache(lambda build=build, q=q, shape=shape: build(field(q), *shape))
-        census_of = functools.cache(
-            lambda k, domain=domain: census_mod.enumerate_census(domain(), k))
+        domain = functools.partial(domain_of, build, q, *shape)
+        census_by_k = functools.partial(census_of, build, q, shape)
         # N(t) depends on the domain alone: one direct tally serves every k.
         direct_tally = functools.cache(
             lambda domain=domain: census_mod._direct_hit_tally(domain()))
         for k in ks:
-            run(f"census-totals-{label}-k{k}", _check_census_totals, k, census_of)
-            run(f"good-dichotomy-{label}-k{k}", _check_dichotomy, k, census_of)
-            run(f"second-moment-{label}-k{k}", _check_second_moment, k, census_of, direct_tally)
-            run(f"chebyshev-{label}-k{k}", _check_chebyshev, k, census_of)
+            run(f"census-totals-{label}-k{k}", _check_census_totals, k, census_by_k)
+            run(f"good-dichotomy-{label}-k{k}", _check_dichotomy, k, census_by_k)
+            run(f"second-moment-{label}-k{k}", _check_second_moment, k, census_by_k, direct_tally)
+            run(f"chebyshev-{label}-k{k}", _check_chebyshev, k, census_by_k)
             run((f"pipeline-equivalence-{label}-k{k}", f"success-probability-{label}-k{k}"),
-                _check_simulator, k, census_of)
+                _check_simulator, k, census_by_k)
             if (label, k) in gram_targets:
-                run(f"state-family-rank-{label}-k{k}", _check_gram_rank, k, census_of)
-        run(f"image-monotonicity-{label}", _check_monotonicity, ks, census_of)
+                run(f"state-family-rank-{label}-k{k}", _check_gram_rank, k, census_by_k)
+        run(f"image-monotonicity-{label}", _check_monotonicity, ks, census_by_k)
 
     for q in PHASE_CHECK_FIELDS:
-        run(f"phase-query-q{q}", _check_phase_query, q)
-    run("sampling-reproducibility", _check_sampling)
+        run(f"phase-query-q{q}", _check_phase_query,
+            functools.partial(domain_of, build_vandermonde_domain, q, 1))
+    run("sampling-reproducibility", _check_sampling,
+        functools.partial(census_of, build_vandermonde_domain, 3, (1,), 1))
     run("query-formula-sweep", _check_query_formulas, quick)
     run("multivariate-bounds", _check_multivariate)
-    run("monomial-domain-shape", _check_monomial_shape)
-    run("domain-file-roundtrip", _check_domain_roundtrip)
+    run("monomial-domain-shape", _check_monomial_shape,
+        functools.partial(domain_of, build_monomial_domain, 3, 2, 2))
+    run("domain-file-roundtrip", _check_domain_roundtrip,
+        functools.partial(domain_of, build_vandermonde_domain, 4, 2))
     return results

@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 
 import qvint
-from qvint import census, errors, simulator
+from qvint import census, complexity, domain, errors, field, simulator
+
+MODULES = (census, complexity, domain, errors, field, simulator)
 
 PUBLIC_NAMES = [
     "ContractError", "Domain", "DomainStats", "FieldElement", "FieldParams", "ImageSet",
@@ -35,6 +37,22 @@ PUBLIC_NAMES = [
 def test_all_is_pinned():
     assert qvint.__all__ == PUBLIC_NAMES
     assert all(hasattr(qvint, name) for name in PUBLIC_NAMES)
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda module: module.__name__)
+def test_each_module_declares_the_names_it_defines(module):
+    for name in module.__all__:
+        assert vars(module)[name].__module__ == module.__name__
+        assert getattr(qvint, name) is vars(module)[name]
+
+
+def test_public_names_are_the_union_of_the_modules():
+    assert sorted(name for module in MODULES for name in module.__all__) == PUBLIC_NAMES
+    # The package root re-exports them and names none itself.
+    source = Path(qvint.__file__).read_text(encoding="utf-8")
+    named = {getattr(node, "id", getattr(node, "value", None))
+             for node in ast.walk(ast.parse(source))}
+    assert named.isdisjoint(PUBLIC_NAMES)
 
 
 # Test oracles and lookups that no command or verify check runs; the

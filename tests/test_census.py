@@ -453,6 +453,19 @@ class TestTransformCensus:
                 array[array != 0] = 0
         assert census.image_size == FROZEN_IMAGE_SIZES[(5, 3, 2)]
 
+    def test_count_views_are_read_only(self):
+        walk = enumerate_census(vandermonde(4, 2), 2)
+        transform = transform_census(vandermonde(4, 2), 2)
+        zero = (0, 0, 0)
+        for view in (walk.counts, walk.good_counts, transform.counts, transform.good_counts):
+            before = view.get(zero)
+            with pytest.raises(TypeError):
+                view[zero] = 999
+            assert view.get(zero) == before
+        assert walk.counts == dict(walk.counts) and transform.counts == walk.counts
+        assert transform.good_counts == walk.good_counts
+        assert sum(walk.counts.values()) == walk.total
+
     def test_image_keys_follow_flat_order(self):
         census = transform_census(vandermonde(4, 2), 2)
         assert rows_to_flat(census.image_keys, 4).tolist() == np.flatnonzero(census.dense).tolist()

@@ -236,6 +236,13 @@ class TestUnivariateReduction:
         with pytest.raises(ParameterError):
             univariate_reduction(2, 0)
 
+    def test_equal_plans_hash_equal(self):
+        # monomial_image, a dict, is fixed by the other fields and left out.
+        a, b = univariate_reduction(2, 2), univariate_reduction(2, 2)
+        assert a == b and a is not b
+        assert hash(a) == hash(b)
+        assert len({a, b, univariate_reduction(2, 3)}) == 2
+
 
 class TestClassification:
     def test_high_match_takes_precedence(self):

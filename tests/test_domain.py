@@ -248,6 +248,25 @@ class TestBuilders:
             build_explicit_domain([a, c])
 
 
+@pytest.mark.parametrize("dom", (
+    build_vandermonde_domain(F5, 2), build_vandermonde_domain(F9, 2),
+    build_monomial_domain(F3, 2, 1), build_monomial_domain(F4, 1, 2),
+    Domain(F5, [[1, 2], [0, 3], [4, 4]]),
+    build_explicit_domain([VectorFq.from_index_tuple(F9, (1, 4, 8)),
+                           VectorFq.from_index_tuple(F9, (0, 2, 3))]),
+), ids=repr)
+def test_lines_are_every_scaled_vector_in_walk_order(dom):
+    params, q = dom.params, dom.params.q
+    lines = dom.lines
+    assert np.array_equal(
+        lines, params.mul_rows()[:, dom.indices].transpose(1, 0, 2).reshape(-1, dom.n))
+    # Row j*q + y is y * v_j, by element arithmetic.
+    assert lines.tolist() == [list(v.scale(y).index_tuple())
+                              for v in dom.vectors for y in params.elements()]
+    with pytest.raises(ValueError):
+        lines[0, 0] = 1
+
+
 class TestIndependence:
     def test_vandermonde_verified(self):
         for q, d in ((3, 1), (5, 3), (7, 3)):

@@ -238,7 +238,7 @@ class TestCanonicalOrder:
                 for b in elems:
                     assert add[a.index()][b.index()] == (a + b).index()
                     assert mul[a.index()][b.index()] == (a * b).index()
-            assert f.trace_values() == [a.trace() for a in elems]
+            assert f.trace_values().tolist() == [a.trace() for a in elems]
 
 
 class TestTraceAndCharacter:
@@ -318,8 +318,8 @@ class TestTraceTables:
         assert f.trace_products() is f.trace_products()
         assert f.trace_characters() is f.trace_characters()
 
-    @pytest.mark.parametrize("name", ("elements", "add_rows", "mul_rows", "trace_values",
-                                      "trace_products", "trace_characters",
+    @pytest.mark.parametrize("name", ("elements", "add_rows", "mul_rows", "negations",
+                                      "trace_values", "trace_products", "trace_characters",
                                       "character_values", "character_table"))
     def test_each_table_is_built_once(self, name):
         f = FieldParams(3, 2)
@@ -329,6 +329,20 @@ class TestTraceTables:
         if isinstance(table, np.ndarray):
             with pytest.raises(ValueError):
                 table[0] = table[1]
+
+    def test_trace_values_cannot_be_changed(self):
+        f = FieldParams(3, 2)
+        with pytest.raises(ValueError):
+            f.trace_values()[1] = 0
+        fresh = FieldParams(3, 2)
+        assert np.array_equal(f.trace_products(), fresh.trace_products())
+        assert np.array_equal(f.character_values(), fresh.character_values())
+        assert character_orthogonality_check(f)
+
+    @pytest.mark.parametrize("q", SMALL_FIELDS)
+    def test_negations_match_element_arithmetic(self, q):
+        f = params_for(q)
+        assert f.negations().tolist() == [(-e).index() for e in f.elements()]
 
     def test_trace_products_are_capped_like_the_tables(self):
         with pytest.raises(ResourceCapError, match="field table needs 2081 rows"):
@@ -341,6 +355,13 @@ class TestFourierKernel:
         f = params_for(q)
         m = f.fourier_matrix()
         assert np.max(np.abs(m @ m.conj().T - np.eye(q))) < 1e-12
+
+    def test_fourier_matrix_is_built_per_call(self):
+        # Only character_table() is cached; each kernel is a new writable array.
+        f = FieldParams(5)
+        first, second = f.fourier_matrix(), f.fourier_matrix()
+        assert first is not second and first.flags.writeable
+        assert np.array_equal(first, second)
 
     def test_character_table_entries(self):
         f = FieldParams(3)

@@ -611,10 +611,12 @@ def chebyshev_zero_bound(domain: Domain, k: int, *,
     return Fraction(_power_sum(tally, 2 * k) - scale, scale)  # t = 0 has N = |V|
 
 
-def _matching(domain: Domain, k: int, census: PreimageCensus) -> PreimageCensus:
-    if census.k != k or not census.domain.same_as(domain):
-        raise ParameterError("supplied census does not match (domain, k)")
-    return census
+def _matching(domain: Domain, k: int, built):
+    """built, a PreimageCensus or Transversal, when it was made for (domain,
+    k); else a ParameterError naming its kind."""
+    if built.k != k or not built.domain.same_as(domain):
+        raise ParameterError(f"supplied {type(built).__name__} does not match (domain, k)")
+    return built
 
 
 def _power_sum(tally: np.ndarray, exponent: int) -> int:

@@ -20,15 +20,14 @@ __all__ = [
     "univariate_reduction",
 ]
 
-import bisect
 import math
 from dataclasses import dataclass, field
 
 from .domain import monomial_exponents
 from .errors import ContractError, ParameterError, check_int
 
-# Plans beyond this are outside anything this package can enumerate anyway;
-# the loop guard exists to turn a logic bug into an error instead of a hang.
+# Plans beyond this are outside anything this package can enumerate anyway,
+# and their exact powers would run to millions of digits.
 _MAX_PLANNED_K = 10 ** 6
 
 LOW_REGIME_NOTE = (
@@ -58,30 +57,29 @@ def _least_k(ratio_num: int, ratio_den: int, target_num: int, target_den: int) -
     """Least k >= 1 with (ratio_num/ratio_den)^k >= target_num/target_den.
 
     All arguments are positive integers and the ratio must exceed 1, which the
-    callers guarantee; comparison is exact cross-multiplication.  The powers
-    grow with k, so doubling and then bisecting needs O(log k) comparisons.
-    A plan a logarithm bound already puts past _MAX_PLANNED_K is refused
-    before any power is formed, as those powers run to millions of digits.
+    callers guarantee.  k starts from the float estimate
+    log(target)/log(ratio), which is off the exact value by a sliver: a plan
+    it puts past _MAX_PLANNED_K + 1 is refused before any power is formed
+    (those powers run to millions of digits), and any other is settled by a
+    few exact cross-multiplied comparisons either side of it.
     """
     if ratio_num <= ratio_den:
         raise ContractError("power search needs a ratio strictly above 1")
-    # k >= log(target) / log(ratio).  Bit lengths understate log(target) by
-    # under two bits, and the margins dwarf float error, so this refuses only
-    # plans the exact search would refuse too.
-    target_bits = target_num.bit_length() - 1 - target_den.bit_length()
-    log_ratio = math.log1p((ratio_num - ratio_den) / ratio_den)
-    if target_bits * math.log(2) * (1 - 1e-9) > _MAX_PLANNED_K * log_ratio * (1 + 1e-9):
-        raise ContractError(f"query plan exceeded {_MAX_PLANNED_K}")
 
     def reached(k):
         return ratio_num ** k * target_den >= target_num * ratio_den ** k
 
-    high = 1
-    while high <= _MAX_PLANNED_K and not reached(high):
-        high *= 2
-    k = 1 + bisect.bisect_left(range(1, high + 1), True, key=reached)
+    # A ratio within 2^-1074 of 1 would round to a zero log; the least float
+    # keeps it positive, and the estimate is clipped before it can be inf.
+    log_ratio = math.log1p(max((ratio_num - ratio_den) / ratio_den, 5e-324))
+    log_target = math.log(target_num) - math.log(target_den)
+    k = max(1, math.ceil(min(log_target / log_ratio, _MAX_PLANNED_K + 2)))
+    while 1 < k <= _MAX_PLANNED_K + 1 and reached(k - 1):
+        k -= 1
+    while k <= _MAX_PLANNED_K and not reached(k):
+        k += 1
     if k > _MAX_PLANNED_K:
-        raise ContractError(f"query plan exceeded {_MAX_PLANNED_K} without converging")
+        raise ContractError(f"query plan exceeded {_MAX_PLANNED_K}")
     return k
 
 

@@ -74,15 +74,6 @@ class VectorFq:
     def from_index_tuple(cls, params: FieldParams, indices) -> "VectorFq":
         return cls(tuple(params.from_index(i) for i in indices))
 
-    def __len__(self):
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __getitem__(self, i):
-        return self.entries[i]
-
     def __repr__(self):
         return f"VectorFq{self.index_tuple()}"
 
@@ -481,26 +472,17 @@ def read_domain_file(path) -> Domain:
     lines = [line for line in raw if line and not line.startswith("#")]
     if not lines:
         raise ParameterError(f"domain file {path} is empty")
-    q = n = None
-    modulus = None
+    header = {}
     for token in lines[0].split():
         key, _, value = token.partition("=")
         if key not in ("q", "n", "modulus"):
             raise ParameterError(f"unknown header token {token!r} in {path}")
-        try:
-            if key == "q":
-                q = int(value)
-            elif key == "n":
-                n = int(value)
-            else:
-                modulus = tuple(int(c) for c in value.split(","))
-        except ValueError:
-            raise ParameterError(f"bad header token {token!r} in {path}") from None
-    if q is None or n is None:
-        raise ParameterError(f"domain file {path} must declare q= and n= in its header")
-    params = parse_field_spec(str(q))
-    if modulus is not None:
-        params = FieldParams(params.p, params.r, modulus=modulus)
+        header[key] = value
+    if "q" not in header or not header.get("n", "").isdigit():
+        raise ParameterError(f"domain file {path} needs q= and an integer n= in its header")
+    # q and modulus are the field spec q:modulus, with its rules and errors.
+    params = parse_field_spec(":".join(header[key] for key in ("q", "modulus") if key in header))
+    n = int(header["n"])
     _check_size("domain file", len(lines) - 1, n)
     rows = []
     index_of = {}  # token -> element index; each distinct token is parsed once

@@ -23,6 +23,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field, fields
+from types import MappingProxyType
 
 import numpy as np
 
@@ -138,8 +139,10 @@ def _table(build):
 def _reduce_through_init(self):
     """__reduce__ of the value dataclasses: a copy or an unpickled object is
     built by the constructor from its init fields, so its checks run, its
-    arrays are read-only and its caches start empty."""
-    return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
+    arrays and mappings are read-only and its caches start empty."""
+    values = (getattr(self, f.name) for f in fields(self) if f.init)
+    # A read-only mapping view is passed on as the dict it shows.
+    return type(self), tuple(dict(v) if isinstance(v, MappingProxyType) else v for v in values)
 
 
 @dataclass(frozen=True, slots=True)
@@ -194,7 +197,9 @@ class FieldParams:
     # -- element construction ----------------------------------------------
 
     def element(self, value: int) -> "FieldElement":
-        """The prime-subfield constant value mod p."""
+        """The prime-subfield constant value mod p; value must be a plain int."""
+        if type(value) is not int:
+            raise ParameterError(f"field constant must be an integer, got {value!r}")
         return FieldElement(self, (value % self.p,) + (0,) * (self.r - 1))
 
     def zero(self) -> "FieldElement":
@@ -204,7 +209,8 @@ class FieldParams:
         return FieldElement(self, (1,) + (0,) * (self.r - 1))
 
     def from_index(self, index: int) -> "FieldElement":
-        if not 0 <= index < self.q:
+        check_int("element index", index, 0)
+        if index >= self.q:
             raise ParameterError(f"index {index} out of range for GF({self.q})")
         coeffs = []
         for _ in range(self.r):
@@ -289,6 +295,22 @@ class FieldParams:
         return self.character_table() / math.sqrt(self.q)
 
 
+def _operator(method):
+    """The operand rule of FieldElement arithmetic: an int is the
+    prime-subfield constant, an element of another field is a
+    ParameterError, and anything else is NotImplemented."""
+    @functools.wraps(method)
+    def operator(self, other):
+        if isinstance(other, int):
+            other = self.params.element(other)
+        elif not isinstance(other, FieldElement):
+            return NotImplemented
+        elif other.params != self.params:
+            raise ParameterError("mixed-field arithmetic is not defined")
+        return method(self, other)
+    return operator
+
+
 @dataclass(frozen=True, slots=True)
 class FieldElement:
     """One element of GF(p^r) in the polynomial basis of its FieldParams;
@@ -314,19 +336,8 @@ class FieldElement:
             return f"GF({self.params.q}):{self.coeffs[0]}"
         return f"GF({self.params.q}):{self.coeffs}"
 
-    def _coerce(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.params != self.params:
-                raise ParameterError("mixed-field arithmetic is not defined")
-            return other
-        if isinstance(other, int):
-            return self.params.element(other)
-        return NotImplemented
-
+    @_operator
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         p = self.params.p
         return FieldElement(
             self.params,
@@ -339,22 +350,16 @@ class FieldElement:
         p = self.params.p
         return FieldElement(self.params, tuple((-a) % p for a in self.coeffs))
 
+    @_operator
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self + (-other)
 
+    @_operator
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return other + (-self)
 
+    @_operator
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         params = self.params
         prod = _poly_mul(self.coeffs, other.coeffs, params.p)
         return FieldElement(params, _poly_rem(prod, params.modulus, params.p))
@@ -367,10 +372,8 @@ class FieldElement:
         # a^(q-2) = a^(-1) in the multiplicative group of order q-1.
         return self ** (self.params.q - 2)
 
+    @_operator
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self * other.inverse()
 
     def __pow__(self, exponent: int):
@@ -413,7 +416,7 @@ def character_orthogonality_check(params: FieldParams) -> bool:
     """
     q = params.q
     # sums[d] = sum_z e(z * d), read at every d = x - y.
-    sums = params.character_values()[params.mul_rows()].sum(axis=1)
+    sums = params.character_table().sum(axis=1)
     totals = sums[params.add_rows()[:, params.negations()]]
     return bool(np.all(np.abs(totals - q * np.eye(q)) <= ORTHOGONALITY_TOL))
 
@@ -452,6 +455,6 @@ def parse_field_spec(text: str) -> FieldParams:
     while rem % p == 0:
         rem //= p
         r += 1
-    if rem != 1 or not _is_prime(p):
+    if rem != 1:
         raise ParameterError(f"{q} is not a prime power")
     return FieldParams(p, r, modulus=modulus)

@@ -36,14 +36,15 @@ __all__ = [
 import math
 import random
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
-from .census import ImageSet, Transversal
+from .census import ImageSet, Transversal, _matching
 from .domain import (Domain, VectorFq, _canonical_order, dot_rows, flat_to_rows,
                      rows_to_flat, vector_from_flat)
 from .errors import ContractError, ParameterError, block_size, blocks, check_cap, check_int
-from .field import FieldParams
+from .field import FieldParams, _read_only, _reduce_through_init
 
 DEFAULT_MAX_AMPLITUDES = 1 << 20
 # Float tolerances of outcome_distribution, state_family_rank, phase_query_check.
@@ -71,13 +72,31 @@ def _check_secret(params: FieldParams, n: int, secret: VectorFq):
         )
 
 
-@dataclass(eq=False)
+def _flat_copy(value, entries, dtype) -> np.ndarray:
+    """A read-only dtype copy of entries, one per point of GF(q)^n in
+    canonical flat order (value's params and n), else a ParameterError."""
+    check_int("vector length", value.n, 0)
+    array = np.array(entries, dtype=dtype)
+    size = value.params.q ** value.n
+    if array.shape != (size,):
+        raise ParameterError(f"GF({value.params.q})^{value.n} needs {size} entries, "
+                             f"got an array of shape {array.shape}")
+    return _read_only(array)
+
+
+@dataclass(frozen=True, eq=False)
 class StateVector:
-    """Complex amplitudes over GF(q)^n in canonical flat order."""
+    """Complex amplitudes over GF(q)^n in canonical flat order, held as a
+    read-only copy of exactly q^n entries."""
 
     params: FieldParams
     n: int
     amplitudes: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "amplitudes", _flat_copy(self, self.amplitudes, np.complex128))
+
+    __reduce__ = _reduce_through_init
 
 
 def _support_state(params, n, keys, phases) -> StateVector:
@@ -85,13 +104,6 @@ def _support_state(params, n, keys, phases) -> StateVector:
     amps = np.zeros(_check_state_size(params, n), dtype=np.complex128)
     amps[rows_to_flat(keys, params.q)] = phases * (1.0 / math.sqrt(len(keys)))
     return StateVector(params=params, n=n, amplitudes=amps)
-
-
-def _check_transversal(domain: Domain, k: int, transversal: Transversal):
-    if not transversal.domain.same_as(domain):
-        raise ParameterError("transversal was built for a different domain")
-    if transversal.k != k:
-        raise ParameterError(f"transversal is for k={transversal.k}, asked for k={k}")
 
 
 def _characters(params: FieldParams, totals: np.ndarray, terms: int) -> np.ndarray:
@@ -138,7 +150,7 @@ def run_algorithm(domain: Domain, k: int, transversal: Transversal,
     pre-image by its image point z, a bijection onto the image because the
     Transversal checked it when it was built.
     """
-    _check_transversal(domain, k, transversal)
+    _matching(domain, k, transversal)
     params = domain.params
     _check_secret(params, domain.n, secret)
     phases = _query_phases(domain, transversal, np.array([secret.index_tuple()]))
@@ -160,7 +172,7 @@ def _sweep(domain: Domain, k: int, transversal: Transversal, flats):
     probability.  When the keys are in canonical order, as a census picks
     them, every float equals the one-secret functions' bit for bit.
     """
-    _check_transversal(domain, k, transversal)
+    _matching(domain, k, transversal)
     params, n = domain.params, domain.n
     scale = 1.0 / math.sqrt(transversal.size)
     for b in blocks(len(flats), max(transversal.size, domain.size * params.q)):
@@ -183,13 +195,19 @@ def success_probability(state: StateVector, secret: VectorFq) -> float:
     return float(abs(np.vdot(phases[0], state.amplitudes[support])) ** 2 / params.q ** state.n)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class OutcomeDistribution:
-    """Analytic Fourier-basis measurement probabilities over GF(q)^n."""
+    """Analytic Fourier-basis measurement probabilities over GF(q)^n, held
+    like StateVector's amplitudes."""
 
     params: FieldParams
     n: int
     probs: np.ndarray  # flat, canonical order
+
+    def __post_init__(self):
+        object.__setattr__(self, "probs", _flat_copy(self, self.probs, np.float64))
+
+    __reduce__ = _reduce_through_init
 
     def argmax(self) -> VectorFq:
         return vector_from_flat(self.params, self.n, int(np.argmax(self.probs)))
@@ -197,6 +215,7 @@ class OutcomeDistribution:
     def top(self, count: int = 5) -> list:
         """Heaviest outcomes as (vector, probability), ties broken by
         canonical order so the listing is deterministic."""
+        check_int("count", count, 0)
         order = np.lexsort((np.arange(len(self.probs)), -self.probs))
         return [(vector_from_flat(self.params, self.n, int(i)), float(self.probs[i]))
                 for i in order[:count]]
@@ -233,17 +252,22 @@ def _outcome_probs(params: FieldParams, n: int, amplitudes: np.ndarray) -> np.nd
     return probs
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SampleReport:
     """Empirical counts from inverse-CDF sampling on the uniforms of
     random.Random(seed).random(), a stream Python keeps stable across
-    versions."""
+    versions; counts is a read-only mapping view."""
 
     params: FieldParams
     n: int
-    counts: dict  # index tuple -> count, only observed outcomes
+    counts: MappingProxyType  # index tuple -> count, only observed outcomes
     trials: int
     seed: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "counts", MappingProxyType(dict(self.counts)))
+
+    __reduce__ = _reduce_through_init
 
     def frequency_of(self, t: VectorFq) -> float:
         return self.counts.get(t.index_tuple(), 0) / self.trials

@@ -8,6 +8,7 @@ import inspect
 import pickle
 from dataclasses import FrozenInstanceError, fields, is_dataclass
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -111,6 +112,9 @@ def _value(name):
     """A small instance of the value type name."""
     f3 = qvint.FieldParams(3)
     counts = qvint.transform_census(qvint.build_vandermonde_domain(f3, 1), 1)
+    state = qvint.run_algorithm(counts.domain, 1, counts.transversal,
+                                qvint.VectorFq.from_index_tuple(f3, (1, 2)))
+    dist = qvint.outcome_distribution(state)
     return {
         "FieldParams": qvint.FieldParams(3, 2),
         "FieldElement": qvint.FieldParams(3, 2).from_index(4),
@@ -119,16 +123,22 @@ def _value(name):
         "PreimageCensus": counts,
         "ImageSet": qvint.image_set(counts),
         "Transversal": counts.transversal,
+        "StateVector": state,
+        "OutcomeDistribution": dist,
+        "SampleReport": qvint.sample_outcomes(dist, 10, seed=1),
     }[name]
 
 
 def _same(a, b) -> bool:
     """Equal values: ==, same_as for a Domain, and field by field for the
-    census types, which compare by identity."""
+    census and simulator types, which compare by identity; arrays and
+    mappings must come back read-only."""
     if isinstance(a, qvint.Domain):
         return a.same_as(b)
     if isinstance(a, np.ndarray):
         return np.array_equal(a, b) and not b.flags.writeable
+    if isinstance(a, MappingProxyType):
+        return a == b and isinstance(b, MappingProxyType)
     if is_dataclass(a) and type(a).__eq__ is object.__eq__:
         return type(a) is type(b) and all(_same(getattr(a, f.name), getattr(b, f.name))
                                           for f in fields(a) if f.init)
@@ -136,12 +146,13 @@ def _same(a, b) -> bool:
 
 
 @pytest.mark.parametrize("name", ("FieldParams", "FieldElement", "VectorFq", "Domain",
-                                  "PreimageCensus", "ImageSet", "Transversal"))
+                                  "PreimageCensus", "ImageSet", "Transversal", "StateVector",
+                                  "OutcomeDistribution", "SampleReport"))
 def test_value_types_share_one_immutability_rule(name):
     value = _value(name)
     kind = type(value)
     assert kind.__name__ == name and is_dataclass(kind) and kind.__dataclass_params__.frozen
-    # One __reduce__ for all seven: each is rebuilt through its constructor.
+    # One __reduce__ for all ten: each is rebuilt through its constructor.
     assert kind.__reduce__ is qvint.PreimageCensus.__reduce__
     assert kind.__reduce__.__name__ == "_reduce_through_init"
     if name == "FieldParams":

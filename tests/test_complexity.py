@@ -141,6 +141,29 @@ class TestPowerSearch:
             with pytest.raises(ContractError, match="exceeded 50"):
                 complexity._least_k(2, 1, target, 1)
 
+    @pytest.mark.parametrize("ratio", ((1024 ** 2, 1023 ** 2), (1025, 1024), (101, 100)))
+    def test_ratios_just_above_one(self, ratio):
+        # Hundreds to thousands of steps: the float estimate starts k within
+        # a step or two of the exact answer, which the comparisons settle.
+        targets = [1, 2, 3, 10 ** 3, 10 ** 3 + 1, 999_999, 10 ** 6]
+        for target_num, target_den in itertools.product(targets, (1, 7)):
+            args = ratio + (target_num, target_den)
+            assert complexity._least_k(*args) == linear_least_k(*args)
+        # Exactly at a power: k, and one more just past it.
+        for k in (1, 2, 50, 700):
+            assert complexity._least_k(*ratio, ratio[0] ** k, ratio[1] ** k) == k
+            assert complexity._least_k(*ratio, ratio[0] ** k + 1, ratio[1] ** k) == k + 1
+
+    def test_ratio_too_close_to_one_for_a_float(self):
+        # (ratio - 1) rounds to 0.0 as a float: the estimate stays finite, and
+        # the plan is refused at once, or found when the target is reached.
+        ratio = (10 ** 400 + 1, 10 ** 400)
+        started = time.perf_counter()
+        with pytest.raises(ContractError, match=f"exceeded {complexity._MAX_PLANNED_K}"):
+            complexity._least_k(*ratio, 2, 1)
+        assert time.perf_counter() - started < 1.0
+        assert complexity._least_k(*ratio, 1, 1) == complexity._least_k(*ratio, *ratio) == 1
+
     def test_hopeless_plan_is_refused_at_once(self):
         # Needs k near 2.3e8; the exact search would raise the ratio to
         # powers near 2^20 before giving up.

@@ -5,6 +5,7 @@ from dataclasses import FrozenInstanceError
 import itertools
 import pickle
 import random
+import re
 
 import numpy as np
 import pytest
@@ -422,6 +423,49 @@ class TestDomainFiles:
         path.write_text("n=2\n1,0\n")
         with pytest.raises(ParameterError):
             read_domain_file(path)
+
+    # The header's q and modulus are the field spec q:modulus, so they fail
+    # with parse_field_spec's errors.
+    @pytest.mark.parametrize("header,spec", (
+        ("q=9 n=2 modulus=1,x,1", "9:1,x,1"),  # bad modulus
+        ("q=9 n=2 modulus=1,0,0,1", "9:1,0,0,1"),  # wrong degree
+        ("q=9 n=2 modulus=2,0,1", "9:2,0,1"),  # x^2 + 2 = (x + 1)(x + 2)
+        ("q=6 n=2", "6"),  # not a prime power
+        ("q=x n=2", "x"),  # not an integer
+    ))
+    def test_header_field_is_a_field_spec(self, tmp_path, header, spec):
+        path = tmp_path / "d.txt"
+        path.write_text(header + "\n1,0\n")
+        with pytest.raises(ParameterError) as expected:
+            parse_field_spec(spec)
+        with pytest.raises(ParameterError, match=re.escape(str(expected.value))):
+            read_domain_file(path)
+
+    @pytest.mark.parametrize("header,match", (
+        ("q=3 n=2 p=3", "unknown header token 'p=3'"),
+        ("q=3", "needs q= and an integer n="),
+        ("n=2", "needs q= and an integer n="),
+        ("q=3 n=x", "needs q= and an integer n="),
+        ("q=3 n=1.5", "needs q= and an integer n="),
+    ))
+    def test_header_errors(self, tmp_path, header, match):
+        path = tmp_path / "d.txt"
+        path.write_text(header + "\n1,0\n")
+        with pytest.raises(ParameterError, match=match):
+            read_domain_file(path)
+
+    @pytest.mark.parametrize("params", (F5, F9, FieldParams(3, 2, modulus=(2, 1, 1))),
+                             ids=("prime", "default-modulus", "other-modulus"))
+    def test_roundtrip_with_and_without_modulus(self, tmp_path, params):
+        dom = build_vandermonde_domain(params, 2)
+        path = tmp_path / "d.txt"
+        write_domain_file(dom, path)
+        assert ("modulus=" in path.read_text()) == (params.r > 1)
+        back = read_domain_file(path)
+        assert back.params == params and back.same_as(dom)
+        # Without modulus= an extension field takes the smallest irreducible.
+        path.write_text(re.sub(r" modulus=\S+", "", path.read_text()))
+        assert read_domain_file(path).params == parse_field_spec(str(params.q))
 
     def test_rejects_wrong_length_vector(self, tmp_path):
         path = tmp_path / "d.txt"

@@ -214,6 +214,51 @@ class TestArithmetic:
         assert f.element(3) + 4 == f.zero()
         assert 2 * f.element(4) == f.element(1)
 
+    # One operand rule for + - * /: an int is the prime-subfield constant,
+    # another field's element a ParameterError, anything else NotImplemented.
+    @pytest.mark.parametrize("q", (5, 9))
+    def test_int_operands_are_subfield_constants(self, q):
+        f = params_for(q)
+        one, two = f.element(1), f.element(2)
+        for a in f.elements():
+            assert 1 - a == one - a
+            assert a - 1 == a - one
+            assert 2 * a == two * a == a * 2
+            assert a / 2 == a / two
+            assert 3 + a == a + 3 == a + f.element(3)
+
+    @pytest.mark.parametrize("op", ("+", "-", "*", "/"))
+    def test_operand_rule_both_ways_round(self, op):
+        def apply(x, y):
+            return {"+": lambda: x + y, "-": lambda: x - y,
+                    "*": lambda: x * y, "/": lambda: x / y}[op]()
+
+        a, b = FieldParams(3).element(1), FieldParams(5).element(2)
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(ParameterError, match="mixed-field arithmetic"):
+                apply(x, y)
+        for x, y in ((a, "1"), ("1", a), (a, 1.0), (1.0, a)):
+            with pytest.raises(TypeError):
+                apply(x, y)
+
+    @pytest.mark.parametrize("value", (1.5, True, np.int64(1), "1"))
+    def test_element_and_index_take_plain_ints(self, value):
+        f = FieldParams(3)
+        with pytest.raises(ParameterError, match="element index must be an integer >= 0"):
+            f.from_index(value)
+        with pytest.raises(ParameterError, match="field constant must be an integer"):
+            f.element(value)
+        assert f.element(-1) == f.element(2)  # negative constants reduce mod p
+        with pytest.raises(ParameterError, match="out of range"):
+            f.from_index(3)
+
+    def test_a_bool_operand_is_refused(self):
+        a = FieldParams(3).element(1)
+        with pytest.raises(ParameterError, match="field constant must be an integer"):
+            a + True
+        with pytest.raises(ParameterError, match="field constant must be an integer"):
+            False * a
+
 
 class TestCanonicalOrder:
     def test_index_roundtrip(self):

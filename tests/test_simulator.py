@@ -22,9 +22,9 @@ from qvint.domain import (Domain, VectorFq, build_vandermonde_domain, dot_rows,
                           flat_to_rows, rows_to_flat)
 from qvint.errors import ContractError, ParameterError, ResourceCapError
 from qvint.field import FieldParams
-from qvint.simulator import (OutcomeDistribution, outcome_distribution,
-                             phase_query_check, run_algorithm, sample_outcomes,
-                             state_family_rank, success_probability)
+from qvint.simulator import (OutcomeDistribution, SampleReport, StateVector,
+                             outcome_distribution, phase_query_check, run_algorithm,
+                             sample_outcomes, state_family_rank, success_probability)
 from qvint.verify import run_all
 
 F3 = FieldParams(3)
@@ -181,6 +181,27 @@ class TestRunAlgorithm:
         dom, _, trans = instance(3, 1, 1)
         with pytest.raises(ParameterError):
             run_algorithm(dom, 2, trans, VectorFq.from_index_tuple(F3, (0, 0)))
+
+    # run_algorithm and the batched sweep share census._matching's check,
+    # which names the kind of object it refuses.
+    @pytest.mark.parametrize("other", ("domain", "k"))
+    def test_run_and_sweep_share_the_match_rule(self, other):
+        dom, _, trans = instance(3, 1, 1)
+        if other == "domain":
+            dom = build_vandermonde_domain(F3, 2)
+            k, secret = 1, VectorFq.from_index_tuple(F3, (0, 0, 0))
+        else:
+            k, secret = 2, VectorFq.from_index_tuple(F3, (0, 0))
+        match = r"supplied Transversal does not match \(domain, k\)"
+        with pytest.raises(ParameterError, match=match):
+            run_algorithm(dom, k, trans, secret)
+        with pytest.raises(ParameterError, match=match):
+            next(simulator._sweep(dom, k, trans, np.arange(3)))
+
+    def test_a_non_integer_secret_coordinate_is_refused(self):
+        # A float index names no element; numpy would fail on it much later.
+        with pytest.raises(ParameterError, match="element index must be an integer"):
+            VectorFq.from_index_tuple(F3, (1.5, 0))
 
     # The Transversal checks its relabeling once, when it is built, so a
     # broken one never reaches run_algorithm.
@@ -374,9 +395,67 @@ class TestOutcomeDistribution:
 
     def test_unnormalized_state_is_a_contract_error(self):
         state = fourier_state(F3, 2, VectorFq.from_index_tuple(F3, (0, 0)))
-        state.amplitudes = state.amplitudes * 2.0
         with pytest.raises(ContractError):
-            outcome_distribution(state)
+            outcome_distribution(StateVector(F3, 2, state.amplitudes * 2.0))
+
+
+class TestResultTypes:
+    """StateVector, OutcomeDistribution and SampleReport cannot be changed
+    after construction, and their arrays hold exactly q^n entries."""
+
+    def state(self):
+        dom, _, trans = instance(3, 1, 1)
+        return run_algorithm(dom, 1, trans, VectorFq.from_index_tuple(F3, (1, 1)))
+
+    def test_sample_counts_are_read_only(self):
+        secret = VectorFq.from_index_tuple(F3, (1, 1))
+        report = sample_outcomes(outcome_distribution(self.state()), 100, seed=3)
+        before = report.frequency_of(secret)
+        with pytest.raises(TypeError):
+            report.counts[(1, 1)] = 999
+        assert report.frequency_of(secret) == before <= 1
+        # The view shows a copy: the caller's dict can change, the report not.
+        given = {(0,): 2}
+        built = SampleReport(F3, 1, given, trials=2, seed=0)
+        given[(0,)] = 5
+        assert built.counts == {(0,): 2}
+
+    def test_probabilities_are_read_only(self):
+        dist = outcome_distribution(self.state())
+        assert abs(dist.probs[4] - 7 / 9) < 1e-12  # outcome (1, 1)
+        with pytest.raises(ValueError, match="read-only"):
+            dist.probs[:] = 0
+        assert sample_outcomes(dist, 10, seed=1).counts != {(0, 0): 10}
+
+    def test_amplitudes_are_a_read_only_copy(self):
+        amplitudes = self.state().amplitudes.copy()
+        state = StateVector(F3, 2, amplitudes)
+        amplitudes[:] = 0
+        assert np.abs(state.amplitudes).sum() > 0
+        with pytest.raises(ValueError, match="read-only"):
+            state.amplitudes[0] = 1
+
+    def test_wrong_length_arrays_are_refused(self):
+        with pytest.raises(ParameterError, match=r"GF\(3\)\^2 needs 9 entries"):
+            outcome_distribution(StateVector(FieldParams(3), 2, np.zeros(3)))
+        with pytest.raises(ParameterError, match=r"GF\(3\)\^1 needs 3 entries"):
+            OutcomeDistribution(FieldParams(3), 1, np.array([.5, .5]))
+        with pytest.raises(ParameterError, match="needs 9 entries"):
+            StateVector(F3, 2, np.ones((3, 3)) / 3)
+        with pytest.raises(ParameterError, match="vector length must be an integer >= 0"):
+            OutcomeDistribution(F3, -1, np.ones(1))
+
+    def test_zero_length_space_has_one_point(self):
+        dist = OutcomeDistribution(F3, 0, [1.0])
+        assert dist.probs.tolist() == [1.0] and not dist.probs.flags.writeable
+        assert sample_outcomes(dist, 4, seed=0).counts == {(): 4}
+
+    @pytest.mark.parametrize("count", (-1, True, 2.5))
+    def test_top_takes_a_plain_count(self, count):
+        dist = outcome_distribution(self.state())
+        with pytest.raises(ParameterError, match="count must be an integer >= 0"):
+            dist.top(count)
+        assert dist.top(0) == []
 
 
 class TestSampling:

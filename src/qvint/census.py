@@ -4,8 +4,8 @@ For a domain V in GF(q)^n and a query count k, the map sends a tuple of k
 domain vectors with k field weights to the weighted sum of the vectors.
 Everything downstream (success probabilities, transversals, the
 second-moment identity, the zero-count tail bound) is read off the exact
-per-target pre-image counts, never sampled.  Two engines fill the same
-PreimageCensus with the same integers:
+per-target pre-image counts, never sampled.  A PreimageCensus is (domain,
+k), and two engines give it the same integers:
 
 * transform_census, which the commands run.  The counts are the k-fold
   convolution of the line measure (how many pairs (v, y) give each y*v)
@@ -25,8 +25,9 @@ The transversal of either is each target's first pre-image in walk order,
 i.e. the lexicographically smallest sequence of (vector position, weight
 index) pairs ((v0, y0), (v1, y1), ...), picked level by level against R_j,
 the support of the j-tuple counts, for the j levels that remain.  One
-forward transform per census feeds its counts, good counts and R_j, and the
-tally of its N(t) feeds the second-moment identity and the tail bound.
+forward transform per census gives N(t); one level-j transform of it
+(PreimageCensus._level) gives the counts, the good counts and every R_j,
+and the tally of N(t) feeds the second-moment identity and the tail bound.
 
 All counts are exact integers and all derived statistics are Fractions;
 floating point never enters here.
@@ -39,11 +40,11 @@ __all__ = [
 ]
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from types import MappingProxyType
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -68,17 +69,18 @@ _INT64_LIMIT = 1 << 63
 
 @dataclass(frozen=True, eq=False)
 class PreimageCensus:
-    """Exact pre-image count of every point of GF(q)^n.
+    """Exact pre-image count of every point of GF(q)^n, for (domain, k).
 
-    dense holds them by flat index: int64 while the tuple count (|V|*q)^k is
-    below 2^63, Python ints (object dtype) from there on.  dense_good holds
-    the good counts the same way, the pre-images with pairwise-distinct
-    vectors and all weights nonzero; the walk tallies them as it goes, and a
-    transform census builds them on first use.  _hits holds N(t): a transform
-    census keeps it, a walk census builds it on first use.  All three arrays
-    are read-only, and no attribute can be rebound.  counts and good_counts
-    are read-only mapping views of the nonzero entries keyed by element-index
-    tuple, built on first access.
+    A census is its domain and k alone; every array is derived from N(t) on
+    first read, through one level-j transform (_level), and is read-only.
+    dense holds the counts by flat index: int64 while the tuple count
+    (|V|*q)^k is below 2^63, Python ints (object dtype) from there on.
+    dense_good holds the good counts the same way, the pre-images with
+    pairwise-distinct vectors and all weights nonzero.  enumerate_census
+    seeds the two it tallies, so a walk census's dense and dense_good are
+    its own; a copy carries (domain, k) and is recounted by the transform.
+    counts and good_counts are read-only mapping views of the nonzero entries
+    keyed by element-index tuple.  No attribute can be rebound.
 
     N is indexed by digit characters: N(t) counts the domain vectors v on
     whose line F*v the character with flat index t is trivial.  On a prime
@@ -90,45 +92,48 @@ class PreimageCensus:
 
     domain: Domain
     k: int
-    dense: np.ndarray
-    _good: Optional[np.ndarray] = field(default=None, repr=False)
-    _hits: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self):
-        for array in (self.dense, self._good, self._hits):
-            if array is not None:
-                _read_only(array)
+        check_int("query count", self.k, 0)
 
     __reduce__ = _reduce_through_init
 
-    @property
+    def _level(self, j: int, coefficient: Callable[[int], int] = None) -> np.ndarray:
+        """The exact integers whose transform is coefficient(N(t)), by default
+        (q*N(t))^j: the j-tuple counts.  Every cap for level j is checked
+        before N(t) is first computed."""
+        _transform_primes(self.domain, j)
+        q = self.domain.params.q
+        return _hit_transform(self.domain, self._hits, j, coefficient or (lambda h: (q * h) ** j))
+
+    _hits = cached_property(lambda self: _line_transform(self.domain))  # N(t) by flat index t
+
+    @cached_property
+    def dense(self) -> np.ndarray:
+        dense = self._level(self.k)
+        if dense.sum() != self.total:
+            raise ContractError("census total does not match the tuple count")
+        return dense
+
+    @cached_property
     def dense_good(self) -> np.ndarray:
         """Good counts: k! times the inverse transform of c(N(t)), c(h) the
         x^k coefficient of (1 + (q-1)x)^h (1 - x)^(|V|-h)."""
-        if self._good is None:
-            q, size, k = self.domain.params.q, self.domain.size, self.k
-            _transform_primes(self.domain, k)  # caps before a forward transform
-            object.__setattr__(self, "_good", _hit_transform(
-                self.domain, self._line_hits(), k, lambda h: sum(
-                    math.comb(h, i) * (q - 1) ** i * math.comb(size - h, k - i) * (-1) ** (k - i)
-                    for i in range(min(h, k) + 1)) * math.factorial(k)))
-        return self._good
-
-    def _line_hits(self) -> np.ndarray:
-        if self._hits is None:
-            object.__setattr__(self, "_hits", _line_transform(self.domain))
-        return self._hits
+        q, size, k = self.domain.params.q, self.domain.size, self.k
+        return self._level(k, lambda h: sum(
+            math.comb(h, i) * (q - 1) ** i * math.comb(size - h, k - i) * (-1) ** (k - i)
+            for i in range(min(h, k) + 1)) * math.factorial(k))
 
     @cached_property
     def hit_tally(self) -> np.ndarray:
         """tally[h], the number of points t of GF(q)^n with N(t) = h, for h
         in [0, |V|]; read-only.  t = 0 is counted at h = |V|."""
-        return _read_only(np.bincount(self._line_hits(), minlength=self.domain.size + 1))
+        return _read_only(np.bincount(self._hits, minlength=self.domain.size + 1))
 
     @property
     def largest_hyperplane_section(self) -> int:
         """max N(t) over t != 0 (flat index 0 is t = 0)."""
-        return int(self._line_hits()[1:].max())
+        return int(self._hits[1:].max())
 
     @cached_property
     def _image(self) -> np.ndarray:
@@ -216,7 +221,7 @@ def enumerate_census(domain: Domain, k: int) -> PreimageCensus:
     walk would exceed DEFAULT_MAX_TUPLES, or if GF(q)^n has more than
     MAX_RESIDUES points to hold counts for.
     """
-    check_int("query count", k, 0)
+    census = PreimageCensus(domain, k)  # checks k
     params = domain.params
     q, n = params.q, domain.n
     # The power stops at 64 factors: past that it is over the cap, as
@@ -251,7 +256,9 @@ def enumerate_census(domain: Domain, k: int) -> PreimageCensus:
 
     if dense.sum() != total:
         raise ContractError("census total does not match the tuple count")
-    return PreimageCensus(domain, k, dense, dense_good)
+    # Seeded, not derived: census-totals holds the transform to these.
+    vars(census).update(dense=_read_only(dense), dense_good=_read_only(dense_good))
+    return census
 
 
 def transform_census(domain: Domain, k: int) -> PreimageCensus:
@@ -274,14 +281,9 @@ def transform_census(domain: Domain, k: int) -> PreimageCensus:
     more than MAX_TRANSFORM_PRIMES primes, GF(q)^n times the primes exceeds
     MAX_RESIDUES, or |V|*q leaves no prime to work modulo.
     """
-    check_int("query count", k, 0)
-    q = domain.params.q
-    _transform_primes(domain, k)  # every cap, before the forward transform
-    hits = _line_transform(domain)
-    dense = _hit_transform(domain, hits, k, lambda h: (q * h) ** k)
-    if dense.sum() != (domain.size * q) ** k:
-        raise ContractError("census total does not match the tuple count")
-    return PreimageCensus(domain, k, dense, _hits=hits)
+    census = PreimageCensus(domain, k)
+    census.dense  # every cap and the total check, before the census is returned
+    return census
 
 
 def _line_transform(domain: Domain) -> np.ndarray:
@@ -402,11 +404,9 @@ def _pick_transversal(census: PreimageCensus) -> "Transversal":
     params, n = domain.params, domain.n
     q = params.q
     reach = [np.arange(q ** n) == 0]
-    if k > 1:
-        _transform_primes(domain, k - 1)  # every cap, before N(t)
     for j in range(1, k):
         if j == 1 or not np.array_equal(reach[-1], reach[-2]):
-            counts = _hit_transform(domain, census._line_hits(), j, lambda h: (q * h) ** j)
+            counts = census._level(j)
         reach.append(counts != 0)
     remainders = keys.copy()
     positions = np.zeros((len(keys), k), dtype=np.intp)
@@ -471,6 +471,7 @@ class ImageSet:
     keys: np.ndarray
 
     def __post_init__(self):
+        check_int("vector length", self.n, 1)
         object.__setattr__(self, "keys", _index_array(self.keys, self.n, self.params.q))
 
     __reduce__ = _reduce_through_init
@@ -514,6 +515,7 @@ class Transversal:
     weights: np.ndarray  # (size, k)
 
     def __post_init__(self):
+        check_int("query count", self.k, 0)
         q = self.domain.params.q
         for name, width, bound in (("keys", self.domain.n, q), ("weights", self.k, q),
                                    ("positions", self.k, self.domain.size)):
@@ -585,9 +587,10 @@ def second_moment_identity_check(domain: Domain, k: int, *,
     read off the census's hit_tally; t = 0 gives the (|V|q)^(2k)/q^n term.
     For a transform census this is Parseval's relation, so it checks the
     inverse transform and the CRT; verify checks N(t) itself against the
-    direct count.  Equality is exact rational equality, not approximate.
+    direct count.  Without a census, the transform census of (domain, k) is
+    built.  Equality is exact rational equality, not approximate.
     """
-    census = enumerate_census(domain, k) if census is None else _matching(domain, k, census)
+    census = _matching(domain, k, census)
     q = domain.params.q
     rhs = Fraction(q ** (2 * k) * _power_sum(census.hit_tally, 2 * k), q ** domain.n)
     lhs = census.second_moment_sum()
@@ -604,16 +607,17 @@ def chebyshev_zero_bound(domain: Domain, k: int, *,
     the domain when no census is given.  May exceed 1, in which case it is
     vacuous but still valid.
     """
-    check_int("query count", k, 0)
-    tally = (np.bincount(_line_transform(domain), minlength=domain.size + 1) if census is None
-             else _matching(domain, k, census).hit_tally)
+    tally = _matching(domain, k, census).hit_tally
     scale = domain.size ** (2 * k)
     return Fraction(_power_sum(tally, 2 * k) - scale, scale)  # t = 0 has N = |V|
 
 
 def _matching(domain: Domain, k: int, built):
     """built, a PreimageCensus or Transversal, when it was made for (domain,
-    k); else a ParameterError naming its kind."""
+    k); else a ParameterError naming its kind.  built=None gives the lazy
+    transform census PreimageCensus(domain, k)."""
+    check_int("query count", k, 0)
+    built = PreimageCensus(domain, k) if built is None else built
     if built.k != k or not built.domain.same_as(domain):
         raise ParameterError(f"supplied {type(built).__name__} does not match (domain, k)")
     return built

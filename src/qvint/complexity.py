@@ -69,9 +69,11 @@ def _least_k(ratio_num: int, ratio_den: int, target_num: int, target_den: int) -
     def reached(k):
         return ratio_num ** k * target_den >= target_num * ratio_den ** k
 
-    # A ratio within 2^-1074 of 1 would round to a zero log; the least float
-    # keeps it positive, and the estimate is clipped before it can be inf.
-    log_ratio = math.log1p(max((ratio_num - ratio_den) / ratio_den, 5e-324))
+    # math.log takes ints of any size; below 2 the quotient is under 1, and a
+    # ratio within 2^-1074 of 1 would round to a zero log, so the least float
+    # keeps it positive.  The estimate is clipped before it can be inf.
+    log_ratio = (math.log(ratio_num) - math.log(ratio_den) if ratio_num >= 2 * ratio_den
+                 else math.log1p(max((ratio_num - ratio_den) / ratio_den, 5e-324)))
     log_target = math.log(target_num) - math.log(target_den)
     k = max(1, math.ceil(min(log_target / log_ratio, _MAX_PLANNED_K + 2)))
     while 1 < k <= _MAX_PLANNED_K + 1 and reached(k - 1):

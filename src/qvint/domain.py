@@ -138,8 +138,11 @@ def vector_from_flat(params: FieldParams, n: int, flat: int) -> VectorFq:
 
 def _index_array(rows, width: int, bound: int) -> np.ndarray:
     """Read-only copy of rows as a (len(rows), width) index array, every
-    entry in [0, bound), else a ParameterError."""
-    array = np.array(rows, dtype=np.intp).reshape(len(rows), width)
+    entry in [0, bound), else a ParameterError; an empty list has no rows."""
+    array = np.array(rows, dtype=np.intp)
+    array = array.reshape(0, width) if array.shape == (0,) else array
+    if array.shape[1:] != (width,):
+        raise ParameterError(f"index rows must have {width} entries each, got shape {array.shape}")
     if array.size and not 0 <= array.min() <= array.max() < bound:
         raise ParameterError(f"indices must lie in [0, {bound})")
     return _read_only(array)

@@ -6,6 +6,7 @@ tables), not from the package under test.
 """
 
 import copy
+import dataclasses
 import itertools
 import math
 import pickle
@@ -17,14 +18,16 @@ import pytest
 from oracles import linear_combination, transversal_pairs
 from qvint import census as census_mod
 from qvint import errors
-from qvint.census import (ImageSet, chebyshev_zero_bound, enumerate_census,
-                          good_set_sizes, image_set, image_size_lower_bound,
-                          second_moment_identity_check, transform_census)
+from qvint.census import (ImageSet, PreimageCensus, Transversal, chebyshev_zero_bound,
+                          enumerate_census, good_set_sizes, image_set,
+                          image_size_lower_bound, second_moment_identity_check,
+                          transform_census)
 from qvint.domain import (Domain, VectorFq, build_explicit_domain,
                           build_monomial_domain, build_vandermonde_domain,
                           flat_to_rows, rows_to_flat)
 from qvint.errors import ContractError, ParameterError, ResourceCapError
 from qvint.field import FieldParams, parse_field_spec
+from qvint.verify import MONOMIAL_GRID, VANDERMONDE_GRID
 
 F3 = FieldParams(3)
 F4 = FieldParams(2, 2)
@@ -423,9 +426,9 @@ class TestTransformCensus:
 
     def test_good_counts_are_lazy(self):
         census = transform_census(vandermonde(5, 3), 2)
-        assert census._good is None
+        assert "dense_good" not in vars(census)
         assert census.good_counts == enumerate_census(vandermonde(5, 3), 2).good_counts
-        assert census._good is not None
+        assert "dense_good" in vars(census)
 
     def test_one_forward_transform_per_census(self, monkeypatch):
         # Counts, good counts and the transversal's reachable sets all read
@@ -471,6 +474,45 @@ class TestTransformCensus:
         assert rows_to_flat(census.image_keys, 4).tolist() == np.flatnonzero(census.dense).tolist()
         assert list(census.counts) == list(map(tuple, census.image_keys.tolist()))
         assert image_set(census).keys.tolist() == census.image_keys.tolist()
+
+
+class TestCensusIsDomainAndK:
+    """A census is (domain, k): its arrays are derived on first read, and
+    the walk seeds the two it tallies."""
+
+    def test_init_fields_are_domain_and_k(self):
+        assert [f.name for f in dataclasses.fields(PreimageCensus)] == ["domain", "k"]
+        dom = vandermonde(3, 1)
+        with pytest.raises(TypeError):
+            PreimageCensus(dom, 1, np.array([1, 2, 3]))
+        # A negative k once gave a float total.
+        with pytest.raises(ParameterError, match="query count must be an integer >= 0, got -1"):
+            PreimageCensus(dom, -1)
+        assert PreimageCensus(dom, 1).success_probability() == Fraction(7, 9)
+
+    def test_walk_arrays_are_its_own(self, monkeypatch):
+        # census-totals compares two engines, not the transform with itself.
+        dom = vandermonde(5, 3)
+        transform = transform_census(dom, 2)
+        transform.dense_good
+
+        def refused(*args):
+            raise AssertionError("a walk census derived a tallied array")
+
+        monkeypatch.setattr(census_mod, "_hit_transform", refused)
+        walk = enumerate_census(dom, 2)
+        assert np.array_equal(walk.dense, transform.dense)
+        assert np.array_equal(walk.dense_good, transform.dense_good)
+
+    @pytest.mark.parametrize("engine", (enumerate_census, transform_census))
+    def test_copies_rederive_the_arrays(self, engine):
+        census = engine(vandermonde(5, 3), 2)
+        for back in copies(census):
+            assert not {"dense", "dense_good", "_hits"} & set(vars(back))
+            for name in ("dense", "dense_good", "_hits", "hit_tally"):
+                array = getattr(back, name)
+                assert np.array_equal(array, getattr(census, name))
+                assert not array.flags.writeable
 
 
 class TestGoodSets:
@@ -637,6 +679,11 @@ class TestTransversal:
         with pytest.raises(ResourceCapError):
             enumerate_census(vandermonde(5, 3), 9).transversal  # 25^9 tuples
 
+    def test_negative_k_is_a_parameter_error(self):
+        trans = enumerate_census(vandermonde(3, 1), 1).transversal
+        with pytest.raises(ParameterError, match="query count must be an integer >= 0, got -1"):
+            Transversal(trans.domain, -1, trans.keys, trans.positions, trans.weights)
+
 
 class TestImageSet:
     def test_canonical_order(self):
@@ -671,6 +718,18 @@ class TestImageSet:
         with pytest.raises(ParameterError, match=r"indices must lie in \[0, 3\)"):
             ImageSet(params=F3, n=2, keys=keys)
 
+    @pytest.mark.parametrize("keys", ([[1, 2, 3]], [1, 2, 1, 2]))
+    def test_keys_of_the_wrong_shape_are_refused(self, keys):
+        with pytest.raises(ParameterError, match="index rows must have 2 entries each"):
+            ImageSet(FieldParams(3), 2, keys)
+
+    def test_negative_length_is_refused(self):
+        with pytest.raises(ParameterError, match="vector length must be an integer >= 1, got -1"):
+            ImageSet(FieldParams(3), -1, np.zeros((0, 0)))
+
+    def test_an_empty_list_has_no_rows(self):
+        assert ImageSet(F3, 2, []).keys.shape == (0, 2)
+
 
 def copies(obj):
     """A pickle round trip and a deep copy of obj."""
@@ -687,7 +746,7 @@ class TestCopies:
         census.dense_good, census.hit_tally
         for back in copies(census):
             assert back.domain.same_as(census.domain) and back.k == census.k
-            for name in ("dense", "_good", "_hits"):
+            for name in ("dense", "dense_good", "_hits"):
                 array = getattr(back, name)
                 assert np.array_equal(array, getattr(census, name))
                 assert not array.flags.writeable
@@ -756,6 +815,10 @@ class TestSecondMoment:
             second_moment_identity_check(dom_a, 1, census=enumerate_census(dom_b, 1))
         # An equal domain built separately is accepted.
         assert second_moment_identity_check(vandermonde(3, 1), 1, census=census).equal
+
+    def test_census_less_call_past_the_walk_cap(self):
+        # 887503681 tuples: the walk refuses them, the transform census does not.
+        assert second_moment_identity_check(build_vandermonde_domain(FieldParams(31), 3), 3).equal
 
 
 class TestHitTally:
@@ -836,6 +899,20 @@ class TestChebyshev:
         bound = chebyshev_zero_bound(dom, 3, census=census)
         assert bound == Fraction(242412, 16807)
         assert observed <= bound
+
+    def test_census_less_bound_equals_the_census_bound(self):
+        shapes = [(build_vandermonde_domain, q, (d,), ks) for q, d, ks in VANDERMONDE_GRID]
+        shapes += [(build_monomial_domain, q, (m, d), ks) for q, m, d, ks in MONOMIAL_GRID]
+        for build, q, shape, ks in shapes:
+            dom = build(parse_field_spec(str(q)), *shape)
+            for k in ks:
+                census = enumerate_census(dom, k)
+                assert chebyshev_zero_bound(dom, k) == chebyshev_zero_bound(dom, k, census=census)
+
+    def test_a_bool_k_is_refused_with_a_census(self):
+        dom = vandermonde(3, 1)
+        with pytest.raises(ParameterError, match="query count must be an integer >= 0, got True"):
+            chebyshev_zero_bound(dom, True, census=enumerate_census(dom, 1))
 
     def test_holds_across_grid(self):
         for q, d, k in FROZEN_IMAGE_SIZES:

@@ -52,6 +52,10 @@ class TestBoundedErrorPlan:
         with pytest.raises(ParameterError):
             plan_bounded_error(4, 5, 0)
 
+    def test_ratio_past_the_float_range(self):
+        # |V|*q = 2 * 10^400 overflows a float; one query already covers q^n.
+        assert plan_bounded_error(1, 2, 10 ** 400).k == 1
+
 
 class TestHighProbabilityPlan:
     def test_q_larger_than_domain(self):
@@ -97,6 +101,10 @@ class TestHighProbabilityPlan:
     def test_plan_validation(self):
         with pytest.raises(ContractError):
             QueryPlan(0, "low-regime", "")
+
+    def test_ratio_past_the_float_range(self):
+        # (|V|/|V_0|)^2 = 10^800 overflows a float; one query reaches q^(n+1).
+        assert plan_high_probability(1, 2, 10 ** 400, 1).k == 1
 
 
 class TestPlanSweep:

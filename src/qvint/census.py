@@ -481,18 +481,9 @@ class ImageSet:
         return tuple(VectorFq.from_index_tuple(self.params, key)
                      for key in self.keys.tolist())
 
-    @cached_property
-    def _key_set(self) -> frozenset:
-        return frozenset(map(tuple, self.keys.tolist()))
-
     @property
     def size(self) -> int:
         return len(self.keys)
-
-    def __contains__(self, z):
-        if not isinstance(z, VectorFq) or z.params != self.params or z.n != self.n:
-            return False
-        return z.index_tuple() in self._key_set
 
 
 def image_set(census: PreimageCensus) -> ImageSet:

@@ -23,7 +23,6 @@ from dataclasses import asdict
 from fractions import Fraction
 
 import click
-import numpy as np
 
 from . import __version__, census as census_mod
 from . import complexity, simulator, verify as verify_mod
@@ -38,11 +37,9 @@ SWEEP_MAX_SECRETS = 4096
 
 
 def _plain(value):
-    """json.dumps default: a Fraction as its text, a numpy integer as an int."""
+    """json.dumps default: a Fraction as its text."""
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, np.integer):
-        return int(value)
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
@@ -348,10 +345,9 @@ def simulate(domain, mono_md, k, report, secret, trials, seed):
 
 @main.command()
 @click.option("--quick", is_flag=True, help="Small sub-10-second grid.")
-@click.option("--inject-corrupt-modulus", is_flag=True, hidden=True)
-def verify(quick, inject_corrupt_modulus):
+def verify(quick):
     """Run the named self-check suite; one line per check."""
-    results = verify_mod.run_all(quick=quick, corrupt_modulus=inject_corrupt_modulus)
+    results = verify_mod.run_all(quick=quick)
     failures = 0
     for result in results:
         tag = "PASS" if result.ok else "FAIL"

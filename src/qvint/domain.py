@@ -30,7 +30,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ParameterError, block_size, check_cap, check_int
-from .field import FieldElement, FieldParams, _read_only, _reduce_through_init, parse_field_spec
+from .field import (FieldElement, FieldParams, _as_array, _read_only, _reduce_through_init,
+                    parse_field_spec)
 
 MAX_DOMAIN_VECTORS = 1 << 20
 # Vectors times coordinates; wide domains pass the vector cap but not this.
@@ -76,16 +77,6 @@ class VectorFq:
 
     def __repr__(self):
         return f"VectorFq{self.index_tuple()}"
-
-    def __add__(self, other):
-        if not isinstance(other, VectorFq):
-            return NotImplemented
-        if other.n != self.n or other.params != self.params:
-            raise ParameterError("vector addition needs matching length and field")
-        return VectorFq(tuple(a + b for a, b in zip(self.entries, other.entries)))
-
-    def scale(self, w: FieldElement) -> "VectorFq":
-        return VectorFq(tuple(w * e for e in self.entries))
 
 
 def dot(a: VectorFq, b: VectorFq) -> FieldElement:
@@ -139,7 +130,7 @@ def vector_from_flat(params: FieldParams, n: int, flat: int) -> VectorFq:
 def _index_array(rows, width: int, bound: int) -> np.ndarray:
     """Read-only copy of rows as a (len(rows), width) index array, every
     entry in [0, bound), else a ParameterError; an empty list has no rows."""
-    array = np.array(rows, dtype=np.intp)
+    array = _as_array(rows, np.intp).copy()
     array = array.reshape(0, width) if array.shape == (0,) else array
     if array.shape[1:] != (width,):
         raise ParameterError(f"index rows must have {width} entries each, got shape {array.shape}")
@@ -202,7 +193,7 @@ class Domain:
     n: int = field(init=False)
 
     def __post_init__(self):
-        rows = np.asarray(self.indices, dtype=np.intp)
+        rows = _as_array(self.indices, np.intp)
         if rows.ndim != 2 or rows.size == 0:
             raise ParameterError("a domain needs at least one vector")
         rows = _index_array(rows, rows.shape[1], self.params.q)
@@ -335,7 +326,7 @@ def _check_size(stage: str, size: int, n: int) -> None:
     check_cap("domain", size * n, "entries", MAX_DOMAIN_ENTRIES)
 
 
-def build_explicit_domain(vectors, label: str = "explicit") -> Domain:
+def build_explicit_domain(vectors) -> Domain:
     """Domain from an iterable of VectorFq (deduplicated, canonically sorted)."""
     vectors = list(vectors)
     if not vectors:
@@ -345,7 +336,7 @@ def build_explicit_domain(vectors, label: str = "explicit") -> Domain:
         if v.params != params or v.n != n:
             raise ParameterError("all domain vectors must share field and length")
     _check_size("domain", len(vectors), n)
-    return Domain(params, [v.index_tuple() for v in vectors], label=label)
+    return Domain(params, [v.index_tuple() for v in vectors])
 
 
 def build_vandermonde_domain(params: FieldParams, degree: int) -> Domain:

@@ -123,6 +123,15 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _as_array(values, dtype) -> np.ndarray:
+    """np.asarray(values, dtype), a ParameterError where numpy refuses them
+    (ragged rows, text where numbers belong)."""
+    try:
+        return np.asarray(values, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"values are not an array of {np.dtype(dtype)}: {exc}") from None
+
+
 def _table(build):
     """A FieldParams table method: built on first call, then served from the
     _tables slot under its name; a numpy table is made read-only."""
@@ -318,6 +327,13 @@ class FieldElement:
 
     params: FieldParams
     coeffs: tuple
+
+    def __post_init__(self):
+        p, r = self.params.p, self.params.r
+        if (type(self.coeffs) is not tuple or len(self.coeffs) != r
+                or not all(type(c) is int and 0 <= c < p for c in self.coeffs)):
+            raise ParameterError(f"GF({self.params.q}) coefficients must be a tuple of r={r} "
+                                 f"integers in [0, {p}), got {self.coeffs!r}")
 
     __reduce__ = _reduce_through_init
 

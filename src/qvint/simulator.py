@@ -44,7 +44,7 @@ from .census import ImageSet, Transversal, _matching
 from .domain import (Domain, VectorFq, _canonical_order, dot_rows, flat_to_rows,
                      rows_to_flat, vector_from_flat)
 from .errors import ContractError, ParameterError, block_size, blocks, check_cap, check_int
-from .field import FieldParams, _read_only, _reduce_through_init
+from .field import FieldParams, _as_array, _read_only, _reduce_through_init
 
 DEFAULT_MAX_AMPLITUDES = 1 << 20
 # Float tolerances of outcome_distribution, state_family_rank, phase_query_check.
@@ -76,7 +76,7 @@ def _flat_copy(value, entries, dtype) -> np.ndarray:
     """A read-only dtype copy of entries, one per point of GF(q)^n in
     canonical flat order (value's params and n), else a ParameterError."""
     check_int("vector length", value.n, 0)
-    array = np.array(entries, dtype=dtype)
+    array = _as_array(entries, dtype).copy()
     size = value.params.q ** value.n
     if array.shape != (size,):
         raise ParameterError(f"GF({value.params.q})^{value.n} needs {size} entries, "
@@ -208,9 +208,6 @@ class OutcomeDistribution:
         object.__setattr__(self, "probs", _flat_copy(self, self.probs, np.float64))
 
     __reduce__ = _reduce_through_init
-
-    def argmax(self) -> VectorFq:
-        return vector_from_flat(self.params, self.n, int(np.argmax(self.probs)))
 
     def top(self, count: int = 5) -> list:
         """Heaviest outcomes as (vector, probability), ties broken by

@@ -19,15 +19,15 @@ from qvint.simulator import StateVector
 
 
 def linear_combination(vectors, weights, *, params=None, n=None) -> VectorFq:
-    """Weighted sum of vectors by FieldElement arithmetic.  The empty sum
-    needs params and n to know which zero vector to return."""
+    """Weighted sum of vectors, each coordinate a sum of FieldElement
+    products.  The empty sum needs params and n to know which zero vector
+    to return."""
     vectors, weights = tuple(vectors), tuple(weights)
     if not vectors:
         return VectorFq(tuple(params.zero() for _ in range(n)))
-    acc = vectors[0].scale(weights[0])
-    for v, w in zip(vectors[1:], weights[1:]):
-        acc = acc + v.scale(w)
-    return acc
+    zero = vectors[0].params.zero()
+    return VectorFq(tuple(sum((w * v.entries[i] for v, w in zip(vectors, weights)), zero)
+                          for i in range(vectors[0].n)))
 
 
 def transversal_pairs(transversal) -> dict:

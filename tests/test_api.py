@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import qvint
-from qvint import census, complexity, domain, errors, field, simulator
+from qvint import census, complexity, domain, errors, field, simulator, verify
 
 MODULES = (census, complexity, domain, errors, field, simulator)
 
@@ -67,9 +67,18 @@ def test_public_names_are_the_union_of_the_modules():
     (simulator, "fourier_state"), (simulator, "restricted_fourier_state"),
     (simulator.StateVector, "amplitude_of"), (simulator.StateVector, "norm"),
     (simulator.StateVector, "inner"), (simulator.OutcomeDistribution, "prob_of"),
+    (domain.VectorFq, "scale"), (domain.VectorFq, "__add__"),
+    (census.ImageSet, "__contains__"), (simulator.OutcomeDistribution, "argmax"),
 ))
 def test_oracle_only_names_are_gone(owner, name):
     assert not hasattr(owner, name)
+
+
+def test_no_parameter_exists_only_for_tests():
+    # Faults are injected by monkeypatch in the tests, and no caller labels
+    # an explicit domain.
+    assert list(inspect.signature(verify.run_all).parameters) == ["quick"]
+    assert list(inspect.signature(domain.build_explicit_domain).parameters) == ["vectors"]
 
 
 def test_simulator_public_functions_are_pinned():
@@ -168,6 +177,23 @@ def test_value_types_share_one_immutability_rule(name):
         assert back is not value and _same(value, back)
         if name == "FieldParams":
             assert back._tables == {} and value._tables
+
+
+_F3 = field.FieldParams(3)
+
+
+@pytest.mark.parametrize("build", (
+    lambda: domain.Domain(_F3, [[1, 2], [1]]),
+    lambda: census.ImageSet(_F3, 2, [[1, 2], [1]]),
+    lambda: census.Transversal(domain.build_vandermonde_domain(_F3, 1), 1,
+                               [[1, 2]], [[0], [0, 1]], [[1]]),
+    lambda: simulator.StateVector(_F3, 1, [[1], [1, 2]]),
+    lambda: simulator.OutcomeDistribution(_F3, 1, ["a", "b", "c"]),
+), ids=("Domain", "ImageSet", "Transversal", "StateVector", "OutcomeDistribution"))
+def test_malformed_arrays_are_parameter_errors(build):
+    # Ragged rows and text where numbers belong, refused in numpy's words.
+    with pytest.raises(errors.ParameterError, match=r"values are not an array of \w+: "):
+        build()
 
 
 def test_blocks_cover_the_count_in_order(monkeypatch):

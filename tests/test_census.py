@@ -693,16 +693,6 @@ class TestImageSet:
         assert keys == sorted(keys)
         assert image.size == 7
 
-    def test_membership(self):
-        census = enumerate_census(vandermonde(3, 1), 1)
-        image = image_set(census)
-        assert VectorFq.from_index_tuple(F3, (1, 2)) in image
-        assert VectorFq.from_index_tuple(F3, (0, 1)) not in image
-        assert "not a vector" not in image
-        # Same index tuple over another field, and a member padded to length 3.
-        assert VectorFq.from_index_tuple(F5, (1, 2)) not in image
-        assert VectorFq.from_index_tuple(F3, (1, 2, 0)) not in image
-
     def test_keys_array(self):
         image = image_set(enumerate_census(vandermonde(3, 1), 1))
         assert image.keys.tolist() == [list(z.index_tuple()) for z in image.elements]
@@ -710,7 +700,6 @@ class TestImageSet:
             image.keys[0, 0] = 1
         empty = ImageSet(params=F3, n=2, keys=np.empty((0, 2), np.intp))
         assert empty.keys.shape == (0, 2)
-        assert VectorFq.from_index_tuple(F3, (0, 0)) not in empty
 
     @pytest.mark.parametrize("keys", ([[0, 3], [1, 0]], [[0, -1], [1, 0]]))
     def test_keys_outside_the_field_are_refused(self, keys):

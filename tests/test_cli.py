@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import qvint
-from qvint import simulator
+from qvint import simulator, verify as verify_mod
 from qvint.cli import main
 from qvint.domain import Domain, VectorFq, build_vandermonde_domain, write_domain_file
 from qvint.errors import ContractError, ParameterError, ResourceCapError
@@ -496,12 +496,21 @@ class TestVerifyCommand:
         assert all(line.startswith("PASS") for line in lines[:-1])
         assert lines[-1].endswith("checks passed")
 
-    def test_corrupt_modulus_is_caught(self, runner):
-        result = runner.invoke(
-            main, ["verify", "--quick", "--inject-corrupt-modulus"])
+    def test_corrupt_modulus_is_caught(self, runner, monkeypatch):
+        # The irreducibility check is handed x^r in place of GF(4)'s modulus.
+        irreducible = verify_mod._is_irreducible
+        monkeypatch.setattr(verify_mod, "_is_irreducible",
+                            lambda modulus, p: irreducible((0,) * (len(modulus) - 1) + (1,), p))
+        result = runner.invoke(main, ["verify", "--quick"])
         assert result.exit_code == 1
-        assert "FAIL" in result.output
-        assert "modulus-irreducible-q4" in result.output
+        failed = [line for line in result.output.splitlines() if line.startswith("FAIL")]
+        assert failed == ["FAIL  modulus-irreducible-q4: modulus (1, 1, 1) over GF(2) is reducible"]
+
+    def test_fault_injection_is_not_a_verify_option(self, runner):
+        # Faults are injected by the tests, never through the command line.
+        result = runner.invoke(main, ["verify", "--quick", "--inject-corrupt-modulus"])
+        assert result.exit_code == 2
+        assert "--inject-corrupt-modulus" in result.output
 
     def test_max_tuples_is_not_a_verify_option(self, runner):
         # The verify grid is fixed, so a tuple cap could only make it fail.

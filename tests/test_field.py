@@ -12,7 +12,7 @@ import sympy
 
 from qvint.errors import ParameterError, ResourceCapError
 from qvint import census as census_mod
-from qvint.field import (FieldParams, _is_prime, character_orthogonality_check,
+from qvint.field import (FieldElement, FieldParams, _is_prime, character_orthogonality_check,
                          parse_field_spec, smallest_irreducible)
 
 SMALL_FIELDS = (2, 3, 4, 5, 7, 8, 9)
@@ -75,6 +75,14 @@ class TestConstruction:
             modulus = smallest_irreducible(p, r)
             poly = sympy.Poly(list(reversed(modulus)), x, modulus=p)
             assert poly.is_irreducible
+
+    @pytest.mark.parametrize("coeffs", ((7,), (-1,), (1, 0), [1], (True,), (np.int64(1),), (1.0,)),
+                             ids=repr)
+    def test_element_coefficients_must_be_r_plain_ints_below_p(self, coeffs):
+        wanted = r"GF\(3\) coefficients must be a tuple of r=1 integers in \[0, 3\)"
+        with pytest.raises(ParameterError, match=wanted):
+            FieldElement(FieldParams(3), coeffs)
+        assert FieldElement(FieldParams(3), (1,)) == FieldParams(3).one()
 
     def test_explicit_modulus_validation(self):
         FieldParams(3, 2, modulus=(1, 0, 1))

@@ -214,13 +214,7 @@ def analyze(domain, mono_md, k, report):
             },
         }
     if k is not None:
-        cls = complexity.classify_instance(stats, k)
-        report["classification"] = {
-            "k": cls.k,
-            "summary": cls.summary,
-            "meets_bounded_error": cls.meets_bounded_error,
-            "meets_high_probability": cls.meets_high_probability,
-        }
+        report["classification"] = asdict(complexity.classify_instance(stats, k))
 
 
 @_domain_command("enumerate", click.option(
@@ -344,10 +338,9 @@ def simulate(domain, mono_md, k, report, secret, trials, seed):
 
 
 @main.command()
-@click.option("--quick", is_flag=True, help="Small sub-10-second grid.")
-def verify(quick):
+def verify():
     """Run the named self-check suite; one line per check."""
-    results = verify_mod.run_all(quick=quick)
+    results = verify_mod.run_all()
     failures = 0
     for result in results:
         tag = "PASS" if result.ok else "FAIL"

@@ -21,7 +21,7 @@ __all__ = [
 ]
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .domain import monomial_exponents
 from .errors import ContractError, ParameterError, check_int
@@ -153,16 +153,13 @@ class ReductionPlan:
     Variable i maps to x^(exponents[i-1]); a monomial with exponent tuple e
     maps to x^(sum e_i * exponents[i-1]).  The map is injective on all
     monomials of total degree <= degree (verified exhaustively), so the
-    reduced problem is univariate of degree reduced_degree.  monomial_image
-    is fixed by variables, degree and exponents, so equality and the hash
-    leave it out.
+    reduced problem is univariate of degree reduced_degree.
     """
 
     variables: int
     degree: int
     exponents: tuple
     reduced_degree: int
-    monomial_image: dict = field(compare=False)  # exponent tuple -> reduced exponent
     suggested_k: int
     note: str
 
@@ -205,7 +202,6 @@ def univariate_reduction(variables: int, degree: int) -> ReductionPlan:
         degree=d,
         exponents=exponents,
         reduced_degree=reduced_degree,
-        monomial_image=image,
         suggested_k=suggested_k,
         note=note,
     )
@@ -216,9 +212,6 @@ class InstanceClassification:
     """How a concrete (domain, k) choice relates to the planned counts."""
 
     k: int
-    bounded_error: QueryPlan
-    high_probability: QueryPlan | None
-    high_probability_error: str | None
     meets_bounded_error: bool
     meets_high_probability: bool | None
     summary: str
@@ -232,7 +225,7 @@ def classify_instance(stats, k: int) -> InstanceClassification:
     interpolates anything beyond the zero secret.
     """
     check_int("query count", k, 1)
-    low, high, high_error = query_plans(stats)
+    low, high, _ = query_plans(stats)
     meets_high = None if high is None else k >= high.k
     if high is not None and k == high.k:
         summary = "high-regime exact match"
@@ -246,9 +239,6 @@ def classify_instance(stats, k: int) -> InstanceClassification:
         summary = "between the bounded-error and high-probability query counts"
     return InstanceClassification(
         k=k,
-        bounded_error=low,
-        high_probability=high,
-        high_probability_error=high_error,
         meets_bounded_error=k >= low.k,
         meets_high_probability=meets_high,
         summary=summary,

@@ -52,10 +52,9 @@ class VectorFq:
         entries = tuple(self.entries)
         if not entries:
             raise ParameterError("vectors must have at least one coordinate")
-        params = entries[0].params
-        for e in entries:
-            if not isinstance(e, FieldElement) or e.params != params:
-                raise ParameterError("all coordinates must come from the same field")
+        if not all(isinstance(e, FieldElement) and e.params == entries[0].params
+                   for e in entries):
+            raise ParameterError("all coordinates must come from the same field")
         object.__setattr__(self, "entries", entries)
 
     __reduce__ = _reduce_through_init

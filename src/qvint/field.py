@@ -180,9 +180,7 @@ class FieldParams:
         check_int("extension degree", r, 1)
         q = p ** r
         check_cap("field", q, "elements", DEFAULT_MAX_Q)
-        if modulus is None:
-            modulus = smallest_irreducible(p, r)
-        else:
+        if modulus is not None:
             modulus = tuple(int(c) % p for c in modulus)
             if len(modulus) != r + 1:
                 raise ParameterError(
@@ -192,6 +190,9 @@ class FieldParams:
                 raise ParameterError("modulus must be monic")
             if r > 1 and not _is_irreducible(modulus, p):
                 raise ParameterError(f"modulus {modulus} is reducible over GF({p})")
+        # Every monic x - a leaves the same residues mod p: one GF(p), one modulus.
+        if modulus is None or r == 1:
+            modulus = smallest_irreducible(p, r)
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "modulus", modulus)
 
@@ -329,6 +330,8 @@ class FieldElement:
     coeffs: tuple
 
     def __post_init__(self):
+        if not isinstance(self.params, FieldParams):
+            raise ParameterError(f"params must be a FieldParams, got {self.params!r}")
         p, r = self.params.p, self.params.r
         if (type(self.coeffs) is not tuple or len(self.coeffs) != r
                 or not all(type(c) is int and 0 <= c < p for c in self.coeffs)):

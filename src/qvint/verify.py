@@ -6,9 +6,8 @@ an error raised by the modules under test fails each name whose check hit
 it.  The command line front-end prints one line per check and exits nonzero
 if any failed.
 
-The default grid covers prime and extension fields, Vandermonde and
-monomial domains, and every query count the desk-scale identities are
-asserted for.  --quick shrinks it to a sub-10-second subset.
+The grid covers prime and extension fields, Vandermonde and monomial
+domains, and every query count the desk-scale identities are asserted for.
 
 The field laws are checked on the index tables every other layer computes
 with.  FieldElement sums and products are held to add_rows() and mul_rows()
@@ -49,15 +48,7 @@ VANDERMONDE_GRID = (
 )
 MONOMIAL_GRID = ((3, 2, 2, (1,)),)
 
-QUICK_VANDERMONDE = (
-    (3, 1, (1,)),
-    (4, 1, (1,)),
-    (5, 3, (2,)),
-)
-QUICK_MONOMIAL = MONOMIAL_GRID
-
 CHECK_FIELDS = (2, 3, 4, 5, 7, 8, 9)
-QUICK_FIELDS = (3, 4, 5)
 
 PHASE_CHECK_FIELDS = (3, 4, 5)
 
@@ -298,8 +289,8 @@ def _check_sampling(census_of):
     return ok, f"frequency {freq:.5f} vs {float(p):.5f} within {tol:.5f}, seed-stable"
 
 
-def _check_query_formulas(quick):
-    qs = (5, 7) if quick else (5, 7, 11, 13)
+def _check_query_formulas():
+    qs = (5, 7, 11, 13)
     for q in qs:
         for d in range(1, q):
             n = d + 1
@@ -369,7 +360,7 @@ def _check_domain_roundtrip(domain_of):
     return back.same_as(domain), "write/read preserves field, length, and vectors"
 
 
-def run_all(quick: bool = False) -> list:
+def run_all() -> list:
     """Run every check; returns CheckResults in a fixed, deterministic order.
 
     This is the suite's one error boundary and the only place a verdict is
@@ -398,15 +389,15 @@ def run_all(quick: bool = False) -> list:
     domain_of = functools.cache(lambda build, q, *shape: build(field(q), *shape))
     census_of = functools.cache(lambda build, q, shape, k: census_mod.enumerate_census(
         domain_of(build, q, *shape), k))
-    for q in QUICK_FIELDS if quick else CHECK_FIELDS:
+    for q in CHECK_FIELDS:
         run(f"field-axioms-q{q}", _check_field_axioms, field, q)
         run(f"trace-character-q{q}", _check_trace_character, field, q)
         run(f"modulus-irreducible-q{q}", _check_modulus, field, q)
 
     instances = [(f"vand-q{q}-d{d}", build_vandermonde_domain, q, (d,), ks)
-                 for q, d, ks in (QUICK_VANDERMONDE if quick else VANDERMONDE_GRID)]
+                 for q, d, ks in VANDERMONDE_GRID]
     instances += [(f"mono-q{q}-m{m}-d{d}", build_monomial_domain, q, (m, d), ks)
-                  for q, m, d, ks in (QUICK_MONOMIAL if quick else MONOMIAL_GRID)]
+                  for q, m, d, ks in MONOMIAL_GRID]
     gram_targets = {("vand-q3-d1", 1), ("vand-q5-d3", 2)}
     for label, build, q, shape, ks in instances:
         domain = functools.partial(domain_of, build, q, *shape)
@@ -430,7 +421,7 @@ def run_all(quick: bool = False) -> list:
             functools.partial(domain_of, build_vandermonde_domain, q, 1))
     run("sampling-reproducibility", _check_sampling,
         functools.partial(census_of, build_vandermonde_domain, 3, (1,), 1))
-    run("query-formula-sweep", _check_query_formulas, quick)
+    run("query-formula-sweep", _check_query_formulas)
     run("multivariate-bounds", _check_multivariate)
     run("monomial-domain-shape", _check_monomial_shape,
         functools.partial(domain_of, build_monomial_domain, 3, 2, 2))

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from qvint import simulator
-from qvint.domain import VectorFq, rows_to_flat
+from qvint.domain import VectorFq, monomial_exponents, rows_to_flat
 from qvint.errors import ParameterError, check_cap
 from qvint.simulator import StateVector
 
@@ -28,6 +28,13 @@ def linear_combination(vectors, weights, *, params=None, n=None) -> VectorFq:
     zero = vectors[0].params.zero()
     return VectorFq(tuple(sum((w * v.entries[i] for v, w in zip(vectors, weights)), zero)
                           for i in range(vectors[0].n)))
+
+
+def monomial_image(plan) -> dict:
+    """Exponent tuple -> reduced exponent, for every monomial of total degree
+    <= plan.degree under a univariate_reduction plan's substitution."""
+    return {e: sum(a * x for a, x in zip(e, plan.exponents))
+            for e in monomial_exponents(plan.variables, plan.degree)}
 
 
 def transversal_pairs(transversal) -> dict:

@@ -29,6 +29,8 @@ from qvint.simulator import (outcome_distribution, phase_query_check,
                              state_family_rank, success_probability)
 from qvint.verify import MONOMIAL_GRID, SAMPLING_SEED, VANDERMONDE_GRID
 
+from oracles import monomial_image
+
 _params_cache = {}
 _census_cache = {}
 _grid_cache = []
@@ -202,7 +204,7 @@ def test_criterion_08_multivariate_cross_checks():
             anchor = Fraction(d * dom.n, m + d)
             assert lower <= anchor <= upper
             plan = univariate_reduction(m, d)
-            image = list(plan.monomial_image.values())
+            image = list(monomial_image(plan).values())
             assert len(set(image)) == len(image)
             assert plan.reduced_degree == sum(d ** i for i in range(1, m + 1))
         assert univariate_reduction(3, 2).reduced_degree == 14

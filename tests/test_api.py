@@ -77,7 +77,7 @@ def test_oracle_only_names_are_gone(owner, name):
 def test_no_parameter_exists_only_for_tests():
     # Faults are injected by monkeypatch in the tests, and no caller labels
     # an explicit domain.
-    assert list(inspect.signature(verify.run_all).parameters) == ["quick"]
+    assert list(inspect.signature(verify.run_all).parameters) == []
     assert list(inspect.signature(domain.build_explicit_domain).parameters) == ["vectors"]
 
 

@@ -489,32 +489,36 @@ class TestReproducibility:
 
 
 class TestVerifyCommand:
-    def test_quick_suite_passes(self, runner):
-        result = runner.invoke(main, ["verify", "--quick"])
-        assert result.exit_code == 0, result.output
-        lines = result.output.strip().splitlines()
-        assert all(line.startswith("PASS") for line in lines[:-1])
-        assert lines[-1].endswith("checks passed")
-
     def test_corrupt_modulus_is_caught(self, runner, monkeypatch):
-        # The irreducibility check is handed x^r in place of GF(4)'s modulus.
+        # The irreducibility check is handed x^r in place of each extension
+        # field's modulus.
         irreducible = verify_mod._is_irreducible
         monkeypatch.setattr(verify_mod, "_is_irreducible",
                             lambda modulus, p: irreducible((0,) * (len(modulus) - 1) + (1,), p))
-        result = runner.invoke(main, ["verify", "--quick"])
+        result = runner.invoke(main, ["verify"])
         assert result.exit_code == 1
         failed = [line for line in result.output.splitlines() if line.startswith("FAIL")]
-        assert failed == ["FAIL  modulus-irreducible-q4: modulus (1, 1, 1) over GF(2) is reducible"]
+        assert failed == [
+            "FAIL  modulus-irreducible-q4: modulus (1, 1, 1) over GF(2) is reducible",
+            "FAIL  modulus-irreducible-q8: modulus (1, 0, 1, 1) over GF(2) is reducible",
+            "FAIL  modulus-irreducible-q9: modulus (1, 0, 1) over GF(3) is reducible",
+        ]
 
     def test_fault_injection_is_not_a_verify_option(self, runner):
         # Faults are injected by the tests, never through the command line.
-        result = runner.invoke(main, ["verify", "--quick", "--inject-corrupt-modulus"])
+        result = runner.invoke(main, ["verify", "--inject-corrupt-modulus"])
         assert result.exit_code == 2
         assert "--inject-corrupt-modulus" in result.output
 
+    def test_there_is_no_quick_grid(self, runner):
+        # verify runs one grid; the full one takes well under a second.
+        result = runner.invoke(main, ["verify", "--quick"])
+        assert result.exit_code == 2
+        assert "No such option" in result.output and "--quick" in result.output
+
     def test_max_tuples_is_not_a_verify_option(self, runner):
         # The verify grid is fixed, so a tuple cap could only make it fail.
-        result = runner.invoke(main, ["verify", "--quick", "--max-tuples", "10"])
+        result = runner.invoke(main, ["verify", "--max-tuples", "10"])
         assert result.exit_code == 2
         assert "--max-tuples" in result.output
 
@@ -523,7 +527,7 @@ class TestVerifyCommand:
     ["enumerate", "--field", "4", "--vandermonde", "2", "--k", "2"],
     ["simulate", "--field", "3", "--vandermonde", "1", "--k", "1", "--secret", "1,1"],
     ["analyze", "--field", "5", "--vandermonde", "3"],
-    ["verify", "--quick"],
+    ["verify"],
 ), ids=lambda args: args[0])
 def test_commands_leave_numpy_ma_unimported(args):
     # A fresh interpreter, as each command pays its own imports.
@@ -537,7 +541,7 @@ def test_commands_leave_numpy_ma_unimported(args):
 
 
 @pytest.mark.parametrize("args", (
-    ["verify", "--quick"],
+    ["verify"],
     ["simulate", "--field", "3", "--vandermonde", "1", "--k", "1", "--trials", "1000",
      "--seed", "5"],
 ), ids=("verify", "simulate-random-secret"))

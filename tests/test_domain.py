@@ -465,6 +465,24 @@ class TestDomainFiles:
         path.write_text(re.sub(r" modulus=\S+", "", path.read_text()))
         assert read_domain_file(path).params == parse_field_spec(str(params.q))
 
+    # Every monic x - a leaves the same residues mod p, so a degree-one
+    # modulus, however it is given, makes GF(p) itself.
+    @pytest.mark.parametrize("source", ("spec", "params", "header"))
+    def test_a_degree_one_modulus_is_the_prime_field(self, tmp_path, source):
+        gf7 = FieldParams(7)
+        path = tmp_path / "d.txt"
+        path.write_text("q=7 n=2 modulus=1,1\n1,0\n0,1\n")
+        params = {"spec": lambda: parse_field_spec("7:1,1"),
+                  "params": lambda: FieldParams(7, 1, modulus=(1, 1)),
+                  "header": lambda: read_domain_file(path).params}[source]()
+        assert params == gf7 and hash(params) == hash(gf7)
+        assert params.element(3) + gf7.element(5) == gf7.element(1)
+        assert gf7.element(3) * params.element(5) == params.element(1)
+        dom = build_vandermonde_domain(params, 2)
+        write_domain_file(dom, path)
+        back = read_domain_file(path)
+        assert back.same_as(dom) and back.same_as(build_vandermonde_domain(gf7, 2))
+
     def test_rejects_wrong_length_vector(self, tmp_path):
         path = tmp_path / "d.txt"
         path.write_text("q=3 n=2\n1,0,2\n")

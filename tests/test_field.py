@@ -12,6 +12,7 @@ import sympy
 
 from qvint.errors import ParameterError, ResourceCapError
 from qvint import census as census_mod
+from qvint.domain import VectorFq
 from qvint.field import (FieldElement, FieldParams, _is_prime, character_orthogonality_check,
                          parse_field_spec, smallest_irreducible)
 
@@ -83,6 +84,16 @@ class TestConstruction:
         with pytest.raises(ParameterError, match=wanted):
             FieldElement(FieldParams(3), coeffs)
         assert FieldElement(FieldParams(3), (1,)) == FieldParams(3).one()
+
+    # The types are checked before any attribute is read, so a wrong kind of
+    # argument is a ParameterError, not an AttributeError.
+    @pytest.mark.parametrize("build,wanted", (
+        (lambda: VectorFq((1, 2)), "all coordinates must come from the same field"),
+        (lambda: FieldElement(3, (1,)), "params must be a FieldParams, got 3"),
+    ), ids=("VectorFq", "FieldElement"))
+    def test_a_wrong_kind_of_argument_is_a_parameter_error(self, build, wanted):
+        with pytest.raises(ParameterError, match=wanted):
+            build()
 
     def test_explicit_modulus_validation(self):
         FieldParams(3, 2, modulus=(1, 0, 1))

@@ -36,8 +36,6 @@ CASES = {
         ("simulate", "--field", "3", "--vandermonde", "1", "--secret", "sweep"),
     "analyze_gf3_monomial2_2.json":
         ("analyze", "--field", "3", "--monomial", "2,2"),
-    "verify_quick.txt":
-        ("verify", "--quick"),
     "verify_full.txt":
         ("verify",),
 }

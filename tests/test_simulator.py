@@ -307,8 +307,8 @@ class TestBatchedSweep:
             return np.roll(real(domain, transversal, secrets), 1, axis=1)
 
         monkeypatch.setattr(simulator, "_query_phases", misplaced)
-        pipeline = [r for r in run_all(quick=True) if r.name.startswith("pipeline-equivalence-")]
-        assert len(pipeline) == 4
+        pipeline = [r for r in run_all() if r.name.startswith("pipeline-equivalence-")]
+        assert len(pipeline) == 12
         for result in pipeline:
             assert not result.ok
             gap = re.fullmatch(r"max amplitude gap (\S+) over \d+ secrets", result.detail)

@@ -1,4 +1,4 @@
-"""Self-check suite: green on the quick grid, red under fault injection."""
+"""Self-check suite: green on its grid, red under fault injection."""
 
 import itertools
 
@@ -10,24 +10,16 @@ from qvint.field import FieldElement, FieldParams
 from qvint.verify import run_all
 
 
-def test_quick_suite_all_green():
-    results = run_all(quick=True)
-    names = [r.name for r in results]
-    assert len(names) == len(set(names))
-    assert len(results) >= 40
-    assert all(r.ok for r in results), [r for r in results if not r.ok]
-    assert all(r.detail for r in results)
-
-
 def test_corrupt_modulus_fails_only_the_irreducibility_check(monkeypatch):
     # The check is handed the reducible x^r in place of each extension
     # field's modulus; the fields themselves stay intact.
     irreducible = verify_mod._is_irreducible
     monkeypatch.setattr(verify_mod, "_is_irreducible",
                         lambda modulus, p: irreducible((0,) * (len(modulus) - 1) + (1,), p))
-    results = run_all(quick=True)
+    results = run_all()
     failed = {r.name for r in results if not r.ok}
-    assert failed == {"modulus-irreducible-q4"}
+    assert failed == {"modulus-irreducible-q4", "modulus-irreducible-q8",
+                      "modulus-irreducible-q9"}
 
 
 def test_a_raising_check_fails_alone(monkeypatch):
@@ -35,8 +27,8 @@ def test_a_raising_check_fails_alone(monkeypatch):
         raise ContractError("bound withheld")
 
     monkeypatch.setattr(census_mod, "chebyshev_zero_bound", broken)
-    results = run_all(quick=True)
-    assert len(results) == 47
+    results = run_all()
+    assert len(results) == 109
     failed = [r for r in results if not r.ok]
     assert failed == [r for r in results if r.name.startswith("chebyshev-")]
     assert failed
@@ -52,19 +44,23 @@ def test_corrupt_hit_counts_fail_the_second_moment_checks(monkeypatch):
         return hits
 
     monkeypatch.setattr(census_mod, "_line_transform", corrupt)
-    results = run_all(quick=True)
+    results = run_all()
     second_moment = [r for r in results if r.name.startswith("second-moment-")]
-    assert len(second_moment) == 4
+    assert len(second_moment) == 12
     assert all(not r.ok and r.detail.endswith(", N(t) tally differs from the direct count")
                for r in second_moment)
     # The transform census and the picker read the same N(t), so the walk
-    # comparison and the k=2 sweep's two verdicts catch it too; nothing else does.
-    assert len(results) == 47
+    # comparison and each k >= 2 sweep's two verdicts catch it too; nothing
+    # else does.
+    assert len(results) == 109
     failed = {r.name for r in results if not r.ok}
+    swept = [r.name.removeprefix("second-moment-") for r in second_moment
+             if not r.name.endswith("-k1")]
+    assert len(swept) == 6
     assert failed == ({r.name for r in second_moment}
                       | {r.name.replace("second-moment-", "census-totals-") for r in second_moment}
-                      | {"pipeline-equivalence-vand-q5-d3-k2",
-                         "success-probability-vand-q5-d3-k2"})
+                      | {f"{verdict}-{instance}" for instance in swept
+                         for verdict in ("pipeline-equivalence", "success-probability")})
 
 
 def test_one_direct_tally_per_instance(monkeypatch):
@@ -125,19 +121,19 @@ def test_a_failing_census_fails_its_dependents_and_keeps_every_name(monkeypatch)
 
 
 def test_a_raising_sweep_fails_both_of_its_names(monkeypatch):
-    passing = [r.name for r in run_all(quick=True)]
+    passing = [r.name for r in run_all()]
 
     def broken(domain, k, transversal, flats):
         raise ContractError("probability withheld")
 
     monkeypatch.setattr(simulator, "_sweep", broken)
-    results = run_all(quick=True)
-    assert len(results) == 47
+    results = run_all()
+    assert len(results) == 109
     assert [r.name for r in results] == passing
     failed = [r for r in results if not r.ok]
     assert failed == [r for r in results
                       if r.name.startswith(("pipeline-equivalence-", "success-probability-"))]
-    assert len(failed) == 8
+    assert len(failed) == 24
     assert all(r.detail == "ContractError: probability withheld" for r in failed)
 
 
@@ -188,8 +184,8 @@ def test_a_permuted_transversal_fails_pipeline_equivalence(monkeypatch):
         return census
 
     monkeypatch.setattr(census_mod, "enumerate_census", permuted)
-    pipeline = [r for r in run_all(quick=True) if r.name.startswith("pipeline-equivalence-")]
-    assert len(pipeline) == 4
+    pipeline = [r for r in run_all() if r.name.startswith("pipeline-equivalence-")]
+    assert len(pipeline) == 12
     assert not any(r.ok for r in pipeline)
 
 
@@ -206,7 +202,7 @@ def test_a_transversal_off_the_image_fails_its_sweep(monkeypatch):
         return census
 
     monkeypatch.setattr(census_mod, "enumerate_census", off_image)
-    details = {r.name: r.detail for r in run_all(quick=True) if not r.ok}
+    details = {r.name: r.detail for r in run_all() if not r.ok}
     for name in ("pipeline-equivalence-vand-q3-d1-k1", "success-probability-vand-q3-d1-k1"):
         assert details[name] == "ContractError: transversal support is not the image"
 

@@ -231,7 +231,7 @@ def enumerate_census(domain: Domain, k: int) -> PreimageCensus:
     check_cap("census", total, "tuples", DEFAULT_MAX_TUPLES)
     check_cap("census", q ** n, "points", MAX_RESIDUES)
 
-    add, lines = params.add_rows().reshape(-1), domain.lines
+    lines = domain.lines
     position, weight = np.divmod(np.arange(len(lines)), q)
     dense = np.zeros(q ** n, dtype=np.int64)
     dense_good = np.zeros(q ** n, dtype=np.int64)
@@ -240,7 +240,7 @@ def enumerate_census(domain: Domain, k: int) -> PreimageCensus:
     while stack:
         acc, used, good = stack.pop()
         if used.shape[1] < k:
-            acc = add[acc[:, None, :] * q + lines].reshape(-1, n)
+            acc = params.add(acc[:, None, :], lines).reshape(-1, n)
             good = (good[:, None] & (weight != 0)
                     & (used[:, :, None] != position).all(axis=1)).reshape(-1)
             if used.shape[1] + 1 < k:
@@ -411,7 +411,7 @@ def _pick_transversal(census: PreimageCensus) -> "Transversal":
     remainders = keys.copy()
     positions = np.zeros((len(keys), k), dtype=np.intp)
     weights = np.zeros((len(keys), k), dtype=np.intp)
-    add, lines = params.add_rows(), domain.lines
+    lines = domain.lines
     steps = params.negations()[lines]  # -y*v_j: a step subtracts pair j*q + y
     for level in range(k):
         reachable = reach[k - 1 - level]
@@ -422,37 +422,37 @@ def _pick_transversal(census: PreimageCensus) -> "Transversal":
         # 20 s at level 0 of k=3 (|R| = 419431) and the scan about 10 s at
         # level 0 of k=2 (|R| = 931), where the cheaper one takes under 0.3 s.
         if len(lines) * size <= len(keys) * min(len(lines), q ** n // size):
-            choice = _first_pairs_by_table(add, q, lines, reachable, remainders)
+            choice = _first_pairs_by_table(params, lines, reachable, remainders)
         else:
-            choice = _first_pairs_by_scan(add, q, steps, reachable, remainders)
+            choice = _first_pairs_by_scan(params, steps, reachable, remainders)
         if (choice == len(lines)).any():
             missing = keys[np.argmax(choice == len(lines))]
             raise ContractError(f"no pre-image reaches {tuple(missing.tolist())}")
         positions[:, level], weights[:, level] = np.divmod(choice, q)
-        remainders = add[remainders, steps[choice]]
+        remainders = params.add(remainders, steps[choice])
     return Transversal(domain, k, keys, positions, weights)
 
 
-def _first_pairs_by_table(add, q, lines, reachable, remainders) -> np.ndarray:
+def _first_pairs_by_table(params, lines, reachable, remainders) -> np.ndarray:
     """For each remainder r, the first pair index i with r - lines[i] in the
     reachable set (len(lines) if none), from a table over R + lines[i]: the
     least pair index scattered onto each point, for blocks of pairs at once."""
     first = np.full(len(reachable), len(lines), dtype=np.intp)
-    members = flat_to_rows(np.flatnonzero(reachable), q, lines.shape[1])
+    members = flat_to_rows(np.flatnonzero(reachable), params.q, lines.shape[1])
     for b in blocks(len(lines), len(members)):
         block = np.arange(b.start, b.stop)
-        targets = rows_to_flat(add[members, lines[block, None]], q)
+        targets = rows_to_flat(params.add(members, lines[block, None]), params.q)
         np.minimum.at(first, targets.reshape(-1), np.repeat(block, len(members)))
-    return first[rows_to_flat(remainders, q)]
+    return first[rows_to_flat(remainders, params.q)]
 
 
-def _first_pairs_by_scan(add, q, steps, reachable, remainders) -> np.ndarray:
+def _first_pairs_by_scan(params, steps, reachable, remainders) -> np.ndarray:
     """The same choice as _first_pairs_by_table, by trying the pairs in order,
     steps[i] = -lines[i], on the remainders not yet placed."""
     first = np.full(len(remainders), len(steps), dtype=np.intp)
     pending = np.arange(len(remainders))
     for pair, step in enumerate(steps):
-        hit = reachable[rows_to_flat(add[remainders[pending], step], q)]
+        hit = reachable[rows_to_flat(params.add(remainders[pending], step), params.q)]
         first[pending[hit]] = pair
         pending = pending[~hit]
         if not pending.size:
@@ -511,12 +511,11 @@ class Transversal:
         for name, width, bound in (("keys", self.domain.n, q), ("weights", self.k, q),
                                    ("positions", self.k, self.domain.size)):
             object.__setattr__(self, name, _index_array(getattr(self, name), width, bound))
-        keys, positions, weights = self.keys, self.positions, self.weights
-        add, lines = self.domain.params.add_rows(), self.domain.lines
+        keys, params, vectors = self.keys, self.domain.params, self.domain.indices
         # Combination map on every pre-image at once: z = sum_i y_i * v_i.
         z = np.zeros_like(keys)
         for i in range(self.k):
-            z = add[z, lines[positions[:, i] * q + weights[:, i]]]
+            z = params.add(z, params.mul(self.weights[:, i, None], vectors[self.positions[:, i]]))
         bad = np.flatnonzero((z != keys).any(axis=1))
         if bad.size:
             key, got = keys[bad[0]].tolist(), z[bad[0]].tolist()

@@ -7,8 +7,9 @@ pick representatives are reproducible across runs and machines.
 It also owns the internal form of GF(q)^n that the other layers compute
 on: (m, n) arrays of element indices, the flat-index codec (first
 coordinate most significant, the order of state vectors) and dot_rows.
-Domains are built, read and rank-checked on those arrays and the field's
-tables; VectorFq and dot are the public API and the reference for them.
+Domains are built, read and rank-checked on those arrays with the field's
+index arithmetic (params.add, params.mul, negations(), inverses()); VectorFq
+and dot are the public API and the reference for them.
 
 Besides construction this module owns the two structural measurements the
 counting layer needs: the number of vectors touching a zero coordinate, and
@@ -30,8 +31,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ParameterError, block_size, check_cap, check_int
-from .field import (FieldElement, FieldParams, _as_array, _read_only, _reduce_through_init,
-                    parse_field_spec)
+from .field import (FieldElement, FieldParams, _as_array, _as_tuple, _read_only,
+                    _reduce_through_init, parse_field_spec)
 
 MAX_DOMAIN_VECTORS = 1 << 20
 # Vectors times coordinates; wide domains pass the vector cap but not this.
@@ -49,7 +50,7 @@ class VectorFq:
     entries: tuple
 
     def __post_init__(self):
-        entries = tuple(self.entries)
+        entries = _as_tuple(self.entries, "vector coordinates")
         if not entries:
             raise ParameterError("vectors must have at least one coordinate")
         if not all(isinstance(e, FieldElement) and e.params == entries[0].params
@@ -143,15 +144,10 @@ def dot_rows(params: FieldParams, s, rows) -> np.ndarray:
     table step per coordinate, equal to dot(s, z).index().  s is one index
     row, or an array broadcasting against rows: (S, 1, n) gives the (S, m)
     table of S secrets, and (m, n) the m row-by-row dot products."""
-    q = params.q
-    # Entry (a, b) of a flattened table is at a * q + b: one 1-D gather per
-    # lookup is faster than indexing the 2-D table with two arrays.
-    add = params.add_rows().reshape(-1)
-    mul = params.mul_rows().reshape(-1)
     s = np.asarray(s)
     acc = np.zeros(np.broadcast_shapes(s.shape[:-1], rows.shape[:-1]), dtype=np.intp)
     for i in range(s.shape[-1]):
-        acc = add[acc * q + mul[s[..., i] * q + rows[..., i]]]
+        acc = params.add(acc, params.mul(s[..., i], rows[..., i]))
     return acc
 
 
@@ -214,8 +210,8 @@ class Domain:
         the index row of y*v_j, the weight at canonical index y.  Built on
         each access, not cached: held for the domain's lifetime, its |V|*q*n
         entries would raise the peak of every later census step."""
-        return _read_only(self.params.mul_rows()[:, self.indices].transpose(1, 0, 2)
-                          .reshape(-1, self.n))
+        weights = np.arange(self.params.q)[:, None]
+        return _read_only(self.params.mul(weights, self.indices[:, None]).reshape(-1, self.n))
 
     @property
     def size(self) -> int:
@@ -261,22 +257,16 @@ def _ranks(stack, params: FieldParams) -> np.ndarray:
     """Rank over GF(q) of every index matrix in a (B, m, n) stack, by one
     elimination of all B at once: step i takes row i, already reduced by the
     rows above it, and clears its first nonzero column from the rows below."""
-    q = params.q
-    add, mul = params.add_rows(), params.mul_rows()
-    # Every nonzero mul row is a permutation with one 1; zero keeps the
-    # placeholder inverse 0.  negate and mul give q times their result, the
-    # row offset of the next flat lookup.
-    negate, inverse = params.negations() * q, (mul == 1).argmax(axis=1)
-    add, mul = add.reshape(-1), mul.reshape(-1) * q
     rows = np.array(stack, dtype=np.intp)
     every = np.arange(len(rows))
     for i in range(rows.shape[1] - 1):
         row = rows[:, i]
         # Pivot column of row i: the pivot, then the leads of the rows below.
         column = rows[every, i:, (row != 0).argmax(axis=1)]
-        # q * factor, factor = -lead / pivot, zero when row i is zero.
-        factor = mul[negate[column[:, 1:]] + inverse[column[:, :1]]]
-        rows[:, i + 1:] = add[mul[factor[:, :, None] + row[:, None, :]] + rows[:, i + 1:]]
+        # factor = -lead / pivot, zero when row i is zero (the inverse of 0 is 0).
+        factor = params.mul(params.negations()[column[:, 1:]], params.inverses()[column[:, :1]])
+        rows[:, i + 1:] = params.add(params.mul(factor[:, :, None], row[:, None, :]),
+                                     rows[:, i + 1:])
     # Steps leave row i zero exactly when it depends on the rows above it.
     return rows.any(axis=2).sum(axis=1)
 
@@ -327,15 +317,16 @@ def _check_size(stage: str, size: int, n: int) -> None:
 
 def build_explicit_domain(vectors) -> Domain:
     """Domain from an iterable of VectorFq (deduplicated, canonically sorted)."""
-    vectors = list(vectors)
+    vectors = _as_tuple(vectors, "domain vectors")
     if not vectors:
         raise ParameterError("a domain needs at least one vector")
-    params, n = vectors[0].params, vectors[0].n
     for v in vectors:
-        if v.params != params or v.n != n:
-            raise ParameterError("all domain vectors must share field and length")
-    _check_size("domain", len(vectors), n)
-    return Domain(params, [v.index_tuple() for v in vectors])
+        # vectors[0] comes first, so its params are read only once it passed.
+        if not isinstance(v, VectorFq) or v.params != vectors[0].params or v.n != vectors[0].n:
+            raise ParameterError(f"domain vectors must be VectorFq of one field and length, "
+                                 f"got {v!r}")
+    _check_size("domain", len(vectors), vectors[0].n)
+    return Domain(vectors[0].params, [v.index_tuple() for v in vectors])
 
 
 def build_vandermonde_domain(params: FieldParams, degree: int) -> Domain:
@@ -350,10 +341,10 @@ def _power_table(params: FieldParams, degree: int) -> np.ndarray:
     """(degree + 1, q) array whose [e, a] entry is the index of a^e, 0^0 = 1.
     Powers repeat with period q - 1 from e = 1 on (a^(q-1) = 1 for a != 0,
     0^e = 0), so at most q rows are multiplied out and the rest gathered."""
-    q, mul = params.q, params.mul_rows()
+    q = params.q
     powers = [np.ones(q, dtype=np.intp)]  # index 1 is the element 1
     for _ in range(min(degree, q - 1)):
-        powers.append(mul[powers[-1], np.arange(q)])
+        powers.append(params.mul(powers[-1], np.arange(q)))
     return np.stack(powers)[np.concatenate(([0], np.arange(degree) % (q - 1) + 1))]
 
 
@@ -391,13 +382,13 @@ def build_monomial_domain(params: FieldParams, variables: int, degree: int) -> D
     n = math.comb(variables + degree, degree)
     check_cap("domain", size * n, "entries", MAX_DOMAIN_ENTRIES)
     exps = monomial_exponents(variables, degree)
-    mul, powers = params.mul_rows(), _power_table(params, degree)
+    powers = _power_table(params, degree)
     points = flat_to_rows(np.arange(q ** variables), q, variables)
     columns = []
     for e in exps:
         acc = np.ones(len(points), dtype=np.intp)
         for i, power in enumerate(e):
-            acc = mul[acc, powers[power, points[:, i]]]
+            acc = params.mul(acc, powers[power, points[:, i]])
         columns.append(acc)
     return Domain(params, np.stack(columns, axis=1),
                   label=f"monomial(q={params.q}, m={variables}, d={degree})")

@@ -10,9 +10,14 @@ trace Tr(z) = z + z^p + ... + z^(p^(r-1)).  Dividing by p is what makes the
 character non-trivial and gives the exact orthogonality relation
 sum_z e(z*(x - y)) = q * delta(x, y), which the Fourier layer depends on.
 
-The other layers compute on the q x q index tables of FieldParams, built
-from the base-p digits of all q indices at once; FieldElement is the public
-element type and the reference those tables are tested against.
+The other layers compute on canonical indices: params.add and params.mul
+return the indices of a + b and a * b for index arrays that broadcast
+together, and the q-length negations() and inverses() map each index to
+that of -x and 1/x.  These are the package's arithmetic on index arrays;
+only this module knows that sums and products are looked up in q x q
+tables, built from the base-p digits of all q indices at once.
+FieldElement is the public element type and the reference those tables
+are tested against.
 """
 
 __all__ = ["FieldElement", "FieldParams", "character_orthogonality_check", "parse_field_spec",
@@ -132,6 +137,13 @@ def _as_array(values, dtype) -> np.ndarray:
         raise ParameterError(f"values are not an array of {np.dtype(dtype)}: {exc}") from None
 
 
+def _as_tuple(values, what: str) -> tuple:
+    """tuple(values), a ParameterError where values is not iterable."""
+    if not hasattr(values, "__iter__"):
+        raise ParameterError(f"{what} must be a sequence, got {values!r}")
+    return tuple(values)
+
+
 def _table(build):
     """A FieldParams table method: built on first call, then served from the
     _tables slot under its name; a numpy table is made read-only."""
@@ -160,7 +172,7 @@ class FieldParams:
 
     p, r, q and modulus cannot be reassigned after construction, because the
     hash and every cached table depend on them.  Heavy derived data (q x q
-    add/mul tables, negations, trace and character tables) is built lazily on
+    add/mul tables, negations, inverses, trace and character tables) is built lazily on
     first use and cached; the numpy tables are read-only.  The Fourier kernel
     is not cached: fourier_matrix() builds a new writable array on each call
     from the cached character_table(), so no second q x q complex table is
@@ -181,11 +193,11 @@ class FieldParams:
         q = p ** r
         check_cap("field", q, "elements", DEFAULT_MAX_Q)
         if modulus is not None:
-            modulus = tuple(int(c) % p for c in modulus)
-            if len(modulus) != r + 1:
-                raise ParameterError(
-                    f"modulus must have degree {r} ({r + 1} coefficients), got {len(modulus)}"
-                )
+            modulus = _as_tuple(modulus, "modulus")
+            if len(modulus) != r + 1 or not all(type(c) is int for c in modulus):
+                raise ParameterError(f"a modulus of degree {r} is {r + 1} integer "
+                                     f"coefficients, got {modulus!r}")
+            modulus = tuple(c % p for c in modulus)
             if modulus[-1] != 1:
                 raise ParameterError("modulus must be monic")
             if r > 1 and not _is_irreducible(modulus, p):
@@ -263,11 +275,27 @@ class FieldParams:
         # a * b = sum_j a_j * (x^j * b), one product digit i at a time.
         return sum(digits @ shifted[:, :, i] % p * p ** i for i in range(r))
 
+    # add and mul read entry (a, b) of the flattened table at a * q + b: one
+    # 1-D gather is faster than indexing the 2-D table with two arrays.
+    def add(self, a, b) -> np.ndarray:
+        """Index of a + b for index arrays a and b, broadcast together."""
+        return self.add_rows().reshape(-1)[np.asarray(a) * self.q + b]
+
+    def mul(self, a, b) -> np.ndarray:
+        """Index of a * b for index arrays a and b, broadcast together."""
+        return self.mul_rows().reshape(-1)[np.asarray(a) * self.q + b]
+
     @_table
     def negations(self) -> np.ndarray:
         """negations()[i] is the index of minus element i: every add row is a
         permutation, whose one 0 (the zero index) sits at the negation."""
         return self.add_rows().argmin(axis=1)
+
+    @_table
+    def inverses(self) -> np.ndarray:
+        """inverses()[i] is the index of 1 / element i, and 0 at 0: every
+        nonzero mul row is a permutation, whose one 1 sits at the inverse."""
+        return (self.mul_rows() == 1).argmax(axis=1)
 
     @_table
     def trace_values(self) -> np.ndarray:
@@ -464,11 +492,7 @@ def parse_field_spec(text: str) -> FieldParams:
     # Refuse before trial division, which takes sqrt(q) steps.
     check_cap("field", q, "elements", DEFAULT_MAX_Q)
     # Factor q as p^r with p the smallest prime factor.
-    p = q
-    for cand in range(2, int(math.isqrt(q)) + 1):
-        if q % cand == 0:
-            p = cand
-            break
+    p = next((c for c in range(2, math.isqrt(q) + 1) if q % c == 0), q)
     r = 0
     rem = q
     while rem % p == 0:

@@ -351,17 +351,15 @@ def phase_query_check(domain: Domain, secret: VectorFq) -> bool:
     check_cap("phase check", q * domain.size, "register pairs", DEFAULT_MAX_AMPLITUDES)
     fourier = params.fourier_matrix()
     chars = params.character_values()
-    add = params.add_rows()
-    mul = params.mul_rows()
     shifts = dot_rows(params, secret.index_tuple(), domain.indices)
     # Every shift's conjugation in one batched contraction per block.
     columns = np.arange(q)
     for b in blocks(len(shifts), q * q):
-        block = shifts[b]
+        block = shifts[b, None]
         stack = np.arange(len(block))[:, None]
         # fourier times the shift's permutation: column y is fourier's column y + s.v.
-        conjugated = np.moveaxis(fourier[:, add[:, block].T], 1, 0) @ fourier.conj().T
-        conjugated[stack, columns, columns] -= chars[mul[block]]
+        conjugated = np.moveaxis(fourier[:, params.add(columns, block)], 1, 0) @ fourier.conj().T
+        conjugated[stack, columns, columns] -= chars[params.mul(block, columns)]
         if np.abs(conjugated).max() > PHASE_QUERY_TOL:
             return False
     return True

@@ -215,3 +215,19 @@ def test_one_module_reads_the_block_budget():
                      if any(getattr(node, "id", getattr(node, "attr", None)) == "BLOCK_ENTRIES"
                             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))))
     assert readers == ["errors.py"]
+
+
+def test_only_field_reads_the_operation_tables():
+    # Index arithmetic goes through FieldParams.add and mul, so only field.py
+    # knows the q x q layout; verify's two table-law checks test the tables.
+    package = Path(qvint.__file__).parent
+    readers = set()
+    for path in package.glob("*.py"):
+        if path.name == "field.py":
+            continue
+        for statement in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(statement):
+                name = getattr(node, "attr", getattr(node, "id", getattr(node, "value", None)))
+                if name in ("add_rows", "mul_rows"):
+                    readers.add(f"{path.stem}.{getattr(statement, 'name', '<module>')}")
+    assert readers == {"verify._check_field_axioms", "verify._check_trace_character"}

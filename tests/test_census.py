@@ -643,8 +643,8 @@ class TestTransversal:
         steps = np.argmin(add, axis=1)[lines]
         every_point = flat_to_rows(np.arange(q ** dom.n), q, dom.n)
         for reachable in (transform_census(dom, j).dense != 0 for j in range(k)):
-            table = census_mod._first_pairs_by_table(add, q, lines, reachable, every_point)
-            scan = census_mod._first_pairs_by_scan(add, q, steps, reachable, every_point)
+            table = census_mod._first_pairs_by_table(params, lines, reachable, every_point)
+            scan = census_mod._first_pairs_by_scan(params, steps, reachable, every_point)
             assert np.array_equal(table, scan)
 
     @pytest.mark.parametrize("block", (1, 7, 1 << 16))
@@ -668,7 +668,7 @@ class TestTransversal:
             members = every_point[reachable]
             for pair in reversed(range(len(lines))):
                 first[rows_to_flat(add[members, lines[pair]], q)] = pair
-            got = census_mod._first_pairs_by_table(add, q, lines, reachable, every_point)
+            got = census_mod._first_pairs_by_table(params, lines, reachable, every_point)
             assert np.array_equal(got, first)
 
     def test_k0(self):

@@ -246,6 +246,16 @@ class TestBuilders:
         with pytest.raises(ParameterError):
             build_explicit_domain([a, c])
 
+    @pytest.mark.parametrize("vectors,wanted", (
+        (5, "domain vectors must be a sequence, got 5"),
+        ([5], "domain vectors must be VectorFq of one field and length, got 5"),
+        ([VectorFq.from_index_tuple(F3, (2, 1)), (2, 1)],
+         r"domain vectors must be VectorFq of one field and length, got \(2, 1\)"),
+    ), ids=("not-iterable", "not-vectors", "second-not-a-vector"))
+    def test_explicit_domain_of_a_wrong_kind_is_a_parameter_error(self, vectors, wanted):
+        with pytest.raises(ParameterError, match=wanted):
+            build_explicit_domain(vectors)
+
 
 @pytest.mark.parametrize("dom", (
     build_vandermonde_domain(F5, 2), build_vandermonde_domain(F9, 2),

@@ -4,6 +4,7 @@ import cmath
 import copy
 import itertools
 import math
+import operator
 import pickle
 
 import numpy as np
@@ -90,10 +91,25 @@ class TestConstruction:
     @pytest.mark.parametrize("build,wanted", (
         (lambda: VectorFq((1, 2)), "all coordinates must come from the same field"),
         (lambda: FieldElement(3, (1,)), "params must be a FieldParams, got 3"),
-    ), ids=("VectorFq", "FieldElement"))
+        (lambda: VectorFq(5), "vector coordinates must be a sequence, got 5"),
+        (lambda: FieldParams(7, 1, modulus=5), "modulus must be a sequence, got 5"),
+        (lambda: FieldParams(7, 1, modulus=("a", "b")),
+         r"a modulus of degree 1 is 2 integer coefficients, got \('a', 'b'\)"),
+    ), ids=("VectorFq", "FieldElement", "VectorFq-not-iterable", "modulus-not-iterable",
+            "modulus-text"))
     def test_a_wrong_kind_of_argument_is_a_parameter_error(self, build, wanted):
         with pytest.raises(ParameterError, match=wanted):
             build()
+
+    @pytest.mark.parametrize("modulus", ((1.9, 0, 1), ("1", "0", "1"), (True, 0, 1),
+                                         (1, 0, np.int64(1))), ids=repr)
+    def test_modulus_coefficients_must_be_plain_ints(self, modulus):
+        # As for FieldElement: nothing is coerced to an int, so 1.9 is not 1.
+        with pytest.raises(ParameterError, match="a modulus of degree 2 is 3 integer coeff"):
+            FieldParams(3, 2, modulus=modulus)
+
+    def test_plain_int_modulus_coefficients_are_reduced_mod_p(self):
+        assert FieldParams(3, 2, modulus=[4, -3, 1]) == FieldParams(3, 2, modulus=(1, 0, 1))
 
     def test_explicit_modulus_validation(self):
         FieldParams(3, 2, modulus=(1, 0, 1))
@@ -199,6 +215,24 @@ class TestArithmetic:
         for a, b in itertools.product(f.elements(), repeat=2):
             assert a + b == b + a
             assert a * b == b * a
+
+    @pytest.mark.parametrize("q", (2, 4, 5, 8, 9, 25, 27))
+    def test_index_arithmetic_equals_element_arithmetic(self, q):
+        f = params_for(q)
+        elems = f.elements()
+        a, b = np.divmod(np.arange(q * q), q)
+        pairs = list(zip(a.tolist(), b.tolist()))
+        assert f.add(a, b).tolist() == [(elems[i] + elems[j]).index() for i, j in pairs]
+        assert f.mul(a, b).tolist() == [(elems[i] * elems[j]).index() for i, j in pairs]
+        assert f.inverses()[0] == 0
+        assert f.inverses()[1:].tolist() == [e.inverse().index() for e in elems[1:]]
+        # Broadcast as dot_rows does: (S, 1, n) secrets against (m, n) rows.
+        rng = np.random.default_rng(q)
+        secrets, rows = rng.integers(0, q, size=(3, 1, 4)), rng.integers(0, q, size=(5, 4))
+        for indices, element_op in ((f.add, operator.add), (f.mul, operator.mul)):
+            assert indices(secrets, rows).tolist() == [
+                [[element_op(elems[x], elems[y]).index() for x, y in zip(s[0], row)]
+                 for row in rows.tolist()] for s in secrets.tolist()]
 
     def test_f4_known_values(self):
         f4 = FieldParams(2, 2)
@@ -383,8 +417,8 @@ class TestTraceTables:
         assert f.trace_characters() is f.trace_characters()
 
     @pytest.mark.parametrize("name", ("elements", "add_rows", "mul_rows", "negations",
-                                      "trace_values", "trace_products", "trace_characters",
-                                      "character_values", "character_table"))
+                                      "inverses", "trace_values", "trace_products",
+                                      "trace_characters", "character_values", "character_table"))
     def test_each_table_is_built_once(self, name):
         f = FieldParams(3, 2)
         table = getattr(f, name)()

@@ -43,12 +43,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from types import MappingProxyType
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
-from .domain import (Domain, VectorFq, _canonical_order, _index_array, dot_rows,
+from .domain import (Domain, _canonical_order, _index_array, dot_rows,
                      flat_to_rows, rows_to_flat)
 from .errors import ContractError, ParameterError, blocks, check_cap, check_int
 from .field import FieldParams, _is_prime, _read_only, _reduce_through_init
@@ -79,8 +78,7 @@ class PreimageCensus:
     pairwise-distinct vectors and all weights nonzero.  enumerate_census
     seeds the two it tallies, so a walk census's dense and dense_good are
     its own; a copy carries (domain, k) and is recounted by the transform.
-    counts and good_counts are read-only mapping views of the nonzero entries
-    keyed by element-index tuple.  No attribute can be rebound.
+    No attribute can be rebound.
 
     N is indexed by digit characters: N(t) counts the domain vectors v on
     whose line F*v the character with flat index t is trivial.  On a prime
@@ -143,21 +141,6 @@ class PreimageCensus:
     def image_keys(self) -> np.ndarray:
         """Index rows of the image points, in canonical (flat index) order."""
         return _read_only(flat_to_rows(self._image, self.domain.params.q, self.domain.n))
-
-    @cached_property
-    def counts(self) -> Mapping:
-        return self._nonzero_view(self.dense)
-
-    @cached_property
-    def good_counts(self) -> Mapping:
-        return self._nonzero_view(self.dense_good)
-
-    def _nonzero_view(self, dense: np.ndarray) -> Mapping:
-        # Every nonzero count lies in the image, so only its points are read.
-        values = dense[self._image]
-        kept = values != 0
-        keys = self.image_keys[kept].tolist()
-        return MappingProxyType(dict(zip(map(tuple, keys), values[kept].tolist())))
 
     @property
     def total(self) -> int:
@@ -463,8 +446,7 @@ def _first_pairs_by_scan(params, steps, reachable, remainders) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class ImageSet:
     """All targets with at least one pre-image, in canonical order; keys
-    holds their index rows as a read-only (size, n) array, and elements
-    decodes them to VectorFq on first access."""
+    holds their index rows as a read-only (size, n) array."""
 
     params: FieldParams
     n: int
@@ -475,11 +457,6 @@ class ImageSet:
         object.__setattr__(self, "keys", _index_array(self.keys, self.n, self.params.q))
 
     __reduce__ = _reduce_through_init
-
-    @cached_property
-    def elements(self) -> tuple:
-        return tuple(VectorFq.from_index_tuple(self.params, key)
-                     for key in self.keys.tolist())
 
     @property
     def size(self) -> int:

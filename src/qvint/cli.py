@@ -321,7 +321,6 @@ def simulate(domain, mono_md, k, report, secret, trials, seed):
         sample = simulator.sample_outcomes(dist, trials, seed)
         p = float(analytic)
         tolerance = 3 * math.sqrt(p * (1 - p) / trials) if 0 < p < 1 else 0.0
-        top = sorted(sample.counts.items(), key=lambda kv: (-kv[1], kv[0]))[:5]
         frequency = sample.frequency_of(secret_vector)
         report["empirical"] = {
             "trials": trials,
@@ -330,8 +329,8 @@ def simulate(domain, mono_md, k, report, secret, trials, seed):
             "tolerance_3sigma": tolerance,
             "within_tolerance": abs(frequency - p) <= tolerance if tolerance else frequency == p,
             "top_outcomes": [
-                {"outcome": list(key), "count": count, "frequency": count / trials}
-                for key, count in top
+                {"outcome": list(v.index_tuple()), "count": count, "frequency": count / trials}
+                for v, count in sample.top(5)
             ],
         }
     return report["analytic"]["matches_image_ratio"]

@@ -177,10 +177,8 @@ class IndependenceReport:
 @dataclass(frozen=True, eq=False)
 class Domain:
     """Canonically ordered set of distinct vectors in GF(q)^n, held as their
-    index rows: indices is a read-only (size, n) array, and vectors decodes
-    them to VectorFq on first access, in the same order.  No attribute can
-    be rebound, since the cached vectors and independence report rest on
-    them all."""
+    index rows: indices is a read-only (size, n) array.  No attribute can be
+    rebound, since the cached independence report rests on them all."""
 
     params: FieldParams
     indices: np.ndarray
@@ -197,12 +195,6 @@ class Domain:
         object.__setattr__(self, "n", rows.shape[1])
 
     __reduce__ = _reduce_through_init
-
-    @cached_property
-    def vectors(self) -> tuple:
-        """The domain as VectorFq, decoded from indices on first access."""
-        return tuple(VectorFq.from_index_tuple(self.params, row)
-                     for row in self.indices.tolist())
 
     @property
     def lines(self) -> np.ndarray:

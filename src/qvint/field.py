@@ -28,7 +28,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field, fields
-from types import MappingProxyType
 
 import numpy as np
 
@@ -160,10 +159,8 @@ def _table(build):
 def _reduce_through_init(self):
     """__reduce__ of the value dataclasses: a copy or an unpickled object is
     built by the constructor from its init fields, so its checks run, its
-    arrays and mappings are read-only and its caches start empty."""
-    values = (getattr(self, f.name) for f in fields(self) if f.init)
-    # A read-only mapping view is passed on as the dict it shows.
-    return type(self), tuple(dict(v) if isinstance(v, MappingProxyType) else v for v in values)
+    arrays are read-only and its caches start empty."""
+    return type(self), tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
 
 @dataclass(frozen=True, slots=True)

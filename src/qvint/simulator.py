@@ -36,7 +36,6 @@ __all__ = [
 import math
 import random
 from dataclasses import dataclass
-from types import MappingProxyType
 
 import numpy as np
 
@@ -210,12 +209,18 @@ class OutcomeDistribution:
     __reduce__ = _reduce_through_init
 
     def top(self, count: int = 5) -> list:
-        """Heaviest outcomes as (vector, probability), ties broken by
-        canonical order so the listing is deterministic."""
-        check_int("count", count, 0)
-        order = np.lexsort((np.arange(len(self.probs)), -self.probs))
-        return [(vector_from_flat(self.params, self.n, int(i)), float(self.probs[i]))
-                for i in order[:count]]
+        """The count heaviest outcomes as (vector, probability)."""
+        return _heaviest(self, self.probs, count)
+
+
+def _heaviest(value, weights: np.ndarray, count: int) -> list:
+    """(vector, weight) of the count heaviest points of a flat array over
+    value's GF(q)^n, ties broken by canonical order so the listing is
+    deterministic."""
+    check_int("count", count, 0)
+    order = np.argsort(-weights, kind="stable")
+    return [(vector_from_flat(value.params, value.n, int(i)), weights[i].item())
+            for i in order[:count]]
 
 
 def outcome_distribution(state: StateVector) -> OutcomeDistribution:
@@ -253,21 +258,27 @@ def _outcome_probs(params: FieldParams, n: int, amplitudes: np.ndarray) -> np.nd
 class SampleReport:
     """Empirical counts from inverse-CDF sampling on the uniforms of
     random.Random(seed).random(), a stream Python keeps stable across
-    versions; counts is a read-only mapping view."""
+    versions; tallies holds the draws of every outcome like StateVector's
+    amplitudes."""
 
     params: FieldParams
     n: int
-    counts: MappingProxyType  # index tuple -> count, only observed outcomes
+    tallies: np.ndarray  # flat, canonical order
     trials: int
     seed: int
 
     def __post_init__(self):
-        object.__setattr__(self, "counts", MappingProxyType(dict(self.counts)))
+        object.__setattr__(self, "tallies", _flat_copy(self, self.tallies, np.int64))
 
     __reduce__ = _reduce_through_init
 
     def frequency_of(self, t: VectorFq) -> float:
-        return self.counts.get(t.index_tuple(), 0) / self.trials
+        _check_secret(self.params, self.n, t)
+        return int(self.tallies[rows_to_flat(t.index_tuple(), self.params.q)]) / self.trials
+
+    def top(self, count: int = 5) -> list:
+        """The count heaviest observed outcomes as (vector, draws)."""
+        return [(v, draws) for v, draws in _heaviest(self, self.tallies, count) if draws]
 
 
 def _uniforms(rng: random.Random, count: int) -> np.ndarray:
@@ -307,10 +318,7 @@ def sample_outcomes(dist: OutcomeDistribution, trials: int, seed: int) -> Sample
         # draw from cdf[-1] on.
         tallies += np.diff(np.searchsorted(draws, cdf, side="left"),
                            prepend=0, append=len(draws))
-    flats = np.flatnonzero(tallies)
-    keys = flat_to_rows(flats, dist.params.q, dist.n).tolist()
-    counts = {tuple(key): tally for key, tally in zip(keys, tallies[flats].tolist())}
-    return SampleReport(params=dist.params, n=dist.n, counts=counts,
+    return SampleReport(params=dist.params, n=dist.n, tallies=tallies,
                         trials=trials, seed=seed)
 
 

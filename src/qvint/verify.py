@@ -30,7 +30,7 @@ import numpy as np
 
 from . import census as census_mod
 from . import complexity, simulator
-from .domain import (build_monomial_domain, build_vandermonde_domain,
+from .domain import (build_monomial_domain, build_vandermonde_domain, flat_to_rows,
                      read_domain_file, rows_to_flat, vector_from_flat,
                      write_domain_file, VectorFq)
 from .errors import ContractError, QvintError
@@ -76,6 +76,11 @@ def _secret_indices(codomain_size):
 def _first_break(params, holds):
     """The elements at the first index tuple where the boolean table holds is False."""
     return ", ".join(repr(params.from_index(int(i))) for i in np.argwhere(~holds)[0])
+
+
+def _point(domain, flat):
+    """The index tuple of the point of the domain's GF(q)^n at a flat index."""
+    return tuple(flat_to_rows(flat, domain.params.q, domain.n).tolist())
 
 
 def _check_field_axioms(field, q):
@@ -142,16 +147,16 @@ def _check_census_totals(k, census_of):
     census = census_of(k)
     domain = census.domain
     expected = (domain.size * domain.params.q) ** k
-    total = sum(census.counts.values())
+    total = int(census.dense.sum())
     v_good, y_good = census_mod.good_set_sizes(domain, k)
-    good_total = sum(census.good_counts.values())
+    good_total = int(census.dense_good.sum())
     if total != expected:
         return False, f"count total {total} != {expected}"
     if good_total != v_good * y_good:
         return False, f"good total {good_total} != {v_good * y_good}"
     if census.mean() * census.codomain_size != expected:
         return False, "mean identity broke"
-    if k >= 1 and census.counts.get((0,) * domain.n, 0) == 0:
+    if k >= 1 and census.dense[0] == 0:
         return False, "image misses the zero target"
     # The commands' engine must reproduce the walk exactly.
     transform = census_mod.transform_census(domain, k)
@@ -169,9 +174,9 @@ def _check_dichotomy(k, census_of):
         return (True, f"skipped: hypothesis not met "
                       f"(independence {report.status}, 2k={2 * k}, n={domain.n})")
     allowed = {0, math.factorial(k)}
-    bad = [key for key, g in census.good_counts.items() if g not in allowed]
-    if bad:
-        return False, f"good count outside {allowed} at {bad[0]}"
+    bad = np.flatnonzero(~np.isin(census.dense_good, list(allowed)))
+    if bad.size:
+        return False, f"good count outside {allowed} at {_point(domain, bad[0])}"
     bound = census_mod.image_size_lower_bound(domain, k)
     if census.image_size < bound:
         return False, f"image {census.image_size} below bound {bound}"
@@ -199,12 +204,12 @@ def _check_monotonicity(ks, census_of):
     # The image can only grow with k (pad any pre-image with weight 0), so
     # each enumerated image must contain the previous one; the seed set {0}
     # covers the k=0 image.
-    previous = {(0,) * census_of(ks[0]).domain.n}
+    previous = np.arange(census_of(ks[0]).codomain_size) == 0
     for k in ks:
-        current = set(census_of(k).counts)
-        missing = previous - current
-        if missing:
-            return False, f"target {sorted(missing)[0]} fell out at k={k}"
+        current = census_of(k).dense != 0
+        missing = np.flatnonzero(previous & ~current)
+        if missing.size:
+            return False, f"target {_point(census_of(k).domain, missing[0])} fell out at k={k}"
         previous = current
     return True, f"images nest across k = {list(ks)}"
 
@@ -280,7 +285,7 @@ def _check_sampling(census_of):
     dist = simulator.outcome_distribution(state)
     first = simulator.sample_outcomes(dist, SAMPLING_TRIALS, seed=SAMPLING_SEED)
     second = simulator.sample_outcomes(dist, SAMPLING_TRIALS, seed=SAMPLING_SEED)
-    if first.counts != second.counts:
+    if not np.array_equal(first.tallies, second.tallies):
         return False, "same seed produced different counts"
     p = census.success_probability()
     tol = 3 * math.sqrt(float(p) * (1 - float(p)) / SAMPLING_TRIALS)

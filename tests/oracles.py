@@ -13,9 +13,37 @@ import math
 import numpy as np
 
 from qvint import simulator
-from qvint.domain import VectorFq, monomial_exponents, rows_to_flat
+from qvint.domain import VectorFq, flat_to_rows, monomial_exponents, rows_to_flat
 from qvint.errors import ParameterError, check_cap
 from qvint.simulator import StateVector
+
+
+def vectors_of(domain) -> tuple:
+    """The domain's vectors as VectorFq, in its canonical order."""
+    return tuple(VectorFq.from_index_tuple(domain.params, row) for row in domain.indices.tolist())
+
+
+def nonzero_entries(values, q: int, n: int) -> dict:
+    """Index tuple -> value of every nonzero entry of a flat array over
+    GF(q)^n, in canonical order."""
+    flats = np.flatnonzero(values)
+    keys = map(tuple, flat_to_rows(flats, q, n).tolist())
+    return dict(zip(keys, np.asarray(values)[flats].tolist()))
+
+
+def counts_of(census) -> dict:
+    """Index tuple -> pre-image count of every image point of a census."""
+    return nonzero_entries(census.dense, census.domain.params.q, census.domain.n)
+
+
+def good_counts_of(census) -> dict:
+    """Index tuple -> good count of every point a census's good pre-images reach."""
+    return nonzero_entries(census.dense_good, census.domain.params.q, census.domain.n)
+
+
+def draws_of(report) -> dict:
+    """Index tuple -> draws of every outcome a SampleReport observed."""
+    return nonzero_entries(report.tallies, report.params.q, report.n)
 
 
 def linear_combination(vectors, weights, *, params=None, n=None) -> VectorFq:
@@ -40,7 +68,7 @@ def monomial_image(plan) -> dict:
 def transversal_pairs(transversal) -> dict:
     """z index tuple -> (vectors, weights), the transversal's pre-image of z
     as tuples of VectorFq and FieldElement, in canonical order of z."""
-    vectors = transversal.domain.vectors
+    vectors = vectors_of(transversal.domain)
     elements = transversal.domain.params.elements()
     return {
         tuple(key): (tuple(vectors[j] for j in positions), tuple(elements[y] for y in weights))
@@ -116,7 +144,7 @@ def independence_walk(domain) -> tuple:
     positions, ranked by field_element_rank until the first deficient one."""
     size = min(domain.n, domain.size)
     checked = 0
-    for subset in itertools.combinations(domain.vectors, size):
+    for subset in itertools.combinations(vectors_of(domain), size):
         checked += 1
         if field_element_rank(subset) < size:
             return "refuted", size, checked, subset

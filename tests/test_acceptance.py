@@ -130,8 +130,9 @@ def test_criterion_03_good_preimage_dichotomy():
                 continue
             applicable += 1
             census = census_of(dom, k)
-            assert set(census.good_counts.values()) <= {math.factorial(k)}
-            assert all(count >= 0 for count in census.good_counts.values())
+            good = census.dense_good
+            assert set(good[good != 0].tolist()) <= {math.factorial(k)}
+            assert (good >= 0).all()
             bound = image_size_lower_bound(dom, k)
             assert bound == math.comb(dom.size, k) * (dom.params.q - 1) ** k
             assert census.image_size >= bound
@@ -221,7 +222,7 @@ def test_criterion_09_empirical_sampling():
         trials = 100_000
         report = sample_outcomes(dist, trials, seed=SAMPLING_SEED)
         again = sample_outcomes(dist, trials, seed=SAMPLING_SEED)
-        assert report.counts == again.counts
+        assert report.tallies.tolist() == again.tallies.tolist()
         p = 7 / 9
         sigma = math.sqrt(p * (1 - p) / trials)
         assert abs(report.frequency_of(secret) - p) <= 3 * sigma

@@ -8,7 +8,6 @@ import inspect
 import pickle
 from dataclasses import FrozenInstanceError, fields, is_dataclass
 from pathlib import Path
-from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -69,6 +68,9 @@ def test_public_names_are_the_union_of_the_modules():
     (simulator.StateVector, "inner"), (simulator.OutcomeDistribution, "prob_of"),
     (domain.VectorFq, "scale"), (domain.VectorFq, "__add__"),
     (census.ImageSet, "__contains__"), (simulator.OutcomeDistribution, "argmax"),
+    (census.PreimageCensus, "counts"), (census.PreimageCensus, "good_counts"),
+    (census.PreimageCensus, "_nonzero_view"), (domain.Domain, "vectors"),
+    (census.ImageSet, "elements"),
 ))
 def test_oracle_only_names_are_gone(owner, name):
     assert not hasattr(owner, name)
@@ -140,14 +142,12 @@ def _value(name):
 
 def _same(a, b) -> bool:
     """Equal values: ==, same_as for a Domain, and field by field for the
-    census and simulator types, which compare by identity; arrays and
-    mappings must come back read-only."""
+    census and simulator types, which compare by identity; arrays must come
+    back read-only."""
     if isinstance(a, qvint.Domain):
         return a.same_as(b)
     if isinstance(a, np.ndarray):
         return np.array_equal(a, b) and not b.flags.writeable
-    if isinstance(a, MappingProxyType):
-        return a == b and isinstance(b, MappingProxyType)
     if is_dataclass(a) and type(a).__eq__ is object.__eq__:
         return type(a) is type(b) and all(_same(getattr(a, f.name), getattr(b, f.name))
                                           for f in fields(a) if f.init)
@@ -189,7 +189,9 @@ _F3 = field.FieldParams(3)
                                [[1, 2]], [[0], [0, 1]], [[1]]),
     lambda: simulator.StateVector(_F3, 1, [[1], [1, 2]]),
     lambda: simulator.OutcomeDistribution(_F3, 1, ["a", "b", "c"]),
-), ids=("Domain", "ImageSet", "Transversal", "StateVector", "OutcomeDistribution"))
+    lambda: simulator.SampleReport(_F3, 1, [[1], [1, 2]], trials=3, seed=0),
+), ids=("Domain", "ImageSet", "Transversal", "StateVector", "OutcomeDistribution",
+        "SampleReport"))
 def test_malformed_arrays_are_parameter_errors(build):
     # Ragged rows and text where numbers belong, refused in numpy's words.
     with pytest.raises(errors.ParameterError, match=r"values are not an array of \w+: "):

@@ -10,7 +10,7 @@ import re
 import numpy as np
 import pytest
 
-from oracles import field_element_rank, independence_walk, linear_combination
+from oracles import field_element_rank, independence_walk, linear_combination, vectors_of
 from qvint import domain as domain_mod
 from qvint import errors
 from qvint.domain import (Domain, VectorFq, build_explicit_domain,
@@ -105,7 +105,7 @@ class TestVectors:
 class TestBuilders:
     def test_vandermonde_rows(self):
         dom = build_vandermonde_domain(F3, 1)
-        assert [v.index_tuple() for v in dom.vectors] == [(1, 0), (1, 1), (1, 2)]
+        assert [v.index_tuple() for v in vectors_of(dom)] == [(1, 0), (1, 1), (1, 2)]
         assert dom.n == 2 and dom.size == 3
 
     def test_vandermonde_shape_per_field(self):
@@ -118,7 +118,7 @@ class TestBuilders:
 
     def test_vandermonde_extension_field(self):
         dom = build_vandermonde_domain(F4, 1)
-        assert [v.index_tuple() for v in dom.vectors] == [
+        assert [v.index_tuple() for v in vectors_of(dom)] == [
             (1, 0), (1, 1), (1, 2), (1, 3)
         ]
 
@@ -160,14 +160,14 @@ class TestBuilders:
 
     def test_monomial_constant_coordinate_is_one(self):
         dom = build_monomial_domain(F3, 2, 2)
-        for v in dom.vectors:
+        for v in vectors_of(dom):
             assert v.entries[0] == F3.one()
 
     def test_explicit_domain_dedupes_and_sorts(self):
         a = VectorFq.from_index_tuple(F3, (2, 1))
         b = VectorFq.from_index_tuple(F3, (0, 1))
         dom = build_explicit_domain([a, b, a])
-        assert [v.index_tuple() for v in dom.vectors] == [(0, 1), (2, 1)]
+        assert [v.index_tuple() for v in vectors_of(dom)] == [(0, 1), (2, 1)]
         assert dom.indices.tolist() == [[0, 1], [2, 1]]
         with pytest.raises(ValueError):
             dom.indices[0, 0] = 1
@@ -212,8 +212,8 @@ class TestBuilders:
     def test_domain_from_index_rows(self):
         dom = Domain(F4, [[3, 1], [0, 2], [3, 1]], label="rows")
         assert dom.indices.tolist() == [[0, 2], [3, 1]]
-        assert dom.vectors == (VectorFq.from_index_tuple(F4, (0, 2)),
-                               VectorFq.from_index_tuple(F4, (3, 1)))
+        assert vectors_of(dom) == (VectorFq.from_index_tuple(F4, (0, 2)),
+                                   VectorFq.from_index_tuple(F4, (3, 1)))
         for bad in ([[0, 4]], [[-1, 0]], [], [[]]):
             with pytest.raises(ParameterError):
                 Domain(F4, bad)
@@ -271,7 +271,7 @@ def test_lines_are_every_scaled_vector_in_walk_order(dom):
         lines, params.mul_rows()[:, dom.indices].transpose(1, 0, 2).reshape(-1, dom.n))
     # Row j*q + y is y * v_j, by element arithmetic.
     assert lines.tolist() == [[(y * e).index() for e in v.entries]
-                              for v in dom.vectors for y in params.elements()]
+                              for v in vectors_of(dom) for y in params.elements()]
     with pytest.raises(ValueError):
         lines[0, 0] = 1
 
@@ -318,7 +318,7 @@ class TestIndependence:
     def test_rank_matches_field_element_reduction(self, dom):
         ranks = set()
         for size in (2, 3, 4):
-            subsets = list(itertools.combinations(dom.vectors[:16], size))
+            subsets = list(itertools.combinations(vectors_of(dom)[:16], size))
             stack = np.array([[v.index_tuple() for v in subset] for subset in subsets])
             for subset, rank in zip(subsets, domain_mod._ranks(stack, dom.params).tolist()):
                 assert rank == field_element_rank(subset)
@@ -410,9 +410,7 @@ class TestDomainFiles:
         write_domain_file(dom, path)
         back = read_domain_file(path)
         assert back.params == dom.params
-        assert [v.index_tuple() for v in back.vectors] == [
-            v.index_tuple() for v in dom.vectors
-        ]
+        assert vectors_of(back) == vectors_of(dom)
 
     def test_roundtrip_extension_keeps_modulus(self, tmp_path):
         dom = build_vandermonde_domain(F4, 2)
@@ -422,9 +420,7 @@ class TestDomainFiles:
         assert text.splitlines()[0] == "q=4 n=3 modulus=1,1,1"
         back = read_domain_file(path)
         assert back.params.modulus == (1, 1, 1)
-        assert [v.index_tuple() for v in back.vectors] == [
-            v.index_tuple() for v in dom.vectors
-        ]
+        assert vectors_of(back) == vectors_of(dom)
 
     def test_rejects_bad_header(self, tmp_path):
         path = tmp_path / "d.txt"
@@ -519,7 +515,7 @@ class TestDomainFiles:
     @pytest.mark.parametrize("build", (
         lambda path: build_vandermonde_domain(F3, 2),  # 3 x 3 entries
         lambda path: build_monomial_domain(F3, 1, 2),
-        lambda path: build_explicit_domain(build_vandermonde_domain(F3, 2).vectors),
+        lambda path: build_explicit_domain(vectors_of(build_vandermonde_domain(F3, 2))),
         lambda path: read_domain_file(path),
     ), ids=("vandermonde", "monomial", "explicit", "file"))
     def test_entries_cap(self, tmp_path, monkeypatch, build):

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import fourier_state, inner, norm, restricted_fourier_state
+from oracles import draws_of, fourier_state, inner, norm, restricted_fourier_state
 from qvint import errors, simulator
 from qvint.census import (ImageSet, Transversal, enumerate_census, image_set,
                           transform_census)
@@ -137,7 +137,7 @@ class TestRunAlgorithm:
         state = run_algorithm(dom, 1, trans, secret)
         for z in all_secrets(F3, 2):
             amp = at(state.amplitudes, z)
-            if z.index_tuple() in census.counts:
+            if at(census.dense, z):
                 assert abs(abs(amp) - 1 / math.sqrt(7)) < 1e-12
             else:
                 assert amp == 0
@@ -411,21 +411,21 @@ class TestResultTypes:
         secret = VectorFq.from_index_tuple(F3, (1, 1))
         report = sample_outcomes(outcome_distribution(self.state()), 100, seed=3)
         before = report.frequency_of(secret)
-        with pytest.raises(TypeError):
-            report.counts[(1, 1)] = 999
+        with pytest.raises(ValueError, match="read-only"):
+            report.tallies[4] = 999  # outcome (1, 1)
         assert report.frequency_of(secret) == before <= 1
-        # The view shows a copy: the caller's dict can change, the report not.
-        given = {(0,): 2}
+        # The report holds a copy: the caller's array can change, the report not.
+        given = np.array([2, 0, 0])
         built = SampleReport(F3, 1, given, trials=2, seed=0)
-        given[(0,)] = 5
-        assert built.counts == {(0,): 2}
+        given[0] = 5
+        assert built.tallies.tolist() == [2, 0, 0] and built.tallies.dtype == np.int64
 
     def test_probabilities_are_read_only(self):
         dist = outcome_distribution(self.state())
         assert abs(dist.probs[4] - 7 / 9) < 1e-12  # outcome (1, 1)
         with pytest.raises(ValueError, match="read-only"):
             dist.probs[:] = 0
-        assert sample_outcomes(dist, 10, seed=1).counts != {(0, 0): 10}
+        assert draws_of(sample_outcomes(dist, 10, seed=1)) != {(0, 0): 10}
 
     def test_amplitudes_are_a_read_only_copy(self):
         amplitudes = self.state().amplitudes.copy()
@@ -448,14 +448,16 @@ class TestResultTypes:
     def test_zero_length_space_has_one_point(self):
         dist = OutcomeDistribution(F3, 0, [1.0])
         assert dist.probs.tolist() == [1.0] and not dist.probs.flags.writeable
-        assert sample_outcomes(dist, 4, seed=0).counts == {(): 4}
+        assert draws_of(sample_outcomes(dist, 4, seed=0)) == {(): 4}
 
     @pytest.mark.parametrize("count", (-1, True, 2.5))
     def test_top_takes_a_plain_count(self, count):
         dist = outcome_distribution(self.state())
-        with pytest.raises(ParameterError, match="count must be an integer >= 0"):
-            dist.top(count)
-        assert dist.top(0) == []
+        report = sample_outcomes(dist, 10, seed=1)
+        for value in (dist, report):
+            with pytest.raises(ParameterError, match="count must be an integer >= 0"):
+                value.top(count)
+            assert value.top(0) == []
 
 
 class TestSampling:
@@ -465,8 +467,8 @@ class TestSampling:
         dist = outcome_distribution(run_algorithm(dom, 1, trans, secret))
         a = sample_outcomes(dist, 2000, seed=20250815)
         b = sample_outcomes(dist, 2000, seed=20250815)
-        assert a.counts == b.counts
-        assert sum(a.counts.values()) == 2000
+        assert np.array_equal(a.tallies, b.tallies)
+        assert a.tallies.sum() == 2000
 
     def test_within_three_sigma(self):
         dom, _, trans = instance(3, 1, 1)
@@ -483,8 +485,27 @@ class TestSampling:
         probs[0] = 1.0
         dist = OutcomeDistribution(params=F3, n=2, probs=probs)
         report = sample_outcomes(dist, 50, seed=7)
-        assert report.counts == {(0, 0): 50}
+        assert draws_of(report) == {(0, 0): 50}
         assert report.frequency_of(VectorFq.from_index_tuple(F3, (1, 1))) == 0
+
+    def test_top_lists_observed_outcomes_heaviest_first(self):
+        # Ties in canonical order, as OutcomeDistribution.top lists them;
+        # outcomes never drawn are left out.
+        report = SampleReport(F3, 2, [0, 3, 0, 5, 3, 0, 1, 0, 0], trials=12, seed=0)
+        assert [(v.index_tuple(), draws) for v, draws in report.top(5)] == [
+            ((1, 0), 5), ((0, 1), 3), ((1, 1), 3), ((2, 0), 1)]
+        assert all(type(draws) is int for _, draws in report.top(5))
+        assert [v.index_tuple() for v, _ in report.top(2)] == [(1, 0), (0, 1)]
+
+    @pytest.mark.parametrize("t", (VectorFq.from_index_tuple(F5, (1, 1)),
+                                   VectorFq.from_index_tuple(F3, (1, 1, 1)), (1, 1)),
+                             ids=("field", "length", "tuple"))
+    def test_frequency_of_another_space_is_a_parameter_error(self, t):
+        # A vector the report has no outcome for is refused, not counted 0.
+        report = SampleReport(F3, 2, [2] + [0] * 8, trials=2, seed=0)
+        with pytest.raises(ParameterError, match="secret"):
+            report.frequency_of(t)
+        assert report.frequency_of(VectorFq.from_index_tuple(F3, (0, 0))) == 1.0
 
     def test_trials_validation(self):
         dom, _, trans = instance(3, 1, 1)
@@ -528,7 +549,7 @@ class TestSampling:
 
         monkeypatch.setattr(errors, "BLOCK_ENTRIES", block)
         monkeypatch.setattr(simulator, "_uniforms", spy)
-        assert sample_outcomes(dist, trials, seed=seed).counts == {(): trials}
+        assert draws_of(sample_outcomes(dist, trials, seed=seed)) == {(): trials}
         assert [len(d) for d in drawn] == [min(block, trials - start)
                                            for start in range(0, trials, block)]
         stream = random.Random(seed)
@@ -545,13 +566,9 @@ class TestSampling:
         draws = np.array([stream.random() for _ in range(trials)])
         positions = np.searchsorted(np.cumsum(dist.probs), draws, side="right")
         positions = np.minimum(positions, len(dist.probs) - 1)
-        flats, tallies = np.unique(positions, return_counts=True)
-        keys = flat_to_rows(flats, F5.q, dom.n).tolist()
-        reference = {tuple(key): tally for key, tally in zip(keys, tallies.tolist())}
-        counts = sample_outcomes(dist, trials, seed=seed).counts
-        assert counts == reference
-        assert list(counts.items()) == list(reference.items())
-        assert all(type(count) is int for count in counts.values())
+        tallies = sample_outcomes(dist, trials, seed=seed).tallies
+        assert tallies.tolist() == np.bincount(positions, minlength=len(dist.probs)).tolist()
+        assert tallies.dtype == np.int64
 
     def test_counts_do_not_depend_on_the_block(self, monkeypatch):
         # Nine outcomes: blocks of 9, 9, 1000 and the default, the last one
@@ -562,9 +579,9 @@ class TestSampling:
         reports = []
         for block in (1, 7, 1000, errors.BLOCK_ENTRIES):
             monkeypatch.setattr(errors, "BLOCK_ENTRIES", block)
-            reports.append(sample_outcomes(dist, 5001, seed=20250815).counts)
-        assert all(list(r.items()) == list(reports[0].items()) for r in reports)
-        assert sum(reports[0].values()) == 5001
+            reports.append(sample_outcomes(dist, 5001, seed=20250815).tallies)
+        assert all(np.array_equal(r, reports[0]) for r in reports)
+        assert reports[0].sum() == 5001
 
 
 def kronecker_rank(image):

@@ -4,7 +4,9 @@ import itertools
 
 import pytest
 
+from oracles import counts_of
 from qvint import census as census_mod, simulator, verify as verify_mod
+from qvint.domain import rows_to_flat
 from qvint.errors import ContractError
 from qvint.field import FieldElement, FieldParams
 from qvint.verify import run_all
@@ -197,7 +199,7 @@ def test_a_transversal_off_the_image_fails_its_sweep(monkeypatch):
         if (domain.params.q, domain.n, k) == (3, 2, 1):
             keys = census.transversal.keys.copy()
             keys[0] = next(z for z in itertools.product(range(3), repeat=2)
-                           if z not in census.counts)
+                           if z not in counts_of(census))
             object.__setattr__(census.transversal, "keys", keys)
         return census
 
@@ -306,3 +308,46 @@ def test_a_wrong_trace_product_fails_trace_character(monkeypatch, clean_names):
     monkeypatch.setattr(FieldParams, "trace_products", wrong)
     assert failures_in_full_run(clean_names) == {
         "trace-character-q9": "trace product table broke at GF(9):(1, 1), GF(9):(2, 1)"}
+
+
+def plant_in_walk(monkeypatch, instance, name, change):
+    """Replace the walk census's array name for (q, n, k) = instance by a
+    copy that change(array) edits in place."""
+    real = census_mod.enumerate_census
+
+    def planted(domain, k):
+        census = real(domain, k)
+        if (domain.params.q, domain.n, k) == instance:
+            array = getattr(census, name).copy()
+            change(array)
+            vars(census)[name] = array
+        return census
+
+    monkeypatch.setattr(census_mod, "enumerate_census", planted)
+
+
+def test_a_wrong_good_count_fails_the_dichotomy(monkeypatch, clean_names):
+    def swap(good):
+        # One good pre-image moves from (0, 1, 0, 4) to (0, 1, 0, 1): the
+        # total stays, and both counts leave {0, 2}.
+        assert good[rows_to_flat((0, 1, 0, 1), 5)] == good[rows_to_flat((0, 1, 0, 4), 5)] == 2
+        good[rows_to_flat((0, 1, 0, 1), 5)] += 1
+        good[rows_to_flat((0, 1, 0, 4), 5)] -= 1
+
+    plant_in_walk(monkeypatch, (5, 4, 2), "dense_good", swap)
+    assert failures_in_full_run(clean_names) == {
+        "census-totals-vand-q5-d3-k2": "transform census differs from the walk",
+        "good-dichotomy-vand-q5-d3-k2": "good count outside {0, 2} at (0, 1, 0, 1)"}
+
+
+def test_a_target_leaving_the_image_fails_monotonicity(monkeypatch, clean_names):
+    def drop(counts):
+        # (1, 0) is in the k = 1 image of Vandermonde GF(3) d = 1.
+        counts[rows_to_flat((1, 0), 3)] = 0
+
+    plant_in_walk(monkeypatch, (3, 2, 2), "dense", drop)
+    failed = failures_in_full_run(clean_names)
+    assert failed["image-monotonicity-vand-q3-d1"] == "target (1, 0) fell out at k=2"
+    # The totals, the second moment and the zero fraction miss the counts too.
+    assert set(failed) == {"image-monotonicity-vand-q3-d1", "census-totals-vand-q3-d1-k2",
+                           "second-moment-vand-q3-d1-k2", "chebyshev-vand-q3-d1-k2"}

@@ -188,7 +188,7 @@ def analyze(domain, mono_md, k, report):
             "subsets_checked": rep.subsets_checked,
         }
         if rep.witness is not None:
-            report["independence"]["witness"] = [list(v.index_tuple()) for v in rep.witness]
+            report["independence"]["witness"] = rep.witness
     except ResourceCapError as exc:
         report["independence"] = {"status": "skipped", "reason": str(exc)}
 

@@ -8,10 +8,11 @@ shape depends on whether the field or the domain is larger.  That ratio is
 not census.chebyshev_zero_bound, which reads the largest hyperplane
 sections instead; the README states the open question between the two.
 
-All ceilings of log-ratios are evaluated as least-integer power
-inequalities over exact integers.  The interesting instances sit exactly on
-decision boundaries, where a floating-point log is one ulp away from the
-wrong answer.
+All ceilings of log-ratios are least-integer power inequalities.  Float
+logs decide one only when they clear a bound on their own error; the
+interesting instances sit exactly on decision boundaries, where a float log
+is one ulp away from the wrong answer, so those are compared as exact
+integers.
 """
 
 __all__ = [
@@ -23,7 +24,6 @@ __all__ = [
 import math
 from dataclasses import dataclass
 
-from .domain import monomial_exponents
 from .errors import ContractError, ParameterError, check_int
 
 # Plans beyond this are outside anything this package can enumerate anyway,
@@ -61,20 +61,40 @@ def _least_k(ratio_num: int, ratio_den: int, target_num: int, target_den: int) -
     log(target)/log(ratio), which is off the exact value by a sliver: a plan
     it puts past _MAX_PLANNED_K + 1 is refused before any power is formed
     (those powers run to millions of digits), and any other is settled by a
-    few exact cross-multiplied comparisons either side of it.
+    few comparisons either side of it.  A comparison is decided on the float
+    logs when they clear their error bound, and on exact cross-multiplied
+    powers only at a near-tie.
     """
     if ratio_num <= ratio_den:
         raise ContractError("power search needs a ratio strictly above 1")
 
-    def reached(k):
-        return ratio_num ** k * target_den >= target_num * ratio_den ** k
-
     # math.log takes ints of any size; below 2 the quotient is under 1, and a
     # ratio within 2^-1074 of 1 would round to a zero log, so the least float
     # keeps it positive.  The estimate is clipped before it can be inf.
-    log_ratio = (math.log(ratio_num) - math.log(ratio_den) if ratio_num >= 2 * ratio_den
-                 else math.log1p(max((ratio_num - ratio_den) / ratio_den, 5e-324)))
-    log_target = math.log(target_num) - math.log(target_den)
+    if ratio_num >= 2 * ratio_den:
+        log_num, log_den = math.log(ratio_num), math.log(ratio_den)
+        log_ratio, ratio_scale = log_num - log_den, log_num + log_den
+    else:
+        log_ratio = math.log1p(max((ratio_num - ratio_den) / ratio_den, 5e-324))
+        ratio_scale = log_ratio
+    log_tnum, log_tden = math.log(target_num), math.log(target_den)
+    log_target = log_tnum - log_tden
+
+    def reached(k):
+        # math.log of a positive int is within 2^-51 * (log x + 1) of the
+        # truth: the int is rounded to a float (or split by frexp past the
+        # float range), then libm's log adds an ulp.  log1p of the correctly
+        # rounded quotient is within a few ulps of log_ratio, plus 2^-1074
+        # for a subnormal quotient; the 5e-324 floor stands in only for a
+        # log below it, so it is off by less than that, and k * 5e-324 is
+        # far below the +1 terms.  With the roundings of the product and the
+        # difference, gap is off by less than 2^-50 * (k * (ratio_scale + 1)
+        # + log_tnum + log_tden + 1); the margin is over 1000 times that.
+        gap = k * log_ratio - log_target
+        if abs(gap) > 1e-12 * (k * (ratio_scale + 1) + log_tnum + log_tden + 1):
+            return gap > 0
+        return ratio_num ** k * target_den >= target_num * ratio_den ** k
+
     k = max(1, math.ceil(min(log_target / log_ratio, _MAX_PLANNED_K + 2)))
     while 1 < k <= _MAX_PLANNED_K + 1 and reached(k - 1):
         k -= 1
@@ -152,8 +172,16 @@ class ReductionPlan:
 
     Variable i maps to x^(exponents[i-1]); a monomial with exponent tuple e
     maps to x^(sum e_i * exponents[i-1]).  The map is injective on all
-    monomials of total degree <= degree (verified exhaustively), so the
-    reduced problem is univariate of degree reduced_degree.
+    monomials of total degree <= degree, so the reduced problem is
+    univariate of degree reduced_degree.
+
+    Proof: write x_i = exponents[i-1], so x_1 = 1 and x_(i+1) = d * x_i + 1.
+    The x_i increase, so for every j the first j terms of the sum are at
+    most (e_1 + ... + e_j) * x_j <= d * x_j < x_(j+1).  The sum is thus a
+    mixed-radix numeral with digits e_i: e_m is its quotient by x_m, the
+    remainder is the numeral of the first m - 1 digits, and so on down.
+    Distinct tuples give distinct exponents, and the largest, d * x_m, is
+    that of the last variable to the power d.
     """
 
     variables: int
@@ -165,28 +193,17 @@ class ReductionPlan:
 
 
 def univariate_reduction(variables: int, degree: int) -> ReductionPlan:
-    """Exponents (1, 1+d, 1+d+d^2, ...) substituting every variable by a
-    power of the first, plus the parity-based query count for the reduced
-    degree D = d + d^2 + ... + d^m."""
-    monomials = monomial_exponents(variables, degree)  # checks both are integers >= 1
-    m, d = variables, degree
-    exponents = []
-    acc = 1
-    for _ in range(m):
-        exponents.append(acc)
-        acc = acc * d + 1
-    exponents = tuple(exponents)
-    reduced_degree = sum(d ** j for j in range(1, m + 1))
-
-    image = {}
-    for e in monomials:
-        image[e] = sum(ei * xi for ei, xi in zip(e, exponents))
-    if len(set(image.values())) != len(image):
-        raise ContractError(
-            f"reduction exponents {exponents} collide on degree <= {d} monomials"
-        )
-    if max(image.values()) != reduced_degree:
-        raise ContractError("reduced degree does not match the largest monomial image")
+    """Exponents x_1 = 1, x_(i+1) = d * x_i + 1 (1, 1+d, 1+d+d^2, ...)
+    substituting every variable by a power of the first, plus the
+    parity-based query count for the reduced degree D = d * x_m =
+    d + d^2 + ... + d^m; ReductionPlan proves the substitution injective."""
+    check_int("variable count", variables, 1)
+    check_int("monomial degree", degree, 1)
+    d = degree
+    exponents = [1]
+    for _ in range(variables - 1):
+        exponents.append(d * exponents[-1] + 1)
+    reduced_degree = d * exponents[-1]
 
     if reduced_degree % 2 == 1:
         suggested_k = (reduced_degree + 1) // 2
@@ -197,14 +214,8 @@ def univariate_reduction(variables: int, degree: int) -> ReductionPlan:
             "reduced degree is even; the direct half-degree-plus-half value is "
             "non-integral, so the even-degree rule D/2 + 1 is reported instead"
         )
-    return ReductionPlan(
-        variables=m,
-        degree=d,
-        exponents=exponents,
-        reduced_degree=reduced_degree,
-        suggested_k=suggested_k,
-        note=note,
-    )
+    return ReductionPlan(variables=variables, degree=d, exponents=tuple(exponents),
+                         reduced_degree=reduced_degree, suggested_k=suggested_k, note=note)
 
 
 @dataclass(frozen=True)

@@ -171,7 +171,7 @@ class IndependenceReport:
     status: str  # "verified" or "refuted"
     subset_size: int
     subsets_checked: int
-    witness: tuple | None  # offending vectors when refuted
+    witness: tuple | None  # index rows of the offending vectors when refuted
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,13 +267,14 @@ def validate_independence(domain: Domain) -> IndependenceReport:
     """Check that every subset of size min(n, |V|) is linearly independent.
 
     Subsets are visited in canonical order, so a refutation always reports
-    the same witness.  They are ranked in blocks by _ranks: the first block
-    is the first subset alone, the next ones hold up to errors.BLOCK_ENTRIES
-    entries (subsets x size x n).  Before each block the elimination work
-    done so far is checked against MAX_ELIMINATION_STEPS: a domain refuted
-    early is refuted however many subsets it has, and one whose next block
-    would pass the cap raises ResourceCapError on the total work, rather
-    than degrading to a sample.
+    the same witness, the index tuples of the first deficient subset.  They
+    are ranked in blocks by _ranks: the first block is the first subset
+    alone, the next ones hold up to errors.BLOCK_ENTRIES entries (subsets x
+    size x n).  Before each block the elimination work done so far is
+    checked against MAX_ELIMINATION_STEPS: a domain refuted early is refuted
+    however many subsets it has, and one whose next block would pass the
+    cap raises ResourceCapError on the total work, rather than degrading to
+    a sample.
     """
     size = min(domain.n, domain.size)
     total, steps = math.comb(domain.size, size), size * size * domain.n
@@ -291,8 +292,7 @@ def validate_independence(domain: Domain) -> IndependenceReport:
                 status="refuted",
                 subset_size=size,
                 subsets_checked=checked + int(deficient[0]) + 1,
-                witness=tuple(VectorFq.from_index_tuple(domain.params, row)
-                              for row in domain.indices[chunk[deficient[0]]].tolist()),
+                witness=tuple(map(tuple, domain.indices[chunk[deficient[0]]].tolist())),
             )
         checked += len(chunk)
         block = block_size(size * domain.n)
@@ -346,13 +346,12 @@ def monomial_exponents(variables: int, degree: int) -> tuple:
     lexicographic on the exponent tuple)."""
     check_int("variable count", variables, 1)
     check_int("monomial degree", degree, 1)
-    exps = [
-        e
-        for e in itertools.product(range(degree + 1), repeat=variables)
-        if sum(e) <= degree
-    ]
-    exps.sort(key=lambda e: (sum(e), e))
-    return tuple(exps)
+    # Grow prefixes one variable at a time, keeping only those whose sum
+    # stays <= degree: C(variables + degree, degree) tuples at the end.
+    exps = [()]
+    for _ in range(variables):
+        exps = [e + (power,) for e in exps for power in range(degree + 1 - sum(e))]
+    return tuple(sorted(exps, key=lambda e: (sum(e), e)))
 
 
 def build_monomial_domain(params: FieldParams, variables: int, degree: int) -> Domain:
@@ -364,7 +363,7 @@ def build_monomial_domain(params: FieldParams, variables: int, degree: int) -> D
     """
     check_int("variable count", variables, 1)
     check_int("monomial degree", degree, 1)
-    # Refuse before monomial_exponents scans (degree+1)^variables tuples; past
+    # Refuse before monomial_exponents builds its C(m + d, d) tuples; past
     # 64 variables q^64 is already over the cap and prints as a lower bound.
     # The vector cap goes first: it leaves variables <= 20, so the binomial
     # for n stays cheap however large degree is.

@@ -204,7 +204,13 @@ class OutcomeDistribution:
     probs: np.ndarray  # flat, canonical order
 
     def __post_init__(self):
-        object.__setattr__(self, "probs", _flat_copy(self, self.probs, np.float64))
+        probs = _flat_copy(self, self.probs, np.float64)
+        # Sampling draws from these as they are, so they must be a distribution
+        # (within OUTCOME_SUM_TOL of 1); a NaN fails both tests, an inf the sum.
+        if not (probs.min() >= 0 and abs(probs.sum() - 1.0) <= OUTCOME_SUM_TOL):
+            raise ParameterError(f"outcome probabilities must be >= 0 and sum to 1, "
+                                 f"got sum {probs.sum()}")
+        object.__setattr__(self, "probs", probs)
 
     __reduce__ = _reduce_through_init
 
@@ -264,13 +270,20 @@ class SampleReport:
     params: FieldParams
     n: int
     tallies: np.ndarray  # flat, canonical order
-    trials: int
     seed: int
 
     def __post_init__(self):
-        object.__setattr__(self, "tallies", _flat_copy(self, self.tallies, np.int64))
+        tallies = _flat_copy(self, self.tallies, np.int64)
+        if tallies.min() < 0 or not tallies.any():
+            raise ParameterError("draw tallies must be >= 0 with at least one draw")
+        object.__setattr__(self, "tallies", tallies)
 
     __reduce__ = _reduce_through_init
+
+    @property
+    def trials(self) -> int:
+        """The number of draws, the sum of the tallies."""
+        return int(self.tallies.sum())
 
     def frequency_of(self, t: VectorFq) -> float:
         _check_secret(self.params, self.n, t)
@@ -318,8 +331,7 @@ def sample_outcomes(dist: OutcomeDistribution, trials: int, seed: int) -> Sample
         # draw from cdf[-1] on.
         tallies += np.diff(np.searchsorted(draws, cdf, side="left"),
                            prepend=0, append=len(draws))
-    return SampleReport(params=dist.params, n=dist.n, tallies=tallies,
-                        trials=trials, seed=seed)
+    return SampleReport(params=dist.params, n=dist.n, tallies=tallies, seed=seed)
 
 
 def state_family_rank(image: ImageSet) -> int:

@@ -189,7 +189,7 @@ _F3 = field.FieldParams(3)
                                [[1, 2]], [[0], [0, 1]], [[1]]),
     lambda: simulator.StateVector(_F3, 1, [[1], [1, 2]]),
     lambda: simulator.OutcomeDistribution(_F3, 1, ["a", "b", "c"]),
-    lambda: simulator.SampleReport(_F3, 1, [[1], [1, 2]], trials=3, seed=0),
+    lambda: simulator.SampleReport(_F3, 1, [[1], [1, 2]], seed=0),
 ), ids=("Domain", "ImageSet", "Transversal", "StateVector", "OutcomeDistribution",
         "SampleReport"))
 def test_malformed_arrays_are_parameter_errors(build):
@@ -233,3 +233,14 @@ def test_only_field_reads_the_operation_tables():
                 if name in ("add_rows", "mul_rows"):
                     readers.add(f"{path.stem}.{getattr(statement, 'name', '<module>')}")
     assert readers == {"verify._check_field_axioms", "verify._check_trace_character"}
+
+
+def test_monomial_layer_builds_only_what_is_reported():
+    # The planners need no domain, monomial_exponents grows its C(m+d, d)
+    # tuples rather than filter a (d+1)^m product, and the independence
+    # witness stays index rows.
+    tree = ast.parse(inspect.getsource(complexity))
+    assert [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)] == [
+        "dataclasses", "errors"]
+    assert "product" not in inspect.getsource(domain.monomial_exponents)
+    assert "VectorFq" not in inspect.getsource(domain.validate_independence)

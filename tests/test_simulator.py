@@ -416,7 +416,7 @@ class TestResultTypes:
         assert report.frequency_of(secret) == before <= 1
         # The report holds a copy: the caller's array can change, the report not.
         given = np.array([2, 0, 0])
-        built = SampleReport(F3, 1, given, trials=2, seed=0)
+        built = SampleReport(F3, 1, given, seed=0)
         given[0] = 5
         assert built.tallies.tolist() == [2, 0, 0] and built.tallies.dtype == np.int64
 
@@ -444,6 +444,14 @@ class TestResultTypes:
             StateVector(F3, 2, np.ones((3, 3)) / 3)
         with pytest.raises(ParameterError, match="vector length must be an integer >= 0"):
             OutcomeDistribution(F3, -1, np.ones(1))
+
+    @pytest.mark.parametrize("probs", ([0.1, 0.1, 0.1], [2, -1, 0], [0.5, 0.5, np.nan],
+                                       [np.inf, 0, 0]),
+                             ids=("sum-off-one", "negative", "nan", "inf"))
+    def test_probabilities_must_be_a_distribution(self, probs):
+        # Sampling would draw from them: [0.1] * 3 put 820 of 1000 draws last.
+        with pytest.raises(ParameterError, match="must be >= 0 and sum to 1, got sum"):
+            OutcomeDistribution(F3, 1, probs)
 
     def test_zero_length_space_has_one_point(self):
         dist = OutcomeDistribution(F3, 0, [1.0])
@@ -491,7 +499,7 @@ class TestSampling:
     def test_top_lists_observed_outcomes_heaviest_first(self):
         # Ties in canonical order, as OutcomeDistribution.top lists them;
         # outcomes never drawn are left out.
-        report = SampleReport(F3, 2, [0, 3, 0, 5, 3, 0, 1, 0, 0], trials=12, seed=0)
+        report = SampleReport(F3, 2, [0, 3, 0, 5, 3, 0, 1, 0, 0], seed=0)
         assert [(v.index_tuple(), draws) for v, draws in report.top(5)] == [
             ((1, 0), 5), ((0, 1), 3), ((1, 1), 3), ((2, 0), 1)]
         assert all(type(draws) is int for _, draws in report.top(5))
@@ -502,10 +510,23 @@ class TestSampling:
                              ids=("field", "length", "tuple"))
     def test_frequency_of_another_space_is_a_parameter_error(self, t):
         # A vector the report has no outcome for is refused, not counted 0.
-        report = SampleReport(F3, 2, [2] + [0] * 8, trials=2, seed=0)
+        report = SampleReport(F3, 2, [2] + [0] * 8, seed=0)
         with pytest.raises(ParameterError, match="secret"):
             report.frequency_of(t)
         assert report.frequency_of(VectorFq.from_index_tuple(F3, (0, 0))) == 1.0
+
+    def test_trials_is_the_sum_of_the_tallies(self):
+        report = SampleReport(F3, 1, [5, 0, 0], seed=0)
+        assert report.trials == 5 and type(report.trials) is int
+        assert report.frequency_of(VectorFq.from_index_tuple(F3, (0,))) == 1.0
+        with pytest.raises(TypeError):
+            SampleReport(F3, 1, [5, 0, 0], trials=2, seed=0)
+
+    @pytest.mark.parametrize("tallies", ([5, -1, 0], [0, 0, 0]), ids=("negative", "no-draws"))
+    def test_tallies_must_be_draws(self, tallies):
+        # frequency_of could otherwise exceed 1 or divide by zero.
+        with pytest.raises(ParameterError, match="tallies must be >= 0 with at least one draw"):
+            SampleReport(F3, 1, tallies, seed=0)
 
     def test_trials_validation(self):
         dom, _, trans = instance(3, 1, 1)

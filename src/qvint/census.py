@@ -34,9 +34,8 @@ floating point never enters here.
 """
 
 __all__ = [
-    "ImageSet", "PreimageCensus", "SecondMomentCheck", "Transversal", "chebyshev_zero_bound",
-    "enumerate_census", "good_set_sizes", "image_set", "image_size_lower_bound",
-    "second_moment_identity_check", "transform_census",
+    "ImageSet", "PreimageCensus", "SecondMomentCheck", "Transversal", "enumerate_census",
+    "image_set", "transform_census",
 ]
 
 import math
@@ -49,7 +48,7 @@ import numpy as np
 
 from .domain import (Domain, _canonical_order, _index_array, dot_rows,
                      flat_to_rows, rows_to_flat)
-from .errors import ContractError, ParameterError, blocks, check_cap, check_int
+from .errors import ContractError, blocks, check_cap, check_int
 from .field import FieldParams, _is_prime, _read_only, _reduce_through_init
 
 DEFAULT_MAX_TUPLES = 10 ** 8
@@ -64,6 +63,15 @@ MAX_RESIDUES = 1 << 22
 # enumerate report prints stays within Python's 4300-digit limit on text.
 MAX_TRANSFORM_PRIMES = 128
 _INT64_LIMIT = 1 << 63
+
+
+@dataclass(frozen=True)
+class SecondMomentCheck:
+    """Both sides of the exact second-moment identity."""
+
+    lhs: int
+    rhs: Fraction
+    equal: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,6 +189,56 @@ class PreimageCensus:
     def success_probability(self) -> Fraction:
         """|image| / q^n, the algorithm's exact success probability."""
         return Fraction(self.image_size, self.codomain_size)
+
+    def good_set_sizes(self) -> tuple:
+        """Exact sizes (k!*C(|V|,k), (q-1)^k) of the good input components."""
+        k = self.k
+        return math.factorial(k) * math.comb(self.domain.size, k), (self.domain.params.q - 1) ** k
+
+    def image_size_lower_bound(self) -> int:
+        """Guaranteed lower bound C(|V|,k)*(q-1)^k on the image size.
+
+        Valid only when every small subset of the domain is independent and
+        2k <= n; both hypotheses are enforced here because the bound is simply
+        wrong without them.  Reads no counts.
+        """
+        domain, k = self.domain, self.k
+        if 2 * k > domain.n:
+            raise ContractError(f"lower bound needs 2k <= n, got k={k} with n={domain.n}")
+        report = domain.independence()
+        if report.status != "verified":
+            raise ContractError(
+                "lower bound needs the subset-independence hypothesis, "
+                f"but it is {report.status} for this domain"
+            )
+        return math.comb(domain.size, k) * (domain.params.q - 1) ** k
+
+    def second_moment_identity(self) -> SecondMomentCheck:
+        """Compare sum of squared counts against the closed-form character sum.
+
+        The right side is (q^(2k)/q^n) times the sum over every t of N(t)^(2k),
+        read off hit_tally; t = 0 gives the (|V|q)^(2k)/q^n term.  For a
+        transform census this is Parseval's relation, so it checks the
+        inverse transform and the CRT; verify checks N(t) itself against the
+        direct count.  Equality is exact rational equality, not approximate.
+        """
+        k = self.k
+        rhs = Fraction(self.domain.params.q ** (2 * k) * _power_sum(self.hit_tally, 2 * k),
+                       self.codomain_size)
+        lhs = self.second_moment_sum()
+        return SecondMomentCheck(lhs=lhs, rhs=rhs, equal=Fraction(lhs) == rhs)
+
+    def chebyshev_zero_bound(self) -> Fraction:
+        """Second-moment tail bound on the fraction of unhit targets:
+        Var/mean^2 = sum over t != 0 of (N(t)/|V|)^(2k), by Chebyshev's
+        inequality (Alon and Spencer, The Probabilistic Method, ch. 4).
+
+        Reads N(t) alone, so on a census whose counts were never read it
+        costs the line transform only.  May exceed 1, in which case it is
+        vacuous but still valid.
+        """
+        scale = self.domain.size ** (2 * self.k)
+        return Fraction(_power_sum(self.hit_tally, 2 * self.k) - scale, scale)  # t = 0 has N = |V|
 
     @cached_property
     def transversal(self) -> "Transversal":
@@ -506,88 +564,6 @@ class Transversal:
     @property
     def size(self) -> int:
         return len(self.keys)
-
-
-def good_set_sizes(domain: Domain, k: int) -> tuple:
-    """Exact sizes (k!*C(|V|,k), (q-1)^k) of the good input components."""
-    check_int("query count", k, 0)
-    v_good = math.factorial(k) * math.comb(domain.size, k)
-    y_good = (domain.params.q - 1) ** k
-    return v_good, y_good
-
-
-def image_size_lower_bound(domain: Domain, k: int) -> int:
-    """Guaranteed lower bound C(|V|,k)*(q-1)^k on the image size.
-
-    Valid only when every small subset of the domain is independent and
-    2k <= n; both hypotheses are enforced here because the bound is simply
-    wrong without them.
-    """
-    check_int("query count", k, 0)
-    if 2 * k > domain.n:
-        raise ContractError(
-            f"lower bound needs 2k <= n, got k={k} with n={domain.n}"
-        )
-    report = domain.independence()
-    if report.status != "verified":
-        raise ContractError(
-            "lower bound needs the subset-independence hypothesis, "
-            f"but it is {report.status} for this domain"
-        )
-    return math.comb(domain.size, k) * (domain.params.q - 1) ** k
-
-
-@dataclass(frozen=True)
-class SecondMomentCheck:
-    """Both sides of the exact second-moment identity."""
-
-    lhs: int
-    rhs: Fraction
-    equal: bool
-
-
-def second_moment_identity_check(domain: Domain, k: int, *,
-                                 census: PreimageCensus = None) -> SecondMomentCheck:
-    """Compare sum of squared counts against the closed-form character sum.
-
-    The right side is (q^(2k)/q^n) times the sum over every t of N(t)^(2k),
-    read off the census's hit_tally; t = 0 gives the (|V|q)^(2k)/q^n term.
-    For a transform census this is Parseval's relation, so it checks the
-    inverse transform and the CRT; verify checks N(t) itself against the
-    direct count.  Without a census, the transform census of (domain, k) is
-    built.  Equality is exact rational equality, not approximate.
-    """
-    census = _matching(domain, k, census)
-    q = domain.params.q
-    rhs = Fraction(q ** (2 * k) * _power_sum(census.hit_tally, 2 * k), q ** domain.n)
-    lhs = census.second_moment_sum()
-    return SecondMomentCheck(lhs=lhs, rhs=rhs, equal=Fraction(lhs) == rhs)
-
-
-def chebyshev_zero_bound(domain: Domain, k: int, *,
-                         census: PreimageCensus = None) -> Fraction:
-    """Second-moment tail bound on the fraction of unhit targets:
-    Var/mean^2 = sum over t != 0 of (N(t)/|V|)^(2k), by Chebyshev's
-    inequality (Alon and Spencer, The Probabilistic Method, ch. 4).
-
-    N(t) comes from the census's hit_tally, or from the line transform of
-    the domain when no census is given.  May exceed 1, in which case it is
-    vacuous but still valid.
-    """
-    tally = _matching(domain, k, census).hit_tally
-    scale = domain.size ** (2 * k)
-    return Fraction(_power_sum(tally, 2 * k) - scale, scale)  # t = 0 has N = |V|
-
-
-def _matching(domain: Domain, k: int, built):
-    """built, a PreimageCensus or Transversal, when it was made for (domain,
-    k); else a ParameterError naming its kind.  built=None gives the lazy
-    transform census PreimageCensus(domain, k)."""
-    check_int("query count", k, 0)
-    built = PreimageCensus(domain, k) if built is None else built
-    if built.k != k or not built.domain.same_as(domain):
-        raise ParameterError(f"supplied {type(built).__name__} does not match (domain, k)")
-    return built
 
 
 def _power_sum(tally: np.ndarray, exponent: int) -> int:

@@ -226,12 +226,12 @@ def cmd_enumerate(domain, mono_md, k, report, fmt):
     if fmt == "csv":
         return _census_csv(census)
 
-    identity = census_mod.second_moment_identity_check(domain, k, census=census)
-    cheb = census_mod.chebyshev_zero_bound(domain, k, census=census)
+    identity = census.second_moment_identity()
+    cheb = census.chebyshev_zero_bound()
     observed = census.zero_count_fraction()
     lower = lower_note = None
     try:
-        lower = census_mod.image_size_lower_bound(domain, k)
+        lower = census.image_size_lower_bound()
     except (ContractError, ResourceCapError) as exc:
         lower_note = str(exc)
 
@@ -295,8 +295,7 @@ def simulate(domain, mono_md, k, report, secret, trials, seed):
 
     if secret == "sweep":
         error = max(abs(p - float(analytic))
-                    for _, _, _, success in simulator._sweep(domain, k, census.transversal,
-                                                             range(codomain))
+                    for _, _, _, success in simulator._sweep(census.transversal, range(codomain))
                     for p in success)
         report["sweep"] = {
             "secrets": codomain,
@@ -307,7 +306,7 @@ def simulate(domain, mono_md, k, report, secret, trials, seed):
 
     report["secret"] = list(secret_vector.index_tuple())
 
-    state = simulator.run_algorithm(domain, k, census.transversal, secret_vector)
+    state = simulator.run_algorithm(census.transversal, secret_vector)
     dist = simulator.outcome_distribution(state)
     measured = simulator.success_probability(state, secret_vector)
     report["analytic"]["measured_success_probability"] = measured

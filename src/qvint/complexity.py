@@ -5,7 +5,7 @@ k with (|V|*q)^k >= q^n, enough for the image to have positive density in
 the codomain.  The high-probability rule picks the least k for which
 (|V_0|/|V|)^(2k), |V_0| the zero-touching count, falls below a target; its
 shape depends on whether the field or the domain is larger.  That ratio is
-not census.chebyshev_zero_bound, which reads the largest hyperplane
+not PreimageCensus.chebyshev_zero_bound, which reads the largest hyperplane
 sections instead; the README states the open question between the two.
 
 All ceilings of log-ratios are least-integer power inequalities.  Float

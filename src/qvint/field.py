@@ -129,10 +129,16 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 def _as_array(values, dtype) -> np.ndarray:
     """np.asarray(values, dtype), a ParameterError where numpy refuses them
-    (ragged rows, text where numbers belong)."""
+    (ragged rows, text where numbers belong, an int past the dtype's range)
+    and, for an integer dtype, where an entry is not an integer: numpy would
+    truncate a float and read a bool as 0 or 1."""
     try:
-        return np.asarray(values, dtype=dtype)
-    except (TypeError, ValueError) as exc:
+        array = np.asarray(values)
+        if (np.issubdtype(dtype, np.integer) and array.size and array.dtype.kind not in "iu"
+                and not (array.dtype == object and all(type(x) is int for x in array.flat))):
+            raise TypeError(f"{array.dtype} entries are not integers")
+        return array.astype(dtype, copy=False)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParameterError(f"values are not an array of {np.dtype(dtype)}: {exc}") from None
 
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .census import ImageSet, Transversal, _matching
+from .census import ImageSet, Transversal
 from .domain import (Domain, VectorFq, _canonical_order, dot_rows, flat_to_rows,
                      rows_to_flat, vector_from_flat)
 from .errors import ContractError, ParameterError, block_size, blocks, check_cap, check_int
@@ -111,13 +111,13 @@ def _characters(params: FieldParams, totals: np.ndarray, terms: int) -> np.ndarr
     return np.resize(params.trace_characters(), max(terms, 1) * params.p)[totals]
 
 
-def _query_phases(domain: Domain, transversal: Transversal, secrets) -> np.ndarray:
+def _query_phases(transversal: Transversal, secrets) -> np.ndarray:
     """The C-contiguous (S, size) phase table of S secret index rows (S, n):
     query i answers y = s . v_i, and pre-image j picks up the kickback
     e(w_i * y) of each query, w_i its weight."""
-    params = domain.params
+    params = transversal.domain.params
     q = params.q
-    answers = dot_rows(params, secrets[:, None, :], domain.indices)
+    answers = dot_rows(params, secrets[:, None, :], transversal.domain.indices)
     # kick[s, v * q + w] = Tr(w * y[s, v]), one row per secret.
     kick = params.trace_products()[answers].reshape(len(secrets), -1)
     # One contiguous row of kick columns per query, as in _fourier_phases.
@@ -139,9 +139,9 @@ def _fourier_phases(params: FieldParams, secrets: np.ndarray, keys: np.ndarray) 
     return _characters(params, totals, keys.shape[1])
 
 
-def run_algorithm(domain: Domain, k: int, transversal: Transversal,
-                  secret: VectorFq) -> StateVector:
-    """Simulate the three steps on the transversal support.
+def run_algorithm(transversal: Transversal, secret: VectorFq) -> StateVector:
+    """Simulate the three steps on the transversal support, over the domain
+    and k the transversal was picked for.
 
     Starts from the uniform superposition over the transversal's pre-images,
     applies the k query phases: query i answers s . v_i, and the pre-image
@@ -149,14 +149,13 @@ def run_algorithm(domain: Domain, k: int, transversal: Transversal,
     pre-image by its image point z, a bijection onto the image because the
     Transversal checked it when it was built.
     """
-    _matching(domain, k, transversal)
-    params = domain.params
-    _check_secret(params, domain.n, secret)
-    phases = _query_phases(domain, transversal, np.array([secret.index_tuple()]))
-    return _support_state(params, domain.n, transversal.keys, phases[0])
+    domain = transversal.domain
+    _check_secret(domain.params, domain.n, secret)
+    phases = _query_phases(transversal, np.array([secret.index_tuple()]))
+    return _support_state(domain.params, domain.n, transversal.keys, phases[0])
 
 
-def _sweep(domain: Domain, k: int, transversal: Transversal, flats):
+def _sweep(transversal: Transversal, flats):
     """run_algorithm and success_probability for the secrets at flat indices
     flats, in blocks of errors.BLOCK_ENTRIES amplitudes (one secret per block
     when a state alone holds more).  A block also holds at most that many
@@ -171,12 +170,12 @@ def _sweep(domain: Domain, k: int, transversal: Transversal, flats):
     probability.  When the keys are in canonical order, as a census picks
     them, every float equals the one-secret functions' bit for bit.
     """
-    _matching(domain, k, transversal)
+    domain = transversal.domain
     params, n = domain.params, domain.n
     scale = 1.0 / math.sqrt(transversal.size)
     for b in blocks(len(flats), max(transversal.size, domain.size * params.q)):
         secrets = flat_to_rows(flats[b], params.q, n)
-        amplitudes = _query_phases(domain, transversal, secrets) * scale
+        amplitudes = _query_phases(transversal, secrets) * scale
         fourier = _fourier_phases(params, secrets, transversal.keys)
         # vdot on contiguous rows, as in success_probability, keeps every bit.
         yield secrets, amplitudes, fourier, [float(abs(np.vdot(f, a)) ** 2 / params.q ** n)
@@ -262,15 +261,12 @@ def _outcome_probs(params: FieldParams, n: int, amplitudes: np.ndarray) -> np.nd
 
 @dataclass(frozen=True, eq=False)
 class SampleReport:
-    """Empirical counts from inverse-CDF sampling on the uniforms of
-    random.Random(seed).random(), a stream Python keeps stable across
-    versions; tallies holds the draws of every outcome like StateVector's
-    amplitudes."""
+    """Empirical counts, as sample_outcomes draws them: tallies holds the
+    draws of every outcome like StateVector's amplitudes."""
 
     params: FieldParams
     n: int
     tallies: np.ndarray  # flat, canonical order
-    seed: int
 
     def __post_init__(self):
         tallies = _flat_copy(self, self.tallies, np.int64)
@@ -331,7 +327,7 @@ def sample_outcomes(dist: OutcomeDistribution, trials: int, seed: int) -> Sample
         # draw from cdf[-1] on.
         tallies += np.diff(np.searchsorted(draws, cdf, side="left"),
                            prepend=0, append=len(draws))
-    return SampleReport(params=dist.params, n=dist.n, tallies=tallies, seed=seed)
+    return SampleReport(params=dist.params, n=dist.n, tallies=tallies)
 
 
 def state_family_rank(image: ImageSet) -> int:

@@ -148,7 +148,7 @@ def _check_census_totals(k, census_of):
     domain = census.domain
     expected = (domain.size * domain.params.q) ** k
     total = int(census.dense.sum())
-    v_good, y_good = census_mod.good_set_sizes(domain, k)
+    v_good, y_good = census.good_set_sizes()
     good_total = int(census.dense_good.sum())
     if total != expected:
         return False, f"count total {total} != {expected}"
@@ -177,7 +177,7 @@ def _check_dichotomy(k, census_of):
     bad = np.flatnonzero(~np.isin(census.dense_good, list(allowed)))
     if bad.size:
         return False, f"good count outside {allowed} at {_point(domain, bad[0])}"
-    bound = census_mod.image_size_lower_bound(domain, k)
+    bound = census.image_size_lower_bound()
     if census.image_size < bound:
         return False, f"image {census.image_size} below bound {bound}"
     return True, f"good counts in {{0, {math.factorial(k)}}}, image {census.image_size} >= {bound}"
@@ -185,7 +185,7 @@ def _check_dichotomy(k, census_of):
 
 def _check_second_moment(k, census_of, direct_tally):
     census = census_of(k)
-    check = census_mod.second_moment_identity_check(census.domain, k, census=census)
+    check = census.second_moment_identity()
     # The right side reads N(t) off the census; hold it to field dot products,
     # as histograms: on extension fields the transform's N(t) is relabelled.
     direct = np.array_equal(census.hit_tally, direct_tally())
@@ -195,7 +195,7 @@ def _check_second_moment(k, census_of, direct_tally):
 
 def _check_chebyshev(k, census_of):
     census = census_of(k)
-    bound = census_mod.chebyshev_zero_bound(census.domain, k, census=census)
+    bound = census.chebyshev_zero_bound()
     observed = census.zero_count_fraction()
     return observed <= bound, f"observed {observed} vs bound {bound}"
 
@@ -234,7 +234,7 @@ def _check_simulator(k, census_of):
     argmax_ok = True
     check_argmax = 2 * image.size > codomain
     for secrets, amplitudes, fourier, success in simulator._sweep(
-            domain, k, transversal, _secret_indices(codomain)):
+            transversal, _secret_indices(codomain)):
         worst_amp = max(worst_amp, float(np.abs(amplitudes - fourier * scale).max()))
         probs.extend(success)
         if check_argmax:
@@ -281,7 +281,7 @@ def _check_sampling(census_of):
     census = census_of()
     params = census.domain.params
     secret = VectorFq.from_index_tuple(params, (1, 1))
-    state = simulator.run_algorithm(census.domain, 1, census.transversal, secret)
+    state = simulator.run_algorithm(census.transversal, secret)
     dist = simulator.outcome_distribution(state)
     first = simulator.sample_outcomes(dist, SAMPLING_TRIALS, seed=SAMPLING_SEED)
     second = simulator.sample_outcomes(dist, SAMPLING_TRIALS, seed=SAMPLING_SEED)

@@ -14,10 +14,7 @@ import math
 import time
 from fractions import Fraction
 
-from qvint.census import (chebyshev_zero_bound,
-                          enumerate_census, image_set,
-                          image_size_lower_bound,
-                          second_moment_identity_check)
+from qvint.census import PreimageCensus, enumerate_census, image_set
 from qvint.complexity import (multivariate_query_bounds, plan_bounded_error,
                               plan_high_probability, univariate_reduction)
 from qvint.domain import (VectorFq, build_monomial_domain,
@@ -115,7 +112,7 @@ def test_criterion_02_success_probability_identity():
                 assert expected == pinned[(q, d, k)]
             values = []
             for secret in all_secrets(dom.params, dom.n):
-                state = run_algorithm(dom, k, trans, secret)
+                state = run_algorithm(trans, secret)
                 values.append(success_probability(state, secret))
             assert all(abs(v - float(expected)) < 1e-9 for v in values)
             assert max(values) - min(values) < 1e-9
@@ -133,7 +130,7 @@ def test_criterion_03_good_preimage_dichotomy():
             good = census.dense_good
             assert set(good[good != 0].tolist()) <= {math.factorial(k)}
             assert (good >= 0).all()
-            bound = image_size_lower_bound(dom, k)
+            bound = census.image_size_lower_bound()
             assert bound == math.comb(dom.size, k) * (dom.params.q - 1) ** k
             assert census.image_size >= bound
         assert applicable >= 5
@@ -144,8 +141,7 @@ def test_criterion_04_second_moment_identity():
     with Budget(60):
         labels = set()
         for dom, k in grid_instances():
-            check = second_moment_identity_check(
-                dom, k, census=census_of(dom, k))
+            check = census_of(dom, k).second_moment_identity()
             assert check.equal
             assert Fraction(check.lhs) == check.rhs
             labels.add(dom.label)
@@ -159,9 +155,9 @@ def test_criterion_05_chebyshev_consistency():
     with Budget(60):
         for dom, k in grid_instances():
             census = census_of(dom, k)
-            assert census.zero_count_fraction() <= chebyshev_zero_bound(dom, k)
+            assert census.zero_count_fraction() <= PreimageCensus(dom, k).chebyshev_zero_bound()
         dom = build_vandermonde_domain(field(5), 3)
-        bound = chebyshev_zero_bound(dom, 3)
+        bound = PreimageCensus(dom, 3).chebyshev_zero_bound()
         assert bound == Fraction(1484, 625)
         assert float(bound) == 2.3744
         assert census_of(dom, 3).zero_count_fraction() <= bound
@@ -189,7 +185,7 @@ def test_criterion_07_optimality_rank():
             assert census.success_probability() == ceiling
             trans = enumerate_census(dom, k).transversal
             secret = next(all_secrets(dom.params, dom.n))
-            state = run_algorithm(dom, k, trans, secret)
+            state = run_algorithm(trans, secret)
             assert abs(success_probability(state, secret) - float(ceiling)) < 1e-9
 
 
@@ -217,7 +213,7 @@ def test_criterion_09_empirical_sampling():
         dom = build_vandermonde_domain(field(3), 1)
         trans = enumerate_census(dom, 1).transversal
         secret = VectorFq.from_index_tuple(dom.params, (1, 2))
-        state = run_algorithm(dom, 1, trans, secret)
+        state = run_algorithm(trans, secret)
         dist = outcome_distribution(state)
         trials = 100_000
         report = sample_outcomes(dist, trials, seed=SAMPLING_SEED)

@@ -6,7 +6,9 @@ import ast
 import copy
 import inspect
 import pickle
+import re
 from dataclasses import FrozenInstanceError, fields, is_dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -23,14 +25,12 @@ PUBLIC_NAMES = [
     "PreimageCensus", "QueryPlan", "QvintError", "ReductionPlan", "ResourceCapError",
     "SampleReport", "SecondMomentCheck", "StateVector", "Transversal", "VectorFq",
     "build_explicit_domain", "build_monomial_domain", "build_vandermonde_domain",
-    "character_orthogonality_check", "chebyshev_zero_bound", "classify_instance", "dot",
-    "enumerate_census", "good_set_sizes", "image_set", "image_size_lower_bound",
-    "monomial_exponents", "multivariate_query_bounds", "outcome_distribution",
+    "character_orthogonality_check", "classify_instance", "dot", "enumerate_census",
+    "image_set", "monomial_exponents", "multivariate_query_bounds", "outcome_distribution",
     "parse_field_spec", "parse_vector", "phase_query_check", "plan_bounded_error",
     "plan_high_probability", "read_domain_file", "run_algorithm", "sample_outcomes",
-    "second_moment_identity_check", "smallest_irreducible", "state_family_rank",
-    "success_probability", "transform_census", "univariate_reduction",
-    "validate_independence", "write_domain_file",
+    "smallest_irreducible", "state_family_rank", "success_probability", "transform_census",
+    "univariate_reduction", "validate_independence", "write_domain_file",
 ]
 
 
@@ -93,6 +93,46 @@ def test_simulator_public_functions_are_pinned():
                       "sample_outcomes", "state_family_rank", "success_probability"]
 
 
+def test_no_public_function_takes_a_domain_beside_its_census():
+    # A census and a transversal carry their (domain, k), so a function that
+    # also took the domain or k could be handed a pair that disagrees.
+    functions = [(name, value) for name in qvint.__all__
+                 for value in [getattr(qvint, name)] if inspect.isfunction(value)]
+    functions += [(f"{name}.{attr}", method) for name in qvint.__all__
+                  if isinstance(getattr(qvint, name), type)
+                  for attr, method in vars(getattr(qvint, name)).items()
+                  if inspect.isfunction(method)]
+    assert len(functions) > 50
+    for name, function in functions:
+        parameters = set(inspect.signature(function).parameters)
+        assert not ({"domain", "k"} & parameters and {"census", "transversal"} & parameters), name
+    assert list(inspect.signature(qvint.run_algorithm).parameters) == ["transversal", "secret"]
+    assert not hasattr(census, "_matching")
+
+
+def test_readme_example_runs_as_written():
+    # Statement by statement; an expression whose line ends in a comment must
+    # equal the comment's leading token (a float to 1e-9).
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    [block] = re.findall(r"```python\n(.*?)```", text, re.S)
+    lines = block.splitlines()
+    namespace = {"Fraction": Fraction}
+    checked = []
+    for statement in ast.parse(block).body:
+        if not isinstance(statement, ast.Expr):
+            exec(compile(ast.Module([statement], []), "README.md", "exec"), namespace)
+            continue
+        value = eval(compile(ast.Expression(statement.value), "README.md", "eval"), namespace)
+        comment = lines[statement.end_lineno - 1][statement.end_col_offset:].strip()
+        if comment:
+            token = re.match(r"#\s*(\S+\(.*?\)|[^\s,:]+)", comment).group(1)
+            want = eval(token, namespace)
+            assert (abs(value - want) < 1e-9 if isinstance(want, float) else value == want), token
+            checked.append(token)
+    assert checked == ["Fraction(181, 625)", "True", "True", "160", "Fraction(1084, 125)",
+                       "0.2896"]
+
+
 def private_names(source: str) -> list:
     """The "_"-prefixed names, dunders aside, that source imports from qvint
     or reads as attributes of anything."""
@@ -123,8 +163,7 @@ def _value(name):
     """A small instance of the value type name."""
     f3 = qvint.FieldParams(3)
     counts = qvint.transform_census(qvint.build_vandermonde_domain(f3, 1), 1)
-    state = qvint.run_algorithm(counts.domain, 1, counts.transversal,
-                                qvint.VectorFq.from_index_tuple(f3, (1, 2)))
+    state = qvint.run_algorithm(counts.transversal, qvint.VectorFq.from_index_tuple(f3, (1, 2)))
     dist = qvint.outcome_distribution(state)
     return {
         "FieldParams": qvint.FieldParams(3, 2),
@@ -189,13 +228,37 @@ _F3 = field.FieldParams(3)
                                [[1, 2]], [[0], [0, 1]], [[1]]),
     lambda: simulator.StateVector(_F3, 1, [[1], [1, 2]]),
     lambda: simulator.OutcomeDistribution(_F3, 1, ["a", "b", "c"]),
-    lambda: simulator.SampleReport(_F3, 1, [[1], [1, 2]], seed=0),
+    lambda: simulator.SampleReport(_F3, 1, [[1], [1, 2]]),
 ), ids=("Domain", "ImageSet", "Transversal", "StateVector", "OutcomeDistribution",
         "SampleReport"))
 def test_malformed_arrays_are_parameter_errors(build):
     # Ragged rows and text where numbers belong, refused in numpy's words.
     with pytest.raises(errors.ParameterError, match=r"values are not an array of \w+: "):
         build()
+
+
+@pytest.mark.parametrize("row,reason", (
+    ([1.5, 2.9], "float64 entries are not integers"),
+    ([True, False], "bool entries are not integers"),
+    ([2 ** 70, 0], ""),
+), ids=("float", "bool", "past-int64"))
+@pytest.mark.parametrize("build", (
+    lambda row: domain.Domain(_F3, [row]),
+    lambda row: census.ImageSet(_F3, 2, [row]),
+    lambda row: simulator.SampleReport(_F3, 1, row + row[-1:]),
+), ids=("Domain", "ImageSet", "SampleReport"))
+def test_integer_arrays_take_only_integers(build, row, reason):
+    # numpy would truncate 1.5 to 1 and read True as 1, and an int past
+    # int64 would escape as a bare OverflowError.
+    with pytest.raises(errors.ParameterError, match=r"values are not an array of \w+: " + reason):
+        build(row)
+
+
+def test_integer_arrays_of_any_integer_kind_are_taken():
+    assert domain.Domain(_F3, np.array([[2, 1]], dtype=np.uint8)).indices.tolist() == [[2, 1]]
+    assert domain.Domain(_F3, np.array([[2, 1]], dtype=object)).indices.tolist() == [[2, 1]]
+    assert census.ImageSet(_F3, 2, []).size == 0
+    assert simulator.SampleReport(_F3, 1, np.array([2, 0, 1], dtype=np.int32)).trials == 3
 
 
 def test_blocks_cover_the_count_in_order(monkeypatch):

@@ -19,9 +19,7 @@ from oracles import (counts_of, good_counts_of, linear_combination, transversal_
                      vectors_of)
 from qvint import census as census_mod
 from qvint import errors
-from qvint.census import (ImageSet, PreimageCensus, Transversal, chebyshev_zero_bound,
-                          enumerate_census, good_set_sizes, image_set,
-                          image_size_lower_bound, second_moment_identity_check,
+from qvint.census import (ImageSet, PreimageCensus, Transversal, enumerate_census, image_set,
                           transform_census)
 from qvint.domain import (Domain, VectorFq, build_explicit_domain,
                           build_monomial_domain, build_vandermonde_domain,
@@ -139,7 +137,7 @@ class TestCensusInvariants:
     def test_totals(self, q, d, k):
         dom = vandermonde(q, d)
         census = enumerate_census(dom, k)
-        v_good, y_good = good_set_sizes(dom, k)
+        v_good, y_good = census.good_set_sizes()
         assert census.dense.sum() == (dom.size * dom.params.q) ** k
         assert census.dense_good.sum() == v_good * y_good
         assert census.mean() * census.codomain_size == census.total
@@ -357,9 +355,9 @@ class TestTransformCensus:
         assert census.dense.dtype == object
         assert sum(census.dense.tolist()) == census.total
         assert min(census.dense.tolist()) > 2 ** 63
-        v_good, y_good = good_set_sizes(dom, 25)
+        v_good, y_good = census.good_set_sizes()
         assert sum(census.dense_good.tolist()) == v_good * y_good == 0
-        assert second_moment_identity_check(dom, 25, census=census).equal
+        assert census.second_moment_identity().equal
 
     # Vandermonde GF(3) d=1 by hand: the line measure's transform is 9 at
     # t = 0, 3 at the six t with t_2 != 0 and 0 elsewhere, so the count of
@@ -391,9 +389,10 @@ class TestTransformCensus:
         census = transform_census(dom, 7)
         assert census.image_size == 5 ** 4
         assert sum(census.dense.tolist()) == 25 ** 7
-        assert second_moment_identity_check(dom, 7, census=census).equal
-        v_good, y_good = good_set_sizes(dom, 3)
-        assert sum(transform_census(dom, 3).dense_good.tolist()) == v_good * y_good
+        assert census.second_moment_identity().equal
+        three = transform_census(dom, 3)
+        v_good, y_good = three.good_set_sizes()
+        assert sum(three.dense_good.tolist()) == v_good * y_good
 
     @pytest.mark.parametrize("q,k,unit", ((11, 3000, "transform primes"),
                                           (11, 2_000_000, "transform primes"),
@@ -488,6 +487,8 @@ class TestCensusIsDomainAndK:
         # A negative k once gave a float total.
         with pytest.raises(ParameterError, match="query count must be an integer >= 0, got -1"):
             PreimageCensus(dom, -1)
+        with pytest.raises(ParameterError, match="query count must be an integer >= 0, got True"):
+            PreimageCensus(dom, True)
         assert PreimageCensus(dom, 1).success_probability() == Fraction(7, 9)
 
     def test_walk_arrays_are_its_own(self, monkeypatch):
@@ -518,13 +519,13 @@ class TestCensusIsDomainAndK:
 class TestGoodSets:
     def test_spec_values(self):
         dom = vandermonde(5, 3)
-        assert good_set_sizes(dom, 2) == (20, 16)
-        assert good_set_sizes(dom, 0) == (1, 1)
-        assert good_set_sizes(dom, 1) == (5, 4)
+        assert PreimageCensus(dom, 2).good_set_sizes() == (20, 16)
+        assert PreimageCensus(dom, 0).good_set_sizes() == (1, 1)
+        assert PreimageCensus(dom, 1).good_set_sizes() == (5, 4)
 
     def test_k_above_domain_size(self):
         dom = vandermonde(3, 1)
-        assert good_set_sizes(dom, 4) == (0, 2 ** 4)
+        assert PreimageCensus(dom, 4).good_set_sizes() == (0, 2 ** 4)
 
     def test_dichotomy_on_verified_instances(self):
         for q, d, k in ((3, 1, 1), (4, 1, 1), (5, 3, 1), (5, 3, 2), (7, 3, 2)):
@@ -536,24 +537,24 @@ class TestGoodSets:
             assert set(good_counts_of(census).values()) <= allowed
 
     def test_lower_bound_values(self):
-        assert image_size_lower_bound(vandermonde(3, 1), 1) == 6
-        assert image_size_lower_bound(vandermonde(5, 3), 2) == 160
-        assert image_size_lower_bound(vandermonde(5, 3), 0) == 1
+        assert PreimageCensus(vandermonde(3, 1), 1).image_size_lower_bound() == 6
+        assert PreimageCensus(vandermonde(5, 3), 2).image_size_lower_bound() == 160
+        assert PreimageCensus(vandermonde(5, 3), 0).image_size_lower_bound() == 1
 
     def test_lower_bound_below_enumerated_image(self):
         for q, d, k in ((3, 1, 1), (5, 3, 1), (5, 3, 2), (7, 3, 2)):
             dom = vandermonde(q, d)
             census = enumerate_census(dom, k)
-            assert census.image_size >= image_size_lower_bound(dom, k)
+            assert census.image_size >= census.image_size_lower_bound()
 
     def test_lower_bound_needs_small_k(self):
         with pytest.raises(ContractError, match="2k <= n"):
-            image_size_lower_bound(vandermonde(3, 1), 2)
+            PreimageCensus(vandermonde(3, 1), 2).image_size_lower_bound()
 
     def test_lower_bound_needs_independence(self):
         dom = build_monomial_domain(F3, 2, 2)
         with pytest.raises(ContractError, match="refuted"):
-            image_size_lower_bound(dom, 1)
+            PreimageCensus(dom, 1).image_size_lower_bound()
 
 
 class TestTransversal:
@@ -779,38 +780,25 @@ class TestSecondMoment:
     @pytest.mark.parametrize("q,d,k", INSTANCES)
     def test_exact_equality(self, q, d, k):
         dom = vandermonde(q, d)
-        check = second_moment_identity_check(dom, k)
+        check = PreimageCensus(dom, k).second_moment_identity()
         assert check.equal
         assert Fraction(check.lhs) == check.rhs
         assert check.lhs == FROZEN_SECOND_MOMENTS.get((q, d, k), check.lhs)
 
     def test_monomial_instance(self):
         dom = build_monomial_domain(F3, 2, 2)
-        check = second_moment_identity_check(dom, 1)
+        check = PreimageCensus(dom, 1).second_moment_identity()
         assert check.equal
         assert check.lhs == 99
 
     def test_k0(self):
-        check = second_moment_identity_check(vandermonde(3, 1), 0)
+        check = PreimageCensus(vandermonde(3, 1), 0).second_moment_identity()
         assert (check.lhs, check.rhs, check.equal) == (1, 1, True)
-
-    def test_census_reuse_must_match(self):
-        dom = vandermonde(3, 1)
-        census = enumerate_census(dom, 1)
-        with pytest.raises(ParameterError):
-            second_moment_identity_check(dom, 2, census=census)
-        # Same index rows over two models of GF(9) are different domains.
-        dom_a = build_vandermonde_domain(FieldParams(3, 2, modulus=(1, 0, 1)), 1)
-        dom_b = build_vandermonde_domain(FieldParams(3, 2, modulus=(2, 1, 1)), 1)
-        assert np.array_equal(dom_a.indices, dom_b.indices)
-        with pytest.raises(ParameterError):
-            second_moment_identity_check(dom_a, 1, census=enumerate_census(dom_b, 1))
-        # An equal domain built separately is accepted.
-        assert second_moment_identity_check(vandermonde(3, 1), 1, census=census).equal
 
     def test_census_less_call_past_the_walk_cap(self):
         # 887503681 tuples: the walk refuses them, the transform census does not.
-        assert second_moment_identity_check(build_vandermonde_domain(FieldParams(31), 3), 3).equal
+        census = PreimageCensus(build_vandermonde_domain(FieldParams(31), 3), 3)
+        assert census.second_moment_identity().equal
 
 
 class TestHitTally:
@@ -849,16 +837,16 @@ class TestHitTally:
 class TestChebyshev:
     def test_q3_vacuous_bound(self):
         dom = vandermonde(3, 1)
-        assert chebyshev_zero_bound(dom, 1) == Fraction(2, 3)
+        assert PreimageCensus(dom, 1).chebyshev_zero_bound() == Fraction(2, 3)
         census = enumerate_census(dom, 1)
         assert census.zero_count_fraction() == Fraction(2, 9)
 
     def test_q5_d3_k3_bound(self):
         dom = vandermonde(5, 3)
-        bound = chebyshev_zero_bound(dom, 3)
+        bound = PreimageCensus(dom, 3).chebyshev_zero_bound()
         assert bound == Fraction(1484, 625)
         census = enumerate_census(dom, 3)
-        assert chebyshev_zero_bound(dom, 3, census=census) == bound
+        assert census.chebyshev_zero_bound() == bound
         observed = census.zero_count_fraction()
         assert observed == Fraction(24, 625)
         assert observed <= bound
@@ -868,15 +856,8 @@ class TestChebyshev:
         vs = [VectorFq.from_index_tuple(F3, t) for t in ((1, 1), (1, 2), (2, 1))]
         dom = build_explicit_domain(vs)
         assert dom.zero_touching_count() == 0
-        assert chebyshev_zero_bound(dom, 1) == Fraction(10, 9)
+        assert PreimageCensus(dom, 1).chebyshev_zero_bound() == Fraction(10, 9)
         assert enumerate_census(dom, 1).zero_count_fraction() == Fraction(4, 9)
-
-    def test_census_must_match(self):
-        dom = vandermonde(3, 1)
-        with pytest.raises(ParameterError):
-            chebyshev_zero_bound(dom, 2, census=enumerate_census(dom, 1))
-        with pytest.raises(ParameterError):
-            chebyshev_zero_bound(vandermonde(5, 1), 1, census=enumerate_census(dom, 1))
 
     def test_old_formula_fails_at_gf7_d4_k3(self):
         # q^n (|V_0|/|V|)^(2k) assumed N(t) <= |V_0| for t != 0, but a nonzero
@@ -888,7 +869,7 @@ class TestChebyshev:
         assert old == Fraction(1, 7)
         assert observed == Fraction(8868, 16807) > old
         assert census.largest_hyperplane_section == 4 > dom.zero_touching_count()
-        bound = chebyshev_zero_bound(dom, 3, census=census)
+        bound = census.chebyshev_zero_bound()
         assert bound == Fraction(242412, 16807)
         assert observed <= bound
 
@@ -898,16 +879,13 @@ class TestChebyshev:
         for build, q, shape, ks in shapes:
             dom = build(parse_field_spec(str(q)), *shape)
             for k in ks:
-                census = enumerate_census(dom, k)
-                assert chebyshev_zero_bound(dom, k) == chebyshev_zero_bound(dom, k, census=census)
-
-    def test_a_bool_k_is_refused_with_a_census(self):
-        dom = vandermonde(3, 1)
-        with pytest.raises(ParameterError, match="query count must be an integer >= 0, got True"):
-            chebyshev_zero_bound(dom, True, census=enumerate_census(dom, 1))
+                lazy = PreimageCensus(dom, k)
+                assert lazy.chebyshev_zero_bound() == enumerate_census(dom, k).chebyshev_zero_bound()
+                # The bound reads N(t) alone: no count array is derived.
+                assert not {"dense", "dense_good"} & set(vars(lazy))
 
     def test_holds_across_grid(self):
         for q, d, k in FROZEN_IMAGE_SIZES:
             dom = vandermonde(q, d)
             census = enumerate_census(dom, k)
-            assert census.zero_count_fraction() <= chebyshev_zero_bound(dom, k)
+            assert census.zero_count_fraction() <= PreimageCensus(dom, k).chebyshev_zero_bound()

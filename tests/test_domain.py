@@ -248,6 +248,15 @@ class TestBuilders:
         with pytest.raises(ParameterError, match=r"indices must lie in \[0, 4\)"):
             pickle.loads(pickle.dumps(dom))
 
+    def test_two_models_of_gf9_are_different_domains(self):
+        # The same index rows name other vectors under another modulus.
+        dom_a = build_vandermonde_domain(FieldParams(3, 2, modulus=(1, 0, 1)), 1)
+        dom_b = build_vandermonde_domain(FieldParams(3, 2, modulus=(2, 1, 1)), 1)
+        assert np.array_equal(dom_a.indices, dom_b.indices)
+        assert not dom_a.same_as(dom_b) and not dom_b.same_as(dom_a)
+        # An equal domain built separately is the same one.
+        assert dom_a.same_as(build_vandermonde_domain(FieldParams(3, 2, modulus=(1, 0, 1)), 1))
+
     def test_attributes_are_read_only(self):
         dom = build_vandermonde_domain(F5, 1)
         assert dom.independence().status == "verified"

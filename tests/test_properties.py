@@ -156,7 +156,7 @@ def test_run_algorithm_is_the_fourier_state_restricted_to_the_image(case):
     domain, k, secret = case
     params, n = domain.params, domain.n
     image = image_set(enumerate_census(domain, k))
-    state = run_algorithm(domain, k, enumerate_census(domain, k).transversal, secret)
+    state = run_algorithm(enumerate_census(domain, k).transversal, secret)
 
     full = fourier_state(params, n, secret).amplitudes
     expected = np.zeros_like(full)
@@ -169,7 +169,7 @@ def test_run_algorithm_is_the_fourier_state_restricted_to_the_image(case):
 @given(small_instances())
 def test_success_probability_matches_the_fourier_reference(case):
     domain, k, secret = case
-    state = run_algorithm(domain, k, enumerate_census(domain, k).transversal, secret)
+    state = run_algorithm(enumerate_census(domain, k).transversal, secret)
     reference = abs(inner(fourier_state(domain.params, domain.n, secret), state)) ** 2
     assert abs(success_probability(state, secret) - reference) <= 1e-12
 

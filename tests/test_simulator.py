@@ -110,7 +110,7 @@ class TestRunAlgorithm:
         dom, census, trans = instance(q, d, k)
         image = image_set(census)
         for secret in itertools.islice(all_secrets(dom.params, dom.n), 12):
-            ran = run_algorithm(dom, k, trans, secret)
+            ran = run_algorithm(trans, secret)
             direct = restricted_fourier_state(image, secret)
             assert np.max(np.abs(ran.amplitudes - direct.amplitudes)) < 1e-12
 
@@ -118,7 +118,7 @@ class TestRunAlgorithm:
     def test_unit_norm(self, q, d, k):
         dom, _, trans = instance(q, d, k)
         secret = next(all_secrets(dom.params, dom.n))
-        state = run_algorithm(dom, k, trans, secret)
+        state = run_algorithm(trans, secret)
         assert abs(norm(state) - 1.0) < 1e-12
 
     @pytest.mark.parametrize("q,d,k", sorted(FROZEN))
@@ -128,13 +128,13 @@ class TestRunAlgorithm:
         assert census.success_probability() == \
             Fraction(FROZEN[(q, d, k)], dom.params.q ** dom.n)
         for secret in all_secrets(dom.params, dom.n):
-            state = run_algorithm(dom, k, trans, secret)
+            state = run_algorithm(trans, secret)
             assert abs(success_probability(state, secret) - expected) < 1e-9
 
     def test_support_is_exactly_the_image(self):
-        dom, census, trans = instance(3, 1, 1)
+        _, census, trans = instance(3, 1, 1)
         secret = VectorFq.from_index_tuple(F3, (1, 2))
-        state = run_algorithm(dom, 1, trans, secret)
+        state = run_algorithm(trans, secret)
         for z in all_secrets(F3, 2):
             amp = at(state.amplitudes, z)
             if at(census.dense, z):
@@ -143,9 +143,9 @@ class TestRunAlgorithm:
                 assert amp == 0
 
     def test_success_probability_is_a_python_float(self):
-        dom, _, trans = instance(5, 1, 1)
+        _, _, trans = instance(5, 1, 1)
         secret = VectorFq.from_index_tuple(F5, (3, 4))
-        state = run_algorithm(dom, 1, trans, secret)
+        state = run_algorithm(trans, secret)
         probability = success_probability(state, secret)
         assert type(probability) is float
         assert abs(probability - 21 / 25) < 1e-12
@@ -156,47 +156,8 @@ class TestRunAlgorithm:
         dom = build_vandermonde_domain(F3, 1)
         trans = enumerate_census(dom, 0).transversal
         secret = VectorFq.from_index_tuple(F3, (2, 1))
-        state = run_algorithm(dom, 0, trans, secret)
+        state = run_algorithm(trans, secret)
         assert abs(success_probability(state, secret) - 1 / 9) < 1e-12
-
-    def test_transversal_must_match_domain(self):
-        dom3 = build_vandermonde_domain(F3, 1)
-        dom5 = build_vandermonde_domain(F5, 1)
-        trans5 = enumerate_census(dom5, 1).transversal
-        with pytest.raises(ParameterError):
-            run_algorithm(dom3, 1, trans5, VectorFq.from_index_tuple(F3, (0, 0)))
-        # Same index rows over two models of GF(9) are different domains.
-        gf9 = FieldParams(3, 2, modulus=(1, 0, 1))
-        dom_a = build_vandermonde_domain(gf9, 1)
-        dom_b = build_vandermonde_domain(FieldParams(3, 2, modulus=(2, 1, 1)), 1)
-        assert np.array_equal(dom_a.indices, dom_b.indices)
-        secret = VectorFq.from_index_tuple(gf9, (0, 0))
-        with pytest.raises(ParameterError):
-            run_algorithm(dom_a, 1, enumerate_census(dom_b, 1).transversal, secret)
-        # An equal domain built separately is accepted.
-        run_algorithm(dom_a, 1, enumerate_census(build_vandermonde_domain(gf9, 1), 1)
-                      .transversal, secret)
-
-    def test_transversal_must_match_k(self):
-        dom, _, trans = instance(3, 1, 1)
-        with pytest.raises(ParameterError):
-            run_algorithm(dom, 2, trans, VectorFq.from_index_tuple(F3, (0, 0)))
-
-    # run_algorithm and the batched sweep share census._matching's check,
-    # which names the kind of object it refuses.
-    @pytest.mark.parametrize("other", ("domain", "k"))
-    def test_run_and_sweep_share_the_match_rule(self, other):
-        dom, _, trans = instance(3, 1, 1)
-        if other == "domain":
-            dom = build_vandermonde_domain(F3, 2)
-            k, secret = 1, VectorFq.from_index_tuple(F3, (0, 0, 0))
-        else:
-            k, secret = 2, VectorFq.from_index_tuple(F3, (0, 0))
-        match = r"supplied Transversal does not match \(domain, k\)"
-        with pytest.raises(ParameterError, match=match):
-            run_algorithm(dom, k, trans, secret)
-        with pytest.raises(ParameterError, match=match):
-            next(simulator._sweep(dom, k, trans, np.arange(3)))
 
     def test_a_non_integer_secret_coordinate_is_refused(self):
         # A float index names no element; numpy would fail on it much later.
@@ -242,13 +203,13 @@ class TestRunAlgorithm:
                                 weights=trans.weights[[0, 1, 1]])
 
     def test_checked_copy_is_read_only_and_runs(self):
-        dom, _, trans = instance(3, 1, 1)
+        _, _, trans = instance(3, 1, 1)
         copy = dataclasses.replace(trans, keys=trans.keys.copy())
         with pytest.raises(ValueError):
             copy.keys[0, 0] = 1
         secret = VectorFq.from_index_tuple(F3, (1, 2))
-        assert (run_algorithm(dom, 1, copy, secret).amplitudes.tobytes()
-                == run_algorithm(dom, 1, trans, secret).amplitudes.tobytes())
+        assert (run_algorithm(copy, secret).amplitudes.tobytes()
+                == run_algorithm(trans, secret).amplitudes.tobytes())
 
     def test_empty_image_rejected(self):
         empty = ImageSet(params=F3, n=2, keys=np.empty((0, 2), np.intp))
@@ -281,7 +242,7 @@ class TestBatchedSweep:
         dom = build_vandermonde_domain(params, d)
         trans = enumerate_census(dom, k).transversal
         flats = range(params.q ** dom.n)
-        blocks = list(simulator._sweep(dom, k, trans, flats))
+        blocks = list(simulator._sweep(trans, flats))
         step = errors.BLOCK_ENTRIES // trans.size
         assert [len(secrets) for secrets, _, _, _ in blocks] == [
             min(step, len(flats) - start) for start in range(0, len(flats), step)]
@@ -291,7 +252,7 @@ class TestBatchedSweep:
             for row, amps, phases, probability in zip(secrets, amplitudes, fourier, success,
                                                       strict=True):
                 secret = VectorFq.from_index_tuple(params, row.tolist())
-                state = run_algorithm(dom, k, trans, secret)
+                state = run_algorithm(trans, secret)
                 assert amps.tobytes() == state.amplitudes[keys].tobytes()
                 assert probability.hex() == success_probability(state, secret).hex()
                 # success_probability's phases, on the state's support.
@@ -303,8 +264,8 @@ class TestBatchedSweep:
     def test_a_corrupt_phase_lookup_fails_pipeline_equivalence(self, monkeypatch):
         real = simulator._query_phases
 
-        def misplaced(domain, transversal, secrets):
-            return np.roll(real(domain, transversal, secrets), 1, axis=1)
+        def misplaced(transversal, secrets):
+            return np.roll(real(transversal, secrets), 1, axis=1)
 
         monkeypatch.setattr(simulator, "_query_phases", misplaced)
         pipeline = [r for r in run_all() if r.name.startswith("pipeline-equivalence-")]
@@ -322,12 +283,12 @@ class TestBatchedSweep:
         trans = transform_census(dom, 1).transversal
         assert trans.size == 7
         monkeypatch.setattr(errors, "BLOCK_ENTRIES", 84)
-        blocks = list(simulator._sweep(dom, 1, trans, range(7)))
+        blocks = list(simulator._sweep(trans, range(7)))
         assert [len(secrets) for secrets, _, _, _ in blocks] == [2, 2, 2, 1]
         keys = rows_to_flat(trans.keys, 7)
         for secrets, amplitudes, _, _ in blocks:
             for row, amps in zip(secrets, amplitudes, strict=True):
-                state = run_algorithm(dom, 1, trans, VectorFq.from_index_tuple(params, row.tolist()))
+                state = run_algorithm(trans, VectorFq.from_index_tuple(params, row.tolist()))
                 assert amps.tobytes() == state.amplitudes[keys].tobytes()
 
 
@@ -352,7 +313,7 @@ class TestPhaseKernels:
             queries = params.character_values()[
                 dot_rows(params, trans.weights, answers[:, trans.positions])]
             fourier = params.character_values()[dot_rows(params, secrets[:, None, :], trans.keys)]
-            for got, want in ((simulator._query_phases(dom, trans, secrets), queries),
+            for got, want in ((simulator._query_phases(trans, secrets), queries),
                               (simulator._fourier_phases(params, secrets, trans.keys), fourier)):
                 assert got.shape == (len(secrets), trans.size)
                 assert got.flags.c_contiguous
@@ -361,18 +322,18 @@ class TestPhaseKernels:
 
 class TestOutcomeDistribution:
     def test_matches_direct_inner_products(self):
-        dom, _, trans = instance(3, 1, 1)
+        _, _, trans = instance(3, 1, 1)
         secret = VectorFq.from_index_tuple(F3, (2, 1))
-        state = run_algorithm(dom, 1, trans, secret)
+        state = run_algorithm(trans, secret)
         dist = outcome_distribution(state)
         for t in all_secrets(F3, 2):
             direct = abs(inner(fourier_state(F3, 2, t), state)) ** 2
             assert abs(at(dist.probs, t) - direct) < 1e-12
 
     def test_sums_to_one(self):
-        dom, _, trans = instance(5, 3, 2)
+        _, _, trans = instance(5, 3, 2)
         secret = VectorFq.from_index_tuple(F5, (1, 2, 3, 4))
-        dist = outcome_distribution(run_algorithm(dom, 2, trans, secret))
+        dist = outcome_distribution(run_algorithm(trans, secret))
         total = sum(at(dist.probs, t) for t in all_secrets(F5, 4))
         assert abs(total - 1.0) < 1e-9
 
@@ -381,7 +342,7 @@ class TestOutcomeDistribution:
         dom, census, trans = instance(q, d, k)
         assert 2 * census.image_size > census.codomain_size
         for secret in all_secrets(dom.params, dom.n):
-            dist = outcome_distribution(run_algorithm(dom, k, trans, secret))
+            dist = outcome_distribution(run_algorithm(trans, secret))
             assert np.argmax(dist.probs) == rows_to_flat(secret.index_tuple(), dom.params.q)
 
     def test_top_breaks_ties_canonically(self):
@@ -404,8 +365,8 @@ class TestResultTypes:
     after construction, and their arrays hold exactly q^n entries."""
 
     def state(self):
-        dom, _, trans = instance(3, 1, 1)
-        return run_algorithm(dom, 1, trans, VectorFq.from_index_tuple(F3, (1, 1)))
+        _, _, trans = instance(3, 1, 1)
+        return run_algorithm(trans, VectorFq.from_index_tuple(F3, (1, 1)))
 
     def test_sample_counts_are_read_only(self):
         secret = VectorFq.from_index_tuple(F3, (1, 1))
@@ -416,7 +377,7 @@ class TestResultTypes:
         assert report.frequency_of(secret) == before <= 1
         # The report holds a copy: the caller's array can change, the report not.
         given = np.array([2, 0, 0])
-        built = SampleReport(F3, 1, given, seed=0)
+        built = SampleReport(F3, 1, given)
         given[0] = 5
         assert built.tallies.tolist() == [2, 0, 0] and built.tallies.dtype == np.int64
 
@@ -470,18 +431,18 @@ class TestResultTypes:
 
 class TestSampling:
     def test_same_seed_same_counts(self):
-        dom, _, trans = instance(3, 1, 1)
+        _, _, trans = instance(3, 1, 1)
         secret = VectorFq.from_index_tuple(F3, (1, 2))
-        dist = outcome_distribution(run_algorithm(dom, 1, trans, secret))
+        dist = outcome_distribution(run_algorithm(trans, secret))
         a = sample_outcomes(dist, 2000, seed=20250815)
         b = sample_outcomes(dist, 2000, seed=20250815)
         assert np.array_equal(a.tallies, b.tallies)
         assert a.tallies.sum() == 2000
 
     def test_within_three_sigma(self):
-        dom, _, trans = instance(3, 1, 1)
+        _, _, trans = instance(3, 1, 1)
         secret = VectorFq.from_index_tuple(F3, (1, 2))
-        dist = outcome_distribution(run_algorithm(dom, 1, trans, secret))
+        dist = outcome_distribution(run_algorithm(trans, secret))
         trials = 100_000
         report = sample_outcomes(dist, trials, seed=20250815)
         p = float(at(dist.probs, secret))
@@ -499,7 +460,7 @@ class TestSampling:
     def test_top_lists_observed_outcomes_heaviest_first(self):
         # Ties in canonical order, as OutcomeDistribution.top lists them;
         # outcomes never drawn are left out.
-        report = SampleReport(F3, 2, [0, 3, 0, 5, 3, 0, 1, 0, 0], seed=0)
+        report = SampleReport(F3, 2, [0, 3, 0, 5, 3, 0, 1, 0, 0])
         assert [(v.index_tuple(), draws) for v, draws in report.top(5)] == [
             ((1, 0), 5), ((0, 1), 3), ((1, 1), 3), ((2, 0), 1)]
         assert all(type(draws) is int for _, draws in report.top(5))
@@ -510,28 +471,31 @@ class TestSampling:
                              ids=("field", "length", "tuple"))
     def test_frequency_of_another_space_is_a_parameter_error(self, t):
         # A vector the report has no outcome for is refused, not counted 0.
-        report = SampleReport(F3, 2, [2] + [0] * 8, seed=0)
+        report = SampleReport(F3, 2, [2] + [0] * 8)
         with pytest.raises(ParameterError, match="secret"):
             report.frequency_of(t)
         assert report.frequency_of(VectorFq.from_index_tuple(F3, (0, 0))) == 1.0
 
     def test_trials_is_the_sum_of_the_tallies(self):
-        report = SampleReport(F3, 1, [5, 0, 0], seed=0)
+        report = SampleReport(F3, 1, [5, 0, 0])
         assert report.trials == 5 and type(report.trials) is int
         assert report.frequency_of(VectorFq.from_index_tuple(F3, (0,))) == 1.0
-        with pytest.raises(TypeError):
-            SampleReport(F3, 1, [5, 0, 0], trials=2, seed=0)
+        # A report is its tallies: it takes no trial count and keeps no seed.
+        assert [f.name for f in dataclasses.fields(SampleReport)] == ["params", "n", "tallies"]
+        for extra in ({"trials": 2}, {"seed": 0}):
+            with pytest.raises(TypeError):
+                SampleReport(F3, 1, [5, 0, 0], **extra)
 
     @pytest.mark.parametrize("tallies", ([5, -1, 0], [0, 0, 0]), ids=("negative", "no-draws"))
     def test_tallies_must_be_draws(self, tallies):
         # frequency_of could otherwise exceed 1 or divide by zero.
         with pytest.raises(ParameterError, match="tallies must be >= 0 with at least one draw"):
-            SampleReport(F3, 1, tallies, seed=0)
+            SampleReport(F3, 1, tallies)
 
     def test_trials_validation(self):
-        dom, _, trans = instance(3, 1, 1)
+        _, _, trans = instance(3, 1, 1)
         dist = outcome_distribution(
-            run_algorithm(dom, 1, trans, VectorFq.from_index_tuple(F3, (0, 0))))
+            run_algorithm(trans, VectorFq.from_index_tuple(F3, (0, 0))))
         with pytest.raises(ParameterError):
             sample_outcomes(dist, 0, seed=1)
         with pytest.raises(ParameterError):
@@ -541,9 +505,9 @@ class TestSampling:
             sample_outcomes(dist, True, seed=1)
 
     def test_negative_seed_is_a_parameter_error(self):
-        dom, _, trans = instance(3, 1, 1)
+        _, _, trans = instance(3, 1, 1)
         dist = outcome_distribution(
-            run_algorithm(dom, 1, trans, VectorFq.from_index_tuple(F3, (0, 0))))
+            run_algorithm(trans, VectorFq.from_index_tuple(F3, (0, 0))))
         with pytest.raises(ParameterError, match="seed must be an integer >= 0"):
             sample_outcomes(dist, 5, seed=-1)
 
@@ -579,9 +543,9 @@ class TestSampling:
 
     @pytest.mark.parametrize("seed", (0, 7, 20250815, 2 ** 40))
     def test_counts_equal_the_unique_reference(self, seed):
-        dom, _, trans = instance(5, 3, 2)
+        _, _, trans = instance(5, 3, 2)
         dist = outcome_distribution(
-            run_algorithm(dom, 2, trans, VectorFq.from_index_tuple(F5, (1, 2, 3, 4))))
+            run_algorithm(trans, VectorFq.from_index_tuple(F5, (1, 2, 3, 4))))
         trials = 5000
         stream = random.Random(seed)
         draws = np.array([stream.random() for _ in range(trials)])
@@ -594,9 +558,9 @@ class TestSampling:
     def test_counts_do_not_depend_on_the_block(self, monkeypatch):
         # Nine outcomes: blocks of 9, 9, 1000 and the default, the last one
         # holding every draw.
-        dom, _, trans = instance(3, 1, 1)
+        _, _, trans = instance(3, 1, 1)
         dist = outcome_distribution(
-            run_algorithm(dom, 1, trans, VectorFq.from_index_tuple(F3, (1, 2))))
+            run_algorithm(trans, VectorFq.from_index_tuple(F3, (1, 2))))
         reports = []
         for block in (1, 7, 1000, errors.BLOCK_ENTRIES):
             monkeypatch.setattr(errors, "BLOCK_ENTRIES", block)

@@ -25,10 +25,10 @@ def test_corrupt_modulus_fails_only_the_irreducibility_check(monkeypatch):
 
 
 def test_a_raising_check_fails_alone(monkeypatch):
-    def broken(domain, k, *, census=None):
+    def broken(census):
         raise ContractError("bound withheld")
 
-    monkeypatch.setattr(census_mod, "chebyshev_zero_bound", broken)
+    monkeypatch.setattr(census_mod.PreimageCensus, "chebyshev_zero_bound", broken)
     results = run_all()
     assert len(results) == 109
     failed = [r for r in results if not r.ok]
@@ -125,7 +125,7 @@ def test_a_failing_census_fails_its_dependents_and_keeps_every_name(monkeypatch)
 def test_a_raising_sweep_fails_both_of_its_names(monkeypatch):
     passing = [r.name for r in run_all()]
 
-    def broken(domain, k, transversal, flats):
+    def broken(transversal, flats):
         raise ContractError("probability withheld")
 
     monkeypatch.setattr(simulator, "_sweep", broken)

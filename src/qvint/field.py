@@ -131,12 +131,15 @@ def _as_array(values, dtype) -> np.ndarray:
     """np.asarray(values, dtype), a ParameterError where numpy refuses them
     (ragged rows, text where numbers belong, an int past the dtype's range)
     and, for an integer dtype, where an entry is not an integer: numpy would
-    truncate a float and read a bool as 0 or 1."""
+    truncate a float and read a bool as 0 or 1, even among ints.  An integer
+    numpy array is judged by its dtype, any other input entry by entry."""
     try:
         array = np.asarray(values)
-        if (np.issubdtype(dtype, np.integer) and array.size and array.dtype.kind not in "iu"
-                and not (array.dtype == object and all(type(x) is int for x in array.flat))):
-            raise TypeError(f"{array.dtype} entries are not integers")
+        if (np.issubdtype(dtype, np.integer) and array.size
+                and not (array.dtype.kind in "iu" and isinstance(values, np.ndarray))):
+            for x in np.asarray(values, dtype=object).flat:
+                if type(x) is bool or not isinstance(x, (int, np.integer)):
+                    raise TypeError(f"{np.asarray(x).dtype} entries are not integers")
         return array.astype(dtype, copy=False)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParameterError(f"values are not an array of {np.dtype(dtype)}: {exc}") from None
@@ -306,13 +309,6 @@ class FieldParams:
         GF(p)-linear, so it is the digits against Tr(x^j)."""
         basis = [self.from_index(self.p ** j).trace() for j in range(self.r)]
         return self._digits() @ np.array(basis) % self.p
-
-    @_table
-    def trace_products(self) -> np.ndarray:
-        """trace_products()[a, b] is Tr(a * b), by canonical indices.  The
-        trace is GF(p)-linear, so e(sum_i a_i * b_i) is
-        trace_characters() at the sum of these entries, reduced mod p."""
-        return self.trace_values()[self.mul_rows()]
 
     @_table
     def trace_characters(self) -> np.ndarray:

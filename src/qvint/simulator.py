@@ -14,13 +14,14 @@ certificate: a unitary Fourier kernel makes it the number of distinct image
 points.
 
 The computation runs on the integer index arrays of the domain, image and
-transversal, the flat-index codec and the field's numpy tables; VectorFq
-appears only at the API boundary.  The trace is GF(p)-linear, so every
-phase is e(sum_i a_i * b_i) = exp(2*pi*i * sum_i Tr(a_i * b_i) / p): a sum of
-trace_products() entries, then one lookup in trace_characters() tiled past
-the largest sum, with no reduction mod p.  Query phases add one kickback
-Tr(y_i * (s . v_i)) per query, the oracle answers s . v_i coming from
-dot_rows; Fourier phases e(s . z) add Tr(s_i * z_i) over the coordinates.
+transversal, the flat-index codec and the field's index arithmetic and
+character tables; VectorFq appears only at the API boundary.  The trace is
+GF(p)-linear, so every phase is e(sum_i a_i * b_i) =
+exp(2*pi*i * sum_i Tr(a_i * b_i) / p): a sum of traces of products,
+trace_values()[mul(a, b)], then one lookup in trace_characters() tiled
+past the largest sum, with no reduction mod p.  Query phases add one
+kickback Tr(y_i * (s . v_i)) per query, the oracle answers s . v_i coming
+from dot_rows; Fourier phases e(s . z) add Tr(s_i * z_i) over the coordinates.
 The Fourier vector F_s of a secret s has amplitude e(s . z)/sqrt(q^n) at
 every z; no function here builds it whole.  A sweep over many secrets
 applies run_algorithm's phase rule to blocks of secrets at once, decoding
@@ -119,7 +120,8 @@ def _query_phases(transversal: Transversal, secrets) -> np.ndarray:
     q = params.q
     answers = dot_rows(params, secrets[:, None, :], transversal.domain.indices)
     # kick[s, v * q + w] = Tr(w * y[s, v]), one row per secret.
-    kick = params.trace_products()[answers].reshape(len(secrets), -1)
+    kick = params.trace_values()[params.mul(answers[..., None], np.arange(q))].reshape(
+        len(secrets), -1)
     # One contiguous row of kick columns per query, as in _fourier_phases.
     columns = np.ascontiguousarray((transversal.positions * q + transversal.weights).T)
     totals = np.zeros((len(secrets), transversal.size), dtype=np.intp)
@@ -131,11 +133,12 @@ def _query_phases(transversal: Transversal, secrets) -> np.ndarray:
 def _fourier_phases(params: FieldParams, secrets: np.ndarray, keys: np.ndarray) -> np.ndarray:
     """e(s . z) for S secret index rows (S, n) at m key rows (m, n), as a
     C-contiguous (S, m) table: Tr(s_i * z_i) summed over the coordinates."""
-    products = params.trace_products()
+    traces, elements = params.trace_values(), np.arange(params.q)
     totals = np.zeros((len(secrets), len(keys)), dtype=np.intp)
-    # Contiguous rows of key coordinates: gathers by them are fast.
+    # Row s of Tr(s_i * b) for every b, gathered at contiguous rows of key
+    # coordinates: gathers by them are fast.
     for s, z in zip(secrets.T, np.ascontiguousarray(keys.T)):
-        totals += np.take(products[s], z, axis=1)
+        totals += np.take(traces[params.mul(s[:, None], elements)], z, axis=1)
     return _characters(params, totals, keys.shape[1])
 
 
@@ -279,7 +282,8 @@ class SampleReport:
     @property
     def trials(self) -> int:
         """The number of draws, the sum of the tallies."""
-        return int(self.tallies.sum())
+        # Python ints, as an int64 sum of large tallies would wrap.
+        return sum(self.tallies.tolist())
 
     def frequency_of(self, t: VectorFq) -> float:
         _check_secret(self.params, self.n, t)

@@ -9,14 +9,14 @@ if any failed.
 The grid covers prime and extension fields, Vandermonde and monomial
 domains, and every query count the desk-scale identities are asserted for.
 
-The field laws are checked on the index tables every other layer computes
-with.  FieldElement sums and products are held to add_rows() and mul_rows()
-on all q^2 pairs, and traces and characters to trace_values() and
-character_values() on every element; the simulator's trace_products() and
-trace_characters() are held to those tables, and the unit, negation and
-inverse laws stay per element.  The tables are then checked, vectorised,
-for the ring laws over all q^3 triples and for trace additivity and
-character multiplicativity over all q^2 pairs.
+The field laws are checked on the index arithmetic every other layer
+computes with.  FieldElement sums and products are held to params.add and
+params.mul on all q^2 pairs, and traces and characters to trace_values()
+and character_values() on every element; the simulator's
+trace_characters() are held to those, and the unit, negation and inverse
+laws stay per element.  add and mul are then checked, vectorised, for the
+ring laws over all q^3 triples, and the traces and characters for trace
+additivity and character multiplicativity over all q^2 pairs.
 """
 
 import functools
@@ -86,7 +86,10 @@ def _point(domain, flat):
 def _check_field_axioms(field, q):
     params = field(q)
     elems = params.elements()
-    add, mul = params.add_rows(), params.mul_rows()
+    add, mul = params.add, params.mul
+    x, y, z = np.ix_(*(np.arange(q),) * 3)
+    # The (q, q) tables of every pair's sum and product.
+    sums, products = add(x, y)[..., 0], mul(x, y)[..., 0]
     zero, one = params.zero(), params.one()
     for a in elems:
         if a + zero != a or a * one != a or a + (-a) != zero:
@@ -95,14 +98,13 @@ def _check_field_axioms(field, q):
             return False, f"inverse law broke at {a!r}"
     for i, a in enumerate(elems):
         for j, b in enumerate(elems):
-            if (a + b).index() != add[i, j] or (a * b).index() != mul[i, j]:
+            if (a + b).index() != sums[i, j] or (a * b).index() != products[i, j]:
                 return False, f"element arithmetic differs from the tables at {a!r}, {b!r}"
-    x, y, z = np.ix_(*(np.arange(q),) * 3)
     laws = (
-        ("commutativity", (add == add.T) & (mul == mul.T)),
-        ("associativity", (add[add[x, y], z] == add[x, add[y, z]])
-                          & (mul[mul[x, y], z] == mul[x, mul[y, z]])),
-        ("distributivity", mul[x, add[y, z]] == add[mul[x, y], mul[x, z]]),
+        ("commutativity", (sums == sums.T) & (products == products.T)),
+        ("associativity", (add(add(x, y), z) == add(x, add(y, z)))
+                          & (mul(mul(x, y), z) == mul(x, mul(y, z)))),
+        ("distributivity", mul(x, add(y, z)) == add(mul(x, y), mul(x, z))),
     )
     for law, holds in laws:
         if not holds.all():
@@ -112,22 +114,19 @@ def _check_field_axioms(field, q):
 
 def _check_trace_character(field, q):
     params = field(q)
-    add = params.add_rows()
+    sums = params.add(np.arange(q)[:, None], np.arange(q))
     traces = params.trace_values()
     chars = params.character_values()
     for i, a in enumerate(params.elements()):
         if a.trace() != traces[i] or abs(a.character() - chars[i]) > 1e-9:
             return False, f"trace or character of {a!r} differs from the tables"
-    # The simulator's phases: sums of Tr(a * b) entries, then trace_characters().
-    products = params.trace_products() == traces[params.mul_rows()]
-    if not products.all():
-        return False, f"trace product table broke at {_first_break(params, products)}"
+    # The simulator's phases are sums of traces, then trace_characters().
     if not np.array_equal(params.trace_characters()[traces], chars):
         return False, "trace characters differ from the character values"
-    additive = traces[add] == (traces[:, None] + traces) % params.p
+    additive = traces[sums] == (traces[:, None] + traces) % params.p
     if not additive.all():
         return False, f"trace additivity broke at {_first_break(params, additive)}"
-    if not np.all(np.abs(chars[add] - np.outer(chars, chars)) <= 1e-9):
+    if not np.all(np.abs(chars[sums] - np.outer(chars, chars)) <= 1e-9):
         return False, "character multiplicativity broke"
     if not character_orthogonality_check(params):
         return False, "orthogonality relation failed"

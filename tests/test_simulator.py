@@ -298,8 +298,9 @@ KERNEL_FIELDS = {"gf2": FieldParams(2), "gf3": F3, "gf4": F4, "gf8": FieldParams
 
 
 class TestPhaseKernels:
-    """The phases as sums of trace_products() entries, held to the rule they
-    replace: character_values() at field dot products from dot_rows."""
+    """The phases as sums of traces of products, trace_values()[mul(a, b)],
+    held to the rule they replace: character_values() at field dot products
+    from dot_rows."""
 
     @pytest.mark.parametrize("k", range(4))
     @pytest.mark.parametrize("name", KERNEL_FIELDS)
@@ -485,6 +486,12 @@ class TestSampling:
         for extra in ({"trials": 2}, {"seed": 0}):
             with pytest.raises(TypeError):
                 SampleReport(F3, 1, [5, 0, 0], **extra)
+
+    def test_trials_does_not_wrap(self):
+        # Two tallies of 2^62 sum past int64, which would wrap to -2^63.
+        report = SampleReport(F3, 1, [2 ** 62, 2 ** 62, 0])
+        assert report.trials == 2 ** 63
+        assert report.frequency_of(VectorFq.from_index_tuple(F3, (0,))) == 0.5
 
     @pytest.mark.parametrize("tallies", ([5, -1, 0], [0, 0, 0]), ids=("negative", "no-draws"))
     def test_tallies_must_be_draws(self, tallies):

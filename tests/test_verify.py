@@ -294,20 +294,24 @@ def test_a_wrong_trace_value_fails_trace_character(monkeypatch, clean_names):
         "trace-character-q9": "trace or character of GF(9):(1, 1) differs from the tables"}
 
 
-def test_a_wrong_trace_product_fails_trace_character(monkeypatch, clean_names):
-    real = FieldParams.trace_products
+def test_a_swapped_mul_table_entry_fails_field_axioms(monkeypatch, clean_names):
+    # Swap (1+w) * (2+w) and (1+w) * (1+2w) in GF(9)'s mul table; the row
+    # stays a permutation, so the trace and character checks, which read
+    # products only through the orthogonality row sums, still pass.
+    real = FieldParams.mul_rows
 
-    def wrong(self):
-        products = real(self)
+    def swapped(self):
+        table = real(self)
         if self.q != 9:
-            return products
-        products = products.copy()
-        products[4, 5] = (products[4, 5] + 1) % 3
-        return products
+            return table
+        table = table.copy()
+        table[4, [5, 7]] = table[4, [7, 5]]
+        return table
 
-    monkeypatch.setattr(FieldParams, "trace_products", wrong)
+    monkeypatch.setattr(FieldParams, "mul_rows", swapped)
     assert failures_in_full_run(clean_names) == {
-        "trace-character-q9": "trace product table broke at GF(9):(1, 1), GF(9):(2, 1)"}
+        "field-axioms-q9":
+            "element arithmetic differs from the tables at GF(9):(1, 1), GF(9):(2, 1)"}
 
 
 def plant_in_walk(monkeypatch, instance, name, change):

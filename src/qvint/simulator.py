@@ -9,7 +9,12 @@ permutation on the support, so a dense vector over the codomain is enough;
 the (|V|*q)^k-dimensional query register is never materialized.
 
 Measurement in the Fourier basis and sampling are computed from the same
-vectors.  The rank of the reachable state family comes from its
+vectors.  The Fourier-basis probabilities come from n matrix products, one
+per coordinate: each multiplies the conjugate Fourier kernel into the
+leading coordinate and leaves the result as the trailing one, so after n
+products the coordinates are back in canonical order.  A batch of states
+takes the same products, row by row, as a single state, so both agree bit
+for bit.  The rank of the reachable state family comes from its
 certificate: a unitary Fourier kernel makes it the number of distinct image
 points.
 
@@ -235,9 +240,12 @@ def outcome_distribution(state: StateVector) -> OutcomeDistribution:
     """p(t) = |<F_t | state>|^2 for every t, all at once, where F_t has
     amplitude e(t . z)/sqrt(q^n) at every z.
 
-    Computed by contracting each tensor axis with the conjugate Fourier
-    kernel; identical to q^n separate inner products but one mode-product
-    per coordinate instead.
+    Computed by one matrix product per coordinate: the amplitudes, viewed
+    as (q^(n-1), q) with the leading coordinate as columns, times the
+    conjugate Fourier kernel, which makes the contracted coordinate the
+    trailing one; after n products the outcomes are in canonical order.
+    This equals q^n separate inner products up to rounding, and each row
+    of a batch computed by _outcome_probs equals this bit for bit.
     """
     probs = _outcome_probs(state.params, state.n, state.amplitudes)
     return OutcomeDistribution(params=state.params, n=state.n, probs=probs)
@@ -247,12 +255,12 @@ def _outcome_probs(params: FieldParams, n: int, amplitudes: np.ndarray) -> np.nd
     """outcome_distribution's probabilities for each state along the last
     axis of (..., q^n) amplitudes; each state's must sum to 1, else a
     ContractError."""
-    q = params.q
-    kernel = params.fourier_matrix().conj()
+    kernel = params.fourier_matrix().conj().T
     lead = amplitudes.shape[:-1]
-    arr = amplitudes.reshape(lead + (q,) * n)
-    for axis in range(len(lead), arr.ndim):
-        arr = np.moveaxis(np.tensordot(kernel, arr, axes=(1, axis)), 0, axis)
+    arr = amplitudes
+    for _ in range(n):
+        # The leading coordinate, contracted, becomes the trailing one.
+        arr = arr.reshape(lead + (params.q, -1)).swapaxes(-1, -2) @ kernel
     probs = np.abs(arr.reshape(lead + (-1,))) ** 2
     for total in np.atleast_1d(probs.sum(axis=-1)).tolist():
         if abs(total - 1.0) > OUTCOME_SUM_TOL:

@@ -346,6 +346,27 @@ class TestOutcomeDistribution:
             dist = outcome_distribution(run_algorithm(trans, secret))
             assert np.argmax(dist.probs) == rows_to_flat(secret.index_tuple(), dom.params.q)
 
+    @pytest.mark.parametrize("batch", (1, 7))
+    @pytest.mark.parametrize("name,n", [(name, n) for name in KERNEL_FIELDS for n in range(1, 5)
+                                        if KERNEL_FIELDS[name].q ** n <= 4096])
+    def test_batched_rows_equal_the_single_state_path_and_the_kronecker_kernel(
+            self, name, n, batch):
+        params = KERNEL_FIELDS[name]
+        size = params.q ** n
+        rng = np.random.default_rng(size + batch)
+        states = rng.normal(size=(batch, size)) + 1j * rng.normal(size=(batch, size))
+        states /= np.linalg.norm(states, axis=1, keepdims=True)
+        probs = simulator._outcome_probs(params, n, states)
+        for row, amplitudes in zip(probs, states, strict=True):
+            single = outcome_distribution(StateVector(params, n, amplitudes)).probs
+            assert row.tobytes() == single.tobytes()
+        # Canonical order puts the first coordinate's factor leftmost.
+        kernel = np.ones((1, 1))
+        for _ in range(n):
+            kernel = np.kron(kernel, params.character_table().conj())
+        direct = np.abs(states @ kernel.T) ** 2 / size
+        assert np.abs(probs - direct).max() < 1e-12
+
     def test_top_breaks_ties_canonically(self):
         probs = np.array([0.2, 0.2, 0.2, 0.1, 0.1, 0.1, 0.05, 0.05, 0.0])
         dist = OutcomeDistribution(params=F3, n=2, probs=probs)

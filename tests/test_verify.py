@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 from oracles import counts_of
@@ -355,3 +356,18 @@ def test_a_target_leaving_the_image_fails_monotonicity(monkeypatch, clean_names)
     # The totals, the second moment and the zero fraction miss the counts too.
     assert set(failed) == {"image-monotonicity-vand-q3-d1", "census-totals-vand-q3-d1-k2",
                            "second-moment-vand-q3-d1-k2", "chebyshev-vand-q3-d1-k2"}
+
+
+def test_outcomes_rolled_by_one_fail_the_argmax_sweeps(monkeypatch, clean_names):
+    # Every distribution is shifted one outcome along canonical order, so
+    # the heaviest outcome is never the secret.
+    real = simulator._outcome_probs
+    monkeypatch.setattr(simulator, "_outcome_probs",
+                        lambda params, n, amplitudes: np.roll(real(params, n, amplitudes), 1,
+                                                              axis=-1))
+    failed = failures_in_full_run(clean_names)
+    swept = {f"success-probability-vand-q{q}-d1-k{k}" for q in (3, 4, 5) for k in (1, 2)}
+    assert set(failed) == swept | {"success-probability-vand-q5-d3-k3",
+                                   "sampling-reproducibility"}
+    assert all(failed[name].endswith("argmax missed the secret")
+               for name in failed if name != "sampling-reproducibility")

@@ -24,10 +24,12 @@ k), and two engines give it the same integers:
 The transversal of either is each target's first pre-image in walk order,
 i.e. the lexicographically smallest sequence of (vector position, weight
 index) pairs ((v0, y0), (v1, y1), ...), picked level by level against R_j,
-the support of the j-tuple counts, for the j levels that remain.  One
-forward transform per census gives N(t); one level-j transform of it
-(PreimageCensus._level) gives the counts, the good counts and every R_j,
-and the tally of N(t) feeds the second-moment identity and the tail bound.
+the support of the j-tuple counts, for the j levels that remain.  The
+census owns N(t): one forward transform per census gives it, and it is
+tallied once (hit_tally).  One level-j transform of it
+(PreimageCensus._level), on the prime plan its cap check chose, gives the
+counts, the good counts and every R_j; the tally gives each level the
+values N(t) takes, and feeds the second-moment identity and the tail bound.
 
 All counts are exact integers and all derived statistics are Fractions;
 floating point never enters here.
@@ -105,14 +107,41 @@ class PreimageCensus:
     __reduce__ = _reduce_through_init
 
     def _level(self, j: int, coefficient: Callable[[int], int] = None) -> np.ndarray:
-        """The exact integers whose transform is coefficient(N(t)), by default
-        (q*N(t))^j: the j-tuple counts.  Every cap for level j is checked
-        before N(t) is first computed."""
-        _transform_primes(self.domain, j)
-        q = self.domain.params.q
-        return _hit_transform(self.domain, self._hits, j, coefficient or (lambda h: (q * h) ** j))
+        """The exact integers, each in [0, (|V|*q)^j], whose transform is
+        coefficient(N(t)) at every t, by default (q*N(t))^j: the j-tuple
+        counts, read-only by flat index.  The prime plan for level j is made
+        once, as the check of every cap before N(t) is first computed; the
+        inverse transform modulo each prime is lifted into the integers one
+        prime at a time (Garner) as soon as it is made.  int64 when
+        (|V|*q)^j < 2^63, else Python ints."""
+        domain = self.domain
+        primes = _transform_primes(domain, j)
+        params, axes = domain.params, domain.params.r * domain.n
+        levels = np.flatnonzero(self.hit_tally).tolist()  # the values N(t) takes
+        values = [coefficient(h) if coefficient else (params.q * h) ** j for h in levels]
+        modulus = 1
+        for ell in primes:
+            table = np.zeros(domain.size + 1, dtype=np.int64)
+            table[levels] = [v % ell for v in values]
+            residue = _dft(table[self._hits], params.p, axes, ell, inverse=True)
+            if modulus > 1:  # the first residue is the value as it is: no q^n copy
+                if modulus * ell >= _INT64_LIMIT:
+                    value = value.astype(object)
+                lift = ((residue - (value % ell).astype(np.int64)) % ell
+                        * pow(modulus, -1, ell) % ell)
+                residue = value + lift.astype(value.dtype) * modulus
+            value, modulus = residue, modulus * ell
+        dtype = np.int64 if (domain.size * params.q) ** j < _INT64_LIMIT else object
+        return _read_only(value.astype(dtype, copy=False))
 
-    _hits = cached_property(lambda self: _line_transform(self.domain))  # N(t) by flat index t
+    @cached_property
+    def _hits(self) -> np.ndarray:
+        """N(t) by flat index t, read-only: the forward transform of the line
+        measure modulo the largest transform prime, over q."""
+        params, n = self.domain.params, self.domain.n
+        measure = np.bincount(rows_to_flat(self.domain.lines, params.q), minlength=params.q ** n)
+        hits = _dft(measure, params.p, params.r * n, _transform_primes(self.domain, 1)[0])
+        return _read_only(np.floor_divide(hits, params.q, out=hits))  # in place: no second q^n
 
     @cached_property
     def dense(self) -> np.ndarray:
@@ -327,15 +356,6 @@ def transform_census(domain: Domain, k: int) -> PreimageCensus:
     return census
 
 
-def _line_transform(domain: Domain) -> np.ndarray:
-    """N(t) by flat index t, read-only: the forward transform of the line
-    measure modulo the largest transform prime, over q."""
-    params, n = domain.params, domain.n
-    ell = _transform_primes(domain, 1)[0]
-    line_measure = np.bincount(rows_to_flat(domain.lines, params.q), minlength=params.q ** n)
-    return _read_only(_dft(line_measure, params.p, params.r * n, ell) // params.q)
-
-
 def _direct_hit_tally(domain: Domain) -> np.ndarray:
     """The reference for PreimageCensus.hit_tally: for each h, the number of
     points t with t.v = 0 for exactly h domain vectors v, by q^n * |V| field
@@ -349,31 +369,6 @@ def _direct_hit_tally(domain: Domain) -> np.ndarray:
         hits = sum((dot_rows(params, v, block) == 0).astype(np.intp) for v in domain.indices)
         tally += np.bincount(hits, minlength=domain.size + 1)
     return _read_only(tally)
-
-
-def _hit_transform(domain: Domain, hits: np.ndarray, j: int,
-                   coefficient: Callable[[int], int]) -> np.ndarray:
-    """The dense integers, each in [0, (|V|*q)^j], whose transform is
-    coefficient(N(t)) at every t, read-only by flat index: the inverse
-    transform modulo each of _transform_primes(domain, j), lifted into the
-    integers one prime at a time (Garner) as soon as it is made.  int64 when
-    (|V|*q)^j < 2^63, else Python ints."""
-    params = domain.params
-    levels = np.flatnonzero(np.bincount(hits, minlength=domain.size + 1)).tolist()
-    values = [coefficient(h) for h in levels]
-    modulus = 1
-    for ell in _transform_primes(domain, j):
-        table = np.zeros(domain.size + 1, dtype=np.int64)
-        table[levels] = [v % ell for v in values]
-        residue = _dft(table[hits], params.p, params.r * domain.n, ell, inverse=True)
-        if modulus > 1:  # the first residue is the value as it is: no q^n copy
-            if modulus * ell >= _INT64_LIMIT:
-                value = value.astype(object)
-            lift = (residue - (value % ell).astype(np.int64)) % ell * pow(modulus, -1, ell) % ell
-            residue = value + lift.astype(value.dtype) * modulus
-        value, modulus = residue, modulus * ell
-    dtype = np.int64 if (domain.size * params.q) ** j < _INT64_LIMIT else object
-    return _read_only(value.astype(dtype, copy=False))
 
 
 def _transform_primes(domain: Domain, k: int) -> list:
@@ -414,9 +409,12 @@ def _dft(values: np.ndarray, p: int, axes: int, ell: int, *,
          inverse: bool = False) -> np.ndarray:
     """Length-p DFT modulo ell along every axis of a flat array of p^axes
     residues, first axis most significant; the inverse includes the factor
-    p^(-axes).  Entries are below ell < 2^26, so a row of p products fits int64.
-    Two int64 buffers take turns as input and output of the axis passes, so
-    an int64 values array may be overwritten: pass one the caller discards."""
+    p^(-axes).  Entries are below ell < 2^26, so a row of p products, x, stays
+    below p*ell^2 < 2^62.  Each axis pass multiplies into a spare int64 buffer
+    and reduces x to x - (x // ell)*ell back into the buffer it read, as numpy
+    floor-divides int64 by a scalar several times faster than it takes a
+    remainder; so an int64 values array is overwritten: pass one the caller
+    discards."""
     # Any g^((ell-1)/p) other than 1 is a primitive p-th root of unity.
     root = next(r for r in (pow(g, (ell - 1) // p, ell) for g in range(2, ell)) if r != 1)
     # The inverse's factor p^(-axes) is p^(-1) per axis, folded into the kernel.
@@ -428,7 +426,8 @@ def _dft(values: np.ndarray, p: int, axes: int, ell: int, *,
     for axis in range(axes):
         # Views that put this axis in the middle: no transposed copy.
         np.matmul(kernel, arr.reshape(p ** axis, p, -1), out=spare.reshape(p ** axis, p, -1))
-        arr, spare = np.remainder(spare, ell, out=spare), arr
+        np.floor_divide(spare, ell, out=arr)  # x - (x // ell) * ell, into the freed buffer
+        np.subtract(spare, np.multiply(arr, ell, out=arr), out=arr)
     return arr
 
 

@@ -228,10 +228,11 @@ class OutcomeDistribution:
 
 def _heaviest(value, weights: np.ndarray, count: int) -> list:
     """(vector, weight) of the count heaviest points of a flat array over
-    value's GF(q)^n, ties broken by canonical order so the listing is
-    deterministic."""
+    value's GF(q)^n, ranked on weights rounded to 12 decimals with ties
+    broken by canonical order, so outcomes whose floats differ by rounding
+    noise alone are listed canonically and the listing is deterministic."""
     check_int("count", count, 0)
-    order = np.argsort(-weights, kind="stable")
+    order = np.argsort(-np.round(weights, 12), kind="stable")
     return [(vector_from_flat(value.params, value.n, int(i)), weights[i].item())
             for i in order[:count]]
 

@@ -446,6 +446,47 @@ class TestTransformCensus:
         assert sum(forward) == 1
         assert len(forward) > 1  # the inverse transforms did run
 
+    def test_the_census_owns_n_and_each_level_plan(self, monkeypatch):
+        # One prime plan per level transform, made before N(t) on the first
+        # (the cap check), plus one for the line transform; N(t) counted once.
+        levels, plans, tallies = [], [], []
+        level, primes, bincount = PreimageCensus._level, census_mod._transform_primes, np.bincount
+        monkeypatch.setattr(PreimageCensus, "_level",
+                            lambda self, j, *rest: levels.append(j) or level(self, j, *rest))
+        monkeypatch.setattr(census_mod, "_transform_primes",
+                            lambda domain, j: plans.append(j) or primes(domain, j))
+
+        def counting_bincount(values, *args, **kwargs):
+            if len(values) == 5 ** 4:  # a q^n array: N(t) itself
+                tallies.append(values)
+            return bincount(values, *args, **kwargs)
+
+        monkeypatch.setattr(np, "bincount", counting_bincount)
+        census = transform_census(vandermonde(5, 3), 3)
+        census.dense, census.dense_good, census.transversal, census.hit_tally
+        assert levels == [3, 3, 1, 2]
+        assert plans == [3, 1, 3, 1, 2]
+        assert len(tallies) == 1
+        assert np.array_equal(census.dense_good, enumerate_census(census.domain, 3).dense_good)
+
+    @pytest.mark.parametrize("p", (2, 3, 5, 7, 11, 31))
+    @pytest.mark.parametrize("inverse", (False, True), ids=("forward", "inverse"))
+    def test_dft_residues_at_the_largest_products(self, p, inverse):
+        # Every entry at ell - 1 makes every row of products (ell - 1)^2 * p,
+        # the worst case the reduction sees; a few smaller entries on top.
+        ell = census_mod._transform_primes(vandermonde(p, 1), 1)[0]
+        axes = 3 if p < 11 else 2
+        values = np.full(p ** axes, ell - 1, dtype=np.int64)
+        values[:3] = (0, 1, ell // 2)
+        got = census_mod._dft(values.copy(), p, axes, ell, inverse=inverse).tolist()
+        root = next(r for r in (pow(g, (ell - 1) // p, ell) for g in range(2, ell)) if r != 1)
+        root, scale = (pow(root, -1, ell), pow(p, -axes, ell)) if inverse else (root, 1)
+        powers = [pow(root, e, ell) for e in range(p)]
+        digits = list(itertools.product(range(p), repeat=axes))
+        want = [sum(v * powers[sum(a * b for a, b in zip(s, t)) % p]
+                    for v, t in zip(values.tolist(), digits)) * scale % ell for s in digits]
+        assert got == want
+
     @pytest.mark.parametrize("engine", (enumerate_census, transform_census))
     def test_count_arrays_are_read_only(self, engine):
         census = engine(vandermonde(5, 3), 2)
@@ -497,10 +538,11 @@ class TestCensusIsDomainAndK:
         transform = transform_census(dom, 2)
         transform.dense_good
 
-        def refused(*args):
+        def refused(*args, **kwargs):
             raise AssertionError("a walk census derived a tallied array")
 
-        monkeypatch.setattr(census_mod, "_hit_transform", refused)
+        # Every derived array, N(t) and each level alike, goes through _dft.
+        monkeypatch.setattr(census_mod, "_dft", refused)
         walk = enumerate_census(dom, 2)
         assert np.array_equal(walk.dense, transform.dense)
         assert np.array_equal(walk.dense_good, transform.dense_good)

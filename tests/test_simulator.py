@@ -376,6 +376,21 @@ class TestOutcomeDistribution:
             ((1, 0), 0.1), ((1, 1), 0.1),
         ]
 
+    def test_top_ranks_near_ties_canonically(self):
+        # Equal exact probabilities whose floats differ in the last bits, as
+        # rounding in the transform leaves them, rank in canonical order; the
+        # listed floats are the distribution's own.
+        noise = np.array([3, -2, 1, 0, -1, 2, 0, 0, 0]) * 2.0 ** -55
+        probs = np.array([1 / 9] * 9) + noise
+        dist = OutcomeDistribution(params=F3, n=2, probs=probs)
+        top = dist.top(9)
+        assert [v.index_tuple() for v, _ in top] == [(a, b) for a in range(3) for b in range(3)]
+        assert [p for _, p in top] == probs.tolist()
+        # A gap the 12-decimal rounding keeps still decides the order.
+        probs = np.array([1 / 9 - 1e-10] + [1 / 9] * 7 + [1 / 9 + 7e-10])
+        top = OutcomeDistribution(params=F3, n=2, probs=probs).top(2)
+        assert [v.index_tuple() for v, _ in top] == [(2, 2), (0, 1)]
+
     def test_unnormalized_state_is_a_contract_error(self):
         state = fourier_state(F3, 2, VectorFq.from_index_tuple(F3, (0, 0)))
         with pytest.raises(ContractError):

@@ -39,14 +39,15 @@ def test_a_raising_check_fails_alone(monkeypatch):
 
 
 def test_corrupt_hit_counts_fail_the_second_moment_checks(monkeypatch):
-    real = census_mod._line_transform
+    real = census_mod.PreimageCensus._hits.func
 
-    def corrupt(domain):
-        hits = real(domain).copy()
-        hits[1] = (hits[1] + 1) % (domain.size + 1)
+    def corrupt(census):
+        hits = real(census).copy()
+        hits[1] = (hits[1] + 1) % (census.domain.size + 1)
         return hits
 
-    monkeypatch.setattr(census_mod, "_line_transform", corrupt)
+    # Recounted on every read, the same corruption each time.
+    monkeypatch.setattr(census_mod.PreimageCensus, "_hits", property(corrupt))
     results = run_all()
     second_moment = [r for r in results if r.name.startswith("second-moment-")]
     assert len(second_moment) == 12

@@ -36,8 +36,7 @@ floating point never enters here.
 """
 
 __all__ = [
-    "ImageSet", "PreimageCensus", "SecondMomentCheck", "Transversal", "enumerate_census",
-    "image_set", "transform_census",
+    "PreimageCensus", "SecondMomentCheck", "Transversal", "enumerate_census", "transform_census",
 ]
 
 import math
@@ -51,7 +50,7 @@ import numpy as np
 from .domain import (Domain, _canonical_order, _index_array, dot_rows,
                      flat_to_rows, rows_to_flat)
 from .errors import ContractError, blocks, check_cap, check_int
-from .field import FieldParams, _is_prime, _read_only, _reduce_through_init
+from .field import _is_prime, _read_only, _reduce_through_init
 
 DEFAULT_MAX_TUPLES = 10 ** 8
 # Transform primes lie in (2^25, 2^26): each exceeds every |V|*q a transform
@@ -137,11 +136,13 @@ class PreimageCensus:
     @cached_property
     def _hits(self) -> np.ndarray:
         """N(t) by flat index t, read-only: the forward transform of the line
-        measure modulo the largest transform prime, over q."""
+        measure modulo the largest transform prime, over q, held in the
+        narrowest unsigned dtype that holds |V|."""
         params, n = self.domain.params, self.domain.n
         measure = np.bincount(rows_to_flat(self.domain.lines, params.q), minlength=params.q ** n)
         hits = _dft(measure, params.p, params.r * n, _transform_primes(self.domain, 1)[0])
-        return _read_only(np.floor_divide(hits, params.q, out=hits))  # in place: no second q^n
+        np.floor_divide(hits, params.q, out=hits)  # in place: no second int64 q^n
+        return _read_only(hits.astype(np.min_scalar_type(self.domain.size)))
 
     @cached_property
     def dense(self) -> np.ndarray:
@@ -498,31 +499,6 @@ def _first_pairs_by_scan(params, steps, reachable, remainders) -> np.ndarray:
         if not pending.size:
             break
     return first
-
-
-@dataclass(frozen=True, eq=False)
-class ImageSet:
-    """All targets with at least one pre-image, in canonical order; keys
-    holds their index rows as a read-only (size, n) array."""
-
-    params: FieldParams
-    n: int
-    keys: np.ndarray
-
-    def __post_init__(self):
-        check_int("vector length", self.n, 1)
-        object.__setattr__(self, "keys", _index_array(self.keys, self.n, self.params.q))
-
-    __reduce__ = _reduce_through_init
-
-    @property
-    def size(self) -> int:
-        return len(self.keys)
-
-
-def image_set(census: PreimageCensus) -> ImageSet:
-    """Extract the census's image in canonical order."""
-    return ImageSet(params=census.domain.params, n=census.domain.n, keys=census.image_keys)
 
 
 @dataclass(frozen=True, eq=False)

@@ -38,7 +38,7 @@ from .errors import ContractError, ParameterError, check_cap, check_int
 # enumeration layers rely on.
 DEFAULT_MAX_Q = 1 << 16
 TABLE_MAX_Q = 1024
-ORTHOGONALITY_TOL = 1e-9  # per character sum, in character_orthogonality_check
+ORTHOGONALITY_TOL = 1e-9  # per Gram entry, in character_orthogonality_check
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -455,16 +455,16 @@ class FieldElement:
 
 
 def character_orthogonality_check(params: FieldParams) -> bool:
-    """Verify sum_z e(z * (x - y)) = q * delta(x, y) for every pair (x, y).
+    """Verify sum_z e(x * z) * conj(e(y * z)) = q * delta(x, y) for every
+    pair (x, y) of character_table() rows.
 
-    Exhaustive over all q^2 pairs; the return value is True only if every
+    The Gram matrix of the table against q * I, which holds exactly when
+    fourier_matrix() is unitary; the return value is True only if every
     pair lands within ORTHOGONALITY_TOL of its exact target.
     """
-    q = params.q
-    # sums[d] = sum_z e(z * d), read at every d = x - y.
-    sums = params.character_table().sum(axis=1)
-    totals = sums[params.add_rows()[:, params.negations()]]
-    return bool(np.all(np.abs(totals - q * np.eye(q)) <= ORTHOGONALITY_TOL))
+    table = params.character_table()
+    gram = table @ table.conj().T
+    return bool(np.all(np.abs(gram - params.q * np.eye(params.q)) <= ORTHOGONALITY_TOL))
 
 
 def parse_field_spec(text: str) -> FieldParams:

@@ -15,8 +15,9 @@ leading coordinate and leaves the result as the trailing one, so after n
 products the coordinates are back in canonical order.  A batch of states
 takes the same products, row by row, as a single state, so both agree bit
 for bit.  The rank of the reachable state family comes from its
-certificate: a unitary Fourier kernel makes it the number of distinct image
-points.
+certificate: the character table's Gram matrix is q times the identity, so
+the Fourier kernel is unitary and the rank is the number of image points,
+which a Domain holds distinct.
 
 The computation runs on the integer index arrays of the domain, image and
 transversal, the flat-index codec and the field's index arithmetic and
@@ -45,16 +46,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .census import ImageSet, Transversal
-from .domain import (Domain, VectorFq, _canonical_order, dot_rows, flat_to_rows,
-                     rows_to_flat, vector_from_flat)
+from .census import Transversal
+from .domain import Domain, VectorFq, dot_rows, flat_to_rows, rows_to_flat, vector_from_flat
 from .errors import ContractError, ParameterError, block_size, blocks, check_cap, check_int
-from .field import FieldParams, _as_array, _read_only, _reduce_through_init
+from .field import (FieldParams, _as_array, _read_only, _reduce_through_init,
+                    character_orthogonality_check)
 
 DEFAULT_MAX_AMPLITUDES = 1 << 20
-# Float tolerances of outcome_distribution, state_family_rank, phase_query_check.
+# Float tolerances of outcome_distribution and phase_query_check.
 OUTCOME_SUM_TOL = 1e-9
-RANK_REL_TOL = 1e-8
 PHASE_QUERY_TOL = 1e-12
 # sample_outcomes draws in blocks, so its memory is flat in trials; this caps
 # its time, which is about 7 s at 10^8 trials.
@@ -343,28 +343,24 @@ def sample_outcomes(dist: OutcomeDistribution, trials: int, seed: int) -> Sample
     return SampleReport(params=dist.params, n=dist.n, tallies=tallies)
 
 
-def state_family_rank(image: ImageSet) -> int:
-    """Rank of the q^n x |image| matrix of phases e(s.z) over all secrets s.
+def state_family_rank(image: Domain) -> int:
+    """Rank of the q^n x |image| matrix of phases e(s.z) over all secrets s,
+    z running over the image points, held as a Domain.
 
     The row space spans every final state any algorithm supported on the
     image can reach, so this rank caps the number of distinguishable
     secrets.  Column z is the character at z, a column of the n-fold tensor
     power of the q x q Fourier kernel; when that kernel is unitary, so is
-    its tensor power, and the rank is the number of distinct image points.
-    The kernel is held to unitarity within RANK_REL_TOL, else a
-    ContractError; no phase matrix is formed, and the distinct points are
-    counted by sorting, so no cap applies.
+    its tensor power, and the rank is the number of image points, which a
+    Domain holds distinct.  The kernel is unitary exactly when the
+    characters are orthogonal, sum_z e(a z) conj(e(b z)) = q * delta(a, b)
+    at every pair, which character_orthogonality_check holds the character
+    table's Gram matrix to, else a ContractError; no phase matrix is formed,
+    so no cap applies.
     """
-    params = image.params
-    if image.size == 0:
-        raise ParameterError("rank of an empty state family is undefined")
-    kernel = params.fourier_matrix()
-    gap = float(np.abs(kernel @ kernel.conj().T - np.eye(params.q)).max())
-    if gap > RANK_REL_TOL:
-        raise ContractError(f"Fourier kernel is {gap:.2e} off unitary, "
-                            f"tolerance {RANK_REL_TOL}")
-    # Distinct points by sorting: np.unique would import numpy.ma.
-    return int(np.count_nonzero(_canonical_order(image.keys, params.q)[1]))
+    if not character_orthogonality_check(image.params):
+        raise ContractError(f"Fourier kernel is off unitary over GF({image.params.q})")
+    return image.size
 
 
 def phase_query_check(domain: Domain, secret: VectorFq) -> bool:

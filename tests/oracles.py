@@ -110,13 +110,11 @@ def inner(a, b) -> complex:
 
 
 def restricted_fourier_state(image, secret) -> StateVector:
-    """fourier_state restricted to the image points and renormalised:
-    e(s.z)/sqrt(|image|) on the image, zero elsewhere."""
-    if image.size == 0:
-        raise ParameterError("cannot build a state over an empty image")
+    """fourier_state restricted to the image points, a Domain, and
+    renormalised: e(s.z)/sqrt(|image|) on the image, zero elsewhere."""
     full = fourier_state(image.params, image.n, secret).amplitudes
     amps = np.zeros_like(full)
-    on_image = rows_to_flat(image.keys, image.params.q)
+    on_image = rows_to_flat(image.indices, image.params.q)
     amps[on_image] = full[on_image]
     return StateVector(params=image.params, n=image.n, amplitudes=amps / np.linalg.norm(amps))
 

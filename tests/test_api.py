@@ -20,13 +20,13 @@ from qvint import census, complexity, domain, errors, field, simulator, verify
 MODULES = (census, complexity, domain, errors, field, simulator)
 
 PUBLIC_NAMES = [
-    "ContractError", "Domain", "DomainStats", "FieldElement", "FieldParams", "ImageSet",
+    "ContractError", "Domain", "DomainStats", "FieldElement", "FieldParams",
     "IndependenceReport", "InstanceClassification", "OutcomeDistribution", "ParameterError",
     "PreimageCensus", "QueryPlan", "QvintError", "ReductionPlan", "ResourceCapError",
     "SampleReport", "SecondMomentCheck", "StateVector", "Transversal", "VectorFq",
     "build_explicit_domain", "build_monomial_domain", "build_vandermonde_domain",
     "character_orthogonality_check", "classify_instance", "dot", "enumerate_census",
-    "image_set", "monomial_exponents", "multivariate_query_bounds", "outcome_distribution",
+    "monomial_exponents", "multivariate_query_bounds", "outcome_distribution",
     "parse_field_spec", "parse_vector", "phase_query_check", "plan_bounded_error",
     "plan_high_probability", "read_domain_file", "run_algorithm", "sample_outcomes",
     "smallest_irreducible", "state_family_rank", "success_probability", "transform_census",
@@ -67,13 +67,21 @@ def test_public_names_are_the_union_of_the_modules():
     (simulator.StateVector, "amplitude_of"), (simulator.StateVector, "norm"),
     (simulator.StateVector, "inner"), (simulator.OutcomeDistribution, "prob_of"),
     (domain.VectorFq, "scale"), (domain.VectorFq, "__add__"),
-    (census.ImageSet, "__contains__"), (simulator.OutcomeDistribution, "argmax"),
+    (domain.Domain, "__contains__"), (simulator.OutcomeDistribution, "argmax"),
     (census.PreimageCensus, "counts"), (census.PreimageCensus, "good_counts"),
     (census.PreimageCensus, "_nonzero_view"), (domain.Domain, "vectors"),
-    (census.ImageSet, "elements"),
+    (domain.Domain, "elements"),
 ))
 def test_oracle_only_names_are_gone(owner, name):
     assert not hasattr(owner, name)
+
+
+def test_the_image_type_and_the_rank_tolerance_are_gone():
+    # An image is a Domain of its points, and state_family_rank's certificate
+    # is character_orthogonality_check under field.ORTHOGONALITY_TOL.
+    assert not any(hasattr(census, name) for name in ("ImageSet", "image_set"))
+    assert not hasattr(simulator, "RANK_REL_TOL")
+    assert list(inspect.signature(simulator.state_family_rank).parameters) == ["image"]
 
 
 def test_no_parameter_exists_only_for_tests():
@@ -171,7 +179,6 @@ def _value(name):
         "VectorFq": qvint.VectorFq.from_index_tuple(f3, (1, 2)),
         "Domain": counts.domain,
         "PreimageCensus": counts,
-        "ImageSet": qvint.image_set(counts),
         "Transversal": counts.transversal,
         "StateVector": state,
         "OutcomeDistribution": dist,
@@ -194,13 +201,13 @@ def _same(a, b) -> bool:
 
 
 @pytest.mark.parametrize("name", ("FieldParams", "FieldElement", "VectorFq", "Domain",
-                                  "PreimageCensus", "ImageSet", "Transversal", "StateVector",
+                                  "PreimageCensus", "Transversal", "StateVector",
                                   "OutcomeDistribution", "SampleReport"))
 def test_value_types_share_one_immutability_rule(name):
     value = _value(name)
     kind = type(value)
     assert kind.__name__ == name and is_dataclass(kind) and kind.__dataclass_params__.frozen
-    # One __reduce__ for all ten: each is rebuilt through its constructor.
+    # One __reduce__ for all nine: each is rebuilt through its constructor.
     assert kind.__reduce__ is qvint.PreimageCensus.__reduce__
     assert kind.__reduce__.__name__ == "_reduce_through_init"
     if name == "FieldParams":
@@ -223,13 +230,12 @@ _F3 = field.FieldParams(3)
 
 @pytest.mark.parametrize("build", (
     lambda: domain.Domain(_F3, [[1, 2], [1]]),
-    lambda: census.ImageSet(_F3, 2, [[1, 2], [1]]),
     lambda: census.Transversal(domain.build_vandermonde_domain(_F3, 1), 1,
                                [[1, 2]], [[0], [0, 1]], [[1]]),
     lambda: simulator.StateVector(_F3, 1, [[1], [1, 2]]),
     lambda: simulator.OutcomeDistribution(_F3, 1, ["a", "b", "c"]),
     lambda: simulator.SampleReport(_F3, 1, [[1], [1, 2]]),
-), ids=("Domain", "ImageSet", "Transversal", "StateVector", "OutcomeDistribution",
+), ids=("Domain", "Transversal", "StateVector", "OutcomeDistribution",
         "SampleReport"))
 def test_malformed_arrays_are_parameter_errors(build):
     # Ragged rows and text where numbers belong, refused in numpy's words.
@@ -245,9 +251,8 @@ def test_malformed_arrays_are_parameter_errors(build):
 ), ids=("float", "bool", "bool-among-ints", "past-int64"))
 @pytest.mark.parametrize("build", (
     lambda row: domain.Domain(_F3, [row]),
-    lambda row: census.ImageSet(_F3, 2, [row]),
     lambda row: simulator.SampleReport(_F3, 1, row + row[-1:]),
-), ids=("Domain", "ImageSet", "SampleReport"))
+), ids=("Domain", "SampleReport"))
 def test_integer_arrays_take_only_integers(build, row, reason):
     # numpy would truncate 1.5 to 1 and read True as 1, even in a list it
     # reads as int64, and an int past int64 would escape as a bare
@@ -259,7 +264,6 @@ def test_integer_arrays_take_only_integers(build, row, reason):
 def test_integer_arrays_of_any_integer_kind_are_taken():
     assert domain.Domain(_F3, np.array([[2, 1]], dtype=np.uint8)).indices.tolist() == [[2, 1]]
     assert domain.Domain(_F3, np.array([[2, 1]], dtype=object)).indices.tolist() == [[2, 1]]
-    assert census.ImageSet(_F3, 2, []).size == 0
     assert simulator.SampleReport(_F3, 1, np.array([2, 0, 1], dtype=np.int32)).trials == 3
 
 

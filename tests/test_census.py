@@ -19,8 +19,7 @@ from oracles import (counts_of, good_counts_of, linear_combination, transversal_
                      vectors_of)
 from qvint import census as census_mod
 from qvint import errors
-from qvint.census import (ImageSet, PreimageCensus, Transversal, enumerate_census, image_set,
-                          transform_census)
+from qvint.census import PreimageCensus, Transversal, enumerate_census, transform_census
 from qvint.domain import (Domain, VectorFq, build_explicit_domain,
                           build_monomial_domain, build_vandermonde_domain,
                           flat_to_rows, rows_to_flat)
@@ -513,7 +512,9 @@ class TestTransformCensus:
         census = transform_census(vandermonde(4, 2), 2)
         assert rows_to_flat(census.image_keys, 4).tolist() == np.flatnonzero(census.dense).tolist()
         assert list(counts_of(census)) == list(map(tuple, census.image_keys.tolist()))
-        assert image_set(census).keys.tolist() == census.image_keys.tolist()
+        # Canonical and distinct already, the keys make a Domain as they are.
+        assert Domain(census.domain.params, census.image_keys).indices.tolist() == \
+            census.image_keys.tolist()
 
 
 class TestCensusIsDomainAndK:
@@ -730,40 +731,23 @@ class TestTransversal:
             Transversal(trans.domain, -1, trans.keys, trans.positions, trans.weights)
 
 
-class TestImageSet:
+class TestImageDomain:
+    """The image, held as a Domain of its points."""
+
     def test_canonical_order(self):
         census = enumerate_census(vandermonde(3, 1), 1)
-        image = image_set(census)
-        keys = list(map(tuple, image.keys.tolist()))
+        image = Domain(census.domain.params, census.image_keys)
+        keys = list(map(tuple, image.indices.tolist()))
         assert keys == sorted(keys) == list(counts_of(census))
-        assert image.size == 7
+        assert image.size == census.image_size == 7
 
     def test_keys_array(self):
         census = enumerate_census(vandermonde(3, 1), 1)
-        image = image_set(census)
-        assert image.keys.tolist() == [list(z) for z in counts_of(census)]
-        with pytest.raises(ValueError):
-            image.keys[0, 0] = 1
-        empty = ImageSet(params=F3, n=2, keys=np.empty((0, 2), np.intp))
-        assert empty.keys.shape == (0, 2)
-
-    @pytest.mark.parametrize("keys", ([[0, 3], [1, 0]], [[0, -1], [1, 0]]))
-    def test_keys_outside_the_field_are_refused(self, keys):
-        # Unchecked, [0, 3] and [1, 0] would share flat index 3 on GF(3)^2.
-        with pytest.raises(ParameterError, match=r"indices must lie in \[0, 3\)"):
-            ImageSet(params=F3, n=2, keys=keys)
-
-    @pytest.mark.parametrize("keys", ([[1, 2, 3]], [1, 2, 1, 2]))
-    def test_keys_of_the_wrong_shape_are_refused(self, keys):
-        with pytest.raises(ParameterError, match="index rows must have 2 entries each"):
-            ImageSet(FieldParams(3), 2, keys)
-
-    def test_negative_length_is_refused(self):
-        with pytest.raises(ParameterError, match="vector length must be an integer >= 1, got -1"):
-            ImageSet(FieldParams(3), -1, np.zeros((0, 0)))
-
-    def test_an_empty_list_has_no_rows(self):
-        assert ImageSet(F3, 2, []).keys.shape == (0, 2)
+        image = Domain(census.domain.params, census.image_keys)
+        assert image.indices.tolist() == [list(z) for z in counts_of(census)]
+        for keys in (census.image_keys, image.indices):
+            with pytest.raises(ValueError):
+                keys[0, 0] = 1
 
 
 def copies(obj):
@@ -786,15 +770,6 @@ class TestCopies:
                 assert np.array_equal(array, getattr(census, name))
                 assert not array.flags.writeable
             assert back.image_size == FROZEN_IMAGE_SIZES[(5, 3, 2)]
-
-    def test_image_set(self):
-        image = image_set(enumerate_census(vandermonde(3, 1), 1))
-        for back in copies(image):
-            assert back.keys.tolist() == image.keys.tolist()
-            assert not back.keys.flags.writeable
-        object.__setattr__(image, "keys", np.array([[0, 3], [1, 0]]))
-        with pytest.raises(ParameterError, match=r"indices must lie in \[0, 3\)"):
-            pickle.loads(pickle.dumps(image))
 
     def test_transversal(self):
         trans = enumerate_census(vandermonde(3, 1), 1).transversal
@@ -859,6 +834,16 @@ class TestHitTally:
         assert np.array_equal(tally, census_mod._direct_hit_tally(dom))
         assert tally.sum() == dom.params.q ** dom.n
         assert np.array_equal(enumerate_census(dom, 1).hit_tally, tally)
+
+    @pytest.mark.parametrize("size,dtype", ((27, np.uint8), (255, np.uint8),
+                                            (256, np.uint16), (300, np.uint16)))
+    def test_hits_take_the_narrowest_unsigned_dtype(self, size, dtype):
+        # N(t) lies in [0, |V|]: one byte per point up to 255 vectors.
+        dom = Domain(F3, flat_to_rows(np.arange(1, size + 1), 3, 6))
+        census = transform_census(dom, 1)
+        assert census._hits.dtype == dtype and not census._hits.flags.writeable
+        assert np.array_equal(census.hit_tally, census_mod._direct_hit_tally(dom))
+        assert census.hit_tally[size] >= 1  # t = 0 at h = |V|
 
     def test_gf8_hits_differ_point_by_point(self):
         # N(t) is indexed by digit characters: on GF(8) it is the field's

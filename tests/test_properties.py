@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from oracles import (counts_of, fourier_state, good_counts_of, inner, linear_combination,
                      vectors_of)
-from qvint.census import enumerate_census, image_set, transform_census
+from qvint.census import enumerate_census, transform_census
 from qvint.domain import (VectorFq, build_explicit_domain, dot, dot_rows,
                           flat_to_rows, rows_to_flat, vector_from_flat)
 from qvint.errors import ResourceCapError
@@ -155,13 +155,13 @@ def small_instances(draw):
 def test_run_algorithm_is_the_fourier_state_restricted_to_the_image(case):
     domain, k, secret = case
     params, n = domain.params, domain.n
-    image = image_set(enumerate_census(domain, k))
+    census = enumerate_census(domain, k)
     state = run_algorithm(enumerate_census(domain, k).transversal, secret)
 
     full = fourier_state(params, n, secret).amplitudes
     expected = np.zeros_like(full)
-    on_image = rows_to_flat(image.keys, params.q)
-    expected[on_image] = full[on_image] * math.sqrt(params.q ** n / image.size)
+    on_image = rows_to_flat(census.image_keys, params.q)
+    expected[on_image] = full[on_image] * math.sqrt(params.q ** n / census.image_size)
     assert np.max(np.abs(state.amplitudes - expected)) <= 1e-12
 
 

@@ -16,8 +16,7 @@ import pytest
 
 from oracles import draws_of, fourier_state, inner, norm, restricted_fourier_state
 from qvint import errors, simulator
-from qvint.census import (ImageSet, Transversal, enumerate_census, image_set,
-                          transform_census)
+from qvint.census import Transversal, enumerate_census, transform_census
 from qvint.domain import (Domain, VectorFq, build_vandermonde_domain, dot_rows,
                           flat_to_rows, rows_to_flat)
 from qvint.errors import ContractError, ParameterError, ResourceCapError
@@ -47,6 +46,11 @@ def instance(q, d, k):
     census = enumerate_census(dom, k)
     trans = enumerate_census(dom, k).transversal
     return dom, census, trans
+
+
+def image_of(census):
+    """The census's image points as a Domain."""
+    return Domain(census.domain.params, census.image_keys)
 
 
 def all_secrets(params, n):
@@ -108,7 +112,7 @@ class TestRunAlgorithm:
     @pytest.mark.parametrize("q,d,k", sorted(FROZEN))
     def test_matches_restricted_fourier_state(self, q, d, k):
         dom, census, trans = instance(q, d, k)
-        image = image_set(census)
+        image = image_of(census)
         for secret in itertools.islice(all_secrets(dom.params, dom.n), 12):
             ran = run_algorithm(trans, secret)
             direct = restricted_fourier_state(image, secret)
@@ -212,9 +216,10 @@ class TestRunAlgorithm:
                 == run_algorithm(trans, secret).amplitudes.tobytes())
 
     def test_empty_image_rejected(self):
-        empty = ImageSet(params=F3, n=2, keys=np.empty((0, 2), np.intp))
-        with pytest.raises(ParameterError):
-            restricted_fourier_state(empty, VectorFq.from_index_tuple(F3, (0, 0)))
+        # An image is a Domain, which refuses an empty family.
+        with pytest.raises(ParameterError, match="a domain needs at least one vector"):
+            restricted_fourier_state(Domain(F3, np.empty((0, 2), np.intp)),
+                                     VectorFq.from_index_tuple(F3, (0, 0)))
 
     def test_negative_weight_is_refused(self):
         # numpy reads weight -1 as element 2 in the transversal's own check,
@@ -612,85 +617,132 @@ class TestSampling:
         assert reports[0].sum() == 5001
 
 
+# Singular values below this fraction of the largest count as zero.
+SVD_REL_TOL = 1e-8
+
+
 def kronecker_rank(image):
-    """Reference rank of the phase matrix: column z is the Kronecker product
-    of the character table's columns z_i, rows in canonical secret order."""
+    """Reference rank of the phase matrix of a Domain of image points: column
+    z is the Kronecker product of the character table's columns z_i, rows in
+    canonical secret order."""
     params = image.params
     table = params.character_table()
     columns = np.ones((1, image.size), dtype=np.complex128)
-    for coord in image.keys.T:
+    for coord in image.indices.T:
         columns = (columns[:, None, :] * table[:, coord][None, :, :]).reshape(-1, image.size)
     singular = np.linalg.svd(columns, compute_uv=False)
-    return int(np.sum(singular > simulator.RANK_REL_TOL * singular[0]))
+    return int(np.sum(singular > SVD_REL_TOL * singular[0]))
+
+
+def off_orthogonal(monkeypatch):
+    """Shift every character table entry by 1e-6, so the characters fail
+    the orthogonality check."""
+    real = FieldParams.character_table
+    monkeypatch.setattr(FieldParams, "character_table", lambda self: real(self) + 1e-6)
+
+
+def swapped_characters(monkeypatch):
+    """Swap two entries of row 1 of the character table of every field past
+    GF(2): each row keeps its sum, but rows 1 and 2 are no longer
+    orthogonal."""
+    real = FieldParams.character_table
+
+    def swapped(self):
+        table = real(self)
+        if self.q > 2:
+            table = table.copy()
+            table[1, [1, 2]] = table[1, [2, 1]]
+        return table
+
+    monkeypatch.setattr(FieldParams, "character_table", swapped)
 
 
 class TestStateFamilyRank:
     @pytest.mark.parametrize("q,d,k", sorted(FROZEN))
     def test_matches_kronecker_reference(self, q, d, k):
         _, census, _ = instance(q, d, k)
-        image = image_set(census)
+        image = image_of(census)
         assert state_family_rank(image) == kronecker_rank(image) == FROZEN[(q, d, k)]
 
     def test_matches_kronecker_reference_gf9(self):
-        image = image_set(enumerate_census(build_vandermonde_domain(FieldParams(3, 2), 1), 1))
+        image = image_of(enumerate_census(build_vandermonde_domain(FieldParams(3, 2), 1), 1))
         assert state_family_rank(image) == kronecker_rank(image) == image.size
+
+    @pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9))
+    def test_any_family_ranks_as_its_distinct_points(self, q):
+        # Not an image: a seeded draw of rows of GF(q)^2 with repeats, which
+        # the Domain holds once each.
+        params = FieldParams(*{4: (2, 2), 8: (2, 3), 9: (3, 2)}.get(q, (q,)))
+        rows = np.random.default_rng(q).integers(0, q, size=(q * q // 2 + 1, 2))
+        rows = np.concatenate((rows, rows[:2]))
+        family = Domain(params, rows)
+        distinct = len(set(map(tuple, rows.tolist())))
+        assert family.size == distinct < len(rows)
+        assert state_family_rank(family) == kronecker_rank(family) == distinct
 
     def test_frozen_ranks(self):
         for (q, d, k), rank in (((3, 1, 1), 7), ((5, 3, 2), 181)):
             _, census, _ = instance(q, d, k)
-            assert state_family_rank(image_set(census)) == rank
+            assert state_family_rank(image_of(census)) == rank
 
     def test_rank_saturates_at_full_image(self):
         _, census, _ = instance(5, 1, 2)
         assert census.image_size == 25
-        assert state_family_rank(image_set(census)) == 25
+        assert state_family_rank(image_of(census)) == 25
 
     def test_single_point_image(self):
         dom = build_vandermonde_domain(F3, 1)
         census = enumerate_census(dom, 0)
-        assert state_family_rank(image_set(census)) == 1
+        assert state_family_rank(image_of(census)) == 1
 
     def test_rank_never_exceeds_image_size(self):
         for q, d, k in sorted(FROZEN):
             _, census, _ = instance(q, d, k)
-            image = image_set(census)
+            image = image_of(census)
             assert state_family_rank(image) <= image.size
 
     def test_empty_image_rejected(self):
-        with pytest.raises(ParameterError):
-            state_family_rank(ImageSet(params=F3, n=2, keys=np.empty((0, 2), np.intp)))
+        with pytest.raises(ParameterError, match="a domain needs at least one vector"):
+            state_family_rank(Domain(F3, np.empty((0, 2), np.intp)))
 
     def test_repeated_keys_count_once(self):
-        image = ImageSet(params=F4, n=2, keys=[[0, 0], [1, 3], [0, 0], [2, 1], [1, 3]])
+        image = Domain(F4, [[0, 0], [1, 3], [0, 0], [2, 1], [1, 3]])
         assert state_family_rank(image) == kronecker_rank(image) == 3
 
     def test_no_amplitude_cap(self):
         # 2^21 points exceed DEFAULT_MAX_AMPLITUDES, but the certificate needs
-        # only the 2 x 2 kernel and a sort of three keys.
-        image = ImageSet(params=FieldParams(2), n=21, keys=np.eye(3, 21, dtype=np.intp))
+        # only the 2 x 2 character table and the Domain's three rows.
+        image = Domain(FieldParams(2), np.eye(3, 21, dtype=np.intp))
         assert 2 ** 21 > simulator.DEFAULT_MAX_AMPLITUDES
         assert state_family_rank(image) == 3
 
     def test_flat_keys_must_fit_int64(self):
         # GF(2)^63 and GF(2)^70 have more points than an int64 flat index can
-        # number; the distinct keys are then counted row by row, with no cap.
+        # number; the Domain dedupes the rows column block by column block,
+        # with no cap.
         for n in (63, 70):
-            image = ImageSet(params=FieldParams(2), n=n, keys=np.eye(3, n, dtype=np.intp))
-            assert state_family_rank(image) == 3
-            repeated = dataclasses.replace(image, keys=image.keys[[2, 0, 2, 1]])
-            assert state_family_rank(repeated) == 3
+            rows = np.eye(3, n, dtype=np.intp)
+            assert state_family_rank(Domain(FieldParams(2), rows)) == 3
+            assert state_family_rank(Domain(FieldParams(2), rows[[2, 0, 2, 1]])) == 3
 
     def test_a_kernel_off_unitary_is_a_contract_error(self, monkeypatch):
-        real = FieldParams.fourier_matrix
-        monkeypatch.setattr(FieldParams, "fourier_matrix", lambda self: real(self) + 1e-6)
+        off_orthogonal(monkeypatch)
         _, census, _ = instance(3, 1, 1)
-        with pytest.raises(ContractError, match="off unitary"):
-            state_family_rank(image_set(census))
+        with pytest.raises(ContractError, match="^Fourier kernel is off unitary"):
+            state_family_rank(image_of(census))
 
-    def test_a_kernel_off_unitary_fails_the_verify_rank_checks(self, monkeypatch):
+    def test_swapped_characters_with_equal_row_sums_are_a_contract_error(self, monkeypatch):
+        _, census, _ = instance(3, 1, 1)
+        sums = F3.character_table().sum(axis=1)
+        swapped_characters(monkeypatch)
+        assert np.array_equal(F3.character_table().sum(axis=1), sums)
+        with pytest.raises(ContractError, match="^Fourier kernel is off unitary"):
+            state_family_rank(image_of(census))
+
+    @pytest.mark.parametrize("fault", (off_orthogonal, swapped_characters))
+    def test_a_kernel_off_unitary_fails_the_verify_rank_checks(self, monkeypatch, fault):
         names = [result.name for result in run_all()]
-        real = FieldParams.fourier_matrix
-        monkeypatch.setattr(FieldParams, "fourier_matrix", lambda self: real(self) + 1e-6)
+        fault(monkeypatch)
         results = run_all()
         assert len(names) == 109
         assert [result.name for result in results] == names

@@ -67,6 +67,24 @@ def test_corrupt_hit_counts_fail_the_second_moment_checks(monkeypatch):
                          for verdict in ("pipeline-equivalence", "success-probability")})
 
 
+def test_a_repeated_image_key_fails_the_rank_checks(monkeypatch):
+    # The image's Domain holds the repeated key once, so its rank falls one
+    # short of the census's own count of image points.
+    real = census_mod.PreimageCensus.image_keys.func
+
+    def repeated(census):
+        keys = real(census).copy()
+        keys[1] = keys[0]
+        return keys
+
+    monkeypatch.setattr(census_mod.PreimageCensus, "image_keys", property(repeated))
+    results = run_all()
+    assert len(results) == 109
+    ranks = [r for r in results if r.name.startswith("state-family-rank-")]
+    assert [(r.ok, r.detail) for r in ranks] == [(False, "rank 6 != |image| 7"),
+                                                 (False, "rank 180 != |image| 181")]
+
+
 def test_one_direct_tally_per_instance(monkeypatch):
     real = census_mod._direct_hit_tally
     calls = []
@@ -298,8 +316,9 @@ def test_a_wrong_trace_value_fails_trace_character(monkeypatch, clean_names):
 
 def test_a_swapped_mul_table_entry_fails_field_axioms(monkeypatch, clean_names):
     # Swap (1+w) * (2+w) and (1+w) * (1+2w) in GF(9)'s mul table; the row
-    # stays a permutation, so the trace and character checks, which read
-    # products only through the orthogonality row sums, still pass.
+    # stays a permutation, so its character sum holds, but two characters
+    # trade places in one row of the character table, which the Gram
+    # matrix of the orthogonality check sees.
     real = FieldParams.mul_rows
 
     def swapped(self):
@@ -313,7 +332,8 @@ def test_a_swapped_mul_table_entry_fails_field_axioms(monkeypatch, clean_names):
     monkeypatch.setattr(FieldParams, "mul_rows", swapped)
     assert failures_in_full_run(clean_names) == {
         "field-axioms-q9":
-            "element arithmetic differs from the tables at GF(9):(1, 1), GF(9):(2, 1)"}
+            "element arithmetic differs from the tables at GF(9):(1, 1), GF(9):(2, 1)",
+        "trace-character-q9": "orthogonality relation failed"}
 
 
 def plant_in_walk(monkeypatch, instance, name, change):

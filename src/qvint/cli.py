@@ -339,12 +339,9 @@ def simulate(domain, mono_md, k, report, secret, trials, seed):
 def verify():
     """Run the named self-check suite; one line per check."""
     results = verify_mod.run_all()
-    failures = 0
-    for result in results:
-        tag = "PASS" if result.ok else "FAIL"
-        click.echo(f"{tag}  {result.name}: {result.detail}")
-        failures += 0 if result.ok else 1
-    click.echo(f"{len(results) - failures}/{len(results)} checks passed")
+    failures = sum(not result.ok for result in results)
+    click.echo("\n".join([f"{'PASS' if r.ok else 'FAIL'}  {r.name}: {r.detail}" for r in results]
+                          + [f"{len(results) - failures}/{len(results)} checks passed"]))
     if failures:
         sys.exit(1)
 

@@ -31,7 +31,10 @@ from dot_rows; Fourier phases e(s . z) add Tr(s_i * z_i) over the coordinates.
 The Fourier vector F_s of a secret s has amplitude e(s . z)/sqrt(q^n) at
 every z; no function here builds it whole.  A sweep over many secrets
 applies run_algorithm's phase rule to blocks of secrets at once, decoding
-the transversal once per block instead of once per secret.
+the transversal once per block instead of once per secret.  The
+phase-query identity depends on the shift s . v alone, which lies in
+GF(q), so a check over many secrets conjugates each distinct shift value
+once and gathers every secret's verdict from those.
 """
 
 __all__ = [
@@ -363,28 +366,40 @@ def state_family_rank(image: Domain) -> int:
     return image.size
 
 
+def _phase_query_holds(domain: Domain, secrets: np.ndarray) -> np.ndarray:
+    """Whether the phase-query identity holds on every domain vector, for
+    each of S secret index rows (S, n): one verdict per secret.
+
+    Secret s shifts the answer register by s.v at each domain vector v, and
+    the identity depends on the shift value alone, so each distinct value of
+    the S x |V| shifts (at most q of them) is conjugated once, in blocks of
+    kernels, and each secret's verdict gathers those of its shifts.
+    """
+    params = domain.params
+    q = params.q
+    check_cap("phase check", q * domain.size, "register pairs", DEFAULT_MAX_AMPLITUDES)
+    fourier = params.fourier_matrix()
+    shifts = dot_rows(params, secrets[:, None, :], domain.indices)
+    values, inverse = np.unique(shifts, return_inverse=True)
+    holds = np.empty(len(values), dtype=bool)
+    columns = np.arange(q)
+    for b in blocks(len(values), q * q):
+        block = values[b, None]
+        # fourier times the shift's permutation: column y is fourier's column y + s.v.
+        conjugated = np.moveaxis(fourier[:, params.add(columns, block)], 1, 0) @ fourier.conj().T
+        # Less the diagonal phases e(y * s.v), one (q,) row per kernel.
+        conjugated[:, columns, columns] -= params.character_values()[params.mul(block, columns)]
+        holds[b] = np.abs(conjugated).max(axis=(1, 2)) <= PHASE_QUERY_TOL
+    return holds[inverse.reshape(shifts.shape)].all(axis=1)
+
+
 def phase_query_check(domain: Domain, secret: VectorFq) -> bool:
     """Check the phase-query identity on every domain vector.
 
     For each v, conjugating the additive shift y -> y + s.v by the Fourier
     kernel on the answer register must equal the diagonal phase e(y * s.v),
-    entry by entry within PHASE_QUERY_TOL.
+    entry by entry within PHASE_QUERY_TOL.  The identity depends on the
+    shift value alone, so each distinct value of s.v is conjugated once.
     """
-    params = domain.params
-    q = params.q
-    _check_secret(params, domain.n, secret)
-    check_cap("phase check", q * domain.size, "register pairs", DEFAULT_MAX_AMPLITUDES)
-    fourier = params.fourier_matrix()
-    chars = params.character_values()
-    shifts = dot_rows(params, secret.index_tuple(), domain.indices)
-    # Every shift's conjugation in one batched contraction per block.
-    columns = np.arange(q)
-    for b in blocks(len(shifts), q * q):
-        block = shifts[b, None]
-        stack = np.arange(len(block))[:, None]
-        # fourier times the shift's permutation: column y is fourier's column y + s.v.
-        conjugated = np.moveaxis(fourier[:, params.add(columns, block)], 1, 0) @ fourier.conj().T
-        conjugated[stack, columns, columns] -= chars[params.mul(block, columns)]
-        if np.abs(conjugated).max() > PHASE_QUERY_TOL:
-            return False
-    return True
+    _check_secret(domain.params, domain.n, secret)
+    return bool(_phase_query_holds(domain, np.array([secret.index_tuple()]))[0])

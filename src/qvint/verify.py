@@ -229,15 +229,21 @@ def _check_simulator(k, census_of):
     scale = 1.0 / math.sqrt(census.image_size)
     worst_amp = 0.0
     probs = []
-    argmax_ok = True
-    check_argmax = 2 * census.image_size > codomain
+    argmax_ok, offsets = True, None
     for secrets, amplitudes, fourier, success in simulator._sweep(
             transversal, _secret_indices(codomain)):
-        worst_amp = max(worst_amp, float(np.abs(amplitudes - fourier * scale).max()))
+        # The gap in one buffer; |a - b| = |b - a| exactly.
+        gap = fourier * scale
+        gap -= amplitudes
+        worst_amp = max(worst_amp, float(np.abs(gap).max()))
         probs.extend(success)
-        if check_argmax:
+        if 2 * census.image_size > codomain:
+            if offsets is None:
+                # The keys' flat positions in a block's rows; the first block
+                # is the largest, so every later one reads a prefix.
+                offsets = (np.arange(len(secrets))[:, None] * codomain + keys).ravel()
             states = np.zeros((len(secrets), codomain), dtype=np.complex128)
-            states[:, keys] = amplitudes
+            states.reshape(-1)[offsets[:amplitudes.size]] = amplitudes.ravel()
             outcomes = simulator._outcome_probs(params, domain.n, states).argmax(axis=1)
             argmax_ok &= np.array_equal(outcomes, rows_to_flat(secrets, params.q))
     pipeline = (worst_amp < 1e-12, f"max amplitude gap {worst_amp:.2e} over {len(probs)} secrets")
@@ -254,12 +260,12 @@ def _check_simulator(k, census_of):
 
 def _check_phase_query(domain_of):
     domain = domain_of()
-    params = domain.params
-    for flat in range(params.q ** domain.n):
-        secret = vector_from_flat(params, domain.n, flat)
-        if not simulator.phase_query_check(domain, secret):
-            return False, f"identity broke at secret {secret!r}"
-    return True, f"all {params.q ** domain.n} secrets, every domain vector"
+    params, n = domain.params, domain.n
+    holds = simulator._phase_query_holds(domain, flat_to_rows(range(params.q ** n), params.q, n))
+    if holds.all():
+        return True, f"all {len(holds)} secrets, every domain vector"
+    # argmin is the lowest failing flat.
+    return False, f"identity broke at secret {vector_from_flat(params, n, int(holds.argmin()))!r}"
 
 
 def _check_gram_rank(k, census_of):

@@ -769,13 +769,38 @@ def per_shift_phase_check(domain, secret):
     return True
 
 
+def kernel_and_loop_verdicts(domain):
+    """_phase_query_holds on every secret row of the domain's space, and the
+    per-shift loop's verdicts on the same secrets in canonical order."""
+    params = domain.params
+    rows = flat_to_rows(np.arange(params.q ** domain.n), params.q, domain.n)
+    holds = simulator._phase_query_holds(domain, rows)
+    return holds.tolist(), [per_shift_phase_check(domain, s) for s in all_secrets(params, domain.n)]
+
+
+PHASE_DOMAINS = pytest.mark.parametrize(
+    "params,d", ((F4, 2), (FieldParams(3, 2), 1), (FieldParams(7), 2)),
+    ids=("gf4-d2", "gf9-d1", "gf7-d2"))
+
+
 class TestPhaseQueryIdentity:
-    @pytest.mark.parametrize("params,d", ((F4, 2), (FieldParams(3, 2), 1), (FieldParams(7), 2)),
-                             ids=("gf4-d2", "gf9-d1", "gf7-d2"))
+    @PHASE_DOMAINS
     def test_agrees_with_the_per_shift_loop(self, params, d):
         dom = build_vandermonde_domain(params, d)
         for secret in all_secrets(params, dom.n):
             assert phase_query_check(dom, secret) is per_shift_phase_check(dom, secret) is True
+
+    @PHASE_DOMAINS
+    @pytest.mark.parametrize("kernels_per_block", (None, 2), ids=("one-block", "two-per-block"))
+    def test_the_batched_kernel_agrees_with_the_per_shift_loop(self, monkeypatch, params, d,
+                                                               kernels_per_block):
+        if kernels_per_block:
+            # Each distinct shift is one q x q kernel: q shifts span ceil(q / 2) blocks.
+            monkeypatch.setattr(errors, "BLOCK_ENTRIES", kernels_per_block * params.q ** 2 + 1)
+        holds, loop = kernel_and_loop_verdicts(build_vandermonde_domain(params, d))
+        assert len(holds) == params.q ** (d + 1)
+        assert holds == loop
+        assert all(holds)
 
     def test_blocks_of_shifts(self, monkeypatch):
         # Two kernels per block over GF(7)'s seven domain vectors: 2, 2, 2, 1.
@@ -784,12 +809,9 @@ class TestPhaseQueryIdentity:
         for secret in all_secrets(dom.params, dom.n):
             assert phase_query_check(dom, secret)
 
-    def test_one_wrong_addition_entry_fails(self, monkeypatch):
-        dom = build_vandermonde_domain(F5, 1)
-        # s . (1, x) = 1 for every x: each kernel conjugates the shift by 1,
-        # and the secret's dot products read only add[0, 1] and add[1, 0].
-        secret = VectorFq.from_index_tuple(F5, (1, 0))
-        assert phase_query_check(dom, secret)
+    @staticmethod
+    def corrupt_add_entry(monkeypatch):
+        """add_rows()[2, 1] = add_rows()[3, 1], so conjugating a shift by 1 fails."""
         real = FieldParams.add_rows
 
         def corrupted(self):
@@ -798,8 +820,27 @@ class TestPhaseQueryIdentity:
             return table
 
         monkeypatch.setattr(FieldParams, "add_rows", corrupted)
+
+    def test_one_wrong_addition_entry_fails(self, monkeypatch):
+        dom = build_vandermonde_domain(F5, 1)
+        # s . (1, x) = 1 for every x: each kernel conjugates the shift by 1,
+        # and the secret's dot products read only add[0, 1] and add[1, 0].
+        secret = VectorFq.from_index_tuple(F5, (1, 0))
+        assert phase_query_check(dom, secret)
+        self.corrupt_add_entry(monkeypatch)
         assert not phase_query_check(dom, secret)
         assert not per_shift_phase_check(dom, secret)
+
+    @pytest.mark.parametrize("kernels_per_block", (None, 1), ids=("one-block", "one-per-block"))
+    def test_one_wrong_addition_entry_fails_secret_by_secret(self, monkeypatch, kernels_per_block):
+        if kernels_per_block:
+            # The failing shift, 1, is conjugated in the second block.
+            monkeypatch.setattr(errors, "BLOCK_ENTRIES", kernels_per_block * 25 + 1)
+        self.corrupt_add_entry(monkeypatch)
+        holds, loop = kernel_and_loop_verdicts(build_vandermonde_domain(F5, 1))
+        assert holds == loop
+        # The zero secret shifts by 0 alone and holds; (1, 0) shifts by 1 and fails.
+        assert holds[0] and not holds[5]
 
     @pytest.mark.parametrize("params", (F3, F4, F5), ids=("q3", "q4", "q5"))
     def test_all_secrets(self, params):

@@ -392,3 +392,19 @@ def test_outcomes_rolled_by_one_fail_the_argmax_sweeps(monkeypatch, clean_names)
                                    "sampling-reproducibility"}
     assert all(failed[name].endswith("argmax missed the secret")
                for name in failed if name != "sampling-reproducibility")
+
+
+def test_a_phase_query_failure_names_the_lowest_failing_secret(monkeypatch, clean_names):
+    real = simulator._phase_query_holds
+
+    def failing(domain, secrets):
+        # Flats 11 and 6 of GF(4)^2 fail; the detail names the lower one,
+        # (1, 2), as a loop over the secrets in flat order would.
+        holds = real(domain, secrets)
+        if domain.params.q == 4:
+            holds[[11, 6]] = False
+        return holds
+
+    monkeypatch.setattr(simulator, "_phase_query_holds", failing)
+    assert failures_in_full_run(clean_names) == {
+        "phase-query-q4": "identity broke at secret VectorFq(1, 2)"}

@@ -24,7 +24,9 @@ k), and two engines give it the same integers:
 The transversal of either is each target's first pre-image in walk order,
 i.e. the lexicographically smallest sequence of (vector position, weight
 index) pairs ((v0, y0), (v1, y1), ...), picked level by level against R_j,
-the support of the j-tuple counts, for the j levels that remain.  The
+the support of the j-tuple counts, for the j levels that remain.  It holds
+each pair as its index v*q + y into Domain.lines, the order the walk visits
+pairs in, and derives the targets from those rows.  The
 census owns N(t): one forward transform per census gives it, and it is
 tallied once (hit_tally).  One level-j transform of it
 (PreimageCensus._level), on the prime plan its cap check chose, gives the
@@ -40,7 +42,7 @@ __all__ = [
 ]
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
 from typing import Callable
@@ -450,8 +452,7 @@ def _pick_transversal(census: PreimageCensus) -> "Transversal":
             counts = census._level(j)
         reach.append(counts != 0)
     remainders = keys.copy()
-    positions = np.zeros((len(keys), k), dtype=np.intp)
-    weights = np.zeros((len(keys), k), dtype=np.intp)
+    preimages = np.zeros((len(keys), k), dtype=np.intp)
     lines = domain.lines
     steps = params.negations()[lines]  # -y*v_j: a step subtracts pair j*q + y
     for level in range(k):
@@ -469,9 +470,9 @@ def _pick_transversal(census: PreimageCensus) -> "Transversal":
         if (choice == len(lines)).any():
             missing = keys[np.argmax(choice == len(lines))]
             raise ContractError(f"no pre-image reaches {tuple(missing.tolist())}")
-        positions[:, level], weights[:, level] = np.divmod(choice, q)
+        preimages[:, level] = choice
         remainders = params.add(remainders, steps[choice])
-    return Transversal(domain, k, keys, positions, weights)
+    return Transversal(domain, k, preimages)
 
 
 def _first_pairs_by_table(params, lines, reachable, remainders) -> np.ndarray:
@@ -504,35 +505,28 @@ def _first_pairs_by_scan(params, steps, reachable, remainders) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class Transversal:
     """One chosen pre-image per image point, as read-only integer arrays:
-    image point keys[i] is the sum of the domain vectors at positions[i]
-    weighted by the elements with indices weights[i].  Construction checks,
-    once, that every pre-image maps to its key and no key repeats: otherwise
-    the simulator's relabeling step is not unitary, a ContractError."""
+    row preimages[i] holds the k indices j*q + y into domain.lines of its
+    pairs (v_j, y), and keys[i] is the image point they sum to, derived once
+    from them by k adds.  No key may repeat: otherwise the simulator's
+    relabeling step is not unitary, a ContractError."""
 
     domain: Domain
     k: int
-    keys: np.ndarray  # (size, n)
-    positions: np.ndarray  # (size, k)
-    weights: np.ndarray  # (size, k)
+    preimages: np.ndarray  # (size, k)
+    keys: np.ndarray = field(init=False)  # (size, n)
 
     def __post_init__(self):
         check_int("query count", self.k, 0)
-        q = self.domain.params.q
-        for name, width, bound in (("keys", self.domain.n, q), ("weights", self.k, q),
-                                   ("positions", self.k, self.domain.size)):
-            object.__setattr__(self, name, _index_array(getattr(self, name), width, bound))
-        keys, params, vectors = self.keys, self.domain.params, self.domain.indices
-        # Combination map on every pre-image at once: z = sum_i y_i * v_i.
-        z = np.zeros_like(keys)
-        for i in range(self.k):
-            z = params.add(z, params.mul(self.weights[:, i, None], vectors[self.positions[:, i]]))
-        bad = np.flatnonzero((z != keys).any(axis=1))
-        if bad.size:
-            key, got = keys[bad[0]].tolist(), z[bad[0]].tolist()
-            raise ContractError(f"transversal entry for {tuple(key)} maps to {tuple(got)}")
+        params, lines = self.domain.params, self.domain.lines
+        preimages = _index_array(self.preimages, self.k, len(lines))
+        keys = np.zeros((len(preimages), self.domain.n), dtype=np.intp)
+        for column in preimages.T:
+            keys = params.add(keys, lines[column])
         # Sorted, a repeated key sits next to its twin.
-        if not _canonical_order(keys, q)[1].all():
+        if not _canonical_order(keys, params.q)[1].all():
             raise ContractError("in-place relabeling hit the same target twice")
+        object.__setattr__(self, "preimages", preimages)
+        object.__setattr__(self, "keys", _read_only(keys))
 
     __reduce__ = _reduce_through_init
 

@@ -122,18 +122,17 @@ def _characters(params: FieldParams, totals: np.ndarray, terms: int) -> np.ndarr
 
 def _query_phases(transversal: Transversal, secrets) -> np.ndarray:
     """The C-contiguous (S, size) phase table of S secret index rows (S, n):
-    query i answers y = s . v_i, and pre-image j picks up the kickback
-    e(w_i * y) of each query, w_i its weight."""
+    query i answers y = s . v_i, and a pre-image picks up the kickback
+    e(w_i * y) of each query, w_i its weight.  The kickbacks are laid out
+    as Domain.lines is, so each query's pre-image column gathers them as it is."""
     params = transversal.domain.params
-    q = params.q
     answers = dot_rows(params, secrets[:, None, :], transversal.domain.indices)
     # kick[s, v * q + w] = Tr(w * y[s, v]), one row per secret.
-    kick = params.trace_values()[params.mul(answers[..., None], np.arange(q))].reshape(
+    kick = params.trace_values()[params.mul(answers[..., None], np.arange(params.q))].reshape(
         len(secrets), -1)
-    # One contiguous row of kick columns per query, as in _fourier_phases.
-    columns = np.ascontiguousarray((transversal.positions * q + transversal.weights).T)
     totals = np.zeros((len(secrets), transversal.size), dtype=np.intp)
-    for column in columns:
+    # One contiguous row of kick columns per query, as in _fourier_phases.
+    for column in np.ascontiguousarray(transversal.preimages.T):
         totals += np.take(kick, column, axis=1)
     return _characters(params, totals, transversal.k)
 
@@ -157,8 +156,8 @@ def run_algorithm(transversal: Transversal, secret: VectorFq) -> StateVector:
     Starts from the uniform superposition over the transversal's pre-images,
     applies the k query phases: query i answers s . v_i, and the pre-image
     picks up e(sum_i y_i (s . v_i)) = e(s . z).  It then relabels each
-    pre-image by its image point z, a bijection onto the image because the
-    Transversal checked it when it was built.
+    pre-image by its image point z, a bijection onto the image: the
+    Transversal derived each key from its pre-image and refused a repeat.
     """
     domain = transversal.domain
     _check_secret(domain.params, domain.n, secret)

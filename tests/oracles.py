@@ -67,14 +67,14 @@ def monomial_image(plan) -> dict:
 
 def transversal_pairs(transversal) -> dict:
     """z index tuple -> (vectors, weights), the transversal's pre-image of z
-    as tuples of VectorFq and FieldElement, in canonical order of z."""
+    as tuples of VectorFq and FieldElement, in canonical order of z: each
+    pre-image index j*q + y decoded to the domain vector v_j and weight y."""
     vectors = vectors_of(transversal.domain)
     elements = transversal.domain.params.elements()
+    positions, weights = np.divmod(transversal.preimages, transversal.domain.params.q)
     return {
-        tuple(key): (tuple(vectors[j] for j in positions), tuple(elements[y] for y in weights))
-        for key, positions, weights in zip(transversal.keys.tolist(),
-                                           transversal.positions.tolist(),
-                                           transversal.weights.tolist())
+        tuple(key): (tuple(vectors[j] for j in row), tuple(elements[y] for y in ys))
+        for key, row, ys in zip(transversal.keys.tolist(), positions.tolist(), weights.tolist())
     }
 
 

@@ -230,8 +230,7 @@ _F3 = field.FieldParams(3)
 
 @pytest.mark.parametrize("build", (
     lambda: domain.Domain(_F3, [[1, 2], [1]]),
-    lambda: census.Transversal(domain.build_vandermonde_domain(_F3, 1), 1,
-                               [[1, 2]], [[0], [0, 1]], [[1]]),
+    lambda: census.Transversal(domain.build_vandermonde_domain(_F3, 1), 1, [[0], [0, 1]]),
     lambda: simulator.StateVector(_F3, 1, [[1], [1, 2]]),
     lambda: simulator.OutcomeDistribution(_F3, 1, ["a", "b", "c"]),
     lambda: simulator.SampleReport(_F3, 1, [[1], [1, 2]]),

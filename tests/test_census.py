@@ -323,8 +323,7 @@ class TestTransformCensus:
         assert np.array_equal(transform.dense_good, walk.dense_good)
         assert transform.image_size == FROZEN_IMAGE_SIZES[(5, 3, 3)]
         # R_1 and R_2 take the leading one and two of the same three primes.
-        assert np.array_equal(transform.transversal.positions, walk.transversal.positions)
-        assert np.array_equal(transform.transversal.weights, walk.transversal.weights)
+        assert np.array_equal(transform.transversal.preimages, walk.transversal.preimages)
 
     def test_transform_primes_are_cached_per_range(self, monkeypatch):
         calls = []
@@ -641,16 +640,14 @@ class TestTransversal:
     def test_arrays_match_pairs(self):
         dom = vandermonde(4, 1)
         trans = enumerate_census(dom, 2).transversal
-        assert trans.keys.shape == (trans.size, 2)
-        assert trans.positions.shape == trans.weights.shape == (trans.size, 2)
+        assert trans.keys.shape == trans.preimages.shape == (trans.size, 2)
         pairs = transversal_pairs(trans)
         domain_vectors = vectors_of(dom)
-        for key, positions, weights in zip(trans.keys.tolist(), trans.positions.tolist(),
-                                           trans.weights.tolist()):
+        for key, row in zip(trans.keys.tolist(), trans.preimages.tolist()):
             vectors, elements = pairs[tuple(key)]
-            assert [domain_vectors.index(v) for v in vectors] == positions
-            assert [w.index() for w in elements] == weights
-        for array in (trans.keys, trans.positions, trans.weights):
+            assert [domain_vectors.index(v) * 4 + w.index()
+                    for v, w in zip(vectors, elements)] == row
+        for array in (trans.keys, trans.preimages):
             with pytest.raises(ValueError):
                 array[0, 0] = 1
 
@@ -675,8 +672,9 @@ class TestTransversal:
         for census in (enumerate_census(dom, k), transform_census(dom, k)):
             trans = census.transversal
             assert trans.keys.tolist() == [list(key) for key in keys]
-            assert trans.positions.tolist() == [first[key][0] for key in keys]
-            assert trans.weights.tolist() == [first[key][1] for key in keys]
+            positions, weights = np.divmod(trans.preimages, q)
+            assert positions.tolist() == [first[key][0] for key in keys]
+            assert weights.tolist() == [first[key][1] for key in keys]
 
     @pytest.mark.parametrize("q,d,k", ((3, 1, 3), (5, 3, 3), (4, 2, 3), (7, 3, 2)))
     def test_table_and_scan_pick_the_same_pairs(self, q, d, k):
@@ -728,7 +726,24 @@ class TestTransversal:
     def test_negative_k_is_a_parameter_error(self):
         trans = enumerate_census(vandermonde(3, 1), 1).transversal
         with pytest.raises(ParameterError, match="query count must be an integer >= 0, got -1"):
-            Transversal(trans.domain, -1, trans.keys, trans.positions, trans.weights)
+            Transversal(trans.domain, -1, trans.preimages)
+
+    @pytest.mark.parametrize("q,d,k", ((4, 2, 2), (4, 1, 3), (9, 1, 2), (9, 2, 1)))
+    def test_keys_are_the_sums_of_the_preimages(self, q, d, k):
+        # Random pre-image rows, repeats dropped: each key is the FieldElement
+        # sum of the weighted vectors its row names.
+        dom = vandermonde(q, d)
+        vectors, elements = vectors_of(dom), dom.params.elements()
+        rng = np.random.default_rng(k * 10 + d)
+        sums = {}
+        for row in rng.integers(0, dom.size * q, size=(40, k)).tolist():
+            positions, weights = zip(*(divmod(i, q) for i in row))
+            key = linear_combination([vectors[j] for j in positions],
+                                     [elements[y] for y in weights]).index_tuple()
+            sums.setdefault(key, row)
+        trans = Transversal(dom, k, list(sums.values()))
+        assert trans.keys.tolist() == [list(key) for key in sums]
+        assert transversal_pairs(trans).keys() == sums.keys()
 
 
 class TestImageDomain:
@@ -774,17 +789,18 @@ class TestCopies:
     def test_transversal(self):
         trans = enumerate_census(vandermonde(3, 1), 1).transversal
         for back in copies(trans):
-            for name in ("keys", "positions", "weights"):
+            for name in ("keys", "preimages"):
                 assert np.array_equal(getattr(back, name), getattr(trans, name))
                 assert not getattr(back, name).flags.writeable
             assert transversal_pairs(back) == transversal_pairs(trans)
-        # Weight -1 would read as weight 2 in the simulator's phase table.
-        object.__setattr__(trans, "weights", trans.weights - 3)
-        with pytest.raises(ParameterError, match=r"indices must lie in \[0, 3\)"):
+        # The keys are rebuilt from the pre-images, not copied.
+        object.__setattr__(trans, "keys", trans.keys[::-1])
+        for back in copies(trans):
+            assert np.array_equal(back.keys, trans.keys[::-1])
+        # Index -1 would read as the last (vector, weight) pair in numpy's gathers.
+        object.__setattr__(trans, "preimages", trans.preimages - 9)
+        with pytest.raises(ParameterError, match=r"indices must lie in \[0, 9\)"):
             pickle.loads(pickle.dumps(trans))
-        object.__setattr__(trans, "weights", (trans.weights + 4) % 3)
-        with pytest.raises(ContractError, match="maps to"):
-            copy.deepcopy(trans)
 
 
 class TestSecondMoment:

@@ -168,49 +168,35 @@ class TestRunAlgorithm:
         with pytest.raises(ParameterError, match="element index must be an integer"):
             VectorFq.from_index_tuple(F3, (1.5, 0))
 
-    # The Transversal checks its relabeling once, when it is built, so a
-    # broken one never reaches run_algorithm.
-    def test_preimage_mapping_elsewhere_is_a_contract_error(self):
-        _, _, trans = instance(3, 1, 1)
-        keys = trans.keys.copy()
-        keys[[2, 4]] = keys[[4, 2]]  # two rows now claim each other's target
-        message = (f"transversal entry for {tuple(keys[2].tolist())} "
-                   f"maps to {tuple(trans.keys[2].tolist())}")
-        with pytest.raises(ContractError, match=re.escape(message)):
-            dataclasses.replace(trans, keys=keys)
-
+    # The Transversal derives its keys from its pre-images and checks them
+    # once, when it is built, so a broken relabeling never reaches run_algorithm.
     def test_target_hit_twice_is_a_contract_error(self):
         _, _, trans = instance(3, 1, 1)
         rows = [0, 1, 1, 2]
         with pytest.raises(ContractError, match="same target twice"):
-            dataclasses.replace(
-                trans, keys=trans.keys[rows], positions=trans.positions[rows],
-                weights=trans.weights[rows])
+            dataclasses.replace(trans, preimages=trans.preimages[rows])
 
     def test_twins_far_apart_are_found_on_flat_keys(self):
         _, _, trans = instance(5, 3, 2)
         for rows in ([5, 0, 1, 2, 3, 4, 5], [trans.size - 1, *range(trans.size)]):
             with pytest.raises(ContractError, match="same target twice"):
-                dataclasses.replace(trans, keys=trans.keys[rows],
-                                    positions=trans.positions[rows], weights=trans.weights[rows])
+                dataclasses.replace(trans, preimages=trans.preimages[rows])
 
     def test_keys_wider_than_a_flat_index(self):
         # GF(2)^70 has more points than an int64 flat index can number, so
         # the repeated-key check must compare rows, not flat indices.
         dom = build_vandermonde_domain(FieldParams(2), 69)
-        rows = np.arange(dom.size)
-        trans = Transversal(dom, 1, dom.indices, rows[:, None], np.ones((dom.size, 1), int))
-        assert trans.size == 2
+        trans = Transversal(dom, 1, np.arange(dom.size)[:, None] * 2 + 1)  # weight 1
+        assert np.array_equal(trans.keys, dom.indices)
         with pytest.raises(ContractError, match="same target twice"):
-            dataclasses.replace(trans, keys=trans.keys[[0, 1, 1]],
-                                positions=trans.positions[[0, 1, 1]],
-                                weights=trans.weights[[0, 1, 1]])
+            dataclasses.replace(trans, preimages=trans.preimages[[0, 1, 1]])
 
     def test_checked_copy_is_read_only_and_runs(self):
         _, _, trans = instance(3, 1, 1)
-        copy = dataclasses.replace(trans, keys=trans.keys.copy())
-        with pytest.raises(ValueError):
-            copy.keys[0, 0] = 1
+        copy = dataclasses.replace(trans, preimages=trans.preimages.copy())
+        for array in (copy.keys, copy.preimages):
+            with pytest.raises(ValueError):
+                array[0, 0] = 1
         secret = VectorFq.from_index_tuple(F3, (1, 2))
         assert (run_algorithm(copy, secret).amplitudes.tobytes()
                 == run_algorithm(trans, secret).amplitudes.tobytes())
@@ -221,21 +207,21 @@ class TestRunAlgorithm:
             restricted_fourier_state(Domain(F3, np.empty((0, 2), np.intp)),
                                      VectorFq.from_index_tuple(F3, (0, 0)))
 
-    def test_negative_weight_is_refused(self):
-        # numpy reads weight -1 as element 2 in the transversal's own check,
-        # but the query phases would read pair position*q - 1, another pair.
+    def test_negative_preimage_index_is_refused(self):
+        # numpy would read index -1 as the last (vector, weight) pair, both
+        # when the keys are derived and in the query phases.
         _, _, trans = instance(3, 1, 1)
-        weights = np.where(trans.weights == 2, -1, trans.weights)
-        with pytest.raises(ParameterError, match=re.escape("indices must lie in [0, 3)")):
-            dataclasses.replace(trans, weights=weights)
+        preimages = np.where(trans.preimages == 8, -1, trans.preimages)
+        with pytest.raises(ParameterError, match=re.escape("indices must lie in [0, 9)")):
+            dataclasses.replace(trans, preimages=preimages)
 
-    def test_position_past_the_domain_is_refused(self):
+    def test_preimage_index_past_the_lines_is_refused(self):
         dom, _, trans = instance(3, 1, 1)
-        positions = trans.positions.copy()
-        positions[-1] = dom.size
-        bound = re.escape(f"indices must lie in [0, {dom.size})")
+        preimages = trans.preimages.copy()
+        preimages[-1] = dom.size * 3
+        bound = re.escape(f"indices must lie in [0, {dom.size * 3})")
         with pytest.raises(ParameterError, match=bound):
-            dataclasses.replace(trans, positions=positions)
+            dataclasses.replace(trans, preimages=preimages)
 
 
 class TestBatchedSweep:
@@ -316,8 +302,9 @@ class TestPhaseKernels:
         every = flat_to_rows(np.arange(params.q ** dom.n), params.q, dom.n)
         for secrets in (every, every[-1:]):
             answers = dot_rows(params, secrets[:, None, :], dom.indices)
+            positions, weights = np.divmod(trans.preimages, params.q)
             queries = params.character_values()[
-                dot_rows(params, trans.weights, answers[:, trans.positions])]
+                dot_rows(params, weights, answers[:, positions])]
             fourier = params.character_values()[dot_rows(params, secrets[:, None, :], trans.keys)]
             for got, want in ((simulator._query_phases(trans, secrets), queries),
                               (simulator._fourier_phases(params, secrets, trans.keys), fourier)):

@@ -450,8 +450,10 @@ def read_domain_file(path) -> Domain:
     header = {}
     for token in lines[0].split():
         key, _, value = token.partition("=")
-        if key not in ("q", "n", "modulus"):
-            raise ParameterError(f"unknown header token {token!r} in {path}")
+        # A repeated key is refused: its later value would silently win.
+        if key not in ("q", "n", "modulus") or key in header:
+            kind = "repeated" if key in header else "unknown"
+            raise ParameterError(f"{kind} header token {token!r} in {path}")
         header[key] = value
     if "q" not in header or not header.get("n", "").isdigit():
         raise ParameterError(f"domain file {path} needs q= and an integer n= in its header")

@@ -25,13 +25,19 @@ character tables; VectorFq appears only at the API boundary.  The trace is
 GF(p)-linear, so every phase is e(sum_i a_i * b_i) =
 exp(2*pi*i * sum_i Tr(a_i * b_i) / p): a sum of traces of products,
 trace_values()[mul(a, b)], then one lookup in trace_characters() tiled
-past the largest sum, with no reduction mod p.  Query phases add one
-kickback Tr(y_i * (s . v_i)) per query, the oracle answers s . v_i coming
-from dot_rows; Fourier phases e(s . z) add Tr(s_i * z_i) over the coordinates.
-The Fourier vector F_s of a secret s has amplitude e(s . z)/sqrt(q^n) at
-every z; no function here builds it whole.  A sweep over many secrets
-applies run_algorithm's phase rule to blocks of secrets at once, decoding
-the transversal once per block instead of once per secret.  The
+past the largest sum, with no reduction mod p.  One kickback kernel,
+_phases, does this for every phase: a pre-image, a list of (vector,
+weight) pairs (v_i, w_i) indexed as Domain.lines is, picks up
+e(sum_i w_i * y_i) from the answers y_i at its vectors.  Query phases
+take the oracle answers s . v_i, from dot_rows, at the transversal's
+pre-images.  A Fourier phase e(s . z) is the same kickback with the secret
+itself as the answers, at z's pre-image in the coordinate basis, the pairs
+(e_i, z_i).  The Fourier vector F_s of a secret s has amplitude
+e(s . z)/sqrt(q^n) at every z; no function here builds it whole.  One
+success kernel takes |<F_s | state>|^2 for a batch of states at once, by
+one stacked inner product whose rows equal np.vdot's bit for bit.  A sweep
+over many secrets applies run_algorithm's phase rule to blocks of secrets
+at once, building the transversal's columns once for every block.  The
 phase-query identity depends on the shift s . v alone, which lies in
 GF(q), so a check over many secrets conjugates each distinct shift value
 once and gathers every secret's verdict from those.
@@ -70,7 +76,9 @@ def _check_state_size(params: FieldParams, n: int) -> int:
     return size
 
 
-def _check_secret(params: FieldParams, n: int, secret: VectorFq):
+def _check_secret(params: FieldParams, n: int, secret: VectorFq) -> np.ndarray:
+    """The secret's (1, n) index row, once it is a VectorFq of length n over
+    the field, else a ParameterError."""
     if not isinstance(secret, VectorFq):
         raise ParameterError(f"secret must be a VectorFq, got {type(secret).__name__}")
     if secret.params != params or secret.n != n:
@@ -78,6 +86,7 @@ def _check_secret(params: FieldParams, n: int, secret: VectorFq):
             f"secret has length {secret.n} over GF({secret.params.q}), "
             f"state needs length {n} over GF({params.q})"
         )
+    return np.array([secret.index_tuple()])
 
 
 def _flat_copy(value, entries, dtype) -> np.ndarray:
@@ -107,46 +116,49 @@ class StateVector:
     __reduce__ = _reduce_through_init
 
 
-def _support_state(params, n, keys, phases) -> StateVector:
-    """Amplitude phases[i] / sqrt(len(keys)) at point keys[i], zero elsewhere."""
-    amps = np.zeros(_check_state_size(params, n), dtype=np.complex128)
-    amps[rows_to_flat(keys, params.q)] = phases * (1.0 / math.sqrt(len(keys)))
-    return StateVector(params=params, n=n, amplitudes=amps)
-
-
-def _characters(params: FieldParams, totals: np.ndarray, terms: int) -> np.ndarray:
-    """e at every entry of totals, each a sum of `terms` traces and so below
-    terms * p: a lookup in trace_characters() tiled that far, with no % p."""
-    return np.resize(params.trace_characters(), max(terms, 1) * params.p)[totals]
-
-
-def _query_phases(transversal: Transversal, secrets) -> np.ndarray:
-    """The C-contiguous (S, size) phase table of S secret index rows (S, n):
-    query i answers y = s . v_i, and a pre-image picks up the kickback
-    e(w_i * y) of each query, w_i its weight.  The kickbacks are laid out
-    as Domain.lines is, so each query's pre-image column gathers them as it is."""
-    params = transversal.domain.params
-    answers = dot_rows(params, secrets[:, None, :], transversal.domain.indices)
-    # kick[s, v * q + w] = Tr(w * y[s, v]), one row per secret.
+def _phases(params: FieldParams, answers: np.ndarray, columns) -> np.ndarray:
+    """The kickback phases of S answer rows y (S, J) at m pre-images given
+    as a (C, m) array of indices j*q + w laid out as Domain.lines is: pair
+    (j, w) kicks back e(w * y_j), and a pre-image sums the traces
+    Tr(w * y_j) of its C pairs, then takes one lookup in trace_characters()
+    tiled past the largest sum, C * p, with no % p.  A C-contiguous (S, m)
+    table."""
+    # kick[s, j * q + w] = Tr(w * y[s, j]), one row per answer row.
     kick = params.trace_values()[params.mul(answers[..., None], np.arange(params.q))].reshape(
-        len(secrets), -1)
-    totals = np.zeros((len(secrets), transversal.size), dtype=np.intp)
-    # One contiguous row of kick columns per query, as in _fourier_phases.
-    for column in np.ascontiguousarray(transversal.preimages.T):
+        len(answers), -1)
+    totals = np.zeros((len(answers), columns.shape[1]), dtype=np.intp)
+    # Gathers by contiguous rows of indices are fast.
+    for column in np.ascontiguousarray(columns):
         totals += np.take(kick, column, axis=1)
-    return _characters(params, totals, transversal.k)
+    return np.resize(params.trace_characters(), max(len(columns), 1) * params.p)[totals]
 
 
-def _fourier_phases(params: FieldParams, secrets: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """e(s . z) for S secret index rows (S, n) at m key rows (m, n), as a
-    C-contiguous (S, m) table: Tr(s_i * z_i) summed over the coordinates."""
-    traces, elements = params.trace_values(), np.arange(params.q)
-    totals = np.zeros((len(secrets), len(keys)), dtype=np.intp)
-    # Row s of Tr(s_i * b) for every b, gathered at contiguous rows of key
-    # coordinates: gathers by them are fast.
-    for s, z in zip(secrets.T, np.ascontiguousarray(keys.T)):
-        totals += np.take(traces[params.mul(s[:, None], elements)], z, axis=1)
-    return _characters(params, totals, keys.shape[1])
+def _query_phases(domain: Domain, secrets: np.ndarray, columns) -> np.ndarray:
+    """The query phases of S secret index rows (S, n) at pre-images given as
+    (k, m) columns of Domain.lines indices, preimages.T: query i answers
+    s . v_i, from dot_rows, and kicks back e(w_i * (s . v_i))."""
+    params = domain.params
+    return _phases(params, dot_rows(params, secrets[:, None, :], domain.indices), columns)
+
+
+def _coordinates(params: FieldParams, keys: np.ndarray) -> np.ndarray:
+    """The pre-image of each of m key rows z (m, n) in the coordinate basis,
+    the pairs (e_i, z_i), as C-contiguous (n, m) columns i*q + z_i: _phases
+    with S secret index rows (S, n) themselves as the answers gives the
+    Fourier phases e(sum_i z_i * s_i) = e(s . z) at the keys."""
+    return np.ascontiguousarray(keys.T) + params.q * np.arange(keys.shape[1])[:, None]
+
+
+def _success(params: FieldParams, n: int, fourier: np.ndarray, amplitudes: np.ndarray) -> list:
+    """|<F_s | a>|^2 for each row pair of S Fourier phase rows e(s . z) and
+    amplitude rows a on the same m points (both (S, m)), as Python floats.
+
+    One stacked matmul takes the S inner products; each equals np.vdot's on
+    its rows bit for bit.  The modulus and square are hypot and pow, as a
+    scalar's abs() and ** 2 take them: numpy's array abs and square round
+    differently in the last bit."""
+    inner = np.matmul(fourier.conj()[:, None, :], amplitudes[:, :, None]).ravel()
+    return (np.float_power(np.hypot(inner.real, inner.imag), 2) / params.q ** n).tolist()
 
 
 def run_algorithm(transversal: Transversal, secret: VectorFq) -> StateVector:
@@ -160,9 +172,12 @@ def run_algorithm(transversal: Transversal, secret: VectorFq) -> StateVector:
     Transversal derived each key from its pre-image and refused a repeat.
     """
     domain = transversal.domain
-    _check_secret(domain.params, domain.n, secret)
-    phases = _query_phases(transversal, np.array([secret.index_tuple()]))
-    return _support_state(domain.params, domain.n, transversal.keys, phases[0])
+    params = domain.params
+    secrets = _check_secret(params, domain.n, secret)
+    amps = np.zeros(_check_state_size(params, domain.n), dtype=np.complex128)
+    phases = _query_phases(domain, secrets, transversal.preimages.T)
+    amps[rows_to_flat(transversal.keys, params.q)] = phases[0] * (1.0 / math.sqrt(transversal.size))
+    return StateVector(params=params, n=domain.n, amplitudes=amps)
 
 
 def _sweep(transversal: Transversal, flats):
@@ -171,7 +186,8 @@ def _sweep(transversal: Transversal, flats):
     when a state alone holds more).  A block also holds at most that many
     kickbacks, one per secret and (vector, weight) pair, which only a domain
     with more pairs than image points, such as one of collinear vectors,
-    makes the tighter bound.
+    makes the tighter bound.  The pre-image and coordinate columns are
+    built once, for every block.
 
     Yields (secrets, amplitudes, fourier, success) per block: the (S, n)
     secret index rows; each final state's amplitudes on the transversal
@@ -183,24 +199,24 @@ def _sweep(transversal: Transversal, flats):
     domain = transversal.domain
     params, n = domain.params, domain.n
     scale = 1.0 / math.sqrt(transversal.size)
+    columns = np.ascontiguousarray(transversal.preimages.T)
+    coordinates = _coordinates(params, transversal.keys)
     for b in blocks(len(flats), max(transversal.size, domain.size * params.q)):
         secrets = flat_to_rows(flats[b], params.q, n)
-        amplitudes = _query_phases(transversal, secrets) * scale
-        fourier = _fourier_phases(params, secrets, transversal.keys)
-        # vdot on contiguous rows, as in success_probability, keeps every bit.
-        yield secrets, amplitudes, fourier, [float(abs(np.vdot(f, a)) ** 2 / params.q ** n)
-                                             for f, a in zip(fourier, amplitudes)]
+        amplitudes = _query_phases(domain, secrets, columns) * scale
+        fourier = _phases(params, secrets, coordinates)
+        yield secrets, amplitudes, fourier, _success(params, n, fourier, amplitudes)
 
 
 def success_probability(state: StateVector, secret: VectorFq) -> float:
     """|<F_s | state>|^2 for the secret s, where F_s has amplitude
     e(s . z)/sqrt(q^n) at every z; the sum runs over the state's support."""
     params = state.params
-    _check_secret(params, state.n, secret)
+    secrets = _check_secret(params, state.n, secret)
     support = np.flatnonzero(state.amplitudes)
-    phases = _fourier_phases(params, np.array([secret.index_tuple()]),
-                             flat_to_rows(support, params.q, state.n))
-    return float(abs(np.vdot(phases[0], state.amplitudes[support])) ** 2 / params.q ** state.n)
+    columns = _coordinates(params, flat_to_rows(support, params.q, state.n))
+    return _success(params, state.n, _phases(params, secrets, columns),
+                    state.amplitudes[None, support])[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -400,5 +416,4 @@ def phase_query_check(domain: Domain, secret: VectorFq) -> bool:
     entry by entry within PHASE_QUERY_TOL.  The identity depends on the
     shift value alone, so each distinct value of s.v is conjugated once.
     """
-    _check_secret(domain.params, domain.n, secret)
-    return bool(_phase_query_holds(domain, np.array([secret.index_tuple()]))[0])
+    return bool(_phase_query_holds(domain, _check_secret(domain.params, domain.n, secret))[0])

@@ -482,6 +482,10 @@ class TestDomainFiles:
         ("n=2", "needs q= and an integer n="),
         ("q=3 n=x", "needs q= and an integer n="),
         ("q=3 n=1.5", "needs q= and an integer n="),
+        # A repeated key is refused, not read as its last value.
+        ("q=3 n=1 q=5", "repeated header token 'q=5'"),
+        ("q=3 n=2 n=3", "repeated header token 'n=3'"),
+        ("q=9 n=2 modulus=1,0,1 modulus=2,2,1", "repeated header token 'modulus=2,2,1'"),
     ))
     def test_header_errors(self, tmp_path, header, match):
         path = tmp_path / "d.txt"

@@ -255,8 +255,8 @@ class TestBatchedSweep:
     def test_a_corrupt_phase_lookup_fails_pipeline_equivalence(self, monkeypatch):
         real = simulator._query_phases
 
-        def misplaced(transversal, secrets):
-            return np.roll(real(transversal, secrets), 1, axis=1)
+        def misplaced(*args):
+            return np.roll(real(*args), 1, axis=1)
 
         monkeypatch.setattr(simulator, "_query_phases", misplaced)
         pipeline = [r for r in run_all() if r.name.startswith("pipeline-equivalence-")]
@@ -265,6 +265,35 @@ class TestBatchedSweep:
             assert not result.ok
             gap = re.fullmatch(r"max amplitude gap (\S+) over \d+ secrets", result.detail)
             assert float(gap.group(1)) > 0
+
+    def test_success_floats_are_the_per_row_vdot_rule(self, monkeypatch):
+        # Five secrets per block, so every block but the last is a batch.
+        params = FieldParams(3, 2)
+        dom = build_vandermonde_domain(params, 2)
+        trans = enumerate_census(dom, 2).transversal
+        monkeypatch.setattr(errors, "BLOCK_ENTRIES", 5 * trans.size)
+        blocks = list(simulator._sweep(trans, range(params.q ** dom.n)))
+        assert len(blocks) == 146 and {len(secrets) for secrets, _, _, _ in blocks} == {5, 4}
+        for secrets, amplitudes, fourier, success in blocks:
+            for row, amps, phases, probability in zip(secrets, amplitudes, fourier, success,
+                                                      strict=True):
+                # One np.vdot per row, then the scalar abs and ** 2.
+                want = (abs(np.vdot(phases, amps)) ** 2 / params.q ** dom.n).hex()
+                assert probability.hex() == want
+                secret = VectorFq.from_index_tuple(params, row.tolist())
+                assert success_probability(run_algorithm(trans, secret), secret).hex() == want
+
+    @pytest.mark.parametrize("rows,size", ((1, 1), (7, 300), (3, 20000)))
+    def test_the_success_kernel_is_the_per_row_vdot_rule_on_any_rows(self, rows, size):
+        # Rows of arbitrary phases and amplitudes, where numpy's array abs
+        # and square would differ from the scalar rule in the last bit.
+        rng = np.random.default_rng(rows * size)
+        fourier = np.exp(2j * np.pi * rng.random((rows, size)))
+        amplitudes = (rng.random((rows, size)) + 1j * rng.random((rows, size))) / math.sqrt(size)
+        got = simulator._success(F3, 4, fourier, amplitudes)
+        want = [float(abs(np.vdot(f, a)) ** 2 / 81) for f, a in zip(fourier, amplitudes)]
+        assert [value.hex() for value in got] == [value.hex() for value in want]
+        assert all(type(value) is float for value in got)
 
     def test_blocks_also_bound_the_kickbacks(self, monkeypatch):
         # Six multiples of one vector of GF(7): 42 (vector, weight) pairs but
@@ -288,6 +317,12 @@ KERNEL_FIELDS = {"gf2": FieldParams(2), "gf3": F3, "gf4": F4, "gf8": FieldParams
                  "gf9": FieldParams(3, 2), "gf25": FieldParams(5, 2)}
 
 
+def fourier_phases(params, secrets, keys):
+    """The kickback kernel with the secrets as the answers, at the keys'
+    pre-images in the coordinate basis: the Fourier phases e(s . z)."""
+    return simulator._phases(params, secrets, simulator._coordinates(params, keys))
+
+
 class TestPhaseKernels:
     """The phases as sums of traces of products, trace_values()[mul(a, b)],
     held to the rule they replace: character_values() at field dot products
@@ -306,11 +341,24 @@ class TestPhaseKernels:
             queries = params.character_values()[
                 dot_rows(params, weights, answers[:, positions])]
             fourier = params.character_values()[dot_rows(params, secrets[:, None, :], trans.keys)]
-            for got, want in ((simulator._query_phases(trans, secrets), queries),
-                              (simulator._fourier_phases(params, secrets, trans.keys), fourier)):
+            for got, want in ((simulator._query_phases(dom, secrets, trans.preimages.T), queries),
+                              (fourier_phases(params, secrets, trans.keys), fourier)):
                 assert got.shape == (len(secrets), trans.size)
                 assert got.flags.c_contiguous
                 assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", ("gf8", "gf25"))
+    def test_fourier_phases_at_keys_of_three_coordinates(self, name):
+        params = KERNEL_FIELDS[name]
+        trans = transform_census(build_vandermonde_domain(params, 2), 2).transversal
+        assert trans.keys.shape[1] == 3
+        # About 64 secrets spread over the space, and the last one alone.
+        spread = flat_to_rows(np.arange(0, params.q ** 3, params.q ** 3 // 64), params.q, 3)
+        for secrets in (spread, flat_to_rows(np.array([params.q ** 3 - 1]), params.q, 3)):
+            want = params.character_values()[dot_rows(params, secrets[:, None, :], trans.keys)]
+            got = fourier_phases(params, secrets, trans.keys)
+            assert got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
 
 
 class TestOutcomeDistribution:
